@@ -11,11 +11,11 @@ from .graph import (Graph, SubgraphView, connected_components, induced_subgraph,
                     make_clique, vset, within_edge_budget)
 from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
                          try_split, two_thirds_vtx_sep, two_way_half_vtx_sep)
-from .triangulate import (ALGORITHMS, AlgoReport, DecomposeResult, RecursionTrace,
+from .triangulate import (ALGORITHMS, AlgoReport, DecomposeResult,
                           TreeDecomposition, TreewidthExceeded, TriangSuccess,
-                          Triangulation, assemble_tree_decomposition, decompose,
-                          min_degree_triang, triang_2way_23, triang_2way_half,
-                          triang_3way, triang_generic)
+                          Triangulation, decompose, min_degree_triang,
+                          triang_2way_23, triang_2way_half, triang_3way,
+                          triang_generic)
 from .validate import (NotChordal, Violation, brute_force_min_multiway,
                        brute_force_min_separator, check_tree_decomposition,
                        clique_number_chordal, exact_treewidth, is_chordal,
@@ -24,10 +24,10 @@ from .validate import (NotChordal, Violation, brute_force_min_multiway,
 __all__ = [
     "AUDIT", "ALGORITHMS", "AlgoReport", "Counters", "CutResult",
     "DecomposeResult", "DEFAULT_ALPHA", "Exceeded", "Graph", "NotChordal",
-    "RecursionTrace", "SubgraphView", "TerminalSpec", "ThreeWayCut",
+    "SubgraphView", "TerminalSpec", "ThreeWayCut",
     "ThreeWaySep", "TreeDecomposition", "TreewidthExceeded", "TriangSuccess",
     "Triangulation", "TwoWaySep", "Violation", "alpha_sum_sep",
-    "approx_3way_vertex_cut", "assemble_tree_decomposition",
+    "approx_3way_vertex_cut",
     "brute_force_min_multiway", "brute_force_min_separator",
     "check_tree_decomposition", "clique_number_chordal", "connected_components",
     "decompose", "exact_treewidth", "induced_subgraph", "is_chordal",

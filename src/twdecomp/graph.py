@@ -102,14 +102,6 @@ class SubgraphView:
     def parent_id(self, local_vertex: int) -> int:
         return self.kept[local_vertex]
 
-    def lift_vertices(self, local_vertices: Iterable[int]) -> tuple[int, ...]:
-        kept = self.kept
-        return vset(kept[v] for v in local_vertices)
-
-    def lift_edge(self, edge: tuple[int, int]) -> tuple[int, int]:
-        a, b = self.kept[edge[0]], self.kept[edge[1]]
-        return (a, b) if a < b else (b, a)
-
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> SubgraphView:
     """View of the subgraph induced by ``keep``, with dense local ids."""

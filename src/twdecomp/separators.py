@@ -1,9 +1,10 @@
 """Balanced separator search by exhaustive canonical enumeration.
 
 Each procedure walks the candidate splits of a target vertex set in a fixed
-combinatorial order, makes each chosen part a clique, and asks the flow
-engine for a minimum cut between the parts.  Returning None is a sound
-certificate that no qualifying separator exists.
+combinatorial order and asks the flow engine for a minimum cut between the
+parts.  Edges inside a part never matter: a super-terminal attaches to every
+vertex of its part.  Returning None is a sound certificate that no qualifying
+separator exists.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .flow import Counters, Exceeded, TerminalSpec, approx_3way_vertex_cut, min_vertex_separator
-from .graph import Graph, make_clique, vset
+from .graph import Graph, vset
 
 DEFAULT_ALPHA = Fraction(4, 3)
 
@@ -25,6 +26,9 @@ class TwoWaySep:
     x: tuple[int, ...]
     s1: tuple[int, ...]
     s2: tuple[int, ...]
+
+    def sides(self):
+        return (self.s1, self.s2)
 
 
 @dataclass(frozen=True)
@@ -49,21 +53,42 @@ def _require(condition: bool, message: str) -> None:
 
 def try_split(g: Graph, group_a: Iterable[int], group_b: Iterable[int],
               bound: int, counters: Counters | None = None) -> TwoWaySep | None:
-    """One candidate split: clique both groups, cut between super-terminals.
+    """One candidate split: minimum cut between the two groups' super-terminals.
 
-    Returns None when the minimum cut exceeds the bound or leaves one side
-    empty; both are normal outcomes.
+    Each super-terminal attaches to every vertex of its group, so edges inside
+    a group cannot change the cut.  Returns None when the minimum cut exceeds
+    the bound or leaves one side empty; both are normal outcomes.
     """
-    a = vset(group_a)
-    b = vset(group_b)
-    g1, _ = make_clique(g, a)
-    g2, _ = make_clique(g1, b)
-    res = min_vertex_separator(g2, TerminalSpec(a, b), bound, counters)
+    res = min_vertex_separator(g, TerminalSpec(group_a, group_b), bound, counters)
     if isinstance(res, Exceeded):
         return None
     if not res.side1 or not res.side2:
         return None
     return TwoWaySep(res.separator, res.side1, res.side2)
+
+
+def two_thirds_candidates(w: tuple[int, ...]):
+    """Every ceil(|w|/2)-subset of ``w`` against every ceil(|w|/3)-subset of
+    the rest, in ascending combinadic order."""
+    size = len(w)
+    if size < 2:
+        return
+    for first in combinations(w, _ceil_div(size, 2)):
+        chosen = set(first)
+        rest = tuple(v for v in w if v not in chosen)
+        for second in combinations(rest, _ceil_div(size, 3)):
+            yield first, second
+
+
+def half_candidates(w: tuple[int, ...]):
+    """Every ceil(|w|/2)-subset of ``w`` against its complement, in ascending
+    combinadic order."""
+    size = len(w)
+    if size < 2:
+        return
+    for first in combinations(w, _ceil_div(size, 2)):
+        chosen = set(first)
+        yield first, tuple(v for v in w if v not in chosen)
 
 
 def two_thirds_vtx_sep(g: Graph, targets: Iterable[int], k: int,
@@ -75,23 +100,15 @@ def two_thirds_vtx_sep(g: Graph, targets: Iterable[int], k: int,
     None certifies that no such separator exists.
     """
     w = vset(targets)
-    size = len(w)
-    if size < 2:
-        return None
-    take_a = _ceil_div(size, 2)
-    take_b = _ceil_div(size, 3)
-    for first in combinations(w, take_a):
-        chosen = set(first)
-        rest = tuple(v for v in w if v not in chosen)
-        for second in combinations(rest, take_b):
-            sep = try_split(g, first, second, k, counters)
-            if sep is None:
-                continue
-            _require(len(sep.x) <= k, "separator above bound")
-            for side in (sep.s1, sep.s2):
-                _require(3 * len(set(side) & set(w)) <= 2 * size,
-                         "side holds more than two thirds of the targets")
-            return sep
+    for first, second in two_thirds_candidates(w):
+        sep = try_split(g, first, second, k, counters)
+        if sep is None:
+            continue
+        _require(len(sep.x) <= k, "separator above bound")
+        for side in (sep.s1, sep.s2):
+            _require(3 * len(set(side) & set(w)) <= 2 * len(w),
+                     "side holds more than two thirds of the targets")
+        return sep
     return None
 
 
@@ -103,22 +120,14 @@ def two_way_half_vtx_sep(g: Graph, targets: Iterable[int], k: int,
     part, so far fewer candidates are tried than in the two-thirds search.
     """
     w = vset(targets)
-    size = len(w)
-    if size < 2:
-        return None
     bound = (3 * k) // 2
-    take = _ceil_div(size, 2)
-    for first in combinations(w, take):
-        chosen = set(first)
-        second = tuple(v for v in w if v not in chosen)
-        if not second:
-            continue
+    for first, second in half_candidates(w):
         sep = try_split(g, first, second, bound, counters)
         if sep is None:
             continue
         _require(len(sep.x) <= bound, "separator above bound")
         for side in (sep.s1, sep.s2):
-            _require(len(set(side) & set(w)) <= take,
+            _require(len(set(side) & set(w)) <= len(first),
                      "side holds more than half of the targets")
         return sep
     return None
@@ -159,8 +168,8 @@ def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
 
     Partitions of the target set are tried largest-part-first.  A first part
     larger than k collapses the other two and reuses the two-way machinery
-    with bound k; otherwise all three parts become cliques and the isolating
-    cut approximation runs with bound floor(a*k).  Success additionally
+    with bound k; otherwise the isolating cut approximation runs on the three
+    parts with bound floor(a*k).  Success additionally
     requires at least two non-empty sides.
     """
     if k < 1:
@@ -192,11 +201,7 @@ def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
                 continue
             cand = ThreeWaySep(two.x, two.s1, two.s2, ())
         else:
-            g3 = g
-            for part in (first, second, third):
-                if part:
-                    g3, _ = make_clique(g3, part)
-            cut = approx_3way_vertex_cut(g3, first, second, third, cut_bound, counters)
+            cut = approx_3way_vertex_cut(g, first, second, third, cut_bound, counters)
             if isinstance(cut, Exceeded):
                 continue
             cand = ThreeWaySep(cut.separator, *cut.sides)

@@ -9,9 +9,8 @@ sides.  A failed separator search certifies that the treewidth exceeds k-1.
 from __future__ import annotations
 
 import math
-import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Union
@@ -20,7 +19,8 @@ from .flow import Counters
 from .graph import (Graph, connected_components, induced_subgraph, vset,
                     within_edge_budget)
 from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
-                         try_split, two_thirds_vtx_sep, two_way_half_vtx_sep)
+                         half_candidates, try_split, two_thirds_candidates,
+                         two_thirds_vtx_sep, two_way_half_vtx_sep)
 from .validate import NotChordal, clique_number_chordal, is_chordal
 
 
@@ -64,14 +64,6 @@ class TreewidthExceeded:
 TriangOutcome = Union[TriangSuccess, TreewidthExceeded]
 
 
-@dataclass
-class RecursionTrace:
-    """One recursive call: its bag and the traces of its children."""
-
-    bag: tuple[int, ...]
-    children: list["RecursionTrace"] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class AlgoReport:
     """One benchmark row: input stats, achieved width, and work counters."""
@@ -95,20 +87,6 @@ class DecomposeResult:
     report: AlgoReport
 
 
-class _TreewidthExceededSignal(Exception):
-    pass
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _bump_recursion_limit(n: int) -> None:
-    need = 4 * n + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
-
 def _pad_targets(g: Graph, boundary: tuple[int, ...], size: int) -> tuple[int, ...]:
     # Fill up with the smallest vertex ids not already present.
     wanted = min(g.n, size)
@@ -128,73 +106,68 @@ def _missing_pairs(g: Graph, members: Iterable[int]) -> set[tuple[int, int]]:
     return {(u, v) for u, v in combinations(vset(members), 2) if v not in g.adj[u]}
 
 
-def _lift_trace(trace: RecursionTrace, view) -> RecursionTrace:
-    return RecursionTrace(view.lift_vertices(trace.bag),
-                          [_lift_trace(c, view) for c in trace.children])
+def _triangulate(g: Graph, k: int, split, base_size: int,
+                 clique_cap: int | None) -> TriangOutcome:
+    """The recursion shared by every driver, on an explicit stack.
 
-
-def _two_way_component(g: Graph, boundary: tuple[int, ...], k: int, split_fn,
-                       base_size: int, pad_size: int, counters: Counters):
-    n = g.n
-    if n <= base_size:
-        return _missing_pairs(g, range(n)), RecursionTrace(tuple(range(n)))
-    if not within_edge_budget(g, k):
-        raise _TreewidthExceededSignal
-    targets = _pad_targets(g, boundary, pad_size)
-    sep = split_fn(g, targets, k, counters)
-    if sep is None:
-        raise _TreewidthExceededSignal
-    boundary_set = set(boundary)
+    A node is an induced subgraph in local ids, its local-to-root id map, its
+    inherited boundary and its parent's bag index.  Nodes above ``base_size``
+    vertices ask ``split(graph, boundary)`` for ``(x, sides)``; None rejects
+    k.  The node's bag is the boundary plus ``x``, made a clique, and every
+    non-empty side plus ``x`` becomes a child.  Bags are numbered in pre-order
+    and the roots of separate components are chained into one tree.
+    """
+    comps = connected_components(g)
+    if len(comps) <= 1:
+        stack = [(g, tuple(range(g.n)), (), -1)]
+    else:
+        views = [induced_subgraph(g, comp) for comp in comps]
+        stack = [(view.graph, view.kept, (), -1) for view in reversed(views)]
     fills: set[tuple[int, int]] = set()
-    children = []
-    for side in (sep.s1, sep.s2):
-        if not side:
-            continue
-        view = induced_subgraph(g, vset(side + sep.x))
-        child_boundary = vset(view.local(v)
-                              for v in (boundary_set & set(side)) | set(sep.x))
-        child_fills, child_trace = _two_way_component(
-            view.graph, child_boundary, k, split_fn, base_size, pad_size, counters)
-        fills.update(view.lift_edge(e) for e in child_fills)
-        children.append(_lift_trace(child_trace, view))
-    bag = vset(boundary + sep.x)
-    fills.update(_missing_pairs(g, bag))
-    return fills, RecursionTrace(bag, children)
+    bags: list[tuple[int, ...]] = []
+    edges: list[tuple[int, int]] = []
+    roots: list[int] = []
+    while stack:
+        sub, kept, boundary, parent = stack.pop()
+        idx = len(bags)
+        if parent < 0:
+            roots.append(idx)
+        else:
+            edges.append((parent, idx))
+        found = (tuple(range(sub.n)), ()) if sub.n <= base_size else split(sub, boundary)
+        if found is None:
+            return TreewidthExceeded(k)
+        x, sides = found
+        bag = tuple(kept[v] for v in vset(boundary + x))
+        bags.append(bag)
+        fills.update(_missing_pairs(g, bag))
+        boundary_set = set(boundary)
+        for side in reversed(sides):
+            if not side:
+                continue
+            view = induced_subgraph(sub, side + x)
+            child_boundary = vset(view.local(v)
+                                  for v in (boundary_set & set(side)) | set(x))
+            stack.append((view.graph, tuple(kept[v] for v in view.kept),
+                          child_boundary, idx))
+    edges += zip(roots, roots[1:])
+    return _finish(g, k, fills, TreeDecomposition.from_bags(bags, edges), clique_cap)
 
 
-def _three_way_component(g: Graph, boundary: tuple[int, ...], k: int, oracle,
-                         base_size: int, pad_size: int,
-                         bound_fn: Optional[Callable[[int], int]],
-                         counters: Counters):
-    n = g.n
-    if n <= base_size:
-        return _missing_pairs(g, range(n)), RecursionTrace(tuple(range(n)))
-    if not within_edge_budget(g, k):
-        raise _TreewidthExceededSignal
-    targets = _pad_targets(g, boundary, pad_size)
-    sep = oracle(g, targets, k, counters)
-    if sep is None:
-        raise _TreewidthExceededSignal
-    _check_three_way_contract(g, sep)
-    if bound_fn is not None and len(sep.x) > bound_fn(k):
-        raise _TreewidthExceededSignal
-    boundary_set = set(boundary)
-    fills: set[tuple[int, int]] = set()
-    children = []
-    for side in sep.sides():
-        if not side:
-            continue
-        view = induced_subgraph(g, vset(side + sep.x))
-        child_boundary = vset(view.local(v)
-                              for v in (boundary_set & set(side)) | set(sep.x))
-        child_fills, child_trace = _three_way_component(
-            view.graph, child_boundary, k, oracle, base_size, pad_size,
-            bound_fn, counters)
-        fills.update(view.lift_edge(e) for e in child_fills)
-        children.append(_lift_trace(child_trace, view))
-    bag = vset(boundary + sep.x)
-    fills.update(_missing_pairs(g, bag))
-    return fills, RecursionTrace(bag, children)
+def _fixed_k_split(find, k: int, pad_size: int, accept=lambda g, sep: True):
+    """Split closure of the fixed-k drivers: edge budget, then the search.
+
+    ``find(graph, targets)`` returns a separator or None; a separator that
+    ``accept`` refuses counts as not found.
+    """
+    def split(g: Graph, boundary: tuple[int, ...]):
+        if not within_edge_budget(g, k):
+            return None
+        sep = find(g, _pad_targets(g, boundary, pad_size))
+        if sep is None or not accept(g, sep):
+            return None
+        return sep.x, sep.sides()
+    return split
 
 
 def _check_three_way_contract(g: Graph, sep: ThreeWaySep) -> None:
@@ -217,48 +190,8 @@ def _check_three_way_contract(g: Graph, sep: ThreeWaySep) -> None:
             raise RuntimeError(f"oracle separator misses edge ({u}, {v})")
 
 
-def assemble_tree_decomposition(trace) -> TreeDecomposition:
-    """Flatten recursion traces into a tree decomposition.
-
-    Accepts a single root trace or a list of per-component roots; component
-    roots are chained by arbitrary tree edges so the result is one tree.
-    """
-    roots = trace if isinstance(trace, list) else [trace]
-    bags: list[tuple[int, ...]] = []
-    edges: list[tuple[int, int]] = []
-
-    def walk(node: RecursionTrace) -> int:
-        idx = len(bags)
-        bags.append(node.bag)
-        for child in node.children:
-            cidx = walk(child)
-            edges.append((idx, cidx))
-        return idx
-
-    root_ids = [walk(r) for r in roots]
-    for a, b in zip(root_ids, root_ids[1:]):
-        edges.append((a, b))
-    if not bags:
-        bags.append(())
-    return TreeDecomposition.from_bags(bags, edges)
-
-
-def _per_component(g: Graph, recurse) -> tuple[set[tuple[int, int]], list[RecursionTrace]]:
-    comps = connected_components(g)
-    if len(comps) <= 1:
-        fills, trace = recurse(g, ())
-        return fills, [trace]
-    fills: set[tuple[int, int]] = set()
-    traces = []
-    for comp in comps:
-        view = induced_subgraph(g, comp)
-        cf, ct = recurse(view.graph, ())
-        fills.update(view.lift_edge(e) for e in cf)
-        traces.append(_lift_trace(ct, view))
-    return fills, traces
-
-
-def _finish(g: Graph, k: int, fills: set, traces: list, clique_cap: int | None) -> TriangSuccess:
+def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,
+            clique_cap: int | None) -> TriangSuccess:
     chordal = Graph(g.n, list(g.edges()) + sorted(fills)) if fills else g
     order = is_chordal(chordal)
     if isinstance(order, NotChordal):
@@ -267,44 +200,31 @@ def _finish(g: Graph, k: int, fills: set, traces: list, clique_cap: int | None) 
     if clique_cap is not None and cn > clique_cap:
         raise RuntimeError(
             f"clique number {cn} breaks the guarantee {clique_cap} for k={k}")
-    td = assemble_tree_decomposition(traces)
     if td.width > cn - 1:
         raise RuntimeError("decomposition width exceeds clique number - 1")
     tri = Triangulation(g, tuple(sorted(fills)), chordal, order, cn)
     return TriangSuccess(tri, td)
 
 
-def triang_2way_23(g: Graph, k: int, counters: Counters | None = None) -> TriangOutcome:
+def _triang_2way(g: Graph, k: int, search, clique_cap: int,
+                 counters: Counters | None) -> TriangOutcome:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    find = lambda comp, targets: search(comp, targets, k, counters)
+    return _triangulate(g, k, _fixed_k_split(find, k, 3 * k + 2), 4 * k, clique_cap)
+
+
+def triang_2way_23(g: Graph, k: int, *, counters: Counters | None = None) -> TriangOutcome:
     """Two-way driver with two-thirds-balanced separators; width <= 4k+1."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    counters = counters if counters is not None else Counters()
-    _bump_recursion_limit(g.n)
-    recurse = lambda comp, boundary: _two_way_component(
-        comp, boundary, k, two_thirds_vtx_sep, 4 * k, 3 * k + 2, counters)
-    try:
-        fills, traces = _per_component(g, recurse)
-    except _TreewidthExceededSignal:
-        return TreewidthExceeded(k)
-    return _finish(g, k, fills, traces, 4 * k + 1)
+    return _triang_2way(g, k, two_thirds_vtx_sep, 4 * k + 1, counters)
 
 
-def triang_2way_half(g: Graph, k: int, counters: Counters | None = None) -> TriangOutcome:
+def triang_2way_half(g: Graph, k: int, *, counters: Counters | None = None) -> TriangOutcome:
     """Two-way driver with half-balanced separators; width <= floor(4.5k)+2."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    counters = counters if counters is not None else Counters()
-    _bump_recursion_limit(g.n)
-    recurse = lambda comp, boundary: _two_way_component(
-        comp, boundary, k, two_way_half_vtx_sep, 4 * k, 3 * k + 2, counters)
-    try:
-        fills, traces = _per_component(g, recurse)
-    except _TreewidthExceededSignal:
-        return TreewidthExceeded(k)
-    return _finish(g, k, fills, traces, (9 * k) // 2 + 2)
+    return _triang_2way(g, k, two_way_half_vtx_sep, (9 * k) // 2 + 2, counters)
 
 
-def triang_3way(g: Graph, k: int, alpha: Fraction = DEFAULT_ALPHA,
+def triang_3way(g: Graph, k: int, *, alpha: Fraction = DEFAULT_ALPHA,
                 counters: Counters | None = None) -> TriangOutcome:
     """Three-way driver with alpha-sum separators; width <= ceil((2a+1)k)."""
     alpha = Fraction(alpha)
@@ -322,7 +242,7 @@ def triang_generic(g: Graph, k: int, oracle,
                    bound_fn: Optional[Callable[[int], int]] = None,
                    base_fn: Optional[Callable[[int], int]] = None,
                    pad_fn: Optional[Callable[[int], int]] = None,
-                   clique_cap: int | None = None,
+                   clique_cap: int | None = None, *,
                    counters: Counters | None = None) -> TriangOutcome:
     """Three-way recursion skeleton with a pluggable separator oracle.
 
@@ -333,16 +253,16 @@ def triang_generic(g: Graph, k: int, oracle,
     if k < 1:
         raise ValueError("k must be at least 1")
     counters = counters if counters is not None else Counters()
-    _bump_recursion_limit(g.n)
     base_size = base_fn(k) if base_fn else math.floor((2 * DEFAULT_ALPHA + 1) * k)
     pad_size = pad_fn(k) if pad_fn else math.floor((1 + DEFAULT_ALPHA) * k) + 1
-    recurse = lambda comp, boundary: _three_way_component(
-        comp, boundary, k, oracle, base_size, pad_size, bound_fn, counters)
-    try:
-        fills, traces = _per_component(g, recurse)
-    except _TreewidthExceededSignal:
-        return TreewidthExceeded(k)
-    return _finish(g, k, fills, traces, clique_cap)
+
+    def accept(comp: Graph, sep: ThreeWaySep) -> bool:
+        _check_three_way_contract(comp, sep)
+        return bound_fn is None or len(sep.x) <= bound_fn(k)
+
+    find = lambda comp, targets: oracle(comp, targets, k, counters)
+    return _triangulate(g, k, _fixed_k_split(find, k, pad_size, accept),
+                        base_size, clique_cap)
 
 
 def min_degree_triang(g: Graph) -> tuple[Triangulation, TreeDecomposition]:
@@ -394,77 +314,43 @@ def min_degree_triang(g: Graph) -> tuple[Triangulation, TreeDecomposition]:
     return tri, TreeDecomposition.from_bags(bags, edges)
 
 
-def _adaptive_candidates(targets: tuple[int, ...], flavor: str):
-    size = len(targets)
-    if size < 2:
-        return
-    take_a = _ceil_div(size, 2)
-    if flavor == "rs4":
-        take_b = _ceil_div(size, 3)
-        for first in combinations(targets, take_a):
-            chosen = set(first)
-            rest = tuple(v for v in targets if v not in chosen)
-            for second in combinations(rest, take_b):
-                yield first, second
-    else:
-        for first in combinations(targets, take_a):
-            chosen = set(first)
-            second = tuple(v for v in targets if v not in chosen)
-            if second:
-                yield first, second
+def _adaptive_split(flavor: str, counters: Counters):
+    """Split closure of adaptive mode: grow the target set until a cut exists.
+
+    Every candidate of the current target set is tried and the smallest
+    separator wins; with no vertex left to add, the node becomes a leaf.
+    """
+    candidates = two_thirds_candidates if flavor == "rs4" else half_candidates
+
+    def split(g: Graph, boundary: tuple[int, ...]):
+        n = g.n
+        targets = list(boundary)
+        inherited = set(boundary)
+        pool = [v for v in range(n) if v not in inherited]
+        best: TwoWaySep | None = None
+        while True:
+            for first, second in candidates(vset(targets)):
+                sep = try_split(g, first, second, n, counters)
+                if sep is not None and (best is None or len(sep.x) < len(best.x)):
+                    best = sep
+            if best is not None:
+                return best.x, best.sides()
+            if not pool:
+                return tuple(range(n)), ()
+            targets.append(pool.pop(0))
+    return split
 
 
-def _adaptive_component(g: Graph, boundary: tuple[int, ...], flavor: str,
-                        counters: Counters):
-    n = g.n
-    if n <= 2:
-        return _missing_pairs(g, range(n)), RecursionTrace(tuple(range(n)))
-    targets = list(boundary)
-    pool = [v for v in range(n) if v not in set(boundary)]
-    best: TwoWaySep | None = None
-    while True:
-        for first, second in _adaptive_candidates(vset(targets), flavor):
-            sep = try_split(g, first, second, n, counters)
-            if sep is not None and (best is None or len(sep.x) < len(best.x)):
-                best = sep
-        if best is not None:
-            break
-        if not pool:
-            return _missing_pairs(g, range(n)), RecursionTrace(tuple(range(n)))
-        targets.append(pool.pop(0))
-
-    boundary_set = set(boundary)
-    fills: set[tuple[int, int]] = set()
-    children = []
-    for side in (best.s1, best.s2):
-        view = induced_subgraph(g, vset(side + best.x))
-        child_boundary = vset(view.local(v)
-                              for v in (boundary_set & set(side)) | set(best.x))
-        cf, ct = _adaptive_component(view.graph, child_boundary, flavor, counters)
-        fills.update(view.lift_edge(e) for e in cf)
-        children.append(_lift_trace(ct, view))
-    bag = vset(boundary + best.x)
-    fills.update(_missing_pairs(g, bag))
-    return fills, RecursionTrace(bag, children)
-
-
-def _adaptive_triang(g: Graph, flavor: str, counters: Counters) -> TriangSuccess:
-    _bump_recursion_limit(g.n)
-    recurse = lambda comp, boundary: _adaptive_component(comp, boundary, flavor, counters)
-    fills, traces = _per_component(g, recurse)
-    return _finish(g, 0, fills, traces, None)
-
-
-ALGORITHMS = ("rs4", "half45", "bg367", "generic", "mindeg")
+ALGORITHMS = ("rs4", "half45", "bg367", "mindeg")
 
 
 def _fixed_k_run(g, algo, k, alpha, counters):
     if algo == "rs4":
-        return triang_2way_23(g, k, counters)
+        return triang_2way_23(g, k, counters=counters)
     if algo == "half45":
-        return triang_2way_half(g, k, counters)
-    if algo in ("bg367", "generic"):
-        return triang_3way(g, k, alpha, counters)
+        return triang_2way_half(g, k, counters=counters)
+    if algo == "bg367":
+        return triang_3way(g, k, alpha=alpha, counters=counters)
     raise ValueError(f"unknown algorithm: {algo}")
 
 
@@ -492,7 +378,7 @@ def decompose(g: Graph, algo: str, *, k: int | None = None, search: bool = False
     elif adaptive:
         if algo not in ("rs4", "half45"):
             raise ValueError("adaptive mode supports only the two-way algorithms")
-        outcome = _adaptive_triang(g, algo, counters)
+        outcome = _triangulate(g, 0, _adaptive_split(algo, counters), 2, None)
         k_used, mode = 0, "adaptive"
     elif search:
         k_used, mode = 0, "search"

@@ -221,7 +221,9 @@ def test_cli_adaptive_and_alpha(tmp_path):
     assert main(["decompose", "--algo", "bg367", "--search", "--alpha", "3/2",
                  "--in", str(gr), "--out", str(td)]) == 0
     assert main(["validate", "--graph", str(gr), "--td", str(td)]) == 0
-    assert main(["decompose", "--algo", "generic", "--search", "--in", str(gr),
-                 "--out", str(td)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--algo", "generic", "--search", "--in", str(gr),
+              "--out", str(td)])
+    assert exc.value.code == 2
     assert main(["decompose", "--algo", "bg367", "--search", "--alpha", "zero/oops",
                  "--in", str(gr)]) == 2

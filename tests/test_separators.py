@@ -8,9 +8,10 @@ from itertools import combinations
 
 import pytest
 
-from twdecomp import (TerminalSpec, alpha_sum_sep, brute_force_min_separator,
-                      connected_components, make_clique, try_split,
-                      two_thirds_vtx_sep, two_way_half_vtx_sep, vset)
+from twdecomp import (TerminalSpec, alpha_sum_sep, approx_3way_vertex_cut,
+                      brute_force_min_separator, connected_components, make_clique,
+                      min_vertex_separator, try_split, two_thirds_vtx_sep,
+                      two_way_half_vtx_sep, vset)
 from twdecomp.corpus import complete_graph, gnp_connected, path_graph, star_graph
 
 
@@ -53,6 +54,32 @@ def test_try_split_matches_brute_force_minimum():
         if sep is not None:
             assert len(sep.x) == expected
             two_way_sep_is_consistent(g, sep, verts)
+
+
+def test_group_cliques_never_change_the_cut():
+    # A super-terminal attaches to every vertex of its group, so the searches
+    # skip cliquing the groups: flow, cut and sides must come out the same.
+    def cliqued(g, *groups):
+        for grp in groups:
+            g, _ = make_clique(g, grp)
+        return g
+
+    rng = random.Random(4242)
+    for _ in range(200):
+        n = rng.randint(3, 12)
+        g = gnp_connected(n, rng.uniform(0.2, 0.6), rng)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        i = rng.randint(1, n - 2)
+        j = rng.randint(i + 1, n - 1)
+        last = rng.randint(j, n)
+        a, b, c = verts[:i], verts[i:j], verts[j:last]
+        bound = rng.randint(0, n)
+        spec = TerminalSpec(a, b)
+        assert (min_vertex_separator(g, spec, bound)
+                == min_vertex_separator(cliqued(g, a, b), spec, bound))
+        assert (approx_3way_vertex_cut(g, a, b, c, bound)
+                == approx_3way_vertex_cut(cliqued(g, a, b, c), a, b, c, bound))
 
 
 def test_two_thirds_path_whole_vertex_set():

@@ -1,11 +1,12 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from twdecomp import (Graph, NotChordal, RecursionTrace, ThreeWaySep,
-                      TreewidthExceeded, TriangSuccess, assemble_tree_decomposition,
+from twdecomp import (Counters, Graph, NotChordal, ThreeWaySep,
+                      TreewidthExceeded, TriangSuccess,
                       check_tree_decomposition, decompose, exact_treewidth,
                       is_chordal, min_degree_triang, triang_2way_23,
                       triang_2way_half, triang_3way, triang_generic, try_split,
@@ -85,8 +86,25 @@ def test_threeway_rejects_clique():
 def test_threeway_custom_alpha():
     g = path_graph(18)
     alpha = Fraction(3, 2)
-    out = triang_3way(g, 2, alpha)
+    out = triang_3way(g, 2, alpha=alpha)
     assert_sound_success(g, out, math.ceil((2 * alpha + 1) * 2))
+
+
+def test_alpha_and_counters_are_keyword_only():
+    g = path_graph(6)
+    with pytest.raises(TypeError):
+        triang_3way(g, 2, Fraction(3, 2))
+    for fn in (triang_2way_23, triang_2way_half):
+        with pytest.raises(TypeError):
+            fn(g, 2, Counters())
+
+
+def test_deep_recursion_keeps_the_interpreter_limit():
+    limit = sys.getrecursionlimit()
+    g = path_graph(1000)
+    for fn in (triang_2way_half, triang_3way):
+        assert_sound_success(g, fn(g, 2))
+        assert sys.getrecursionlimit() == limit
 
 
 def test_generic_plug_equivalence(small_corpus_tw):
@@ -234,7 +252,7 @@ def test_decompose_fixed_k_propagates_rejection():
 
 
 def test_assemble_single_bag():
-    td = assemble_tree_decomposition(RecursionTrace((0, 1, 2, 3)))
+    td = triang_2way_23(complete_graph(4), 1).decomposition
     assert td.bags == ((0, 1, 2, 3),)
     assert td.tree_edges == ()
     assert td.width == 3
