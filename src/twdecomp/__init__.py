@@ -5,10 +5,10 @@ built on flow-based minimum vertex separators, plus independent validators
 and brute-force oracles for small graphs.
 """
 
-from .flow import (AUDIT, Counters, CutResult, Exceeded, TerminalSpec,
+from .flow import (Counters, CutResult, Exceeded, TerminalSpec,
                    ThreeWayCut, approx_3way_vertex_cut, min_vertex_separator)
 from .graph import (Graph, SubgraphView, connected_components, induced_subgraph,
-                    make_clique, vset, within_edge_budget)
+                    vset, within_edge_budget)
 from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
                          try_split, two_thirds_vtx_sep, two_way_half_vtx_sep)
 from .triangulate import (ALGORITHMS, AlgoReport, DecomposeResult,
@@ -22,7 +22,7 @@ from .validate import (NotChordal, Violation, brute_force_min_multiway,
                        max_disjoint_paths, permutation_treewidth)
 
 __all__ = [
-    "AUDIT", "ALGORITHMS", "AlgoReport", "Counters", "CutResult",
+    "ALGORITHMS", "AlgoReport", "Counters", "CutResult",
     "DecomposeResult", "DEFAULT_ALPHA", "Exceeded", "Graph", "NotChordal",
     "SubgraphView", "TerminalSpec", "ThreeWayCut",
     "ThreeWaySep", "TreeDecomposition", "TreewidthExceeded", "TriangSuccess",
@@ -31,7 +31,7 @@ __all__ = [
     "brute_force_min_multiway", "brute_force_min_separator",
     "check_tree_decomposition", "clique_number_chordal", "connected_components",
     "decompose", "exact_treewidth", "induced_subgraph", "is_chordal",
-    "make_clique", "max_disjoint_paths", "min_degree_triang",
+    "max_disjoint_paths", "min_degree_triang",
     "min_vertex_separator", "permutation_treewidth", "triang_2way_23",
     "triang_2way_half", "triang_3way", "triang_generic", "try_split",
     "two_thirds_vtx_sep", "two_way_half_vtx_sep", "vset", "within_edge_budget",

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .io import ParseError, append_report, emit_decomposition, parse_decomposition, parse_graph
+from .separators import DEFAULT_ALPHA
 from .triangulate import ALGORITHMS, TriangSuccess, decompose
 from .validate import check_tree_decomposition, exact_treewidth
 
@@ -26,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--k", type=int)
     dec.add_argument("--search", action="store_true")
     dec.add_argument("--adaptive", action="store_true")
-    dec.add_argument("--alpha", default="4/3")
+    dec.add_argument("--alpha", help="bg367 only (default 4/3)")
     dec.add_argument("--in", dest="infile", required=True)
     dec.add_argument("--out", dest="outfile")
     dec.add_argument("--report", dest="report")
@@ -69,14 +70,21 @@ def _cmd_decompose(args) -> int:
     if args.algo != "mindeg" and modes != 1:
         print("error: choose exactly one of --k, --search, --adaptive", file=sys.stderr)
         return 2
+    if args.alpha is not None and args.algo != "bg367":
+        print("error: --alpha applies to --algo bg367 only", file=sys.stderr)
+        return 2
     try:
-        alpha = Fraction(args.alpha)
+        alpha = Fraction(DEFAULT_ALPHA if args.alpha is None else args.alpha)
     except (ValueError, ZeroDivisionError):
         print(f"error: bad --alpha value {args.alpha!r}", file=sys.stderr)
         return 2
-    result = decompose(parsed.graph, args.algo, k=args.k, search=args.search,
-                       adaptive=args.adaptive, alpha=alpha,
-                       graph_name=Path(args.infile).stem)
+    try:
+        result = decompose(parsed.graph, args.algo, k=args.k, search=args.search,
+                           adaptive=args.adaptive, alpha=alpha,
+                           graph_name=Path(args.infile).stem)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not isinstance(result.outcome, TriangSuccess):
         print(result.outcome.message)
         return 3

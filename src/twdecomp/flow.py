@@ -19,23 +19,6 @@ _NO_FLOW = -1
 
 
 @dataclass
-class FlowAudit:
-    """Process-wide instrumentation of the augmentation contract."""
-
-    calls: int = 0
-    augmentations: int = 0
-    violations: int = 0
-
-    def reset(self) -> None:
-        self.calls = 0
-        self.augmentations = 0
-        self.violations = 0
-
-
-AUDIT = FlowAudit()
-
-
-@dataclass
 class Counters:
     """Per-run tallies threaded through the drivers for reporting."""
 
@@ -110,16 +93,13 @@ def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
     in_flow = [_NO_FLOW] * n
     flow = 0
     augs = 0
-    AUDIT.calls += 1
     if counters is not None:
         counters.separator_calls += 1
 
-    prev = [_UNSEEN] * (2 * n)
     while True:
         # Breadth-first search over residual states; 2v is the entry side of
         # vertex v, 2v+1 its exit side.
-        for i in range(2 * n):
-            prev[i] = _UNSEEN
+        prev = [_UNSEEN] * (2 * n)
         queue = deque()
         for a in side_a:
             s = 2 * a
@@ -180,11 +160,9 @@ def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
         if flow > bound:
             break
 
-    AUDIT.augmentations += augs
     if counters is not None:
         counters.augmentations += augs
     if augs > bound + 1:
-        AUDIT.violations += 1
         raise RuntimeError("augmentation count exceeded bound + 1")
 
     if flow > bound:

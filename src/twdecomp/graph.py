@@ -1,8 +1,7 @@
-"""Immutable adjacency-set graphs and the subgraph/clique surgery used everywhere."""
+"""Immutable adjacency-set graphs, induced subgraphs and connected components."""
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 
@@ -87,11 +86,9 @@ class SubgraphView:
     bijection on the kept vertices and both directions round-trip.
     """
 
-    __slots__ = ("parent", "kept", "graph", "_to_local")
+    __slots__ = ("kept", "graph", "_to_local")
 
-    def __init__(self, parent: Graph, kept: tuple[int, ...], graph: Graph,
-                 to_local: dict[int, int]):
-        self.parent = parent
+    def __init__(self, kept: tuple[int, ...], graph: Graph, to_local: dict[int, int]):
         self.kept = kept
         self.graph = graph
         self._to_local = to_local
@@ -122,32 +119,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> SubgraphView:
         tuple(adj_sorted),
         m2 // 2,
     )
-    return SubgraphView(g, kept, local, to_local)
-
-
-def make_clique(g: Graph, s: Iterable[int]) -> tuple[Graph, list[tuple[int, int]]]:
-    """Return ``g`` with the vertices of ``s`` made pairwise adjacent.
-
-    The second component lists exactly the newly added edges, ascending.
-    Untouched adjacency rows are shared with the input graph.
-    """
-    members = vset(s)
-    for v in members:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex id out of range: {v}")
-    fill = [(u, v) for u, v in combinations(members, 2) if v not in g.adj[u]]
-    if not fill:
-        return g, []
-    touched = {v: set(g.adj[v]) for v in members}
-    for u, v in fill:
-        touched[u].add(v)
-        touched[v].add(u)
-    adj = list(g.adj)
-    adj_sorted = list(g.adj_sorted)
-    for v in members:
-        adj[v] = frozenset(touched[v])
-        adj_sorted[v] = tuple(sorted(touched[v]))
-    return Graph._from_parts(g.n, tuple(adj), tuple(adj_sorted), g.m + len(fill)), fill
+    return SubgraphView(kept, local, to_local)
 
 
 def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:

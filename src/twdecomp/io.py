@@ -34,6 +34,13 @@ class ParsedDecomposition:
     declared_vertices: int
 
 
+def _ints(lineno: int, fields: list[str], what: str, line: str) -> list[int]:
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        raise ParseError(lineno, f"non-integer {what}: {line!r}")
+
+
 def parse_graph(text: str) -> ParsedGraph:
     """Parse ``.gr`` text; duplicates and self-loops are dropped with a warning."""
     n = None
@@ -52,10 +59,7 @@ def parse_graph(text: str) -> ParsedGraph:
                 raise ParseError(lineno, "duplicate header line")
             if len(parts) != 4 or parts[1] != "tw":
                 raise ParseError(lineno, f"malformed header: {line!r}")
-            try:
-                n, declared_m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer header fields: {line!r}")
+            n, declared_m = _ints(lineno, parts[2:], "header fields", line)
             if n < 0 or declared_m < 0:
                 raise ParseError(lineno, "negative counts in header")
             header_line = lineno
@@ -64,10 +68,7 @@ def parse_graph(text: str) -> ParsedGraph:
             raise ParseError(lineno, "edge line before header")
         if len(parts) != 2:
             raise ParseError(lineno, f"malformed edge line: {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(lineno, f"non-integer edge line: {line!r}")
+        u, v = _ints(lineno, parts, "edge line", line)
         edge_lines += 1
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(lineno, f"vertex id out of range: {line!r}")
@@ -125,7 +126,7 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
                 raise ParseError(lineno, "duplicate solution line")
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(lineno, f"malformed solution line: {line!r}")
-            header = tuple(int(x) for x in parts[2:])
+            header = _ints(lineno, parts[2:], "solution fields", line)
             continue
         if header is None:
             raise ParseError(lineno, "content before solution line")
@@ -143,7 +144,7 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
             continue
         if len(parts) != 2:
             raise ParseError(lineno, f"malformed tree edge line: {line!r}")
-        a, b = int(parts[0]), int(parts[1])
+        a, b = _ints(lineno, parts, "tree edge line", line)
         if not (1 <= a <= header[0] and 1 <= b <= header[0]):
             raise ParseError(lineno, f"tree edge index out of range: {line!r}")
         edges.append((a - 1, b - 1))

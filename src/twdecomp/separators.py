@@ -91,6 +91,25 @@ def half_candidates(w: tuple[int, ...]):
         yield first, tuple(v for v in w if v not in chosen)
 
 
+def _first_split(g: Graph, w: tuple[int, ...], candidates, bound: int, share: int,
+                 counters: Counters | None) -> TwoWaySep | None:
+    """First split of ``candidates(w)`` with a cut of at most ``bound``.
+
+    Neither side may hold more than ``share`` of the targets ``w``.
+    """
+    wset = set(w)
+    for first, second in candidates(w):
+        sep = try_split(g, first, second, bound, counters)
+        if sep is None:
+            continue
+        _require(len(sep.x) <= bound, "separator above bound")
+        for side in sep.sides():
+            _require(len(wset.intersection(side)) <= share,
+                     "side holds more than its share of the targets")
+        return sep
+    return None
+
+
 def two_thirds_vtx_sep(g: Graph, targets: Iterable[int], k: int,
                        counters: Counters | None = None) -> TwoWaySep | None:
     """Two-thirds-balanced separator of the target set, of size at most k.
@@ -100,16 +119,7 @@ def two_thirds_vtx_sep(g: Graph, targets: Iterable[int], k: int,
     None certifies that no such separator exists.
     """
     w = vset(targets)
-    for first, second in two_thirds_candidates(w):
-        sep = try_split(g, first, second, k, counters)
-        if sep is None:
-            continue
-        _require(len(sep.x) <= k, "separator above bound")
-        for side in (sep.s1, sep.s2):
-            _require(3 * len(set(side) & set(w)) <= 2 * len(w),
-                     "side holds more than two thirds of the targets")
-        return sep
-    return None
+    return _first_split(g, w, two_thirds_candidates, k, 2 * len(w) // 3, counters)
 
 
 def two_way_half_vtx_sep(g: Graph, targets: Iterable[int], k: int,
@@ -120,17 +130,8 @@ def two_way_half_vtx_sep(g: Graph, targets: Iterable[int], k: int,
     part, so far fewer candidates are tried than in the two-thirds search.
     """
     w = vset(targets)
-    bound = (3 * k) // 2
-    for first, second in half_candidates(w):
-        sep = try_split(g, first, second, bound, counters)
-        if sep is None:
-            continue
-        _require(len(sep.x) <= bound, "separator above bound")
-        for side in (sep.s1, sep.s2):
-            _require(len(set(side) & set(w)) <= len(first),
-                     "side holds more than half of the targets")
-        return sep
-    return None
+    return _first_split(g, w, half_candidates, (3 * k) // 2, _ceil_div(len(w), 2),
+                        counters)
 
 
 def _three_partitions(w: tuple[int, ...], k: int):

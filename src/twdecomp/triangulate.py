@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .flow import Counters
 from .graph import (Graph, connected_components, induced_subgraph, vset,
@@ -224,45 +224,45 @@ def triang_2way_half(g: Graph, k: int, *, counters: Counters | None = None) -> T
     return _triang_2way(g, k, two_way_half_vtx_sep, (9 * k) // 2 + 2, counters)
 
 
+def _triang_3way(g: Graph, k: int, oracle, alpha: Fraction,
+                 counters: Counters | None, clique_cap: int | None) -> TriangOutcome:
+    """The three-way recursion, sized by alpha: floor((1+a)k)+1 targets, a
+    base case of floor((2a+1)k) vertices and separators of at most floor(a*k).
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    alpha = Fraction(alpha)
+    if alpha < 1:
+        raise ValueError("alpha must be at least 1")
+    bound = math.floor(alpha * k)
+
+    def accept(comp: Graph, sep: ThreeWaySep) -> bool:
+        _check_three_way_contract(comp, sep)
+        return len(sep.x) <= bound
+
+    find = lambda comp, targets: oracle(comp, targets, k, counters)
+    split = _fixed_k_split(find, k, math.floor((1 + alpha) * k) + 1, accept)
+    return _triangulate(g, k, split, math.floor((2 * alpha + 1) * k), clique_cap)
+
+
 def triang_3way(g: Graph, k: int, *, alpha: Fraction = DEFAULT_ALPHA,
                 counters: Counters | None = None) -> TriangOutcome:
     """Three-way driver with alpha-sum separators; width <= ceil((2a+1)k)."""
     alpha = Fraction(alpha)
     oracle = lambda comp, targets, kk, cnt: alpha_sum_sep(comp, targets, kk, alpha, cnt)
-    return triang_generic(
-        g, k, oracle,
-        bound_fn=lambda kk: math.floor(alpha * kk),
-        base_fn=lambda kk: math.floor((2 * alpha + 1) * kk),
-        pad_fn=lambda kk: math.floor((1 + alpha) * kk) + 1,
-        clique_cap=math.ceil((2 * alpha + 1) * k),
-        counters=counters)
+    return _triang_3way(g, k, oracle, alpha, counters, math.ceil((2 * alpha + 1) * k))
 
 
-def triang_generic(g: Graph, k: int, oracle,
-                   bound_fn: Optional[Callable[[int], int]] = None,
-                   base_fn: Optional[Callable[[int], int]] = None,
-                   pad_fn: Optional[Callable[[int], int]] = None,
-                   clique_cap: int | None = None, *,
+def triang_generic(g: Graph, k: int, oracle, *, alpha: Fraction = DEFAULT_ALPHA,
                    counters: Counters | None = None) -> TriangOutcome:
     """Three-way recursion skeleton with a pluggable separator oracle.
 
     ``oracle(graph, targets, k, counters)`` must return a ThreeWaySep or
-    None.  Separators larger than ``bound_fn(k)`` are treated as not found.
-    No width guarantee is claimed beyond what the oracle provides.
+    None.  The recursion is sized by ``alpha`` as in ``triang_3way``, and
+    separators larger than floor(alpha*k) are treated as not found.  No
+    width guarantee is claimed beyond what the oracle provides.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    counters = counters if counters is not None else Counters()
-    base_size = base_fn(k) if base_fn else math.floor((2 * DEFAULT_ALPHA + 1) * k)
-    pad_size = pad_fn(k) if pad_fn else math.floor((1 + DEFAULT_ALPHA) * k) + 1
-
-    def accept(comp: Graph, sep: ThreeWaySep) -> bool:
-        _check_three_way_contract(comp, sep)
-        return bound_fn is None or len(sep.x) <= bound_fn(k)
-
-    find = lambda comp, targets: oracle(comp, targets, k, counters)
-    return _triangulate(g, k, _fixed_k_split(find, k, pad_size, accept),
-                        base_size, clique_cap)
+    return _triang_3way(g, k, oracle, alpha, counters, None)
 
 
 def min_degree_triang(g: Graph) -> tuple[Triangulation, TreeDecomposition]:

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from twdecomp import (AUDIT, TerminalSpec, TreewidthExceeded, TriangSuccess,
+from twdecomp import (Counters, TerminalSpec, TreewidthExceeded, TriangSuccess,
                       approx_3way_vertex_cut, brute_force_min_multiway,
                       brute_force_min_separator, check_tree_decomposition,
                       decompose, is_chordal, min_degree_triang, min_vertex_separator,
@@ -121,11 +121,12 @@ def test_criterion_7_flow_early_exit():
             bound = rng.randint(0, 4)
             res = min_vertex_separator(g, TerminalSpec(side_a, side_b), bound)
             assert res.augmentations <= bound + 1
-        # a couple of driver runs keep the audit exercised end to end
-        triang_2way_23(gnp_connected(12, 0.3, rng), 3)
-        triang_2way_half(gnp_connected(12, 0.3, rng), 3)
-        assert AUDIT.calls > 0
-        assert AUDIT.violations == 0
+        # driver runs above the base case check the per-run tallies end to end
+        for driver, bound in ((triang_2way_23, 3), (triang_2way_half, 4)):
+            counters = Counters()
+            driver(gnp_connected(30, 0.15, rng), 3, counters=counters)
+            assert counters.separator_calls > 0
+            assert counters.augmentations <= counters.separator_calls * (bound + 1)
 
 
 SCALE_CORPUS = (

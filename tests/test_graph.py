@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from twdecomp import (Graph, connected_components, induced_subgraph, make_clique,
-                      vset, within_edge_budget)
+from twdecomp import Graph, connected_components, induced_subgraph, vset, within_edge_budget
 from twdecomp.corpus import complete_graph, cycle_graph, gnp_connected, grid_graph, path_graph
 
 
@@ -74,44 +73,6 @@ def test_nested_induction_equals_intersection():
         second = induced_subgraph(first.graph, b_local)
         direct = induced_subgraph(g, set(a) & set(b))
         assert second.graph == direct.graph
-
-
-def test_make_clique_empty_set_is_noop():
-    g = path_graph(4)
-    g2, fill = make_clique(g, ())
-    assert g2 == g and fill == []
-
-
-def test_make_clique_on_complete_graph_adds_nothing():
-    g = complete_graph(4)
-    g2, fill = make_clique(g, range(4))
-    assert g2 == g and fill == []
-
-
-def test_make_clique_on_cycle_counts_fill():
-    g = cycle_graph(5)
-    g2, fill = make_clique(g, range(5))
-    assert len(fill) == 5
-    assert g2.m == 10
-
-
-def test_make_clique_idempotent():
-    rng = random.Random(5)
-    for _ in range(20):
-        g = gnp_connected(8, 0.3, rng)
-        s = rng.sample(range(8), 4)
-        g2, fill = make_clique(g, s)
-        g3, fill2 = make_clique(g2, s)
-        assert fill2 == []
-        assert g3 == g2
-        for u, v in fill:
-            assert not g.has_edge(u, v) and g2.has_edge(u, v)
-
-
-def test_make_clique_shares_untouched_rows():
-    g = path_graph(6)
-    g2, _ = make_clique(g, (0, 2))
-    assert g2.adj[4] is g.adj[4]
 
 
 def test_components_path_minus_middle():

@@ -227,3 +227,34 @@ def test_cli_adaptive_and_alpha(tmp_path):
     assert exc.value.code == 2
     assert main(["decompose", "--algo", "bg367", "--search", "--alpha", "zero/oops",
                  "--in", str(gr)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--algo", "rs4", "--k", "0"],
+    ["--algo", "half45", "--k", "-1"],
+    ["--algo", "bg367", "--adaptive"],
+    ["--algo", "bg367", "--search", "--alpha", "1/2"],
+    ["--algo", "rs4", "--search", "--alpha", "3/2"],
+    ["--algo", "half45", "--k", "3", "--alpha", "4/3"],
+    ["--algo", "mindeg", "--alpha", "4/3"],
+], ids=["k0", "k-1", "bg367-adaptive", "alpha-below-1", "alpha-rs4", "alpha-half45",
+        "alpha-mindeg"])
+def test_cli_decompose_parameter_errors(tmp_path, capsys, args):
+    gr = write_graph(tmp_path, "c10.gr", cycle_graph(10))
+    assert main(["decompose", *args, "--in", str(gr)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("td_text, line", [
+    ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 x\n", 4),
+    ("s td 2 x 3\nb 1 1 2\nb 2 2 3\n1 2\n", 1),
+], ids=["tree-edge", "solution-header"])
+def test_cli_validate_non_integer_fields(tmp_path, capsys, td_text, line):
+    gr = write_graph(tmp_path, "p3.gr", path_graph(3))
+    td = tmp_path / "p3.td"
+    td.write_text(td_text)
+    assert main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"line {line}: non-integer" in err

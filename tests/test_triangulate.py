@@ -97,6 +97,20 @@ def test_alpha_and_counters_are_keyword_only():
     for fn in (triang_2way_23, triang_2way_half):
         with pytest.raises(TypeError):
             fn(g, 2, Counters())
+    with pytest.raises(TypeError):
+        triang_generic(g, 2, bisection_oracle, Fraction(3, 2))
+
+
+def test_three_way_drivers_check_k_and_alpha_up_front():
+    # path_graph(4) is a base case: no separator search runs to catch these
+    g = path_graph(4)
+    never = lambda comp, targets, k, counters: None
+    for fn in (triang_3way, lambda g, k, **kw: triang_generic(g, k, never, **kw)):
+        assert_sound_success(g, fn(g, 2))
+        with pytest.raises(ValueError):
+            fn(g, 2, alpha=Fraction(1, 2))
+        with pytest.raises(ValueError):
+            fn(g, 0)
 
 
 def test_deep_recursion_keeps_the_interpreter_limit():
@@ -115,11 +129,7 @@ def test_generic_plug_equivalence(small_corpus_tw):
     for g, twv in small_corpus_tw[:15]:
         k = twv + 1
         direct = triang_3way(g, k)
-        plugged = triang_generic(
-            g, k, oracle,
-            bound_fn=lambda kk: math.floor(alpha * kk),
-            base_fn=lambda kk: math.floor((2 * alpha + 1) * kk),
-            pad_fn=lambda kk: math.floor((1 + alpha) * kk) + 1)
+        plugged = triang_generic(g, k, oracle, alpha=alpha)
         assert type(direct) is type(plugged)
         if isinstance(direct, TriangSuccess):
             assert direct.decomposition == plugged.decomposition
@@ -142,23 +152,34 @@ def bisection_oracle(g, targets, k, counters=None):
 def test_generic_with_heuristic_oracle():
     for g in (path_graph(15), cycle_graph(12), grid_graph(2, 6),
               random_tree(14, random.Random(4))):
-        out = triang_generic(g, 3, bisection_oracle,
-                             base_fn=lambda k: 3 * k, pad_fn=lambda k: 2 * k + 2)
+        out = triang_generic(g, 3, bisection_oracle, alpha=1)
         assert_sound_success(g, out)
 
 
 def test_generic_oracle_never_finds():
     oracle = lambda g, targets, k, counters: None
-    out = triang_generic(path_graph(8), 1, oracle,
-                         base_fn=lambda k: 4 * k, pad_fn=lambda k: 3 * k + 2)
+    out = triang_generic(path_graph(8), 1, oracle, alpha=Fraction(3, 2))
     assert isinstance(out, TreewidthExceeded)
+
+
+def oversized_oracle(g, targets, k, counters=None):
+    # bisection_oracle's separator grown by side vertices to floor(alpha*k)+1
+    # at alpha = 1: still valid, but one vertex over the bound
+    sep = bisection_oracle(g, targets, k, counters)
+    if sep is None:
+        return None
+    x, s1, s2 = list(sep.x), list(sep.s1), list(sep.s2)
+    larger = s1 if len(s1) >= len(s2) else s2
+    while len(x) <= k and len(larger) > 1:
+        x.append(larger.pop())
+    return ThreeWaySep(vset(x), vset(s1), vset(s2), ())
 
 
 def test_generic_enforces_separator_bound():
     # an oracle whose separators are valid but oversized is treated as a miss
-    out = triang_generic(path_graph(12), 1, bisection_oracle,
-                         bound_fn=lambda k: 0,
-                         base_fn=lambda k: 4 * k, pad_fn=lambda k: 3 * k + 2)
+    g = path_graph(12)
+    assert_sound_success(g, triang_generic(g, 2, bisection_oracle, alpha=1))
+    out = triang_generic(g, 2, oversized_oracle, alpha=1)
     assert isinstance(out, TreewidthExceeded)
 
 

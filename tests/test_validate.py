@@ -6,7 +6,7 @@ import pytest
 from twdecomp import (Graph, NotChordal, TerminalSpec, TreeDecomposition,
                       brute_force_min_separator, check_tree_decomposition,
                       clique_number_chordal, exact_treewidth, is_chordal,
-                      make_clique, min_degree_triang, permutation_treewidth,
+                      min_degree_triang, permutation_treewidth,
                       triang_2way_23, TriangSuccess)
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
                              grid_graph, path_graph, random_tree, star_graph)
@@ -46,7 +46,7 @@ def test_saturated_graphs_are_chordal():
     rng = random.Random(21)
     for _ in range(10):
         g = gnp_connected(8, 0.3, rng)
-        full, _ = make_clique(g, range(8))
+        full = Graph(8, list(g.edges()) + list(combinations(range(8), 2)))
         assert not isinstance(is_chordal(full), NotChordal)
 
 
