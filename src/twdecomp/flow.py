@@ -86,6 +86,7 @@ def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
         if not (0 <= v < n):
             raise ValueError(f"terminal vertex out of range: {v}")
     side_a = terminals.side_a
+    source_set = frozenset(side_a)
     sink_set = frozenset(terminals.side_b)
     adj = g.adj_sorted
 
@@ -96,7 +97,39 @@ def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
     if counters is not None:
         counters.separator_calls += 1
 
-    while True:
+    # Warm start: greedily pack vertex-disjoint source-to-sink paths of one
+    # or two edges, each recorded exactly as a BFS augmentation would record
+    # it.  Any maximum flow leaves the same residual-reachable set, so the
+    # cut below does not depend on where the flow started; the BFS loop
+    # reroutes packed paths through its residual back-steps where needed.
+    for a in side_a:
+        if flow > bound:
+            break
+        path = None
+        for w in adj[a]:
+            if w in sink_set and not sat[w]:
+                path = (a, w)
+                break
+        else:
+            for v in adj[a]:
+                # An unsaturated sink here would have been taken above; a
+                # source may still start its own path.
+                if sat[v] or v in source_set:
+                    continue
+                for w in adj[v]:
+                    if w in sink_set and not sat[w]:
+                        path = (a, v, w)
+                        break
+                if path:
+                    break
+        if path:
+            for u, v in zip((_FROM_SOURCE,) + path, path):
+                in_flow[v] = u
+                sat[v] = 1
+            flow += 1
+            augs += 1
+
+    while flow <= bound:
         # Breadth-first search over residual states; 2v is the entry side of
         # vertex v, 2v+1 its exit side.
         prev = [_UNSEEN] * (2 * n)
@@ -157,8 +190,6 @@ def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
                 in_flow[v] = _NO_FLOW
         flow += 1
         augs += 1
-        if flow > bound:
-            break
 
     if counters is not None:
         counters.augmentations += augs
@@ -197,10 +228,11 @@ def _verify_cut(g: Graph, terminals: TerminalSpec, cut: CutResult, flow: int) ->
         len(cut.separator) + len(cut.side1) + len(cut.side2) == n,
         "separator and sides do not partition the vertices",
     )
+    # side1 is 0, side2 is 2 and the separator 3, so the two ends of an edge
+    # sum to 2 exactly when the edge joins side1 to side2.
     for u, v in g.edges():
-        a, b = side_of[u], side_of[v]
-        _invariant(not ((a == 0 and b == 2) or (a == 2 and b == 0)),
-                   f"edge ({u}, {v}) crosses the cut")
+        if side_of[u] + side_of[v] == 2:
+            _invariant(False, f"edge ({u}, {v}) crosses the cut")
     sep = set(cut.separator)
     s1 = set(cut.side1)
     s2 = set(cut.side2)

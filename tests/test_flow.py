@@ -1,13 +1,18 @@
 import math
 import random
+import re
+from collections import deque
 
+import networkx as nx
 import pytest
+from networkx.algorithms.flow import edmonds_karp
 
 from twdecomp import (CutResult, Exceeded, Graph, TerminalSpec,
                       approx_3way_vertex_cut, brute_force_min_multiway,
                       brute_force_min_separator, max_disjoint_paths,
                       min_vertex_separator)
 from twdecomp.corpus import complete_graph, cycle_graph, gnp_connected, star_graph
+from twdecomp.flow import _verify_cut
 
 
 def cut_is_consistent(g, terminals, res):
@@ -74,6 +79,107 @@ def test_exceeded_after_bound_plus_one_augmentations():
     res = min_vertex_separator(g, terminals, 1)
     assert isinstance(res, Exceeded)
     assert res.augmentations == 2
+
+
+def test_packed_path_blocking_a_second_source_is_rerouted():
+    # a1 - m - b1, a2 - m, a1 - x - y - b2.  The two-edge path a1-m-b1 is
+    # packed first and leaves a2 no route of its own; flow 2 needs a BFS that
+    # sends a2 through m and cancels a1 -> m by a residual back-step.
+    a1, a2, m, b1, x, y, b2 = range(7)
+    g = Graph(7, [(a1, m), (m, b1), (a2, m), (a1, x), (x, y), (y, b2)])
+    terminals = TerminalSpec((a1, a2), (b1, b2))
+    res = min_vertex_separator(g, terminals, 3)
+    assert isinstance(res, CutResult)
+    assert len(res.separator) == 2 == brute_force_min_separator(g, terminals)
+    assert res.augmentations == 2
+    cut_is_consistent(g, terminals, res)
+
+
+def test_adjacent_terminals_are_packed_up_to_the_bound():
+    # Three source-sink edges plus a chord: one-edge paths alone certify
+    # more than `bound` disjoint paths.
+    g = Graph(6, [(0, 3), (1, 4), (2, 5), (0, 4)])
+    terminals = TerminalSpec((0, 1, 2), (3, 4, 5))
+    for bound in (0, 1, 2):
+        res = min_vertex_separator(g, terminals, bound)
+        assert isinstance(res, Exceeded)
+        assert res.augmentations == bound + 1
+    res = min_vertex_separator(g, terminals, 3)
+    assert isinstance(res, CutResult)
+    assert len(res.separator) == 3 == brute_force_min_separator(g, terminals)
+    assert res.augmentations == 3
+
+
+def split_vertex_max_flow(g, terminals):
+    """Max-flow value and residual-reachable cut of the split-vertex network.
+
+    Each vertex v becomes ("in", v) -> ("out", v) with capacity one; graph
+    edges and the super-terminal arcs are uncapacitated.
+    """
+    net = nx.DiGraph()
+    for v in range(g.n):
+        net.add_edge(("in", v), ("out", v), capacity=1)
+    for u, v in g.edges():
+        net.add_edge(("out", u), ("in", v))
+        net.add_edge(("out", v), ("in", u))
+    for a in terminals.side_a:
+        net.add_edge("s", ("in", a))
+    for b in terminals.side_b:
+        net.add_edge(("out", b), "t")
+    residual = edmonds_karp(net, "s", "t")
+    reached = {"s"}
+    queue = deque(["s"])
+    while queue:
+        x = queue.popleft()
+        for y, arc in residual.succ[x].items():
+            if y not in reached and arc["capacity"] - arc["flow"] > 0:
+                reached.add(y)
+                queue.append(y)
+    separator, side1, side2 = [], [], []
+    for v in range(g.n):
+        seen_in, seen_out = ("in", v) in reached, ("out", v) in reached
+        if seen_in and not seen_out:
+            separator.append(v)
+        elif seen_in or seen_out:
+            side1.append(v)
+        else:
+            side2.append(v)
+    return residual.graph["flow_value"], (tuple(separator), tuple(side1), tuple(side2))
+
+
+def test_matches_networkx_max_flow_beyond_brute_force_range():
+    rng = random.Random(5150)
+    outcomes = set()
+    for _ in range(120):
+        n = rng.randint(11, 60)
+        g = gnp_connected(n, rng.uniform(1.5, 6.0) / n, rng)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        a = rng.randint(1, n // 4)
+        b = rng.randint(1, n // 4)
+        terminals = TerminalSpec(tuple(verts[:a]), tuple(verts[a:a + b]))
+        bound = rng.randint(0, 6)
+        value, cut = split_vertex_max_flow(g, terminals)
+        res = min_vertex_separator(g, terminals, bound)
+        assert isinstance(res, Exceeded) == (value > bound)
+        assert res.augmentations == min(value, bound + 1)
+        if isinstance(res, CutResult):
+            assert (res.separator, res.side1, res.side2) == cut
+        outcomes.add(type(res))
+    assert outcomes == {CutResult, Exceeded}
+
+
+@pytest.mark.parametrize("cut, flow, message", [
+    (CutResult((2,), (0, 3), (1, 4), 1), 1, "edge (0, 1) crosses the cut"),
+    (CutResult((2,), (0, 1), (3, 4), 1), 2, "cut size differs from flow value"),
+    (CutResult((2,), (0, 1), (3,), 1), 1, "do not partition the vertices"),
+], ids=["crossing-edge", "size-differs", "not-a-partition"])
+def test_verify_cut_rejects_tampered_cuts(cut, flow, message):
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    terminals = TerminalSpec((0,), (4,))
+    _verify_cut(g, terminals, CutResult((2,), (0, 1), (3, 4), 1), 1)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        _verify_cut(g, terminals, cut, flow)
 
 
 def test_matches_brute_force_on_random_graphs():
