@@ -107,17 +107,23 @@ def _cmd_validate(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {args.td}: {exc}", file=sys.stderr)
         return 2
-    violations = check_tree_decomposition(parsed.graph, td_parsed.decomposition)
-    mismatch = td_parsed.declared_vertices != parsed.graph.n
-    if mismatch:
-        print(f"vertex count mismatch: graph has {parsed.graph.n}, "
-              f"decomposition declares {td_parsed.declared_vertices}")
-    if violations or mismatch:
+    td = td_parsed.decomposition
+    violations = check_tree_decomposition(parsed.graph, td)
+    mismatches = []
+    if td_parsed.declared_vertices != parsed.graph.n:
+        mismatches.append(f"vertex count mismatch: graph has {parsed.graph.n}, "
+                          f"decomposition declares {td_parsed.declared_vertices}")
+    if td_parsed.declared_max_bag != td.width + 1:
+        mismatches.append(f"max bag size mismatch: bags hold at most {td.width + 1}, "
+                          f"decomposition declares {td_parsed.declared_max_bag}")
+    if violations or mismatches:
+        for line in mismatches:
+            print(line)
         for v in violations:
             print(v.message)
-        print(f"invalid: {len(violations) + int(mismatch)} violation(s)")
+        print(f"invalid: {len(violations) + len(mismatches)} violation(s)")
         return 1
-    print(f"valid: width {td_parsed.decomposition.width}")
+    print(f"valid: width {td.width}")
     return 0
 
 

@@ -32,6 +32,7 @@ class ParsedGraph:
 class ParsedDecomposition:
     decomposition: TreeDecomposition
     declared_vertices: int
+    declared_max_bag: int
 
 
 def _ints(lineno: int, fields: list[str], what: str, line: str) -> list[int]:
@@ -127,6 +128,8 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(lineno, f"malformed solution line: {line!r}")
             header = _ints(lineno, parts[2:], "solution fields", line)
+            if min(header) < 0:
+                raise ParseError(lineno, "negative counts in solution line")
             continue
         if header is None:
             raise ParseError(lineno, "content before solution line")
@@ -150,13 +153,13 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
         edges.append((a - 1, b - 1))
     if header is None:
         raise ParseError(0, "missing solution line")
-    n_bags, _, n_vertices = header
+    n_bags, max_bag, n_vertices = header
     missing = [i for i in range(1, n_bags + 1) if i not in bags]
     if missing:
         raise ParseError(0, f"missing bag lines: {missing}")
     ordered = tuple(bags[i] for i in range(1, n_bags + 1))
     td = TreeDecomposition.from_bags(ordered, edges)
-    return ParsedDecomposition(td, n_vertices)
+    return ParsedDecomposition(td, n_vertices, max_bag)
 
 
 REPORT_COLUMNS = ("graph", "n", "m", "algo", "mode", "k_used", "width_plus_one",

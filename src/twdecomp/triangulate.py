@@ -12,6 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Union
 
@@ -269,17 +270,23 @@ def min_degree_triang(g: Graph) -> tuple[Triangulation, TreeDecomposition]:
     """Min-degree elimination heuristic; always succeeds, no width guarantee.
 
     Repeatedly removes a vertex of smallest current degree (ties to the
-    smallest id) after making a clique of its neighborhood.
+    smallest id) after making a clique of its neighborhood.  The choice comes
+    from a lazy heap of (degree, vertex): each neighbor of the removed vertex
+    is pushed again with its new degree and outdated entries are skipped.
     """
     n = g.n
     adj = [set(g.adj[v]) for v in range(n)]
-    alive = set(range(n))
+    heap = [(len(adj[v]), v) for v in range(n)]
+    heapify(heap)
     order: list[int] = []
     bags: list[tuple[int, ...]] = []
     fills: set[tuple[int, int]] = set()
     pos: dict[int, int] = {}
     for step in range(n):
-        v = min(alive, key=lambda u: (len(adj[u]), u))
+        while True:
+            d, v = heappop(heap)
+            if v not in pos and d == len(adj[v]):
+                break
         nbrs = sorted(adj[v])
         bags.append(vset([v] + nbrs))
         pos[v] = step
@@ -291,7 +298,7 @@ def min_degree_triang(g: Graph) -> tuple[Triangulation, TreeDecomposition]:
                 fills.add((a, b))
         for u in nbrs:
             adj[u].discard(v)
-        alive.discard(v)
+            heappush(heap, (len(adj[u]), u))
         adj[v] = set()
 
     edges = []

@@ -4,6 +4,7 @@ and small brute-force oracles that anchor the test suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable
 
@@ -25,23 +26,25 @@ class Violation:
 
 
 def _mcs_order(g: Graph) -> list[int]:
-    # Maximum cardinality search; ties broken by smallest id.
+    # Maximum cardinality search; ties broken by smallest id.  A lazy heap of
+    # (-weight, v), O((n + m) log n): every weight increase pushes a fresh
+    # entry, and since weights only grow, a vertex's outdated entries pop
+    # after its current one and are skipped as already picked.
     n = g.n
     weight = [0] * n
     picked = [False] * n
+    heap = [(0, v) for v in range(n)]
     order = []
-    for _ in range(n):
-        best = -1
-        best_w = -1
-        for v in range(n):
-            if not picked[v] and weight[v] > best_w:
-                best = v
-                best_w = weight[v]
+    while heap:
+        _, best = heappop(heap)
+        if picked[best]:
+            continue
         picked[best] = True
         order.append(best)
         for w in g.adj_sorted[best]:
             if not picked[w]:
                 weight[w] += 1
+                heappush(heap, (-weight[w], w))
     order.reverse()
     return order
 
@@ -121,14 +124,21 @@ def clique_number_chordal(g: Graph, peo: Iterable[int]) -> int:
 
 
 def check_tree_decomposition(g: Graph, td) -> list[Violation]:
-    """All violations of the three decomposition conditions plus tree-ness."""
+    """All violations of the three decomposition conditions plus tree-ness.
+
+    Runs in time near-linear in the total bag size plus the number of tree
+    edges, through an index from each vertex to the bags that hold it.
+    """
     bags = [set(b) for b in td.bags]
     nbags = len(bags)
     out: list[Violation] = []
 
+    holders: list[list[int]] = [[] for _ in range(g.n)]
     for i, bag in enumerate(bags):
         for v in bag:
-            if not (0 <= v < g.n):
+            if 0 <= v < g.n:
+                holders[v].append(i)
+            else:
                 out.append(Violation("bag-vertex-range", v,
                                      f"bag {i} holds unknown vertex {v}"))
 
@@ -157,31 +167,40 @@ def check_tree_decomposition(g: Graph, td) -> list[Violation]:
             out.append(Violation("not-a-tree", None,
                                  f"{nbags} bags with {len(edges)} edges do not form a tree"))
 
-    covered = set().union(*bags) if bags else set()
     for v in range(g.n):
-        if v not in covered:
+        if not holders[v]:
             out.append(Violation("uncovered-vertex", v,
                                  f"vertex {v} appears in no bag"))
 
     for u, v in g.edges():
-        if not any(u in bag and v in bag for bag in bags):
+        a, b = (u, v) if len(holders[u]) <= len(holders[v]) else (v, u)
+        if not any(b in bags[i] for i in holders[a]):
             out.append(Violation("uncovered-edge", (u, v),
                                  f"edge ({u}, {v}) is inside no bag"))
 
+    # The tree edges whose two bags share v, found by scanning the smaller
+    # bag of each edge; on a tree that costs at most the total bag size.
+    links: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for a, b in edges:
+        small, large = sorted((bags[a], bags[b]), key=len)
+        for v in small:
+            if v in large and 0 <= v < g.n:
+                links[v].append((a, b))
     for v in range(g.n):
-        holders = [i for i, bag in enumerate(bags) if v in bag]
-        if len(holders) <= 1:
+        if len(holders[v]) <= 1:
             continue
-        holder_set = set(holders)
-        seen_h = {holders[0]}
-        stack = [holders[0]]
+        nbrs: dict[int, list[int]] = {}
+        for a, b in links[v]:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        seen_h = {holders[v][0]}
+        stack = [holders[v][0]]
         while stack:
-            cur = stack.pop()
-            for nxt in tree_adj[cur]:
-                if nxt in holder_set and nxt not in seen_h:
+            for nxt in nbrs.get(stack.pop(), ()):
+                if nxt not in seen_h:
                     seen_h.add(nxt)
                     stack.append(nxt)
-        if len(seen_h) != len(holders):
+        if len(seen_h) != len(holders[v]):
             out.append(Violation("broken-subtree", v,
                                  f"bags containing vertex {v} are not connected"))
     return out

@@ -1,12 +1,18 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from twdecomp import exact_treewidth
 from twdecomp.corpus import (cycle_graph, gnp_connected, grid_graph, k_tree,
                              path_graph, random_tree)
 
 CORPUS_SEED = 90125
+
+# Property tests draw the same examples on every run and have no per-example
+# time limit, so a slow moment on a loaded host cannot fail them.
+settings.register_profile("twdecomp", derandomize=True, deadline=None)
+settings.load_profile("twdecomp")
 
 
 def build_small_corpus(count=100, max_n=12, seed=CORPUS_SEED):

@@ -258,3 +258,27 @@ def test_cli_validate_non_integer_fields(tmp_path, capsys, td_text, line):
     assert main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"line {line}: non-integer" in err
+
+
+@pytest.mark.parametrize("header", ["s td -1 0 3", "s td 2 -2 3", "s td 2 2 -3"],
+                         ids=["bags", "max-bag", "vertices"])
+def test_cli_validate_rejects_negative_header_counts(tmp_path, capsys, header):
+    gr = write_graph(tmp_path, "p3.gr", path_graph(3))
+    td = tmp_path / "p3.td"
+    td.write_text(header + "\n")
+    assert main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "line 1: negative counts in solution line" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("declared", [99, 1, 0])
+def test_cli_validate_reports_wrong_declared_max_bag(tmp_path, capsys, declared):
+    gr = write_graph(tmp_path, "p3.gr", path_graph(3))
+    td = tmp_path / "p3.td"
+    td.write_text(f"s td 2 {declared} 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    assert main(["validate", "--graph", str(gr), "--td", str(td)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"max bag size mismatch: bags hold at most 2, decomposition declares {declared}",
+                   "invalid: 1 violation(s)"]
