@@ -7,15 +7,13 @@ and brute-force oracles for small graphs.
 
 from .flow import (Counters, CutResult, Exceeded, TerminalSpec,
                    ThreeWayCut, approx_3way_vertex_cut, min_vertex_separator)
-from .graph import (Graph, SubgraphView, connected_components, induced_subgraph,
-                    vset, within_edge_budget)
+from .graph import Graph, Part, connected_components, vset
 from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
                          try_split, two_thirds_vtx_sep, two_way_half_vtx_sep)
 from .triangulate import (ALGORITHMS, AlgoReport, DecomposeResult,
                           TreeDecomposition, TreewidthExceeded, TriangSuccess,
                           Triangulation, decompose, min_degree_triang,
-                          triang_2way_23, triang_2way_half, triang_3way,
-                          triang_generic)
+                          triang_2way_23, triang_2way_half, triang_3way)
 from .validate import (NotChordal, Violation, brute_force_min_multiway,
                        brute_force_min_separator, check_tree_decomposition,
                        clique_number_chordal, exact_treewidth, is_chordal,
@@ -24,15 +22,15 @@ from .validate import (NotChordal, Violation, brute_force_min_multiway,
 __all__ = [
     "ALGORITHMS", "AlgoReport", "Counters", "CutResult",
     "DecomposeResult", "DEFAULT_ALPHA", "Exceeded", "Graph", "NotChordal",
-    "SubgraphView", "TerminalSpec", "ThreeWayCut",
+    "Part", "TerminalSpec", "ThreeWayCut",
     "ThreeWaySep", "TreeDecomposition", "TreewidthExceeded", "TriangSuccess",
     "Triangulation", "TwoWaySep", "Violation", "alpha_sum_sep",
     "approx_3way_vertex_cut",
     "brute_force_min_multiway", "brute_force_min_separator",
     "check_tree_decomposition", "clique_number_chordal", "connected_components",
-    "decompose", "exact_treewidth", "induced_subgraph", "is_chordal",
+    "decompose", "exact_treewidth", "is_chordal",
     "max_disjoint_paths", "min_degree_triang",
     "min_vertex_separator", "permutation_treewidth", "triang_2way_23",
-    "triang_2way_half", "triang_3way", "triang_generic", "try_split",
-    "two_thirds_vtx_sep", "two_way_half_vtx_sep", "vset", "within_edge_budget",
+    "triang_2way_half", "triang_3way", "try_split",
+    "two_thirds_vtx_sep", "two_way_half_vtx_sep", "vset",
 ]

@@ -48,13 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_graph(path: str):
     try:
-        text = Path(path).read_text()
+        parsed = parse_graph(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
-    try:
-        parsed = parse_graph(text)
-    except ParseError as exc:
+    except (UnicodeDecodeError, ParseError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None
     for note in parsed.warnings:
@@ -62,11 +60,25 @@ def _load_graph(path: str):
     return parsed
 
 
+def _write(path: str, write) -> bool:
+    """Call ``write(path)``; on an OS error print an error line, return False."""
+    try:
+        write(path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_decompose(args) -> int:
     parsed = _load_graph(args.infile)
     if parsed is None:
         return 2
     modes = sum(1 for flag in (args.k is not None, args.search, args.adaptive) if flag)
+    if args.algo == "mindeg" and modes:
+        print("error: --k, --search and --adaptive do not apply to --algo mindeg",
+              file=sys.stderr)
+        return 2
     if args.algo != "mindeg" and modes != 1:
         print("error: choose exactly one of --k, --search, --adaptive", file=sys.stderr)
         return 2
@@ -90,11 +102,13 @@ def _cmd_decompose(args) -> int:
         return 3
     text = emit_decomposition(result.outcome.decomposition, parsed.graph.n)
     if args.outfile:
-        Path(args.outfile).write_text(text)
+        if not _write(args.outfile, lambda path: Path(path).write_text(text)):
+            return 2
     else:
         sys.stdout.write(text)
-    if args.report:
-        append_report(args.report, result.report)
+    if args.report and not _write(args.report,
+                                  lambda path: append_report(path, result.report)):
+        return 2
     return 0
 
 
@@ -103,8 +117,8 @@ def _cmd_validate(args) -> int:
     if parsed is None:
         return 2
     try:
-        td_parsed = parse_decomposition(Path(args.td).read_text())
-    except (OSError, ParseError) as exc:
+        td_parsed = parse_decomposition(Path(args.td).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"error: {args.td}: {exc}", file=sys.stderr)
         return 2
     td = td_parsed.decomposition
@@ -160,7 +174,8 @@ def _cmd_bench(args) -> int:
                 result = decompose(parsed.graph, algo, graph_name=path.stem)
             else:
                 result = decompose(parsed.graph, algo, search=True, graph_name=path.stem)
-            append_report(args.report, result.report)
+            if not _write(args.report, lambda path: append_report(path, result.report)):
+                return 2
             width = result.report.width_plus_one
             print(f"{path.stem} {algo}: width+1={width} "
                   f"k={result.k_used} {result.report.wall_ms:.0f}ms")

@@ -10,12 +10,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, connected_components, vset
+from .graph import Graph, Part, connected_components, vset
 
 _UNSEEN = -1
 _ROOT = -2
 _FROM_SOURCE = -2
 _NO_FLOW = -1
+# Translation table taking the side codes 1, 2 and 3 of _verify_cut to 1, so
+# its marks compare directly with a part's membership mask.
+_LISTED = bytes([0, 1, 1, 1]) + bytes(252)
 
 
 @dataclass
@@ -71,24 +74,29 @@ def _invariant(condition: bool, message: str) -> None:
 
 
 def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
-                         counters: Counters | None = None) -> CutResult | Exceeded:
+                         counters: Counters | None = None,
+                         part: Part | None = None) -> CutResult | Exceeded:
     """Minimum vertex cut between the two super-terminals, or Exceeded.
 
-    Returns a minimum-cardinality separator of size <= bound if one exists,
-    with side1 the residual-reachable vertices and side2 the remainder.
-    Exceeded is reported after bound+1 successful unit augmentations, which
-    certifies that every separator is larger than the bound.
+    The cut is taken inside ``part`` (default: all of ``g``).  Returns a
+    minimum-cardinality separator of size <= bound if one exists, with side1
+    the residual-reachable members and side2 the remainder.  Exceeded is
+    reported after bound+1 successful unit augmentations, which certifies
+    that every separator is larger than the bound.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    if part is None:
+        part = Part(g)
     n = g.n
+    inside = part.inside
     for v in terminals.side_a + terminals.side_b:
-        if not (0 <= v < n):
+        if not (0 <= v < n and inside[v]):
             raise ValueError(f"terminal vertex out of range: {v}")
     side_a = terminals.side_a
     source_set = frozenset(side_a)
     sink_set = frozenset(terminals.side_b)
-    adj = g.adj_sorted
+    adj = part.adj
 
     sat = bytearray(n)
     in_flow = [_NO_FLOW] * n
@@ -202,7 +210,7 @@ def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
     separator = []
     side1 = []
     side2 = []
-    for v in range(n):
+    for v in part.members:
         seen_in = prev[2 * v] != _UNSEEN
         seen_out = prev[2 * v + 1] != _UNSEEN
         if seen_in and not seen_out:
@@ -212,43 +220,44 @@ def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
         else:
             side2.append(v)
     result = CutResult(tuple(separator), tuple(side1), tuple(side2), augs)
-    _verify_cut(g, terminals, result, flow)
+    _verify_cut(g, terminals, result, flow, part)
     return result
 
 
-def _verify_cut(g: Graph, terminals: TerminalSpec, cut: CutResult, flow: int) -> None:
+def _verify_cut(g: Graph, terminals: TerminalSpec, cut: CutResult, flow: int,
+                part: Part) -> None:
     _invariant(len(cut.separator) == flow, "cut size differs from flow value")
-    n = g.n
-    side_of = bytearray(n)
-    for v in cut.side2:
-        side_of[v] = 2
-    for v in cut.separator:
-        side_of[v] = 3
+    side_of = bytearray(g.n)
+    for side, code in ((cut.side1, 1), (cut.side2, 2), (cut.separator, 3)):
+        for v in side:
+            side_of[v] = code
+    # The lists mark exactly the members and hold as many entries as there
+    # are members, so they list each member once and nothing else.
     _invariant(
-        len(cut.separator) + len(cut.side1) + len(cut.side2) == n,
+        len(cut.separator) + len(cut.side1) + len(cut.side2) == len(part.members)
+        and side_of.translate(_LISTED) == part.inside,
         "separator and sides do not partition the vertices",
     )
-    # side1 is 0, side2 is 2 and the separator 3, so the two ends of an edge
-    # sum to 2 exactly when the edge joins side1 to side2.
-    for u, v in g.edges():
-        if side_of[u] + side_of[v] == 2:
-            _invariant(False, f"edge ({u}, {v}) crosses the cut")
-    sep = set(cut.separator)
-    s1 = set(cut.side1)
-    s2 = set(cut.side2)
-    _invariant(all(v in s1 for v in terminals.side_a if v not in sep),
+    adj = part.adj
+    for u in cut.side1:
+        for v in adj[u]:
+            if side_of[v] == 2:
+                _invariant(False, f"edge ({min(u, v)}, {max(u, v)}) crosses the cut")
+    _invariant(all(side_of[v] in (1, 3) for v in terminals.side_a),
                "uncut source attachment outside side1")
-    _invariant(all(v in s2 for v in terminals.side_b if v not in sep),
+    _invariant(all(side_of[v] in (2, 3) for v in terminals.side_b),
                "uncut sink attachment outside side2")
 
 
 def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
-                           counters: Counters | None = None) -> ThreeWayCut | Exceeded:
+                           counters: Counters | None = None,
+                           part: Part | None = None) -> ThreeWayCut | Exceeded:
     """Three-way separator by isolating cuts: union of the two cheapest.
 
-    For each group the minimum cut isolating it from the union of the other
-    two is computed; the union of the two cheapest such cuts separates all
-    three groups pairwise.  For single-vertex groups the result is within
+    The cut is taken inside ``part`` (default: all of ``g``).  For each group
+    the minimum cut isolating it from the union of the other two is computed;
+    the union of the two cheapest such cuts separates all three groups
+    pairwise.  For single-vertex groups the result is within
     ceil(4/3 * opt) of the optimum.
     """
     groups = (vset(t1), vset(t2), vset(t3))
@@ -266,7 +275,7 @@ def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
         if not grp or not others:
             isolating.append((0, i, ()))
             continue
-        res = min_vertex_separator(g, TerminalSpec(others, grp), bound, counters)
+        res = min_vertex_separator(g, TerminalSpec(others, grp), bound, counters, part)
         total_augs += res.augmentations
         if isinstance(res, Exceeded):
             exceeded += 1
@@ -283,15 +292,15 @@ def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
         return Exceeded(bound, total_augs)
 
     separator = vset(union)
-    sides = _split_three_ways(g, separator, groups)
+    sides = _split_three_ways(g, separator, groups, part)
     return ThreeWayCut(separator, sides, total_augs)
 
 
-def _split_three_ways(g, separator, groups):
+def _split_three_ways(g, separator, groups, part):
     sep = set(separator)
     survivors = [set(grp) - sep for grp in groups]
     sides: list[list[int]] = [[], [], []]
-    for comp in connected_components(g, separator):
+    for comp in connected_components(g, separator, part):
         comp_set = set(comp)
         owners = [i for i in range(3) if comp_set & survivors[i]]
         _invariant(len(owners) <= 1, "terminal groups share a component")

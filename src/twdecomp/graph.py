@@ -1,4 +1,5 @@
-"""Immutable adjacency-set graphs, induced subgraphs and connected components."""
+"""Immutable adjacency-set graphs, induced parts in root ids and connected
+components."""
 
 from __future__ import annotations
 
@@ -32,24 +33,11 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             sets[u].add(v)
             sets[v].add(u)
-        self._init_from_sets(n, sets)
-
-    def _init_from_sets(self, n: int, sets: list[set[int]]) -> None:
         self.n = n
         self.adj = tuple(frozenset(s) for s in sets)
         self.adj_sorted = tuple(tuple(sorted(s)) for s in sets)
         self.m = sum(len(s) for s in sets) // 2
         self._edges = None
-
-    @classmethod
-    def _from_parts(cls, n, adj, adj_sorted, m) -> "Graph":
-        g = cls.__new__(cls)
-        g.n = n
-        g.adj = adj
-        g.adj_sorted = adj_sorted
-        g.m = m
-        g._edges = None
-        return g
 
     def vertices(self) -> range:
         return range(self.n)
@@ -79,51 +67,47 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class SubgraphView:
-    """An induced subgraph together with the local/parent id mapping.
+class Part:
+    """The subgraph of ``g`` induced by ``members``, kept in g's vertex ids.
 
-    ``kept[i]`` is the parent id of local vertex ``i``; the mapping is a
-    bijection on the kept vertices and both directions round-trip.
+    ``adj[v]`` holds member ``v``'s neighbours inside the part in ascending
+    order, and ``()`` for every vertex outside it; ``inside[v]`` is 1 for a
+    member and 0 otherwise; ``m`` is the part's edge count.  Without
+    ``members`` the part is the whole graph and shares its rows.
     """
 
-    __slots__ = ("kept", "graph", "_to_local")
+    __slots__ = ("members", "inside", "adj", "m")
 
-    def __init__(self, kept: tuple[int, ...], graph: Graph, to_local: dict[int, int]):
-        self.kept = kept
-        self.graph = graph
-        self._to_local = to_local
-
-    def local(self, parent_vertex: int) -> int:
-        return self._to_local[parent_vertex]
-
-    def parent_id(self, local_vertex: int) -> int:
-        return self.kept[local_vertex]
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> SubgraphView:
-    """View of the subgraph induced by ``keep``, with dense local ids."""
-    kept = vset(keep)
-    for v in kept:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex id out of range: {v}")
-    to_local = {p: i for i, p in enumerate(kept)}
-    adj_sorted = []
-    m2 = 0
-    for p in kept:
-        row = tuple(to_local[q] for q in g.adj_sorted[p] if q in to_local)
-        m2 += len(row)
-        adj_sorted.append(row)
-    local = Graph._from_parts(
-        len(kept),
-        tuple(frozenset(row) for row in adj_sorted),
-        tuple(adj_sorted),
-        m2 // 2,
-    )
-    return SubgraphView(kept, local, to_local)
+    def __init__(self, g: Graph, members: Iterable[int] | None = None):
+        if members is None:
+            self.members = range(g.n)
+            self.inside = b"\x01" * g.n
+            self.adj = g.adj_sorted
+            self.m = g.m
+            return
+        self.members = vset(members)
+        self.inside = inside = bytearray(g.n)
+        for v in self.members:
+            if not (0 <= v < g.n):
+                raise ValueError(f"vertex id out of range: {v}")
+            inside[v] = 1
+        adj = [()] * g.n
+        twice_m = 0
+        for v in self.members:
+            row = tuple(w for w in g.adj_sorted[v] if inside[w])
+            adj[v] = row
+            twice_m += len(row)
+        self.adj = adj
+        self.m = twice_m // 2
 
 
-def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
-    """Components of ``g`` with ``removed`` deleted, ordered by smallest member."""
+def connected_components(g: Graph, removed: Iterable[int] = (),
+                         part: Part | None = None) -> list[tuple[int, ...]]:
+    """Components of ``part`` (default: all of ``g``) with ``removed`` deleted,
+    ordered by smallest member."""
+    if part is None:
+        part = Part(g)
+    adj = part.adj
     gone = set(vset(removed))
     for v in gone:
         if not (0 <= v < g.n):
@@ -132,7 +116,7 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[in
     for v in gone:
         seen[v] = 1
     comps = []
-    for start in range(g.n):
+    for start in part.members:
         if seen[start]:
             continue
         seen[start] = 1
@@ -140,7 +124,7 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[in
         stack = [start]
         while stack:
             u = stack.pop()
-            for w in g.adj_sorted[u]:
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = 1
                     comp.append(w)
@@ -148,7 +132,3 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[in
         comps.append(tuple(sorted(comp)))
     return comps
 
-
-def within_edge_budget(g: Graph, k: int) -> bool:
-    """Edge-count sanity bound: a graph of treewidth at most k-1 has m <= n*k."""
-    return g.m <= g.n * k

@@ -2,9 +2,11 @@
 
 Each procedure walks the candidate splits of a target vertex set in a fixed
 combinatorial order and asks the flow engine for a minimum cut between the
-parts.  Edges inside a part never matter: a super-terminal attaches to every
-vertex of its part.  Returning None is a sound certificate that no qualifying
-separator exists.
+groups.  Edges inside a group never matter: a super-terminal attaches to every
+vertex of its group.  Returning None is a sound certificate that no qualifying
+separator exists.  Each search runs inside its trailing ``part`` argument (a
+``graph.Part``, the recursion node being split), or on the whole graph when it
+is None.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .flow import Counters, Exceeded, TerminalSpec, approx_3way_vertex_cut, min_vertex_separator
-from .graph import Graph, vset
+from .graph import Graph, Part, vset
 
 DEFAULT_ALPHA = Fraction(4, 3)
 
@@ -52,14 +54,16 @@ def _require(condition: bool, message: str) -> None:
 
 
 def try_split(g: Graph, group_a: Iterable[int], group_b: Iterable[int],
-              bound: int, counters: Counters | None = None) -> TwoWaySep | None:
-    """One candidate split: minimum cut between the two groups' super-terminals.
+              bound: int, counters: Counters | None = None,
+              part: Part | None = None) -> TwoWaySep | None:
+    """One candidate split: minimum cut between the two groups' super-terminals,
+    inside ``part`` (default: all of ``g``).
 
     Each super-terminal attaches to every vertex of its group, so edges inside
     a group cannot change the cut.  Returns None when the minimum cut exceeds
     the bound or leaves one side empty; both are normal outcomes.
     """
-    res = min_vertex_separator(g, TerminalSpec(group_a, group_b), bound, counters)
+    res = min_vertex_separator(g, TerminalSpec(group_a, group_b), bound, counters, part)
     if isinstance(res, Exceeded):
         return None
     if not res.side1 or not res.side2:
@@ -92,14 +96,14 @@ def half_candidates(w: tuple[int, ...]):
 
 
 def _first_split(g: Graph, w: tuple[int, ...], candidates, bound: int, share: int,
-                 counters: Counters | None) -> TwoWaySep | None:
+                 counters: Counters | None, part: Part | None) -> TwoWaySep | None:
     """First split of ``candidates(w)`` with a cut of at most ``bound``.
 
     Neither side may hold more than ``share`` of the targets ``w``.
     """
     wset = set(w)
     for first, second in candidates(w):
-        sep = try_split(g, first, second, bound, counters)
+        sep = try_split(g, first, second, bound, counters, part)
         if sep is None:
             continue
         _require(len(sep.x) <= bound, "separator above bound")
@@ -111,7 +115,8 @@ def _first_split(g: Graph, w: tuple[int, ...], candidates, bound: int, share: in
 
 
 def two_thirds_vtx_sep(g: Graph, targets: Iterable[int], k: int,
-                       counters: Counters | None = None) -> TwoWaySep | None:
+                       counters: Counters | None = None,
+                       part: Part | None = None) -> TwoWaySep | None:
     """Two-thirds-balanced separator of the target set, of size at most k.
 
     Enumerates every choice of ceil(|T|/2) targets against ceil(|T|/3) of
@@ -119,11 +124,12 @@ def two_thirds_vtx_sep(g: Graph, targets: Iterable[int], k: int,
     None certifies that no such separator exists.
     """
     w = vset(targets)
-    return _first_split(g, w, two_thirds_candidates, k, 2 * len(w) // 3, counters)
+    return _first_split(g, w, two_thirds_candidates, k, 2 * len(w) // 3, counters, part)
 
 
 def two_way_half_vtx_sep(g: Graph, targets: Iterable[int], k: int,
-                         counters: Counters | None = None) -> TwoWaySep | None:
+                         counters: Counters | None = None,
+                         part: Part | None = None) -> TwoWaySep | None:
     """Half-balanced two-way separator of size at most floor(1.5 k).
 
     Only the ceil(|T|/2)-subsets are enumerated; the complement is the other
@@ -131,7 +137,7 @@ def two_way_half_vtx_sep(g: Graph, targets: Iterable[int], k: int,
     """
     w = vset(targets)
     return _first_split(g, w, half_candidates, (3 * k) // 2, _ceil_div(len(w), 2),
-                        counters)
+                        counters, part)
 
 
 def _three_partitions(w: tuple[int, ...], k: int):
@@ -164,7 +170,8 @@ def _three_partitions(w: tuple[int, ...], k: int):
 
 def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
                   alpha: Fraction = DEFAULT_ALPHA,
-                  counters: Counters | None = None) -> ThreeWaySep | None:
+                  counters: Counters | None = None,
+                  part: Part | None = None) -> ThreeWaySep | None:
     """Three-way separator whose sides each satisfy |(S_i & T) + X| <= (1+a)k.
 
     Partitions of the target set are tried largest-part-first.  A first part
@@ -197,12 +204,13 @@ def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
         if kind == "fallback":
             chosen = set(first)
             merged = tuple(v for v in w if v not in chosen)
-            two = try_split(g, first, merged, k, counters)
+            two = try_split(g, first, merged, k, counters, part)
             if two is None:
                 continue
             cand = ThreeWaySep(two.x, two.s1, two.s2, ())
         else:
-            cut = approx_3way_vertex_cut(g, first, second, third, cut_bound, counters)
+            cut = approx_3way_vertex_cut(g, first, second, third, cut_bound, counters,
+                                         part)
             if isinstance(cut, Exceeded):
                 continue
             cand = ThreeWaySep(cut.separator, *cut.sides)

@@ -17,8 +17,7 @@ from itertools import combinations
 from typing import Iterable, Union
 
 from .flow import Counters
-from .graph import (Graph, connected_components, induced_subgraph, vset,
-                    within_edge_budget)
+from .graph import Graph, Part, connected_components, vset
 from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
                          half_candidates, try_split, two_thirds_candidates,
                          two_thirds_vtx_sep, two_way_half_vtx_sep)
@@ -88,14 +87,14 @@ class DecomposeResult:
     report: AlgoReport
 
 
-def _pad_targets(g: Graph, boundary: tuple[int, ...], size: int) -> tuple[int, ...]:
-    # Fill up with the smallest vertex ids not already present.
-    wanted = min(g.n, size)
+def _pad_targets(part: Part, boundary: tuple[int, ...], size: int) -> tuple[int, ...]:
+    # Fill up with the smallest member ids not already present.
+    wanted = min(len(part.members), size)
     if len(boundary) >= wanted:
         return boundary
     have = set(boundary)
     extra = []
-    for v in range(g.n):
+    for v in part.members:
         if v not in have:
             extra.append(v)
             if len(boundary) + len(extra) == wanted:
@@ -111,84 +110,85 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
                  clique_cap: int | None) -> TriangOutcome:
     """The recursion shared by every driver, on an explicit stack.
 
-    A node is an induced subgraph in local ids, its local-to-root id map, its
+    A node is a vertex subset of ``g`` (an ascending tuple of its ids), its
     inherited boundary and its parent's bag index.  Nodes above ``base_size``
-    vertices ask ``split(graph, boundary)`` for ``(x, sides)``; None rejects
-    k.  The node's bag is the boundary plus ``x``, made a clique, and every
-    non-empty side plus ``x`` becomes a child.  Bags are numbered in pre-order
-    and the roots of separate components are chained into one tree.
+    vertices ask ``split(g, part, boundary)`` for ``(x, sides)``, where
+    ``part`` is the node's ``Part``; None rejects k.  The node's bag is the
+    boundary plus ``x``, made a clique, and every non-empty side plus ``x``
+    becomes a child.  Bags are numbered in pre-order and the roots of separate
+    components are chained into one tree.
     """
-    comps = connected_components(g)
-    if len(comps) <= 1:
-        stack = [(g, tuple(range(g.n)), (), -1)]
-    else:
-        views = [induced_subgraph(g, comp) for comp in comps]
-        stack = [(view.graph, view.kept, (), -1) for view in reversed(views)]
+    stack = [(comp, (), -1) for comp in reversed(connected_components(g) or [()])]
     fills: set[tuple[int, int]] = set()
     bags: list[tuple[int, ...]] = []
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
     while stack:
-        sub, kept, boundary, parent = stack.pop()
+        members, boundary, parent = stack.pop()
         idx = len(bags)
         if parent < 0:
             roots.append(idx)
         else:
             edges.append((parent, idx))
-        found = (tuple(range(sub.n)), ()) if sub.n <= base_size else split(sub, boundary)
+        if len(members) <= base_size:
+            found = members, ()
+        else:
+            found = split(g, Part(g, members), boundary)
         if found is None:
             return TreewidthExceeded(k)
         x, sides = found
-        bag = tuple(kept[v] for v in vset(boundary + x))
+        bag = vset(boundary + x)
         bags.append(bag)
         fills.update(_missing_pairs(g, bag))
         boundary_set = set(boundary)
         for side in reversed(sides):
-            if not side:
-                continue
-            view = induced_subgraph(sub, side + x)
-            child_boundary = vset(view.local(v)
-                                  for v in (boundary_set & set(side)) | set(x))
-            stack.append((view.graph, tuple(kept[v] for v in view.kept),
-                          child_boundary, idx))
+            if side:
+                stack.append((vset(side + x),
+                              vset((boundary_set & set(side)) | set(x)), idx))
     edges += zip(roots, roots[1:])
     return _finish(g, k, fills, TreeDecomposition.from_bags(bags, edges), clique_cap)
 
 
-def _fixed_k_split(find, k: int, pad_size: int, accept=lambda g, sep: True):
+def _fixed_k_split(find, k: int, pad_size: int):
     """Split closure of the fixed-k drivers: edge budget, then the search.
 
-    ``find(graph, targets)`` returns a separator or None; a separator that
-    ``accept`` refuses counts as not found.
+    ``find(g, targets, part)`` returns a separator or None.
     """
-    def split(g: Graph, boundary: tuple[int, ...]):
-        if not within_edge_budget(g, k):
+    def split(g: Graph, part: Part, boundary: tuple[int, ...]):
+        # A graph of treewidth at most k-1 has at most n*k edges.
+        if part.m > len(part.members) * k:
             return None
-        sep = find(g, _pad_targets(g, boundary, pad_size))
-        if sep is None or not accept(g, sep):
+        sep = find(g, _pad_targets(part, boundary, pad_size), part)
+        if sep is None:
             return None
         return sep.x, sep.sides()
     return split
 
 
-def _check_three_way_contract(g: Graph, sep: ThreeWaySep) -> None:
+def _check_three_way_contract(part: Part, sep: ThreeWaySep, bound: int) -> None:
+    # alpha_sum_sep never returns a separator above floor(alpha*k); treating
+    # one as not found would be an unsound rejection, so it is an error.
+    if len(sep.x) > bound:
+        raise RuntimeError(f"separator of {len(sep.x)} vertices exceeds the bound {bound}")
     pieces = [sep.x, *sep.sides()]
     combined: set[int] = set()
     total = 0
     for piece in pieces:
         combined.update(piece)
         total += len(piece)
-    if total != g.n or len(combined) != g.n:
-        raise RuntimeError("oracle result does not partition the vertices")
+    if total != len(part.members) or combined != set(part.members):
+        raise RuntimeError("separator and sides do not partition the vertices")
     if sum(1 for side in sep.sides() if side) < 2:
-        raise RuntimeError("oracle result has fewer than two non-empty sides")
+        raise RuntimeError("three-way split has fewer than two non-empty sides")
     owner = {}
     for idx, side in enumerate(sep.sides()):
         for v in side:
             owner[v] = idx
-    for u, v in g.edges():
-        if u in owner and v in owner and owner[u] != owner[v]:
-            raise RuntimeError(f"oracle separator misses edge ({u}, {v})")
+    for u, idx in owner.items():
+        for v in part.adj[u]:
+            if owner.get(v, idx) != idx:
+                raise RuntimeError(
+                    f"three-way separator misses edge ({min(u, v)}, {max(u, v)})")
 
 
 def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,
@@ -211,7 +211,7 @@ def _triang_2way(g: Graph, k: int, search, clique_cap: int,
                  counters: Counters | None) -> TriangOutcome:
     if k < 1:
         raise ValueError("k must be at least 1")
-    find = lambda comp, targets: search(comp, targets, k, counters)
+    find = lambda g, targets, part: search(g, targets, k, counters, part)
     return _triangulate(g, k, _fixed_k_split(find, k, 3 * k + 2), 4 * k, clique_cap)
 
 
@@ -225,10 +225,12 @@ def triang_2way_half(g: Graph, k: int, *, counters: Counters | None = None) -> T
     return _triang_2way(g, k, two_way_half_vtx_sep, (9 * k) // 2 + 2, counters)
 
 
-def _triang_3way(g: Graph, k: int, oracle, alpha: Fraction,
-                 counters: Counters | None, clique_cap: int | None) -> TriangOutcome:
-    """The three-way recursion, sized by alpha: floor((1+a)k)+1 targets, a
-    base case of floor((2a+1)k) vertices and separators of at most floor(a*k).
+def triang_3way(g: Graph, k: int, *, alpha: Fraction = DEFAULT_ALPHA,
+                counters: Counters | None = None) -> TriangOutcome:
+    """Three-way driver with alpha-sum separators; width <= ceil((2a+1)k).
+
+    The recursion is sized by alpha: floor((1+a)k)+1 targets, a base case of
+    floor((2a+1)k) vertices and separators of at most floor(a*k).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -237,33 +239,15 @@ def _triang_3way(g: Graph, k: int, oracle, alpha: Fraction,
         raise ValueError("alpha must be at least 1")
     bound = math.floor(alpha * k)
 
-    def accept(comp: Graph, sep: ThreeWaySep) -> bool:
-        _check_three_way_contract(comp, sep)
-        return len(sep.x) <= bound
+    def find(g: Graph, targets: tuple[int, ...], part: Part) -> ThreeWaySep | None:
+        sep = alpha_sum_sep(g, targets, k, alpha, counters, part)
+        if sep is not None:
+            _check_three_way_contract(part, sep, bound)
+        return sep
 
-    find = lambda comp, targets: oracle(comp, targets, k, counters)
-    split = _fixed_k_split(find, k, math.floor((1 + alpha) * k) + 1, accept)
-    return _triangulate(g, k, split, math.floor((2 * alpha + 1) * k), clique_cap)
-
-
-def triang_3way(g: Graph, k: int, *, alpha: Fraction = DEFAULT_ALPHA,
-                counters: Counters | None = None) -> TriangOutcome:
-    """Three-way driver with alpha-sum separators; width <= ceil((2a+1)k)."""
-    alpha = Fraction(alpha)
-    oracle = lambda comp, targets, kk, cnt: alpha_sum_sep(comp, targets, kk, alpha, cnt)
-    return _triang_3way(g, k, oracle, alpha, counters, math.ceil((2 * alpha + 1) * k))
-
-
-def triang_generic(g: Graph, k: int, oracle, *, alpha: Fraction = DEFAULT_ALPHA,
-                   counters: Counters | None = None) -> TriangOutcome:
-    """Three-way recursion skeleton with a pluggable separator oracle.
-
-    ``oracle(graph, targets, k, counters)`` must return a ThreeWaySep or
-    None.  The recursion is sized by ``alpha`` as in ``triang_3way``, and
-    separators larger than floor(alpha*k) are treated as not found.  No
-    width guarantee is claimed beyond what the oracle provides.
-    """
-    return _triang_3way(g, k, oracle, alpha, counters, None)
+    split = _fixed_k_split(find, k, math.floor((1 + alpha) * k) + 1)
+    return _triangulate(g, k, split, math.floor((2 * alpha + 1) * k),
+                        math.ceil((2 * alpha + 1) * k))
 
 
 def min_degree_triang(g: Graph) -> tuple[Triangulation, TreeDecomposition]:
@@ -329,21 +313,21 @@ def _adaptive_split(flavor: str, counters: Counters):
     """
     candidates = two_thirds_candidates if flavor == "rs4" else half_candidates
 
-    def split(g: Graph, boundary: tuple[int, ...]):
-        n = g.n
+    def split(g: Graph, part: Part, boundary: tuple[int, ...]):
+        n = len(part.members)
         targets = list(boundary)
         inherited = set(boundary)
-        pool = [v for v in range(n) if v not in inherited]
+        pool = [v for v in part.members if v not in inherited]
         best: TwoWaySep | None = None
         while True:
             for first, second in candidates(vset(targets)):
-                sep = try_split(g, first, second, n, counters)
+                sep = try_split(g, first, second, n, counters, part)
                 if sep is not None and (best is None or len(sep.x) < len(best.x)):
                     best = sep
             if best is not None:
                 return best.x, best.sides()
             if not pool:
-                return tuple(range(n)), ()
+                return part.members, ()
             targets.append(pool.pop(0))
     return split
 

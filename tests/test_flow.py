@@ -7,10 +7,10 @@ import networkx as nx
 import pytest
 from networkx.algorithms.flow import edmonds_karp
 
-from twdecomp import (CutResult, Exceeded, Graph, TerminalSpec,
+from twdecomp import (CutResult, Exceeded, Graph, Part, TerminalSpec,
                       approx_3way_vertex_cut, brute_force_min_multiway,
                       brute_force_min_separator, max_disjoint_paths,
-                      min_vertex_separator)
+                      min_vertex_separator, vset)
 from twdecomp.corpus import complete_graph, cycle_graph, gnp_connected, star_graph
 from twdecomp.flow import _verify_cut
 
@@ -110,16 +110,17 @@ def test_adjacent_terminals_are_packed_up_to_the_bound():
     assert res.augmentations == 3
 
 
-def split_vertex_max_flow(g, terminals):
+def split_vertex_max_flow(vertices, edges, terminals):
     """Max-flow value and residual-reachable cut of the split-vertex network.
 
     Each vertex v becomes ("in", v) -> ("out", v) with capacity one; graph
-    edges and the super-terminal arcs are uncapacitated.
+    edges and the super-terminal arcs are uncapacitated.  ``vertices`` come
+    in ascending order.
     """
     net = nx.DiGraph()
-    for v in range(g.n):
+    for v in vertices:
         net.add_edge(("in", v), ("out", v), capacity=1)
-    for u, v in g.edges():
+    for u, v in edges:
         net.add_edge(("out", u), ("in", v))
         net.add_edge(("out", v), ("in", u))
     for a in terminals.side_a:
@@ -136,7 +137,7 @@ def split_vertex_max_flow(g, terminals):
                 reached.add(y)
                 queue.append(y)
     separator, side1, side2 = [], [], []
-    for v in range(g.n):
+    for v in vertices:
         seen_in, seen_out = ("in", v) in reached, ("out", v) in reached
         if seen_in and not seen_out:
             separator.append(v)
@@ -149,7 +150,10 @@ def split_vertex_max_flow(g, terminals):
 
 def test_matches_networkx_max_flow_beyond_brute_force_range():
     rng = random.Random(5150)
+    # a separate stream, so the whole-graph inputs stay as they were
+    part_rng = random.Random(5151)
     outcomes = set()
+    part_outcomes = set()
     for _ in range(120):
         n = rng.randint(11, 60)
         g = gnp_connected(n, rng.uniform(1.5, 6.0) / n, rng)
@@ -159,14 +163,27 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
         b = rng.randint(1, n // 4)
         terminals = TerminalSpec(tuple(verts[:a]), tuple(verts[a:a + b]))
         bound = rng.randint(0, 6)
-        value, cut = split_vertex_max_flow(g, terminals)
+        value, cut = split_vertex_max_flow(range(g.n), g.edges(), terminals)
         res = min_vertex_separator(g, terminals, bound)
         assert isinstance(res, Exceeded) == (value > bound)
         assert res.augmentations == min(value, bound + 1)
         if isinstance(res, CutResult):
             assert (res.separator, res.side1, res.side2) == cut
         outcomes.add(type(res))
-    assert outcomes == {CutResult, Exceeded}
+
+        # the same terminals inside a random member subset, against
+        # networkx on the induced subgraph
+        members = vset(verts[:a + b] + [v for v in verts[a + b:]
+                                        if part_rng.random() < 0.7])
+        sub = nx.Graph(g.edges()).subgraph(members)
+        value, cut = split_vertex_max_flow(members, sub.edges(), terminals)
+        res = min_vertex_separator(g, terminals, bound, part=Part(g, members))
+        assert isinstance(res, Exceeded) == (value > bound)
+        assert res.augmentations == min(value, bound + 1)
+        if isinstance(res, CutResult):
+            assert (res.separator, res.side1, res.side2) == cut
+        part_outcomes.add(type(res))
+    assert outcomes == part_outcomes == {CutResult, Exceeded}
 
 
 @pytest.mark.parametrize("cut, flow, message", [
@@ -177,9 +194,9 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
 def test_verify_cut_rejects_tampered_cuts(cut, flow, message):
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     terminals = TerminalSpec((0,), (4,))
-    _verify_cut(g, terminals, CutResult((2,), (0, 1), (3, 4), 1), 1)
+    _verify_cut(g, terminals, CutResult((2,), (0, 1), (3, 4), 1), 1, Part(g))
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        _verify_cut(g, terminals, cut, flow)
+        _verify_cut(g, terminals, cut, flow, Part(g))
 
 
 def test_matches_brute_force_on_random_graphs():

@@ -237,8 +237,11 @@ def test_cli_adaptive_and_alpha(tmp_path):
     ["--algo", "rs4", "--search", "--alpha", "3/2"],
     ["--algo", "half45", "--k", "3", "--alpha", "4/3"],
     ["--algo", "mindeg", "--alpha", "4/3"],
+    ["--algo", "mindeg", "--k", "3"],
+    ["--algo", "mindeg", "--search"],
+    ["--algo", "mindeg", "--adaptive"],
 ], ids=["k0", "k-1", "bg367-adaptive", "alpha-below-1", "alpha-rs4", "alpha-half45",
-        "alpha-mindeg"])
+        "alpha-mindeg", "k-mindeg", "search-mindeg", "adaptive-mindeg"])
 def test_cli_decompose_parameter_errors(tmp_path, capsys, args):
     gr = write_graph(tmp_path, "c10.gr", cycle_graph(10))
     assert main(["decompose", *args, "--in", str(gr)]) == 2
@@ -282,3 +285,40 @@ def test_cli_validate_reports_wrong_declared_max_bag(tmp_path, capsys, declared)
     out = capsys.readouterr().out.splitlines()
     assert out == [f"max bag size mismatch: bags hold at most 2, decomposition declares {declared}",
                    "invalid: 1 violation(s)"]
+
+
+@pytest.mark.parametrize("command, bad", [
+    (["decompose", "--algo", "mindeg", "--in", "{gr}"], "gr"),
+    (["validate", "--graph", "{gr}", "--td", "{td}"], "gr"),
+    (["validate", "--graph", "{gr}", "--td", "{td}"], "td"),
+    (["exact", "--in", "{gr}"], "gr"),
+    (["bench", "--dir", "{dir}", "--report", "{dir}/r.csv"], "gr"),
+], ids=["decompose", "validate-graph", "validate-td", "exact", "bench"])
+def test_cli_rejects_input_that_is_not_utf8(tmp_path, capsys, command, bad):
+    paths = {"gr": write_graph(tmp_path, "p3.gr", path_graph(3)), "td": tmp_path / "p3.td",
+             "dir": tmp_path}
+    paths["td"].write_text("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    paths[bad].write_bytes(paths[bad].read_bytes() + b"c \xff\xfe\n")
+    args = [arg.format(**paths) for arg in command]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {paths[bad]}: ")
+    assert "codec can't decode" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_cli_decompose_reports_unwritable_outputs(tmp_path, capsys, flag):
+    gr = write_graph(tmp_path, "p3.gr", path_graph(3))
+    target = tmp_path / "missing" / "x"
+    assert main(["decompose", "--algo", "mindeg", "--in", str(gr), flag, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_cli_bench_reports_an_unwritable_report(tmp_path, capsys):
+    write_graph(tmp_path, "p3.gr", path_graph(3))
+    target = tmp_path / "missing" / "r.csv"
+    assert main(["bench", "--dir", str(tmp_path), "--algos", "mindeg",
+                 "--report", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: No such file or directory\n"

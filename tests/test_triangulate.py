@@ -1,18 +1,19 @@
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from twdecomp import (Counters, Graph, NotChordal, ThreeWaySep,
+from twdecomp import (Counters, Graph, NotChordal, Part, ThreeWaySep,
                       TreewidthExceeded, TriangSuccess,
                       check_tree_decomposition, decompose, exact_treewidth,
                       is_chordal, min_degree_triang, triang_2way_23,
-                      triang_2way_half, triang_3way, triang_generic, try_split,
-                      vset)
+                      triang_2way_half, triang_3way)
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
                              grid_graph, path_graph, random_tree)
+from twdecomp.triangulate import _check_three_way_contract
 
 
 def assert_sound_success(g, out, clique_cap=None):
@@ -97,20 +98,32 @@ def test_alpha_and_counters_are_keyword_only():
     for fn in (triang_2way_23, triang_2way_half):
         with pytest.raises(TypeError):
             fn(g, 2, Counters())
-    with pytest.raises(TypeError):
-        triang_generic(g, 2, bisection_oracle, Fraction(3, 2))
 
 
 def test_three_way_drivers_check_k_and_alpha_up_front():
     # path_graph(4) is a base case: no separator search runs to catch these
     g = path_graph(4)
-    never = lambda comp, targets, k, counters: None
-    for fn in (triang_3way, lambda g, k, **kw: triang_generic(g, k, never, **kw)):
-        assert_sound_success(g, fn(g, 2))
-        with pytest.raises(ValueError):
-            fn(g, 2, alpha=Fraction(1, 2))
-        with pytest.raises(ValueError):
-            fn(g, 0)
+    assert_sound_success(g, triang_3way(g, 2))
+    with pytest.raises(ValueError):
+        triang_3way(g, 2, alpha=Fraction(1, 2))
+    with pytest.raises(ValueError):
+        triang_3way(g, 0)
+
+
+def test_edge_budget_filter():
+    # m <= n*k is checked before any separator search, on the node's own
+    # vertices and edges: K10 fails it at k=2 although K10 plus a 30-vertex
+    # path (74 edges, 40 vertices) passes it as a whole.
+    path = [(u, u + 1) for u in range(10, 39)]
+    k10 = complete_graph(10).edges()
+    for fn in (triang_2way_23, triang_2way_half, triang_3way):
+        for g in (complete_graph(10), Graph(40, list(k10) + path)):
+            counters = Counters()
+            assert isinstance(fn(g, 2, counters=counters), TreewidthExceeded)
+            assert counters.separator_calls == 0
+        counters = Counters()
+        assert_sound_success(path_graph(10), fn(path_graph(10), 1, counters=counters))
+        assert counters.separator_calls > 0
 
 
 def test_deep_recursion_keeps_the_interpreter_limit():
@@ -121,66 +134,20 @@ def test_deep_recursion_keeps_the_interpreter_limit():
         assert sys.getrecursionlimit() == limit
 
 
-def test_generic_plug_equivalence(small_corpus_tw):
-    from twdecomp import alpha_sum_sep
-
-    alpha = Fraction(4, 3)
-    oracle = lambda g, targets, k, counters: alpha_sum_sep(g, targets, k, alpha, counters)
-    for g, twv in small_corpus_tw[:15]:
-        k = twv + 1
-        direct = triang_3way(g, k)
-        plugged = triang_generic(g, k, oracle, alpha=alpha)
-        assert type(direct) is type(plugged)
-        if isinstance(direct, TriangSuccess):
-            assert direct.decomposition == plugged.decomposition
-            assert direct.triangulation.fill_edges == plugged.triangulation.fill_edges
-
-
-def bisection_oracle(g, targets, k, counters=None):
-    w = vset(targets)
-    if len(w) < 2:
-        return None
-    half = len(w) // 2
-    for shift in range(len(w)):
-        rotated = w[shift:] + w[:shift]
-        sep = try_split(g, rotated[:half], rotated[half:], g.n, counters)
-        if sep is not None:
-            return ThreeWaySep(sep.x, sep.s1, sep.s2, ())
-    return None
-
-
-def test_generic_with_heuristic_oracle():
-    for g in (path_graph(15), cycle_graph(12), grid_graph(2, 6),
-              random_tree(14, random.Random(4))):
-        out = triang_generic(g, 3, bisection_oracle, alpha=1)
-        assert_sound_success(g, out)
-
-
-def test_generic_oracle_never_finds():
-    oracle = lambda g, targets, k, counters: None
-    out = triang_generic(path_graph(8), 1, oracle, alpha=Fraction(3, 2))
-    assert isinstance(out, TreewidthExceeded)
-
-
-def oversized_oracle(g, targets, k, counters=None):
-    # bisection_oracle's separator grown by side vertices to floor(alpha*k)+1
-    # at alpha = 1: still valid, but one vertex over the bound
-    sep = bisection_oracle(g, targets, k, counters)
-    if sep is None:
-        return None
-    x, s1, s2 = list(sep.x), list(sep.s1), list(sep.s2)
-    larger = s1 if len(s1) >= len(s2) else s2
-    while len(x) <= k and len(larger) > 1:
-        x.append(larger.pop())
-    return ThreeWaySep(vset(x), vset(s1), vset(s2), ())
-
-
-def test_generic_enforces_separator_bound():
-    # an oracle whose separators are valid but oversized is treated as a miss
-    g = path_graph(12)
-    assert_sound_success(g, triang_generic(g, 2, bisection_oracle, alpha=1))
-    out = triang_generic(g, 2, oversized_oracle, alpha=1)
-    assert isinstance(out, TreewidthExceeded)
+def test_three_way_separator_bound_is_an_invariant():
+    # path 0-1-2-3-4-5-6 split at 3; bound 1 admits x = (3,) only
+    g = path_graph(7)
+    part = Part(g)
+    _check_three_way_contract(part, ThreeWaySep((3,), (0, 1, 2), (4, 5, 6), ()), 1)
+    bad = {
+        "exceeds the bound": ThreeWaySep((2, 3), (0, 1), (4, 5, 6), ()),
+        "do not partition": ThreeWaySep((3,), (0, 1), (4, 5, 6), ()),
+        "fewer than two non-empty sides": ThreeWaySep((3,), (0, 1, 2, 4, 5, 6), (), ()),
+        "misses edge (2, 3)": ThreeWaySep((4,), (0, 1, 2), (3,), (5, 6)),
+    }
+    for message, sep in bad.items():
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            _check_three_way_contract(part, sep, 1)
 
 
 def test_min_degree_on_tree():
