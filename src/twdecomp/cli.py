@@ -161,6 +161,9 @@ def _cmd_bench(args) -> int:
         print(f"error: no .gr files under {root}", file=sys.stderr)
         return 2
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        print("error: no algorithms given", file=sys.stderr)
+        return 2
     for algo in algos:
         if algo not in ALGORITHMS:
             print(f"error: unknown algorithm {algo!r}", file=sys.stderr)

@@ -23,7 +23,11 @@ _LISTED = bytes([0, 1, 1, 1]) + bytes(252)
 
 @dataclass
 class Counters:
-    """Per-run tallies threaded through the drivers for reporting."""
+    """Per-run tallies threaded through the drivers for reporting.
+
+    Both count the flows that actually ran: an isolating cut that bg367
+    reuses within one separator search adds nothing.
+    """
 
     separator_calls: int = 0
     augmentations: int = 0
@@ -251,7 +255,8 @@ def _verify_cut(g: Graph, terminals: TerminalSpec, cut: CutResult, flow: int,
 
 def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
                            counters: Counters | None = None,
-                           part: Part | None = None) -> ThreeWayCut | Exceeded:
+                           part: Part | None = None, *,
+                           cuts: dict | None = None) -> ThreeWayCut | Exceeded:
     """Three-way separator by isolating cuts: union of the two cheapest.
 
     The cut is taken inside ``part`` (default: all of ``g``).  For each group
@@ -259,23 +264,29 @@ def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
     the union of the two cheapest such cuts separates all three groups
     pairwise.  For single-vertex groups the result is within
     ceil(4/3 * opt) of the optimum.
+
+    ``cuts`` holds isolating cuts already found for groups whose three-way
+    union is the same target set, filled in place.  It is keyed by the group
+    alone, so one dict serves one target set, bound and part.
     """
     groups = (vset(t1), vset(t2), vset(t3))
-    all_terminals: set[int] = set()
-    for grp in groups:
-        if all_terminals & set(grp):
-            raise ValueError("terminal groups must be pairwise disjoint")
-        all_terminals |= set(grp)
+    if len(set(groups[0]).union(groups[1], groups[2])) != sum(map(len, groups)):
+        raise ValueError("terminal groups must be pairwise disjoint")
 
     total_augs = 0
     isolating: list[tuple[int, int, tuple[int, ...]]] = []
     exceeded = 0
     for i, grp in enumerate(groups):
-        others = vset(v for j, other in enumerate(groups) if j != i for v in other)
-        if not grp or not others:
-            isolating.append((0, i, ()))
-            continue
-        res = min_vertex_separator(g, TerminalSpec(others, grp), bound, counters, part)
+        res = cuts.get(grp) if cuts is not None else None
+        if res is None:
+            # The groups are disjoint, so the other two need no deduplication.
+            others = tuple(sorted(groups[i - 1] + groups[i - 2]))
+            if not grp or not others:
+                isolating.append((0, i, ()))
+                continue
+            res = min_vertex_separator(g, TerminalSpec(others, grp), bound, counters, part)
+            if cuts is not None:
+                cuts[grp] = res
         total_augs += res.augmentations
         if isinstance(res, Exceeded):
             exceeded += 1

@@ -189,6 +189,9 @@ def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
     wset = set(w)
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
+    # Every triple partitions w, so a group's isolating cut depends on the
+    # group alone and is computed once per call.
+    cuts: dict = {}
 
     def qualifies(sep: ThreeWaySep) -> bool:
         nonempty = sum(1 for side in sep.sides() if side)
@@ -210,7 +213,7 @@ def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
             cand = ThreeWaySep(two.x, two.s1, two.s2, ())
         else:
             cut = approx_3way_vertex_cut(g, first, second, third, cut_bound, counters,
-                                         part)
+                                         part, cuts=cuts)
             if isinstance(cut, Exceeded):
                 continue
             cand = ThreeWaySep(cut.separator, *cut.sides)

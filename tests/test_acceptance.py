@@ -122,7 +122,10 @@ def test_criterion_7_flow_early_exit():
             res = min_vertex_separator(g, TerminalSpec(side_a, side_b), bound)
             assert res.augmentations <= bound + 1
         # driver runs above the base case check the per-run tallies end to end
-        for driver, bound in ((triang_2way_23, 3), (triang_2way_half, 4)):
+        # triang_3way's bound is max(floor(alpha*k), k) = 4 at alpha = 4/3, and
+        # its isolating cuts come from the per-search cache.
+        for driver, bound in ((triang_2way_23, 3), (triang_2way_half, 4),
+                              (triang_3way, 4)):
             counters = Counters()
             driver(gnp_connected(30, 0.15, rng), 3, counters=counters)
             assert counters.separator_calls > 0

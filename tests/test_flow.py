@@ -7,11 +7,11 @@ import networkx as nx
 import pytest
 from networkx.algorithms.flow import edmonds_karp
 
-from twdecomp import (CutResult, Exceeded, Graph, Part, TerminalSpec,
-                      approx_3way_vertex_cut, brute_force_min_multiway,
+from twdecomp import (Counters, CutResult, Exceeded, Graph, Part, TerminalSpec,
+                      ThreeWayCut, approx_3way_vertex_cut, brute_force_min_multiway,
                       brute_force_min_separator, max_disjoint_paths,
                       min_vertex_separator, vset)
-from twdecomp.corpus import complete_graph, cycle_graph, gnp_connected, star_graph
+from twdecomp.corpus import complete_graph, cycle_graph, gnp_connected, grid_graph, star_graph
 from twdecomp.flow import _verify_cut
 
 
@@ -277,6 +277,35 @@ def test_three_way_exceeded_when_bound_too_small():
     g = complete_graph(7)
     res = approx_3way_vertex_cut(g, (0,), (1,), (2,), 1)
     assert isinstance(res, Exceeded)
+
+
+def test_three_way_reuses_cached_isolating_cuts():
+    g = grid_graph(4, 4)
+    groups = ((0, 1), (14, 15), (3, 7))
+    # Without a dict every call runs its three flows.
+    plain = Counters()
+    want = approx_3way_vertex_cut(g, *groups, 6, plain)
+    assert isinstance(want, ThreeWayCut)
+    assert approx_3way_vertex_cut(g, *groups, 6, plain, cuts=None) == want
+    assert plain.separator_calls == 6
+    cuts, counters = {}, Counters()
+    assert approx_3way_vertex_cut(g, *groups, 6, counters, cuts=cuts) == want
+    assert counters.separator_calls == 3 and sorted(cuts) == sorted(groups)
+    # The same groups again run no flow and give an equal cut.
+    assert approx_3way_vertex_cut(g, *groups, 6, counters, cuts=cuts) == want
+    assert counters.separator_calls == 3
+    assert 2 * counters.augmentations == plain.augmentations
+    # Another split of the same targets shares one group: two flows run.
+    regrouped = ((0, 1), (14,), (3, 7, 15))
+    assert (approx_3way_vertex_cut(g, *regrouped, 6, counters, cuts=cuts)
+            == approx_3way_vertex_cut(g, *regrouped, 6))
+    assert counters.separator_calls == 5
+    # Exceeded isolating cuts are kept too.
+    k7, cuts, counters = complete_graph(7), {}, Counters()
+    first = approx_3way_vertex_cut(k7, (0,), (1,), (2,), 1, counters, cuts=cuts)
+    again = approx_3way_vertex_cut(k7, (0,), (1,), (2,), 1, counters, cuts=cuts)
+    assert isinstance(first, Exceeded) and first == again
+    assert counters.separator_calls == 3
 
 
 def test_three_way_rejects_overlapping_groups():

@@ -1,8 +1,9 @@
 """Golden outputs: the emitted .td bytes and work counters of every driver.
 
 ``golden_decompose.json`` was recorded from the recursive drivers that the
-explicit-stack loop replaced. Regenerate it only for a change that is meant
-to alter the output:
+explicit-stack loop replaced. The bg367 search counts were re-recorded once
+isolating cuts were cached per separator search, because reused cuts run no
+flow. Regenerate it only for a change that is meant to alter the output:
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -212,6 +212,17 @@ def test_cli_bench_rejects_unknown_algo(tmp_path):
                  "--report", str(tmp_path / "r.csv")]) == 2
 
 
+def test_cli_bench_rejects_an_empty_algorithm_list(tmp_path, capsys):
+    write_graph(tmp_path, "p4.gr", path_graph(4))
+    report = tmp_path / "r.csv"
+    for algos in (",", "", " , "):
+        assert main(["bench", "--dir", str(tmp_path), "--algos", algos,
+                     "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: no algorithms given\n"
+        assert out == "" and not report.exists()
+
+
 def test_cli_adaptive_and_alpha(tmp_path):
     gr = write_graph(tmp_path, "c10.gr", cycle_graph(10))
     td = tmp_path / "c10.td"

@@ -8,11 +8,13 @@ from itertools import combinations
 
 import pytest
 
-from twdecomp import (Graph, TerminalSpec, alpha_sum_sep, approx_3way_vertex_cut,
+from twdecomp import (Counters, Exceeded, Graph, Part, TerminalSpec, ThreeWaySep,
+                      alpha_sum_sep, approx_3way_vertex_cut,
                       brute_force_min_separator, connected_components,
                       min_vertex_separator, try_split, two_thirds_vtx_sep,
                       two_way_half_vtx_sep, vset)
-from twdecomp.corpus import complete_graph, gnp_connected, path_graph, star_graph
+from twdecomp.corpus import complete_graph, gnp_connected, grid_graph, path_graph, star_graph
+from twdecomp.separators import _three_partitions
 
 
 def two_way_sep_is_consistent(g, sep, w):
@@ -231,3 +233,61 @@ def test_alpha_sum_rejects_bad_parameters():
         alpha_sum_sep(path_graph(5), range(5), 0)
     with pytest.raises(ValueError):
         alpha_sum_sep(path_graph(5), range(5), 2, Fraction(1, 2))
+
+
+def uncached_alpha_sum_sep(g, targets, k, alpha, counters, part):
+    """alpha_sum_sep with every candidate computing its own isolating cuts."""
+    w = vset(targets)
+    wset = set(w)
+    cut_bound = math.floor(alpha * k)
+    per_side_limit = (1 + alpha) * k
+    for kind, first, second, third in _three_partitions(w, k):
+        if kind == "fallback":
+            merged = tuple(v for v in w if v not in set(first))
+            two = try_split(g, first, merged, k, counters, part)
+            if two is None:
+                continue
+            cand = ThreeWaySep(two.x, two.s1, two.s2, ())
+        else:
+            cut = approx_3way_vertex_cut(g, first, second, third, cut_bound, counters,
+                                         part)
+            if isinstance(cut, Exceeded):
+                continue
+            cand = ThreeWaySep(cut.separator, *cut.sides)
+        sides = cand.sides()
+        if (sum(1 for side in sides if side) >= 2
+                and all(len((set(side) & wset) | set(cand.x)) <= per_side_limit
+                        for side in sides)):
+            return cand
+    return None
+
+
+def test_alpha_sum_sep_matches_uncached_reference():
+    # Within one search every triple partitions the same targets, so reusing a
+    # group's isolating cut must return the reference's separator while
+    # running no more flows; on grids most candidates fail and groups recur.
+    rng = random.Random(3670)
+    graphs = [("grid", grid_graph(r, c)) for r, c in ((4, 4), (4, 5), (5, 5), (5, 6), (6, 6))]
+    graphs += [("gnp", gnp_connected(rng.randint(8, 40), rng.uniform(0.08, 0.3), rng))
+               for _ in range(6)]
+    found = 0
+    for kind, g in graphs:
+        want, got = Counters(), Counters()
+        for alpha in (Fraction(1), Fraction(4, 3), Fraction(3, 2)):
+            for whole in (True, False):
+                k = rng.randint(1, 3)
+                members = (range(g.n) if whole
+                           else rng.sample(range(g.n), rng.randint(g.n // 2, g.n)))
+                part = Part(g) if whole else Part(g, members)
+                size = min(len(members), math.floor((1 + alpha) * k) + 1)
+                targets = rng.sample(sorted(members), size)
+                calls = (want.separator_calls, got.separator_calls)
+                expected = uncached_alpha_sum_sep(g, targets, k, alpha, want, part)
+                sep = alpha_sum_sep(g, targets, k, alpha, got, part)
+                assert sep == expected, (kind, g, alpha, whole, k, targets)
+                found += sep is not None
+                assert got.separator_calls - calls[1] <= want.separator_calls - calls[0]
+        assert got.augmentations <= want.augmentations
+        if kind == "grid":
+            assert got.separator_calls < want.separator_calls, g
+    assert 0 < found < len(graphs) * 6
