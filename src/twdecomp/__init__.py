@@ -5,7 +5,7 @@ built on flow-based minimum vertex separators, plus independent validators
 and brute-force oracles for small graphs.
 """
 
-from .flow import (Counters, CutResult, Exceeded, TerminalSpec,
+from .flow import (Counters, CutResult, Exceeded, FlowWorkspace, TerminalSpec,
                    ThreeWayCut, approx_3way_vertex_cut, min_vertex_separator)
 from .graph import Graph, Part, connected_components, vset
 from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
@@ -21,7 +21,8 @@ from .validate import (NotChordal, Violation, brute_force_min_multiway,
 
 __all__ = [
     "ALGORITHMS", "AlgoReport", "Counters", "CutResult",
-    "DecomposeResult", "DEFAULT_ALPHA", "Exceeded", "Graph", "NotChordal",
+    "DecomposeResult", "DEFAULT_ALPHA", "Exceeded", "FlowWorkspace", "Graph",
+    "NotChordal",
     "Part", "TerminalSpec", "ThreeWayCut",
     "ThreeWaySep", "TreeDecomposition", "TreewidthExceeded", "TriangSuccess",
     "Triangulation", "TwoWaySep", "Violation", "alpha_sum_sep",

@@ -7,8 +7,8 @@ vertices: cutting one detaches it from its super-terminal.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import Graph, Part, connected_components, vset
 
@@ -16,6 +16,9 @@ _UNSEEN = -1
 _ROOT = -2
 _FROM_SOURCE = -2
 _NO_FLOW = -1
+# Marks of FlowWorkspace.role.
+_SOURCE = 1
+_SINK = 2
 # Translation table taking the side codes 1, 2 and 3 of _verify_cut to 1, so
 # its marks compare directly with a part's membership mask.
 _LISTED = bytes([0, 1, 1, 1]) + bytes(252)
@@ -48,6 +51,9 @@ class TerminalSpec:
         if set(self.side_a) & set(self.side_b):
             raise ValueError("terminal attachment sets must be disjoint")
 
+    def __iter__(self):
+        return iter((self.side_a, self.side_b))
+
 
 @dataclass(frozen=True)
 class CutResult:
@@ -77,9 +83,59 @@ def _invariant(condition: bool, message: str) -> None:
         raise RuntimeError(f"flow invariant violated: {message}")
 
 
-def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
+class FlowWorkspace:
+    """Scratch state shared by every flow between subsets of one target set.
+
+    A separator search asks for a minimum cut between many pairs of disjoint
+    subsets of the same targets inside the same part.  The workspace checks
+    the targets against the part once, numbers them (target ``i`` of the
+    ascending targets is bit ``1 << i``) and records in ``near[v]`` the mask
+    of targets next to each vertex ``v``.  The warm start then packs one- and
+    two-edge paths by mask: a source's direct path is ``near[a] & free``,
+    where ``free`` holds the unsaturated sinks, and its two-hop paths scan
+    the row ``[(v, near[v]), ...]`` of its neighbours that touch a target,
+    built the first time the source needs it and kept for later flows.
+
+    The flow arrays ``sat``, ``in_flow`` and ``prev`` and the ``role`` marks
+    of the current sources and sinks are allocated once, sized to ``g``, and
+    every flow hands them back clean: it resets exactly the vertices it
+    touched and the states its breadth-first searches queued.  A workspace
+    is therefore used by one flow at a time.
+    """
+
+    __slots__ = ("g", "part", "targets", "bit_of", "near", "rows", "role",
+                 "sat", "in_flow", "prev")
+
+    def __init__(self, g: Graph, part: Part | None, targets: Iterable[int]):
+        if part is None:
+            part = Part(g)
+        n = g.n
+        inside = part.inside
+        adj = part.adj
+        self.g = g
+        self.part = part
+        self.targets = w = vset(targets)
+        self.bit_of = bit_of = {}
+        self.near = near = [0] * n
+        bit = 1
+        for t in w:
+            if not (0 <= t < n and inside[t]):
+                raise ValueError(f"terminal vertex out of range: {t}")
+            bit_of[t] = bit
+            for v in adj[t]:
+                near[v] |= bit
+            bit <<= 1
+        self.rows = {}
+        self.role = bytearray(n)
+        self.sat = bytearray(n)
+        self.in_flow = [_NO_FLOW] * n
+        self.prev = [_UNSEEN] * (2 * n)
+
+
+def min_vertex_separator(g: Graph, terminals, bound: int,
                          counters: Counters | None = None,
-                         part: Part | None = None) -> CutResult | Exceeded:
+                         part: Part | None = None, *,
+                         workspace: FlowWorkspace | None = None) -> CutResult | Exceeded:
     """Minimum vertex cut between the two super-terminals, or Exceeded.
 
     The cut is taken inside ``part`` (default: all of ``g``).  Returns a
@@ -87,148 +143,198 @@ def min_vertex_separator(g: Graph, terminals: TerminalSpec, bound: int,
     the residual-reachable members and side2 the remainder.  Exceeded is
     reported after bound+1 successful unit augmentations, which certifies
     that every separator is larger than the bound.
+
+    ``terminals`` is a ``TerminalSpec`` or a pair of vertex sequences.
+    ``workspace`` serves flows whose sides are subsets of its targets inside
+    its part; each side must then list distinct targets, in ascending order
+    for the warm start to pack the smallest ids first.  Without one, a
+    workspace over the terminals alone is built for this call.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    if part is None:
-        part = Part(g)
-    n = g.n
-    inside = part.inside
-    for v in terminals.side_a + terminals.side_b:
-        if not (0 <= v < n and inside[v]):
-            raise ValueError(f"terminal vertex out of range: {v}")
-    side_a = terminals.side_a
-    source_set = frozenset(side_a)
-    sink_set = frozenset(terminals.side_b)
-    adj = part.adj
+    if workspace is None:
+        if not isinstance(terminals, TerminalSpec):
+            terminals = TerminalSpec(*terminals)
+        side_a, side_b = terminals
+        workspace = FlowWorkspace(g, part, side_a + side_b)
+    else:
+        side_a, side_b = terminals
+        if workspace.g is not g or (part is not None and part is not workspace.part):
+            raise ValueError("the workspace belongs to another graph or part")
+    if not side_a or not side_b:
+        raise ValueError("terminal attachment sets must be non-empty")
+    bit_of = workspace.bit_of
+    sources = free = 0
+    try:
+        for v in side_a:
+            sources |= bit_of[v]
+        for v in side_b:
+            free |= bit_of[v]
+    except KeyError as err:
+        raise ValueError(f"terminal vertex {err.args[0]} is not a target") from None
+    if sources & free:
+        raise ValueError("terminal attachment sets must be disjoint")
+    if sources.bit_count() != len(side_a) or free.bit_count() != len(side_b):
+        raise ValueError("terminal attachment sets must not repeat a vertex")
 
-    sat = bytearray(n)
-    in_flow = [_NO_FLOW] * n
+    part = workspace.part
+    adj = part.adj
+    targets = workspace.targets
+    near = workspace.near
+    rows = workspace.rows
+    role = workspace.role
+    sat = workspace.sat
+    in_flow = workspace.in_flow
+    prev = workspace.prev
+    # Vertices other than the terminals whose ``sat`` or ``in_flow`` entry
+    # this flow may set, and the states whose ``prev`` entry is set.
+    touched: list[int] = []
+    queue: list[int] = []
     flow = 0
-    augs = 0
     if counters is not None:
         counters.separator_calls += 1
 
-    # Warm start: greedily pack vertex-disjoint source-to-sink paths of one
-    # or two edges, each recorded exactly as a BFS augmentation would record
-    # it.  Any maximum flow leaves the same residual-reachable set, so the
-    # cut below does not depend on where the flow started; the BFS loop
-    # reroutes packed paths through its residual back-steps where needed.
-    for a in side_a:
-        if flow > bound:
-            break
-        path = None
-        for w in adj[a]:
-            if w in sink_set and not sat[w]:
-                path = (a, w)
-                break
-        else:
-            for v in adj[a]:
-                # An unsaturated sink here would have been taken above; a
-                # source may still start its own path.
-                if sat[v] or v in source_set:
-                    continue
-                for w in adj[v]:
-                    if w in sink_set and not sat[w]:
-                        path = (a, v, w)
-                        break
-                if path:
-                    break
-        if path:
-            for u, v in zip((_FROM_SOURCE,) + path, path):
-                in_flow[v] = u
-                sat[v] = 1
-            flow += 1
-            augs += 1
+    try:
+        for v in side_a:
+            role[v] = _SOURCE
+        for v in side_b:
+            role[v] = _SINK
 
-    while flow <= bound:
-        # Breadth-first search over residual states; 2v is the entry side of
-        # vertex v, 2v+1 its exit side.
-        prev = [_UNSEEN] * (2 * n)
-        queue = deque()
+        # Warm start: greedily pack vertex-disjoint source-to-sink paths of
+        # one or two edges, each recorded exactly as a BFS augmentation would
+        # record it.  ``free`` masks the unsaturated sinks, and its lowest bit
+        # is the smallest id, as an ascending scan of the rows would find it.
+        # Any maximum flow leaves the same residual-reachable set, so the cut
+        # below does not depend on where the flow started; the BFS loop
+        # reroutes packed paths through its residual back-steps where needed.
         for a in side_a:
-            s = 2 * a
-            if prev[s] == _UNSEEN:
-                prev[s] = _ROOT
-                queue.append(s)
-        goal = -1
-        while queue:
-            s = queue.popleft()
-            v = s >> 1
-            if s & 1:
-                if v in sink_set:
-                    goal = s
-                    break
-                for w in adj[v]:
-                    t = 2 * w
-                    if prev[t] == _UNSEEN:
-                        prev[t] = s
-                        queue.append(t)
-                if sat[v]:
-                    t = 2 * v
-                    if prev[t] == _UNSEEN:
-                        prev[t] = s
-                        queue.append(t)
+            if flow > bound or not free:
+                break
+            hit = near[a] & free
+            if hit:
+                low = hit & -hit
+                w = targets[low.bit_length() - 1]
+                in_flow[w] = a
             else:
-                if not sat[v]:
-                    t = 2 * v + 1
-                    if prev[t] == _UNSEEN:
-                        prev[t] = s
-                        queue.append(t)
-                u = in_flow[v]
-                if u >= 0:
-                    t = 2 * u + 1
-                    if prev[t] == _UNSEEN:
-                        prev[t] = s
-                        queue.append(t)
-        if goal < 0:
-            break
-
-        path = []
-        s = goal
-        while s != _ROOT:
-            path.append(s)
-            s = prev[s]
-        path.reverse()
-        in_flow[path[0] >> 1] = _FROM_SOURCE
-        for i in range(len(path) - 1):
-            s, t = path[i], path[i + 1]
-            v, w = s >> 1, t >> 1
-            if v == w:
-                sat[v] = 0 if s & 1 else 1
-            elif (s & 1) and not (t & 1):
+                row = rows.get(a)
+                if row is None:
+                    row = rows[a] = [(v, near[v]) for v in adj[a] if near[v]]
+                for v, mask in row:
+                    # An unsaturated sink here would have been taken above; a
+                    # source may still start its own path.
+                    hit = mask & free
+                    if hit and not sat[v] and role[v] != _SOURCE:
+                        break
+                else:
+                    continue
+                low = hit & -hit
+                w = targets[low.bit_length() - 1]
+                in_flow[v] = a
+                sat[v] = 1
                 in_flow[w] = v
-            elif not (s & 1) and (t & 1) and in_flow[v] == w:
+                touched.append(v)
+            in_flow[a] = _FROM_SOURCE
+            sat[a] = 1
+            sat[w] = 1
+            free ^= low
+            flow += 1
+
+        while flow <= bound:
+            # Breadth-first search over residual states; 2v is the entry side
+            # of vertex v, 2v+1 its exit side.  The queue is never popped, so
+            # it also lists every state whose ``prev`` entry is set.
+            queue = [2 * a for a in side_a]
+            for s in queue:
+                prev[s] = _ROOT
+            push = queue.append
+            goal = -1
+            for s in queue:
+                v = s >> 1
+                if s & 1:
+                    if role[v] == _SINK:
+                        goal = s
+                        break
+                    for w in adj[v]:
+                        t = 2 * w
+                        if prev[t] == _UNSEEN:
+                            prev[t] = s
+                            push(t)
+                    if sat[v]:
+                        t = 2 * v
+                        if prev[t] == _UNSEEN:
+                            prev[t] = s
+                            push(t)
+                else:
+                    if not sat[v]:
+                        t = 2 * v + 1
+                        if prev[t] == _UNSEEN:
+                            prev[t] = s
+                            push(t)
+                    u = in_flow[v]
+                    if u >= 0:
+                        t = 2 * u + 1
+                        if prev[t] == _UNSEEN:
+                            prev[t] = s
+                            push(t)
+            if goal < 0:
+                break
+
+            path = []
+            s = goal
+            while s != _ROOT:
+                path.append(s)
+                s = prev[s]
+            path.reverse()
+            in_flow[path[0] >> 1] = _FROM_SOURCE
+            for i in range(len(path) - 1):
+                s, t = path[i], path[i + 1]
+                v, w = s >> 1, t >> 1
+                touched.append(w)
+                if v == w:
+                    sat[v] = 0 if s & 1 else 1
+                elif (s & 1) and not (t & 1):
+                    in_flow[w] = v
+                elif not (s & 1) and (t & 1) and in_flow[v] == w:
+                    in_flow[v] = _NO_FLOW
+            for s in queue:
+                prev[s] = _UNSEEN
+            queue = []
+            flow += 1
+
+        if counters is not None:
+            counters.augmentations += flow
+        if flow > bound + 1:
+            raise RuntimeError("augmentation count exceeded bound + 1")
+        if flow > bound:
+            return Exceeded(bound, flow)
+
+        separator = []
+        side1 = []
+        side2 = []
+        for v in part.members:
+            seen_in = prev[2 * v] != _UNSEEN
+            seen_out = prev[2 * v + 1] != _UNSEEN
+            if seen_in and not seen_out:
+                separator.append(v)
+            elif seen_in or seen_out:
+                side1.append(v)
+            else:
+                side2.append(v)
+    finally:
+        # Hand the scratch arrays back clean.
+        for s in queue:
+            prev[s] = _UNSEEN
+        for side in (side_a, side_b, touched):
+            for v in side:
+                role[v] = 0
+                sat[v] = 0
                 in_flow[v] = _NO_FLOW
-        flow += 1
-        augs += 1
-
-    if counters is not None:
-        counters.augmentations += augs
-    if augs > bound + 1:
-        raise RuntimeError("augmentation count exceeded bound + 1")
-
-    if flow > bound:
-        return Exceeded(bound, augs)
-
-    separator = []
-    side1 = []
-    side2 = []
-    for v in part.members:
-        seen_in = prev[2 * v] != _UNSEEN
-        seen_out = prev[2 * v + 1] != _UNSEEN
-        if seen_in and not seen_out:
-            separator.append(v)
-        elif seen_in or seen_out:
-            side1.append(v)
-        else:
-            side2.append(v)
-    result = CutResult(tuple(separator), tuple(side1), tuple(side2), augs)
-    _verify_cut(g, terminals, result, flow, part)
+    result = CutResult(tuple(separator), tuple(side1), tuple(side2), flow)
+    _verify_cut(g, side_a, side_b, result, flow, part)
     return result
 
 
-def _verify_cut(g: Graph, terminals: TerminalSpec, cut: CutResult, flow: int,
+def _verify_cut(g: Graph, side_a, side_b, cut: CutResult, flow: int,
                 part: Part) -> None:
     _invariant(len(cut.separator) == flow, "cut size differs from flow value")
     side_of = bytearray(g.n)
@@ -247,16 +353,17 @@ def _verify_cut(g: Graph, terminals: TerminalSpec, cut: CutResult, flow: int,
         for v in adj[u]:
             if side_of[v] == 2:
                 _invariant(False, f"edge ({min(u, v)}, {max(u, v)}) crosses the cut")
-    _invariant(all(side_of[v] in (1, 3) for v in terminals.side_a),
+    _invariant(all(side_of[v] in (1, 3) for v in side_a),
                "uncut source attachment outside side1")
-    _invariant(all(side_of[v] in (2, 3) for v in terminals.side_b),
+    _invariant(all(side_of[v] in (2, 3) for v in side_b),
                "uncut sink attachment outside side2")
 
 
 def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
                            counters: Counters | None = None,
                            part: Part | None = None, *,
-                           cuts: dict | None = None) -> ThreeWayCut | Exceeded:
+                           cuts: dict | None = None,
+                           workspace: FlowWorkspace | None = None) -> ThreeWayCut | Exceeded:
     """Three-way separator by isolating cuts: union of the two cheapest.
 
     The cut is taken inside ``part`` (default: all of ``g``).  For each group
@@ -267,7 +374,8 @@ def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
 
     ``cuts`` holds isolating cuts already found for groups whose three-way
     union is the same target set, filled in place.  It is keyed by the group
-    alone, so one dict serves one target set, bound and part.
+    alone, so one dict serves one target set, bound and part.  ``workspace``
+    runs the isolating flows; its targets must include every group.
     """
     groups = (vset(t1), vset(t2), vset(t3))
     if len(set(groups[0]).union(groups[1], groups[2])) != sum(map(len, groups)):
@@ -284,7 +392,8 @@ def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
             if not grp or not others:
                 isolating.append((0, i, ()))
                 continue
-            res = min_vertex_separator(g, TerminalSpec(others, grp), bound, counters, part)
+            res = min_vertex_separator(g, (others, grp), bound, counters, part,
+                                       workspace=workspace)
             if cuts is not None:
                 cuts[grp] = res
         total_augs += res.augmentations

@@ -6,7 +6,8 @@ groups.  Edges inside a group never matter: a super-terminal attaches to every
 vertex of its group.  Returning None is a sound certificate that no qualifying
 separator exists.  Each search runs inside its trailing ``part`` argument (a
 ``graph.Part``, the recursion node being split), or on the whole graph when it
-is None.
+is None.  Every flow of one search runs through one ``flow.FlowWorkspace``
+over its target set.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .flow import Counters, Exceeded, TerminalSpec, approx_3way_vertex_cut, min_vertex_separator
-from .graph import Graph, Part, vset
+from .flow import (Counters, Exceeded, FlowWorkspace, approx_3way_vertex_cut,
+                   min_vertex_separator)
+from .graph import Graph, Part
 
 DEFAULT_ALPHA = Fraction(4, 3)
 
@@ -55,15 +57,18 @@ def _require(condition: bool, message: str) -> None:
 
 def try_split(g: Graph, group_a: Iterable[int], group_b: Iterable[int],
               bound: int, counters: Counters | None = None,
-              part: Part | None = None) -> TwoWaySep | None:
+              part: Part | None = None, *,
+              workspace: FlowWorkspace | None = None) -> TwoWaySep | None:
     """One candidate split: minimum cut between the two groups' super-terminals,
     inside ``part`` (default: all of ``g``).
 
     Each super-terminal attaches to every vertex of its group, so edges inside
     a group cannot change the cut.  Returns None when the minimum cut exceeds
-    the bound or leaves one side empty; both are normal outcomes.
+    the bound or leaves one side empty; both are normal outcomes.  With a
+    ``workspace`` the groups are ascending tuples of its targets.
     """
-    res = min_vertex_separator(g, TerminalSpec(group_a, group_b), bound, counters, part)
+    res = min_vertex_separator(g, (group_a, group_b), bound, counters, part,
+                               workspace=workspace)
     if isinstance(res, Exceeded):
         return None
     if not res.side1 or not res.side2:
@@ -95,15 +100,16 @@ def half_candidates(w: tuple[int, ...]):
         yield first, tuple(v for v in w if v not in chosen)
 
 
-def _first_split(g: Graph, w: tuple[int, ...], candidates, bound: int, share: int,
+def _first_split(g: Graph, ws: FlowWorkspace, candidates, bound: int, share: int,
                  counters: Counters | None, part: Part | None) -> TwoWaySep | None:
-    """First split of ``candidates(w)`` with a cut of at most ``bound``.
+    """First split of ``candidates(ws.targets)`` with a cut of at most ``bound``.
 
-    Neither side may hold more than ``share`` of the targets ``w``.
+    Neither side may hold more than ``share`` of the targets.
     """
+    w = ws.targets
     wset = set(w)
     for first, second in candidates(w):
-        sep = try_split(g, first, second, bound, counters, part)
+        sep = try_split(g, first, second, bound, counters, part, workspace=ws)
         if sep is None:
             continue
         _require(len(sep.x) <= bound, "separator above bound")
@@ -123,8 +129,9 @@ def two_thirds_vtx_sep(g: Graph, targets: Iterable[int], k: int,
     the rest, in ascending combinadic order, returning the first success.
     None certifies that no such separator exists.
     """
-    w = vset(targets)
-    return _first_split(g, w, two_thirds_candidates, k, 2 * len(w) // 3, counters, part)
+    ws = FlowWorkspace(g, part, targets)
+    return _first_split(g, ws, two_thirds_candidates, k, 2 * len(ws.targets) // 3,
+                        counters, part)
 
 
 def two_way_half_vtx_sep(g: Graph, targets: Iterable[int], k: int,
@@ -135,9 +142,9 @@ def two_way_half_vtx_sep(g: Graph, targets: Iterable[int], k: int,
     Only the ceil(|T|/2)-subsets are enumerated; the complement is the other
     part, so far fewer candidates are tried than in the two-thirds search.
     """
-    w = vset(targets)
-    return _first_split(g, w, half_candidates, (3 * k) // 2, _ceil_div(len(w), 2),
-                        counters, part)
+    ws = FlowWorkspace(g, part, targets)
+    return _first_split(g, ws, half_candidates, (3 * k) // 2,
+                        _ceil_div(len(ws.targets), 2), counters, part)
 
 
 def _three_partitions(w: tuple[int, ...], k: int):
@@ -185,7 +192,8 @@ def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    w = vset(targets)
+    ws = FlowWorkspace(g, part, targets)
+    w = ws.targets
     wset = set(w)
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
@@ -207,13 +215,13 @@ def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
         if kind == "fallback":
             chosen = set(first)
             merged = tuple(v for v in w if v not in chosen)
-            two = try_split(g, first, merged, k, counters, part)
+            two = try_split(g, first, merged, k, counters, part, workspace=ws)
             if two is None:
                 continue
             cand = ThreeWaySep(two.x, two.s1, two.s2, ())
         else:
             cut = approx_3way_vertex_cut(g, first, second, third, cut_bound, counters,
-                                         part, cuts=cuts)
+                                         part, cuts=cuts, workspace=ws)
             if isinstance(cut, Exceeded):
                 continue
             cand = ThreeWaySep(cut.separator, *cut.sides)

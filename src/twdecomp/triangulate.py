@@ -16,7 +16,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Union
 
-from .flow import Counters
+from .flow import Counters, FlowWorkspace
 from .graph import Graph, Part, connected_components, vset
 from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
                          half_candidates, try_split, two_thirds_candidates,
@@ -320,8 +320,11 @@ def _adaptive_split(flavor: str, counters: Counters):
         pool = [v for v in part.members if v not in inherited]
         best: TwoWaySep | None = None
         while True:
-            for first, second in candidates(vset(targets)):
-                sep = try_split(g, first, second, n, counters, part)
+            # The target set grows between rounds, so each round has its own
+            # flow workspace.
+            ws = FlowWorkspace(g, part, targets)
+            for first, second in candidates(ws.targets):
+                sep = try_split(g, first, second, n, counters, part, workspace=ws)
                 if sep is not None and (best is None or len(sep.x) < len(best.x)):
                     best = sep
             if best is not None:

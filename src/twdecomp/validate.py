@@ -66,44 +66,39 @@ def _peo_failure(g: Graph, order: list[int]):
     return None
 
 
-def _chordless_cycle(g: Graph) -> tuple[int, ...]:
-    # Any chordless cycle c0..cm yields a hit for v=c0 with u, w its cycle
-    # neighbors: the rest of the cycle avoids N[v] entirely.
-    for v in range(g.n):
-        nbrs = g.adj_sorted[v]
-        for u, w in combinations(nbrs, 2):
-            if w in g.adj[u]:
+def _chordless_cycle(g: Graph, v: int, u: int, w: int) -> tuple[int, ...]:
+    # u and w are non-adjacent neighbours of v.  A shortest u-w path in
+    # G - v - (N(v) - {u, w}) is induced and meets N[v] only at its ends, so
+    # v followed by it is a chordless cycle of length >= 4.  One BFS, O(n + m).
+    blocked = bytearray(g.n)
+    for x in g.adj_sorted[v]:
+        blocked[x] = 1
+    blocked[v] = 1
+    blocked[w] = 0
+    parent = {u: u}
+    queue = [u]
+    for cur in queue:
+        for nxt in g.adj_sorted[cur]:
+            if blocked[nxt] or nxt in parent:
                 continue
-            blocked = (g.adj[v] - {u, w}) | {v}
-            parent = {u: None}
-            queue = [u]
-            found = False
-            while queue and not found:
-                cur = queue.pop(0)
-                for nxt in g.adj_sorted[cur]:
-                    if nxt in blocked or nxt in parent:
-                        continue
-                    parent[nxt] = cur
-                    if nxt == w:
-                        found = True
-                        break
-                    queue.append(nxt)
-            if not found:
-                continue
-            path = [w]
-            while path[-1] != u:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return tuple([v] + path)
+            parent[nxt] = cur
+            if nxt == w:
+                path = [w]
+                while path[-1] != u:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return tuple([v] + path)
+            queue.append(nxt)
     raise RuntimeError("no chordless cycle found in a non-chordal graph")
 
 
 def is_chordal(g: Graph) -> tuple[int, ...] | NotChordal:
     """A perfect elimination ordering, or a chordless-cycle witness."""
     order = _mcs_order(g)
-    if _peo_failure(g, order) is None:
+    failure = _peo_failure(g, order)
+    if failure is None:
         return tuple(order)
-    return NotChordal(_chordless_cycle(g))
+    return NotChordal(_chordless_cycle(g, *failure))
 
 
 def clique_number_chordal(g: Graph, peo: Iterable[int]) -> int:

@@ -7,12 +7,13 @@ import networkx as nx
 import pytest
 from networkx.algorithms.flow import edmonds_karp
 
-from twdecomp import (Counters, CutResult, Exceeded, Graph, Part, TerminalSpec,
-                      ThreeWayCut, approx_3way_vertex_cut, brute_force_min_multiway,
-                      brute_force_min_separator, max_disjoint_paths,
-                      min_vertex_separator, vset)
+from twdecomp import (Counters, CutResult, Exceeded, FlowWorkspace, Graph, Part,
+                      TerminalSpec, ThreeWayCut, approx_3way_vertex_cut,
+                      brute_force_min_multiway, brute_force_min_separator,
+                      max_disjoint_paths, min_vertex_separator, vset)
 from twdecomp.corpus import complete_graph, cycle_graph, gnp_connected, grid_graph, star_graph
 from twdecomp.flow import _verify_cut
+from twdecomp.separators import half_candidates, two_thirds_candidates
 
 
 def cut_is_consistent(g, terminals, res):
@@ -194,9 +195,9 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
 def test_verify_cut_rejects_tampered_cuts(cut, flow, message):
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     terminals = TerminalSpec((0,), (4,))
-    _verify_cut(g, terminals, CutResult((2,), (0, 1), (3, 4), 1), 1, Part(g))
+    _verify_cut(g, *terminals, CutResult((2,), (0, 1), (3, 4), 1), 1, Part(g))
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        _verify_cut(g, terminals, cut, flow, Part(g))
+        _verify_cut(g, *terminals, cut, flow, Part(g))
 
 
 def test_matches_brute_force_on_random_graphs():
@@ -311,3 +312,91 @@ def test_three_way_reuses_cached_isolating_cuts():
 def test_three_way_rejects_overlapping_groups():
     with pytest.raises(ValueError):
         approx_3way_vertex_cut(star_graph(3), (1,), (1,), (2,), 3)
+
+
+def assert_clean(ws):
+    n = ws.g.n
+    assert ws.sat == bytearray(n)
+    assert ws.role == bytearray(n)
+    assert ws.in_flow == [-1] * n
+    assert ws.prev == [-1] * (2 * n)
+
+
+def workspace_inputs():
+    """Seeded (graph, part or None, targets) triples: random graphs and grids,
+    each on the whole graph and inside a random part."""
+    rng = random.Random(8080)
+    graphs = [grid_graph(4, 5), grid_graph(6, 6)]
+    graphs += [gnp_connected(rng.randint(12, 60), rng.uniform(2.0, 6.0) / 30, rng)
+               for _ in range(8)]
+    for g in graphs:
+        for whole in (True, False):
+            members = list(range(g.n))
+            if not whole:
+                members = [v for v in members if rng.random() < 0.7]
+            targets = rng.sample(members, rng.randint(2, min(7, len(members))))
+            yield g, None if whole else Part(g, members), vset(targets), rng
+
+
+def test_shared_workspace_matches_one_shot_flows_and_networkx():
+    outcomes = set()
+    for g, part, targets, rng in workspace_inputs():
+        ws = FlowWorkspace(g, part, targets)
+        assert ws.targets == targets
+        members = part.members if part is not None else range(g.n)
+        sub = nx.Graph(g.edges()).subgraph(members)
+        splits = list(two_thirds_candidates(targets)) + list(half_candidates(targets))
+        rng.shuffle(splits)
+        for side_a, side_b in splits:
+            bound = rng.randint(0, 5)
+            got = min_vertex_separator(g, (side_a, side_b), bound, None, part,
+                                       workspace=ws)
+            assert_clean(ws)
+            terminals = TerminalSpec(side_a, side_b)
+            assert got == min_vertex_separator(g, terminals, bound, part=part)
+            value, cut = split_vertex_max_flow(members, sub.edges(), terminals)
+            assert isinstance(got, Exceeded) == (value > bound)
+            assert got.augmentations == min(value, bound + 1)
+            if isinstance(got, CutResult):
+                assert (got.separator, got.side1, got.side2) == cut
+            outcomes.add(type(got))
+    assert outcomes == {CutResult, Exceeded}
+
+
+def test_workspace_rejects_bad_sides_and_stays_clean():
+    g = grid_graph(4, 4)
+    part = Part(g, range(12))
+    ws = FlowWorkspace(g, part, (0, 3, 5, 9, 10))
+    bad = [
+        ((), (3,), "non-empty"),
+        ((0,), (), "non-empty"),
+        ((0, 4), (9,), "not a target"),           # a member outside the targets
+        ((0,), (9, 13), "not a target"),          # a vertex outside the part
+        ((0, 99), (9,), "not a target"),          # out of range
+        ((0, 3), (3, 9), "disjoint"),
+        ((0, 0), (9,), "repeat"),
+    ]
+    for side_a, side_b, message in bad:
+        with pytest.raises(ValueError, match=message):
+            min_vertex_separator(g, (side_a, side_b), 3, None, part, workspace=ws)
+        assert_clean(ws)
+    # The workspace still answers correctly afterwards.
+    got = min_vertex_separator(g, ((0, 3), (9, 10)), 3, None, part, workspace=ws)
+    assert got == min_vertex_separator(g, TerminalSpec((0, 3), (9, 10)), 3, part=part)
+    assert_clean(ws)
+
+
+def test_workspace_checks_targets_graph_and_part():
+    g = grid_graph(3, 3)
+    part = Part(g, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="out of range"):
+        FlowWorkspace(g, part, (0, 5))
+    with pytest.raises(ValueError, match="out of range"):
+        FlowWorkspace(g, None, (0, 9))
+    ws = FlowWorkspace(g, part, (2, 0, 3, 0))
+    assert ws.targets == (0, 2, 3)
+    with pytest.raises(ValueError, match="another graph or part"):
+        min_vertex_separator(g, ((0,), (3,)), 2, None, Part(g, (0, 1, 2, 3)),
+                             workspace=ws)
+    with pytest.raises(ValueError, match="another graph or part"):
+        min_vertex_separator(grid_graph(3, 3), ((0,), (3,)), 2, workspace=ws)

@@ -1,12 +1,15 @@
-"""The heap-ordered MCS and min-degree elimination and the indexed
-decomposition checker against the quadratic versions they replaced.
+"""The heap-ordered MCS and min-degree elimination, the indexed
+decomposition checker and the one-BFS chordless-cycle witness against the
+quadratic versions they replaced.
 
-The three reference functions below are the earlier library code, kept
-verbatim apart from their names: they scan every vertex or every bag at each
-step, and the library must return exactly what they return.
+The four reference functions below are the earlier library code, kept
+verbatim apart from their names: they scan every vertex, bag or vertex pair
+at each step.  The library must return exactly what the first three return;
+a chordless cycle is not unique, so the witness is checked for validity.
 """
 
 import random
+import time
 from itertools import combinations
 
 import networkx as nx
@@ -21,6 +24,7 @@ from twdecomp.graph import vset
 from twdecomp.validate import Violation, _mcs_order
 
 from test_golden import disjoint_union
+from test_validate import cycle_is_chordless
 
 
 def quadratic_mcs_order(g):
@@ -86,6 +90,38 @@ def quadratic_min_degree_triang(g):
     cn = max((len(b) for b in bags), default=0)
     tri = Triangulation(g, tuple(sorted(fills)), chordal, tuple(order), cn)
     return tri, TreeDecomposition.from_bags(bags, edges)
+
+
+def quadratic_chordless_cycle(g):
+    # Any chordless cycle c0..cm yields a hit for v=c0 with u, w its cycle
+    # neighbors: the rest of the cycle avoids N[v] entirely.
+    for v in range(g.n):
+        nbrs = g.adj_sorted[v]
+        for u, w in combinations(nbrs, 2):
+            if w in g.adj[u]:
+                continue
+            blocked = (g.adj[v] - {u, w}) | {v}
+            parent = {u: None}
+            queue = [u]
+            found = False
+            while queue and not found:
+                cur = queue.pop(0)
+                for nxt in g.adj_sorted[cur]:
+                    if nxt in blocked or nxt in parent:
+                        continue
+                    parent[nxt] = cur
+                    if nxt == w:
+                        found = True
+                        break
+                    queue.append(nxt)
+            if not found:
+                continue
+            path = [w]
+            while path[-1] != u:
+                path.append(parent[path[-1]])
+            path.reverse()
+            return tuple([v] + path)
+    raise RuntimeError("no chordless cycle found in a non-chordal graph")
 
 
 def quadratic_check_tree_decomposition(g, td):
@@ -249,3 +285,40 @@ def decompositions(draw):
 def test_checker_matches_quadratic_reference(case):
     g, td = case
     assert check_tree_decomposition(g, td) == quadratic_check_tree_decomposition(g, td)
+
+
+def test_chordless_cycle_witness_is_valid_on_seeded_graphs():
+    # Wherever the quadratic scan finds a witness, the one-BFS extraction from
+    # the failing triple of the elimination test finds a valid one too.
+    rng = random.Random(2340)
+    witnesses = 0
+    for i in range(600):
+        n = rng.randint(4, 40)
+        if i % 2:
+            g = gnp_connected(n, rng.uniform(0.05, 0.6), rng)
+        else:
+            g = partial_k_tree(max(n, 6), rng.randint(2, 4), rng.uniform(0.05, 0.4), rng)
+        res = is_chordal(g)
+        if isinstance(res, NotChordal):
+            cycle_is_chordless(g, res.cycle)
+            cycle_is_chordless(g, quadratic_chordless_cycle(g))
+            witnesses += 1
+    assert witnesses >= 300
+
+
+def test_chordless_cycle_witness_is_linear():
+    # A 3-tree on 1000 vertices with a chordless 5-cycle hung on its last
+    # vertex; the quadratic scan took seconds here.
+    g = k_tree(1000, 3, random.Random(1))
+    n = g.n
+    hung = [(n - 1, n), (n, n + 1), (n + 1, n + 2), (n + 2, n + 3), (n + 3, n - 1)]
+    g = Graph(n + 4, list(g.edges()) + hung)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        res = is_chordal(g)
+        best = min(best, time.perf_counter() - start)
+    assert isinstance(res, NotChordal)
+    cycle_is_chordless(g, res.cycle)
+    assert len(res.cycle) == 5
+    assert best < 0.1

@@ -319,3 +319,45 @@ def test_width_never_below_exact(small_corpus_tw):
         out = triang_2way_23(g, twv + 1)
         assert isinstance(out, TriangSuccess)
         assert out.decomposition.width >= twv
+
+
+def test_every_flow_enters_through_min_vertex_separator(monkeypatch):
+    # External tracers count flows by wrapping min_vertex_separator at every
+    # module reference of the package, so every flow a driver runs must go
+    # through that function and show up in the report's counters.
+    import importlib
+    import pkgutil
+
+    import twdecomp
+    from twdecomp import flow
+    from twdecomp.corpus import partial_k_tree
+
+    for info in pkgutil.iter_modules(twdecomp.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"twdecomp.{info.name}")
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "twdecomp" or name.startswith("twdecomp."))]
+    original = flow.min_vertex_separator
+    augmentations = []
+
+    def wrapper(*args, **kwargs):
+        res = original(*args, **kwargs)
+        augmentations.append(res.augmentations)
+        return res
+
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+    assert not [attr for mod in modules for attr, value in vars(mod).items()
+                if value is original]
+
+    graphs = (grid_graph(6, 6), partial_k_tree(30, 3, 0.1, random.Random(77)))
+    runs = (("rs4", "search"), ("half45", "search"), ("bg367", "search"),
+            ("rs4", "adaptive"), ("half45", "adaptive"))
+    for g in graphs:
+        for algo, mode in runs:
+            augmentations.clear()
+            report = decompose(g, algo, **{mode: True}).report
+            assert len(augmentations) == report.separator_calls > 0, (algo, mode)
+            assert sum(augmentations) == report.flow_augmentations, (algo, mode)
