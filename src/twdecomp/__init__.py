@@ -5,8 +5,8 @@ built on flow-based minimum vertex separators, plus independent validators
 and brute-force oracles for small graphs.
 """
 
-from .flow import (Counters, CutResult, Exceeded, FlowWorkspace, TerminalSpec,
-                   ThreeWayCut, approx_3way_vertex_cut, min_vertex_separator)
+from .flow import (Counters, CutResult, Exceeded, FlowWorkspace, ThreeWayCut,
+                   approx_3way_vertex_cut, min_vertex_separator)
 from .graph import Graph, Part, connected_components, vset
 from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
                          try_split, two_thirds_vtx_sep, two_way_half_vtx_sep)
@@ -23,7 +23,7 @@ __all__ = [
     "ALGORITHMS", "AlgoReport", "Counters", "CutResult",
     "DecomposeResult", "DEFAULT_ALPHA", "Exceeded", "FlowWorkspace", "Graph",
     "NotChordal",
-    "Part", "TerminalSpec", "ThreeWayCut",
+    "Part", "ThreeWayCut",
     "ThreeWaySep", "TreeDecomposition", "TreewidthExceeded", "TriangSuccess",
     "Triangulation", "TwoWaySep", "Violation", "alpha_sum_sep",
     "approx_3way_vertex_cut",

@@ -26,33 +26,16 @@ _LISTED = bytes([0, 1, 1, 1]) + bytes(252)
 
 @dataclass
 class Counters:
-    """Per-run tallies threaded through the drivers for reporting.
+    """Per-run flow tallies.
 
-    Both count the flows that actually ran: an isolating cut that bg367
-    reuses within one separator search adds nothing.
+    Every ``FlowWorkspace`` adds each flow it runs to its counters; a driver
+    hands one ``Counters`` to all the workspaces of a run.  Both fields count
+    the flows that actually ran: an isolating cut that a workspace already
+    holds adds nothing.
     """
 
     separator_calls: int = 0
     augmentations: int = 0
-
-
-@dataclass(frozen=True)
-class TerminalSpec:
-    """Attachment sets of the two super-terminals."""
-
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "side_a", vset(self.side_a))
-        object.__setattr__(self, "side_b", vset(self.side_b))
-        if not self.side_a or not self.side_b:
-            raise ValueError("terminal attachment sets must be non-empty")
-        if set(self.side_a) & set(self.side_b):
-            raise ValueError("terminal attachment sets must be disjoint")
-
-    def __iter__(self):
-        return iter((self.side_a, self.side_b))
 
 
 @dataclass(frozen=True)
@@ -84,29 +67,37 @@ def _invariant(condition: bool, message: str) -> None:
 
 
 class FlowWorkspace:
-    """Scratch state shared by every flow between subsets of one target set.
+    """The context of one separator search: every flow between subsets of
+    one target set inside one part, the counters they add to, and the
+    isolating cuts already found.
 
     A separator search asks for a minimum cut between many pairs of disjoint
-    subsets of the same targets inside the same part.  The workspace checks
-    the targets against the part once, numbers them (target ``i`` of the
-    ascending targets is bit ``1 << i``) and records in ``near[v]`` the mask
-    of targets next to each vertex ``v``.  The warm start then packs one- and
-    two-edge paths by mask: a source's direct path is ``near[a] & free``,
-    where ``free`` holds the unsaturated sinks, and its two-hop paths scan
-    the row ``[(v, near[v]), ...]`` of its neighbours that touch a target,
-    built the first time the source needs it and kept for later flows.
+    subsets of the same targets inside the same part (default: all of
+    ``g``).  The workspace checks the targets against the part once, numbers
+    them (target ``i`` of the ascending targets is bit ``1 << i``) and
+    records in ``near[v]`` the mask of targets next to each vertex ``v``.
+    The warm start then packs one- and two-edge paths by mask: a source's
+    direct path is ``near[a] & free``, where ``free`` holds the unsaturated
+    sinks, and its two-hop paths scan the row ``[(v, near[v]), ...]`` of its
+    neighbours that touch a target, built the first time the source needs
+    it and kept for later flows.
 
     The flow arrays ``sat``, ``in_flow`` and ``prev`` and the ``role`` marks
     of the current sources and sinks are allocated once, sized to ``g``, and
     every flow hands them back clean: it resets exactly the vertices it
     touched and the states its breadth-first searches queued.  A workspace
     is therefore used by one flow at a time.
+
+    Every flow is added to ``counters`` (a private ``Counters`` when none is
+    given).  ``cuts`` maps (group mask, bound) to the isolating cut of that
+    group against the other targets, filled by ``approx_3way_vertex_cut``.
     """
 
-    __slots__ = ("g", "part", "targets", "bit_of", "near", "rows", "role",
-                 "sat", "in_flow", "prev")
+    __slots__ = ("g", "part", "targets", "counters", "cuts", "bit_of", "near",
+                 "rows", "role", "sat", "in_flow", "prev")
 
-    def __init__(self, g: Graph, part: Part | None, targets: Iterable[int]):
+    def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
+                 counters: Counters | None = None):
         if part is None:
             part = Part(g)
         n = g.n
@@ -115,6 +106,8 @@ class FlowWorkspace:
         self.g = g
         self.part = part
         self.targets = w = vset(targets)
+        self.counters = Counters() if counters is None else counters
+        self.cuts = {}
         self.bit_of = bit_of = {}
         self.near = near = [0] * n
         bit = 1
@@ -131,68 +124,58 @@ class FlowWorkspace:
         self.in_flow = [_NO_FLOW] * n
         self.prev = [_UNSEEN] * (2 * n)
 
+    def mask(self, vertices: Iterable[int]) -> int:
+        """The bits of ``vertices``; ValueError names one that is not a target."""
+        bit_of = self.bit_of
+        mask = 0
+        try:
+            for v in vertices:
+                mask |= bit_of[v]
+        except KeyError as err:
+            raise ValueError(f"terminal vertex {err.args[0]} is not a target") from None
+        return mask
 
-def min_vertex_separator(g: Graph, terminals, bound: int,
-                         counters: Counters | None = None,
-                         part: Part | None = None, *,
-                         workspace: FlowWorkspace | None = None) -> CutResult | Exceeded:
+
+def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult | Exceeded:
     """Minimum vertex cut between the two super-terminals, or Exceeded.
 
-    The cut is taken inside ``part`` (default: all of ``g``).  Returns a
+    ``terminals`` is a pair of sides, each a non-empty sequence of distinct
+    targets of ``ws``, and the cut is taken inside ``ws.part``.  Returns a
     minimum-cardinality separator of size <= bound if one exists, with side1
     the residual-reachable members and side2 the remainder.  Exceeded is
     reported after bound+1 successful unit augmentations, which certifies
-    that every separator is larger than the bound.
-
-    ``terminals`` is a ``TerminalSpec`` or a pair of vertex sequences.
-    ``workspace`` serves flows whose sides are subsets of its targets inside
-    its part; each side must then list distinct targets, in ascending order
-    for the warm start to pack the smallest ids first.  Without one, a
-    workspace over the terminals alone is built for this call.
+    that every separator is larger than the bound.  The result does not
+    depend on the order of a side; ascending sides make the warm start pack
+    the smallest ids first.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    if workspace is None:
-        if not isinstance(terminals, TerminalSpec):
-            terminals = TerminalSpec(*terminals)
-        side_a, side_b = terminals
-        workspace = FlowWorkspace(g, part, side_a + side_b)
-    else:
-        side_a, side_b = terminals
-        if workspace.g is not g or (part is not None and part is not workspace.part):
-            raise ValueError("the workspace belongs to another graph or part")
+    side_a, side_b = terminals
     if not side_a or not side_b:
         raise ValueError("terminal attachment sets must be non-empty")
-    bit_of = workspace.bit_of
-    sources = free = 0
-    try:
-        for v in side_a:
-            sources |= bit_of[v]
-        for v in side_b:
-            free |= bit_of[v]
-    except KeyError as err:
-        raise ValueError(f"terminal vertex {err.args[0]} is not a target") from None
+    sources = ws.mask(side_a)
+    free = ws.mask(side_b)
     if sources & free:
         raise ValueError("terminal attachment sets must be disjoint")
     if sources.bit_count() != len(side_a) or free.bit_count() != len(side_b):
         raise ValueError("terminal attachment sets must not repeat a vertex")
 
-    part = workspace.part
+    part = ws.part
     adj = part.adj
-    targets = workspace.targets
-    near = workspace.near
-    rows = workspace.rows
-    role = workspace.role
-    sat = workspace.sat
-    in_flow = workspace.in_flow
-    prev = workspace.prev
+    targets = ws.targets
+    near = ws.near
+    rows = ws.rows
+    role = ws.role
+    sat = ws.sat
+    in_flow = ws.in_flow
+    prev = ws.prev
+    counters = ws.counters
     # Vertices other than the terminals whose ``sat`` or ``in_flow`` entry
     # this flow may set, and the states whose ``prev`` entry is set.
     touched: list[int] = []
     queue: list[int] = []
     flow = 0
-    if counters is not None:
-        counters.separator_calls += 1
+    counters.separator_calls += 1
 
     try:
         for v in side_a:
@@ -301,8 +284,7 @@ def min_vertex_separator(g: Graph, terminals, bound: int,
             queue = []
             flow += 1
 
-        if counters is not None:
-            counters.augmentations += flow
+        counters.augmentations += flow
         if flow > bound + 1:
             raise RuntimeError("augmentation count exceeded bound + 1")
         if flow > bound:
@@ -330,7 +312,7 @@ def min_vertex_separator(g: Graph, terminals, bound: int,
                 sat[v] = 0
                 in_flow[v] = _NO_FLOW
     result = CutResult(tuple(separator), tuple(side1), tuple(side2), flow)
-    _verify_cut(g, side_a, side_b, result, flow, part)
+    _verify_cut(ws.g, side_a, side_b, result, flow, part)
     return result
 
 
@@ -359,43 +341,40 @@ def _verify_cut(g: Graph, side_a, side_b, cut: CutResult, flow: int,
                "uncut sink attachment outside side2")
 
 
-def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
-                           counters: Counters | None = None,
-                           part: Part | None = None, *,
-                           cuts: dict | None = None,
-                           workspace: FlowWorkspace | None = None) -> ThreeWayCut | Exceeded:
+def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3,
+                           bound: int) -> ThreeWayCut | Exceeded:
     """Three-way separator by isolating cuts: union of the two cheapest.
 
-    The cut is taken inside ``part`` (default: all of ``g``).  For each group
-    the minimum cut isolating it from the union of the other two is computed;
-    the union of the two cheapest such cuts separates all three groups
-    pairwise.  For single-vertex groups the result is within
-    ceil(4/3 * opt) of the optimum.
+    The three groups partition ``ws.targets`` and the cut is taken inside
+    ``ws.part``.  For each group the minimum cut isolating it from the union
+    of the other two is computed; the union of the two cheapest such cuts
+    separates all three groups pairwise.  For single-vertex groups the result
+    is within ceil(4/3 * opt) of the optimum.
 
-    ``cuts`` holds isolating cuts already found for groups whose three-way
-    union is the same target set, filled in place.  It is keyed by the group
-    alone, so one dict serves one target set, bound and part.  ``workspace``
-    runs the isolating flows; its targets must include every group.
+    Since every split partitions the same targets, a group's isolating cut
+    depends on the group and the bound alone: it is kept in ``ws.cuts`` and
+    computed once per workspace.
     """
-    groups = (vset(t1), vset(t2), vset(t3))
-    if len(set(groups[0]).union(groups[1], groups[2])) != sum(map(len, groups)):
-        raise ValueError("terminal groups must be pairwise disjoint")
+    groups = (t1, t2, t3)
+    masks = [ws.mask(grp) for grp in groups]
+    full = (1 << len(ws.targets)) - 1
+    # As many entries as targets, and every target covered: no overlap and no
+    # repeat either.
+    if sum(map(len, groups)) != len(ws.targets) or masks[0] | masks[1] | masks[2] != full:
+        raise ValueError("terminal groups must partition the targets")
 
     total_augs = 0
     isolating: list[tuple[int, int, tuple[int, ...]]] = []
     exceeded = 0
     for i, grp in enumerate(groups):
-        res = cuts.get(grp) if cuts is not None else None
+        mask = masks[i]
+        if mask == 0 or mask == full:
+            isolating.append((0, i, ()))
+            continue
+        res = ws.cuts.get((mask, bound))
         if res is None:
-            # The groups are disjoint, so the other two need no deduplication.
-            others = tuple(sorted(groups[i - 1] + groups[i - 2]))
-            if not grp or not others:
-                isolating.append((0, i, ()))
-                continue
-            res = min_vertex_separator(g, (others, grp), bound, counters, part,
-                                       workspace=workspace)
-            if cuts is not None:
-                cuts[grp] = res
+            others = tuple(t for t in ws.targets if not ws.bit_of[t] & mask)
+            res = ws.cuts[mask, bound] = min_vertex_separator(ws, (others, grp), bound)
         total_augs += res.augmentations
         if isinstance(res, Exceeded):
             exceeded += 1
@@ -412,7 +391,7 @@ def approx_3way_vertex_cut(g: Graph, t1, t2, t3, bound: int,
         return Exceeded(bound, total_augs)
 
     separator = vset(union)
-    sides = _split_three_ways(g, separator, groups, part)
+    sides = _split_three_ways(ws.g, separator, groups, ws.part)
     return ThreeWayCut(separator, sides, total_augs)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .graph import Graph
 from .triangulate import AlgoReport, TreeDecomposition
@@ -154,9 +155,14 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
     if header is None:
         raise ParseError(0, "missing solution line")
     n_bags, max_bag, n_vertices = header
-    missing = [i for i in range(1, n_bags + 1) if i not in bags]
-    if missing:
-        raise ParseError(0, f"missing bag lines: {missing}")
+    # Every bag id read lies in 1..n_bags and none repeats, so a short count
+    # means bags are missing; the declared count may dwarf the file, so only
+    # the first few missing ids are named.
+    if len(bags) != n_bags:
+        absent = n_bags - len(bags)
+        first = list(islice((i for i in count(1) if i not in bags), min(absent, 5)))
+        more = f" and {absent - len(first)} more" if absent > len(first) else ""
+        raise ParseError(0, f"missing bag lines: {first}{more}")
     ordered = tuple(bags[i] for i in range(1, n_bags + 1))
     td = TreeDecomposition.from_bags(ordered, edges)
     return ParsedDecomposition(td, n_vertices, max_bag)

@@ -4,10 +4,10 @@ Each procedure walks the candidate splits of a target vertex set in a fixed
 combinatorial order and asks the flow engine for a minimum cut between the
 groups.  Edges inside a group never matter: a super-terminal attaches to every
 vertex of its group.  Returning None is a sound certificate that no qualifying
-separator exists.  Each search runs inside its trailing ``part`` argument (a
-``graph.Part``, the recursion node being split), or on the whole graph when it
-is None.  Every flow of one search runs through one ``flow.FlowWorkspace``
-over its target set.
+separator exists.  A search takes one ``flow.FlowWorkspace``, built by its
+caller over the target set inside the part being split (a recursion node), and
+runs every flow through it; the workspace counts the flows and keeps the
+isolating cuts.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
-from .flow import (Counters, Exceeded, FlowWorkspace, approx_3way_vertex_cut,
-                   min_vertex_separator)
-from .graph import Graph, Part
+from .flow import Exceeded, FlowWorkspace, approx_3way_vertex_cut, min_vertex_separator
 
 DEFAULT_ALPHA = Fraction(4, 3)
 
@@ -55,20 +52,16 @@ def _require(condition: bool, message: str) -> None:
         raise RuntimeError(f"separator invariant violated: {message}")
 
 
-def try_split(g: Graph, group_a: Iterable[int], group_b: Iterable[int],
-              bound: int, counters: Counters | None = None,
-              part: Part | None = None, *,
-              workspace: FlowWorkspace | None = None) -> TwoWaySep | None:
+def try_split(ws: FlowWorkspace, group_a: tuple[int, ...], group_b: tuple[int, ...],
+              bound: int) -> TwoWaySep | None:
     """One candidate split: minimum cut between the two groups' super-terminals,
-    inside ``part`` (default: all of ``g``).
+    where the groups are disjoint tuples of the workspace's targets.
 
     Each super-terminal attaches to every vertex of its group, so edges inside
     a group cannot change the cut.  Returns None when the minimum cut exceeds
-    the bound or leaves one side empty; both are normal outcomes.  With a
-    ``workspace`` the groups are ascending tuples of its targets.
+    the bound or leaves one side empty; both are normal outcomes.
     """
-    res = min_vertex_separator(g, (group_a, group_b), bound, counters, part,
-                               workspace=workspace)
+    res = min_vertex_separator(ws, (group_a, group_b), bound)
     if isinstance(res, Exceeded):
         return None
     if not res.side1 or not res.side2:
@@ -100,8 +93,7 @@ def half_candidates(w: tuple[int, ...]):
         yield first, tuple(v for v in w if v not in chosen)
 
 
-def _first_split(g: Graph, ws: FlowWorkspace, candidates, bound: int, share: int,
-                 counters: Counters | None, part: Part | None) -> TwoWaySep | None:
+def _first_split(ws: FlowWorkspace, candidates, bound: int, share: int) -> TwoWaySep | None:
     """First split of ``candidates(ws.targets)`` with a cut of at most ``bound``.
 
     Neither side may hold more than ``share`` of the targets.
@@ -109,7 +101,7 @@ def _first_split(g: Graph, ws: FlowWorkspace, candidates, bound: int, share: int
     w = ws.targets
     wset = set(w)
     for first, second in candidates(w):
-        sep = try_split(g, first, second, bound, counters, part, workspace=ws)
+        sep = try_split(ws, first, second, bound)
         if sep is None:
             continue
         _require(len(sep.x) <= bound, "separator above bound")
@@ -120,31 +112,24 @@ def _first_split(g: Graph, ws: FlowWorkspace, candidates, bound: int, share: int
     return None
 
 
-def two_thirds_vtx_sep(g: Graph, targets: Iterable[int], k: int,
-                       counters: Counters | None = None,
-                       part: Part | None = None) -> TwoWaySep | None:
-    """Two-thirds-balanced separator of the target set, of size at most k.
+def two_thirds_vtx_sep(ws: FlowWorkspace, k: int) -> TwoWaySep | None:
+    """Two-thirds-balanced separator of ``ws.targets``, of size at most k.
 
     Enumerates every choice of ceil(|T|/2) targets against ceil(|T|/3) of
     the rest, in ascending combinadic order, returning the first success.
     None certifies that no such separator exists.
     """
-    ws = FlowWorkspace(g, part, targets)
-    return _first_split(g, ws, two_thirds_candidates, k, 2 * len(ws.targets) // 3,
-                        counters, part)
+    return _first_split(ws, two_thirds_candidates, k, 2 * len(ws.targets) // 3)
 
 
-def two_way_half_vtx_sep(g: Graph, targets: Iterable[int], k: int,
-                         counters: Counters | None = None,
-                         part: Part | None = None) -> TwoWaySep | None:
-    """Half-balanced two-way separator of size at most floor(1.5 k).
+def two_way_half_vtx_sep(ws: FlowWorkspace, k: int) -> TwoWaySep | None:
+    """Half-balanced two-way separator of ``ws.targets`` of size at most
+    floor(1.5 k).
 
     Only the ceil(|T|/2)-subsets are enumerated; the complement is the other
     part, so far fewer candidates are tried than in the two-thirds search.
     """
-    ws = FlowWorkspace(g, part, targets)
-    return _first_split(g, ws, half_candidates, (3 * k) // 2,
-                        _ceil_div(len(ws.targets), 2), counters, part)
+    return _first_split(ws, half_candidates, (3 * k) // 2, _ceil_div(len(ws.targets), 2))
 
 
 def _three_partitions(w: tuple[int, ...], k: int):
@@ -175,11 +160,10 @@ def _three_partitions(w: tuple[int, ...], k: int):
                     yield ("triple", first, second, third)
 
 
-def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
-                  alpha: Fraction = DEFAULT_ALPHA,
-                  counters: Counters | None = None,
-                  part: Part | None = None) -> ThreeWaySep | None:
-    """Three-way separator whose sides each satisfy |(S_i & T) + X| <= (1+a)k.
+def alpha_sum_sep(ws: FlowWorkspace, k: int,
+                  alpha: Fraction = DEFAULT_ALPHA) -> ThreeWaySep | None:
+    """Three-way separator whose sides each satisfy |(S_i & T) + X| <= (1+a)k,
+    where T is ``ws.targets``.
 
     Partitions of the target set are tried largest-part-first.  A first part
     larger than k collapses the other two and reuses the two-way machinery
@@ -192,14 +176,10 @@ def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    ws = FlowWorkspace(g, part, targets)
     w = ws.targets
     wset = set(w)
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
-    # Every triple partitions w, so a group's isolating cut depends on the
-    # group alone and is computed once per call.
-    cuts: dict = {}
 
     def qualifies(sep: ThreeWaySep) -> bool:
         nonempty = sum(1 for side in sep.sides() if side)
@@ -215,13 +195,12 @@ def alpha_sum_sep(g: Graph, targets: Iterable[int], k: int,
         if kind == "fallback":
             chosen = set(first)
             merged = tuple(v for v in w if v not in chosen)
-            two = try_split(g, first, merged, k, counters, part, workspace=ws)
+            two = try_split(ws, first, merged, k)
             if two is None:
                 continue
             cand = ThreeWaySep(two.x, two.s1, two.s2, ())
         else:
-            cut = approx_3way_vertex_cut(g, first, second, third, cut_bound, counters,
-                                         part, cuts=cuts, workspace=ws)
+            cut = approx_3way_vertex_cut(ws, first, second, third, cut_bound)
             if isinstance(cut, Exceeded):
                 continue
             cand = ThreeWaySep(cut.separator, *cut.sides)

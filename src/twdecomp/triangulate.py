@@ -149,16 +149,17 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
     return _finish(g, k, fills, TreeDecomposition.from_bags(bags, edges), clique_cap)
 
 
-def _fixed_k_split(find, k: int, pad_size: int):
+def _fixed_k_split(find, k: int, pad_size: int, counters: Counters | None):
     """Split closure of the fixed-k drivers: edge budget, then the search.
 
-    ``find(g, targets, part)`` returns a separator or None.
+    Each split node gets one flow workspace over its padded targets, adding
+    to ``counters``; ``find(ws)`` returns a separator or None.
     """
     def split(g: Graph, part: Part, boundary: tuple[int, ...]):
         # A graph of treewidth at most k-1 has at most n*k edges.
         if part.m > len(part.members) * k:
             return None
-        sep = find(g, _pad_targets(part, boundary, pad_size), part)
+        sep = find(FlowWorkspace(g, part, _pad_targets(part, boundary, pad_size), counters))
         if sep is None:
             return None
         return sep.x, sep.sides()
@@ -211,8 +212,8 @@ def _triang_2way(g: Graph, k: int, search, clique_cap: int,
                  counters: Counters | None) -> TriangOutcome:
     if k < 1:
         raise ValueError("k must be at least 1")
-    find = lambda g, targets, part: search(g, targets, k, counters, part)
-    return _triangulate(g, k, _fixed_k_split(find, k, 3 * k + 2), 4 * k, clique_cap)
+    split = _fixed_k_split(lambda ws: search(ws, k), k, 3 * k + 2, counters)
+    return _triangulate(g, k, split, 4 * k, clique_cap)
 
 
 def triang_2way_23(g: Graph, k: int, *, counters: Counters | None = None) -> TriangOutcome:
@@ -239,13 +240,13 @@ def triang_3way(g: Graph, k: int, *, alpha: Fraction = DEFAULT_ALPHA,
         raise ValueError("alpha must be at least 1")
     bound = math.floor(alpha * k)
 
-    def find(g: Graph, targets: tuple[int, ...], part: Part) -> ThreeWaySep | None:
-        sep = alpha_sum_sep(g, targets, k, alpha, counters, part)
+    def find(ws: FlowWorkspace) -> ThreeWaySep | None:
+        sep = alpha_sum_sep(ws, k, alpha)
         if sep is not None:
-            _check_three_way_contract(part, sep, bound)
+            _check_three_way_contract(ws.part, sep, bound)
         return sep
 
-    split = _fixed_k_split(find, k, math.floor((1 + alpha) * k) + 1)
+    split = _fixed_k_split(find, k, math.floor((1 + alpha) * k) + 1, counters)
     return _triangulate(g, k, split, math.floor((2 * alpha + 1) * k),
                         math.ceil((2 * alpha + 1) * k))
 
@@ -322,9 +323,9 @@ def _adaptive_split(flavor: str, counters: Counters):
         while True:
             # The target set grows between rounds, so each round has its own
             # flow workspace.
-            ws = FlowWorkspace(g, part, targets)
+            ws = FlowWorkspace(g, part, targets, counters)
             for first, second in candidates(ws.targets):
-                sep = try_split(g, first, second, n, counters, part, workspace=ws)
+                sep = try_split(ws, first, second, n)
                 if sep is not None and (best is None or len(sep.x) < len(best.x)):
                     best = sep
             if best is not None:

@@ -314,11 +314,12 @@ def _groups_disconnected(g: Graph, cut: set[int], groups) -> bool:
 def brute_force_min_separator(g: Graph, terminals) -> int | float:
     """Minimum separator size between the two attachment sets, by subsets.
 
-    Exhaustive over every vertex subset, smallest first; guarded to n <= 10.
+    ``terminals`` is the pair of sets.  Exhaustive over every vertex subset,
+    smallest first; guarded to n <= 10.
     """
     if g.n > 10:
         raise ValueError("brute-force separator oracle is limited to 10 vertices")
-    groups = (set(terminals.side_a), set(terminals.side_b))
+    groups = [set(side) for side in terminals]
     for size in range(g.n + 1):
         for cut in combinations(range(g.n), size):
             if _groups_disconnected(g, set(cut), groups):

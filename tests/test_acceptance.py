@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from twdecomp import (Counters, TerminalSpec, TreewidthExceeded, TriangSuccess,
+from twdecomp import (Counters, FlowWorkspace, TreewidthExceeded, TriangSuccess,
                       approx_3way_vertex_cut, brute_force_min_multiway,
                       brute_force_min_separator, check_tree_decomposition,
                       decompose, is_chordal, min_degree_triang, min_vertex_separator,
@@ -52,8 +52,8 @@ def test_criterion_1_separator_oracle_equivalence():
             n = rng.randint(4, 10)
             g = gnp_connected(n, rng.uniform(0.2, 0.6), rng)
             side_a, side_b = random_terminals(n, rng)
-            terminals = TerminalSpec(side_a, side_b)
-            res = min_vertex_separator(g, terminals, n)
+            terminals = (side_a, side_b)
+            res = min_vertex_separator(FlowWorkspace(g, None, side_a + side_b), terminals, n)
             assert len(res.separator) == brute_force_min_separator(g, terminals)
 
 
@@ -106,7 +106,8 @@ def test_criterion_6_isolating_cut_factor():
             n = rng.randint(5, 10)
             g = gnp_connected(n, rng.uniform(0.2, 0.6), rng)
             groups = [(v,) for v in rng.sample(range(n), 3)]
-            res = approx_3way_vertex_cut(g, *groups, bound=n)
+            ws = FlowWorkspace(g, None, [v for grp in groups for v in grp])
+            res = approx_3way_vertex_cut(ws, *groups, bound=n)
             opt = brute_force_min_multiway(g, groups)
             assert len(res.separator) <= math.ceil(4 * opt / 3)
 
@@ -119,7 +120,8 @@ def test_criterion_7_flow_early_exit():
             g = gnp_connected(n, rng.uniform(0.2, 0.7), rng)
             side_a, side_b = random_terminals(n, rng)
             bound = rng.randint(0, 4)
-            res = min_vertex_separator(g, TerminalSpec(side_a, side_b), bound)
+            ws = FlowWorkspace(g, None, side_a + side_b)
+            res = min_vertex_separator(ws, (side_a, side_b), bound)
             assert res.augmentations <= bound + 1
         # driver runs above the base case check the per-run tallies end to end
         # triang_3way's bound is max(floor(alpha*k), k) = 4 at alpha = 4/3, and

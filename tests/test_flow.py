@@ -8,12 +8,22 @@ import pytest
 from networkx.algorithms.flow import edmonds_karp
 
 from twdecomp import (Counters, CutResult, Exceeded, FlowWorkspace, Graph, Part,
-                      TerminalSpec, ThreeWayCut, approx_3way_vertex_cut,
-                      brute_force_min_multiway, brute_force_min_separator,
-                      max_disjoint_paths, min_vertex_separator, vset)
+                      ThreeWayCut, approx_3way_vertex_cut, brute_force_min_multiway,
+                      brute_force_min_separator, max_disjoint_paths,
+                      min_vertex_separator, vset)
 from twdecomp.corpus import complete_graph, cycle_graph, gnp_connected, grid_graph, star_graph
 from twdecomp.flow import _verify_cut
 from twdecomp.separators import half_candidates, two_thirds_candidates
+
+
+def fresh(g, *groups, part=None, counters=None):
+    """A new workspace whose targets are the union of ``groups``."""
+    return FlowWorkspace(g, part, [v for grp in groups for v in grp], counters)
+
+
+def one_shot(g, terminals, bound, part=None):
+    """One flow through a workspace of its own."""
+    return min_vertex_separator(fresh(g, *terminals, part=part), terminals, bound)
 
 
 def cut_is_consistent(g, terminals, res):
@@ -22,26 +32,27 @@ def cut_is_consistent(g, terminals, res):
     assert not (sep & s1) and not (sep & s2) and not (s1 & s2)
     for u, v in g.edges():
         assert not ((u in s1 and v in s2) or (u in s2 and v in s1))
-    assert set(terminals.side_a) - sep <= s1
-    assert set(terminals.side_b) - sep <= s2
+    side_a, side_b = terminals
+    assert set(side_a) - sep <= s1
+    assert set(side_b) - sep <= s2
 
 
-def test_terminal_spec_rejects_overlap():
-    with pytest.raises(ValueError):
-        TerminalSpec((0, 1), (1, 2))
+def test_flow_rejects_overlapping_sides():
+    with pytest.raises(ValueError, match="disjoint"):
+        one_shot(Graph(3, [(0, 1), (1, 2)]), ((0, 1), (1, 2)), 3)
 
 
-def test_terminal_spec_rejects_empty_side():
-    with pytest.raises(ValueError):
-        TerminalSpec((), (1,))
+def test_flow_rejects_an_empty_side():
+    with pytest.raises(ValueError, match="non-empty"):
+        one_shot(Graph(3, [(0, 1), (1, 2)]), ((), (1,)), 3)
 
 
 def test_path_bottleneck():
     # a - x - c: the minimum is a single vertex; unit capacities make the
     # source attachment itself the frontier cut.
     g = Graph(3, [(0, 1), (1, 2)])
-    terminals = TerminalSpec((0,), (2,))
-    res = min_vertex_separator(g, terminals, 2)
+    terminals = ((0,), (2,))
+    res = one_shot(g, terminals, 2)
     assert isinstance(res, CutResult)
     assert len(res.separator) == 1 == brute_force_min_separator(g, terminals)
     cut_is_consistent(g, terminals, res)
@@ -49,8 +60,8 @@ def test_path_bottleneck():
 
 def test_square_cycle_cut():
     g = cycle_graph(4)
-    terminals = TerminalSpec((0,), (2,))
-    res = min_vertex_separator(g, terminals, 4)
+    terminals = ((0,), (2,))
+    res = one_shot(g, terminals, 4)
     assert len(res.separator) == brute_force_min_separator(g, terminals) == 1
     cut_is_consistent(g, terminals, res)
 
@@ -58,8 +69,8 @@ def test_square_cycle_cut():
 def test_complete_minus_one_edge():
     edges = [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)]
     g = Graph(5, edges)
-    terminals = TerminalSpec((0,), (1,))
-    res = min_vertex_separator(g, terminals, 4)
+    terminals = ((0,), (1,))
+    res = one_shot(g, terminals, 4)
     assert len(res.separator) == brute_force_min_separator(g, terminals) == 1
     cut_is_consistent(g, terminals, res)
 
@@ -68,16 +79,16 @@ def test_wide_attachments_need_internal_cut():
     # With both endpoints of every short path attached, the cut must use the
     # two middle vertices: a full Menger-style instance.
     g = cycle_graph(4)
-    terminals = TerminalSpec((0, 2), (1, 3))
-    res = min_vertex_separator(g, terminals, 4)
+    terminals = ((0, 2), (1, 3))
+    res = one_shot(g, terminals, 4)
     assert isinstance(res, CutResult)
     assert len(res.separator) == brute_force_min_separator(g, terminals) == 2
 
 
 def test_exceeded_after_bound_plus_one_augmentations():
     g = complete_graph(6)
-    terminals = TerminalSpec((0, 1, 2), (3, 4, 5))
-    res = min_vertex_separator(g, terminals, 1)
+    terminals = ((0, 1, 2), (3, 4, 5))
+    res = one_shot(g, terminals, 1)
     assert isinstance(res, Exceeded)
     assert res.augmentations == 2
 
@@ -88,8 +99,8 @@ def test_packed_path_blocking_a_second_source_is_rerouted():
     # sends a2 through m and cancels a1 -> m by a residual back-step.
     a1, a2, m, b1, x, y, b2 = range(7)
     g = Graph(7, [(a1, m), (m, b1), (a2, m), (a1, x), (x, y), (y, b2)])
-    terminals = TerminalSpec((a1, a2), (b1, b2))
-    res = min_vertex_separator(g, terminals, 3)
+    terminals = ((a1, a2), (b1, b2))
+    res = one_shot(g, terminals, 3)
     assert isinstance(res, CutResult)
     assert len(res.separator) == 2 == brute_force_min_separator(g, terminals)
     assert res.augmentations == 2
@@ -100,12 +111,12 @@ def test_adjacent_terminals_are_packed_up_to_the_bound():
     # Three source-sink edges plus a chord: one-edge paths alone certify
     # more than `bound` disjoint paths.
     g = Graph(6, [(0, 3), (1, 4), (2, 5), (0, 4)])
-    terminals = TerminalSpec((0, 1, 2), (3, 4, 5))
+    terminals = ((0, 1, 2), (3, 4, 5))
     for bound in (0, 1, 2):
-        res = min_vertex_separator(g, terminals, bound)
+        res = one_shot(g, terminals, bound)
         assert isinstance(res, Exceeded)
         assert res.augmentations == bound + 1
-    res = min_vertex_separator(g, terminals, 3)
+    res = one_shot(g, terminals, 3)
     assert isinstance(res, CutResult)
     assert len(res.separator) == 3 == brute_force_min_separator(g, terminals)
     assert res.augmentations == 3
@@ -124,9 +135,10 @@ def split_vertex_max_flow(vertices, edges, terminals):
     for u, v in edges:
         net.add_edge(("out", u), ("in", v))
         net.add_edge(("out", v), ("in", u))
-    for a in terminals.side_a:
+    side_a, side_b = terminals
+    for a in side_a:
         net.add_edge("s", ("in", a))
-    for b in terminals.side_b:
+    for b in side_b:
         net.add_edge(("out", b), "t")
     residual = edmonds_karp(net, "s", "t")
     reached = {"s"}
@@ -162,10 +174,10 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
         rng.shuffle(verts)
         a = rng.randint(1, n // 4)
         b = rng.randint(1, n // 4)
-        terminals = TerminalSpec(tuple(verts[:a]), tuple(verts[a:a + b]))
+        terminals = (tuple(verts[:a]), tuple(verts[a:a + b]))
         bound = rng.randint(0, 6)
         value, cut = split_vertex_max_flow(range(g.n), g.edges(), terminals)
-        res = min_vertex_separator(g, terminals, bound)
+        res = one_shot(g, terminals, bound)
         assert isinstance(res, Exceeded) == (value > bound)
         assert res.augmentations == min(value, bound + 1)
         if isinstance(res, CutResult):
@@ -178,7 +190,7 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
                                         if part_rng.random() < 0.7])
         sub = nx.Graph(g.edges()).subgraph(members)
         value, cut = split_vertex_max_flow(members, sub.edges(), terminals)
-        res = min_vertex_separator(g, terminals, bound, part=Part(g, members))
+        res = one_shot(g, terminals, bound, Part(g, members))
         assert isinstance(res, Exceeded) == (value > bound)
         assert res.augmentations == min(value, bound + 1)
         if isinstance(res, CutResult):
@@ -194,7 +206,7 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
 ], ids=["crossing-edge", "size-differs", "not-a-partition"])
 def test_verify_cut_rejects_tampered_cuts(cut, flow, message):
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    terminals = TerminalSpec((0,), (4,))
+    terminals = ((0,), (4,))
     _verify_cut(g, *terminals, CutResult((2,), (0, 1), (3, 4), 1), 1, Part(g))
     with pytest.raises(RuntimeError, match=re.escape(message)):
         _verify_cut(g, *terminals, cut, flow, Part(g))
@@ -209,8 +221,8 @@ def test_matches_brute_force_on_random_graphs():
         rng.shuffle(verts)
         a = rng.randint(1, max(1, n // 3))
         b = rng.randint(1, max(1, n // 3))
-        terminals = TerminalSpec(tuple(verts[:a]), tuple(verts[a:a + b]))
-        res = min_vertex_separator(g, terminals, n)
+        terminals = (tuple(verts[:a]), tuple(verts[a:a + b]))
+        res = one_shot(g, terminals, n)
         assert isinstance(res, CutResult)
         assert len(res.separator) == brute_force_min_separator(g, terminals)
         assert res.augmentations <= n + 1
@@ -224,24 +236,24 @@ def test_menger_duality_on_small_graphs():
         g = gnp_connected(n, rng.uniform(0.25, 0.5), rng)
         verts = list(range(n))
         rng.shuffle(verts)
-        terminals = TerminalSpec(tuple(verts[:2]), tuple(verts[2:4]))
-        res = min_vertex_separator(g, terminals, n)
-        packing = max_disjoint_paths(g, terminals.side_a, terminals.side_b)
+        terminals = (tuple(verts[:2]), tuple(verts[2:4]))
+        res = one_shot(g, terminals, n)
+        packing = max_disjoint_paths(g, *terminals)
         assert len(res.separator) == packing
 
 
 def test_determinism():
     rng = random.Random(3)
     g = gnp_connected(9, 0.4, rng)
-    terminals = TerminalSpec((0, 1), (7, 8))
-    first = min_vertex_separator(g, terminals, 9)
-    second = min_vertex_separator(g, terminals, 9)
+    terminals = ((0, 1), (7, 8))
+    first = one_shot(g, terminals, 9)
+    second = one_shot(g, terminals, 9)
     assert first == second
 
 
 def test_three_way_star_all_isolating_cuts_are_center():
     g = star_graph(3)
-    res = approx_3way_vertex_cut(g, (1,), (2,), (3,), 3)
+    res = approx_3way_vertex_cut(fresh(g, (1, 2, 3)), (1,), (2,), (3,), 3)
     assert res.separator == (0,)
     assert res.sides == ((1,), (2,), (3,))
 
@@ -253,7 +265,7 @@ def test_three_way_spider_matches_brute_force():
     groups = ((0,), (3,), (5,))
     opt = brute_force_min_multiway(g, groups)
     assert opt == 1
-    res = approx_3way_vertex_cut(g, *groups, bound=3)
+    res = approx_3way_vertex_cut(fresh(g, *groups), *groups, bound=3)
     assert len(res.separator) == 1
 
 
@@ -265,7 +277,7 @@ def test_three_way_respects_four_thirds_factor():
         verts = list(range(n))
         rng.shuffle(verts)
         groups = (tuple(verts[0:1]), tuple(verts[1:2]), tuple(verts[2:3]))
-        res = approx_3way_vertex_cut(g, *groups, bound=n)
+        res = approx_3way_vertex_cut(fresh(g, *groups), *groups, bound=n)
         opt = brute_force_min_multiway(g, groups)
         got = len(res.separator)
         assert got <= math.ceil(4 * opt / 3)
@@ -276,42 +288,76 @@ def test_three_way_respects_four_thirds_factor():
 
 def test_three_way_exceeded_when_bound_too_small():
     g = complete_graph(7)
-    res = approx_3way_vertex_cut(g, (0,), (1,), (2,), 1)
+    res = approx_3way_vertex_cut(fresh(g, (0, 1, 2)), (0,), (1,), (2,), 1)
     assert isinstance(res, Exceeded)
 
 
 def test_three_way_reuses_cached_isolating_cuts():
     g = grid_graph(4, 4)
     groups = ((0, 1), (14, 15), (3, 7))
-    # Without a dict every call runs its three flows.
+    # A workspace of its own for each call runs three flows every time.
     plain = Counters()
-    want = approx_3way_vertex_cut(g, *groups, 6, plain)
+    want = approx_3way_vertex_cut(fresh(g, *groups, counters=plain), *groups, 6)
     assert isinstance(want, ThreeWayCut)
-    assert approx_3way_vertex_cut(g, *groups, 6, plain, cuts=None) == want
+    assert approx_3way_vertex_cut(fresh(g, *groups, counters=plain), *groups, 6) == want
     assert plain.separator_calls == 6
-    cuts, counters = {}, Counters()
-    assert approx_3way_vertex_cut(g, *groups, 6, counters, cuts=cuts) == want
-    assert counters.separator_calls == 3 and sorted(cuts) == sorted(groups)
+    ws = fresh(g, *groups, counters=Counters())
+    counters = ws.counters
+    assert approx_3way_vertex_cut(ws, *groups, 6) == want
+    assert counters.separator_calls == 3
+    assert sorted(ws.cuts) == sorted((ws.mask(grp), 6) for grp in groups)
     # The same groups again run no flow and give an equal cut.
-    assert approx_3way_vertex_cut(g, *groups, 6, counters, cuts=cuts) == want
+    assert approx_3way_vertex_cut(ws, *groups, 6) == want
     assert counters.separator_calls == 3
     assert 2 * counters.augmentations == plain.augmentations
     # Another split of the same targets shares one group: two flows run.
     regrouped = ((0, 1), (14,), (3, 7, 15))
-    assert (approx_3way_vertex_cut(g, *regrouped, 6, counters, cuts=cuts)
-            == approx_3way_vertex_cut(g, *regrouped, 6))
+    assert (approx_3way_vertex_cut(ws, *regrouped, 6)
+            == approx_3way_vertex_cut(fresh(g, *regrouped), *regrouped, 6))
     assert counters.separator_calls == 5
     # Exceeded isolating cuts are kept too.
-    k7, cuts, counters = complete_graph(7), {}, Counters()
-    first = approx_3way_vertex_cut(k7, (0,), (1,), (2,), 1, counters, cuts=cuts)
-    again = approx_3way_vertex_cut(k7, (0,), (1,), (2,), 1, counters, cuts=cuts)
+    ws = fresh(complete_graph(7), (0, 1, 2))
+    first = approx_3way_vertex_cut(ws, (0,), (1,), (2,), 1)
+    again = approx_3way_vertex_cut(ws, (0,), (1,), (2,), 1)
     assert isinstance(first, Exceeded) and first == again
-    assert counters.separator_calls == 3
+    assert ws.counters.separator_calls == 3
+
+
+def test_isolating_cuts_are_kept_per_group_and_bound():
+    g = grid_graph(4, 4)
+    groups = ((0, 1), (14, 15), (3, 7))
+    ws = fresh(g, *groups)
+    # A new bound runs each group's flow again; a repeated (group, bound)
+    # runs none.
+    for bound, flows in ((6, 3), (2, 6), (6, 6), (2, 6)):
+        got = approx_3way_vertex_cut(ws, *groups, bound)
+        assert got == approx_3way_vertex_cut(fresh(g, *groups), *groups, bound)
+        assert ws.counters.separator_calls == flows
+    assert isinstance(approx_3way_vertex_cut(ws, *groups, 2), Exceeded)
+    assert sorted(ws.cuts) == sorted((ws.mask(grp), bound)
+                                     for grp in groups for bound in (2, 6))
+
+
+def test_three_way_groups_must_partition_the_targets():
+    ws = fresh(grid_graph(4, 4), (0, 1, 3, 7, 14, 15))
+    bad = [
+        ((0, 1), (1, 3), (7, 14, 15), "partition"),   # overlap
+        ((0, 1), (1, 3), (7, 14), "partition"),       # overlap, 15 left out
+        ((0, 0, 1), (3, 7), (14, 15), "partition"),   # repeated vertex
+        ((0, 0), (3, 7), (14, 15), "partition"),      # repeat, 1 left out
+        ((0, 1), (3, 7), (14,), "partition"),         # 15 left out
+        ((0, 1), (3, 7), (14, 15, 2), "not a target"),
+    ]
+    for *groups, message in bad:
+        with pytest.raises(ValueError, match=message):
+            approx_3way_vertex_cut(ws, *groups, 6)
+        assert_clean(ws)
+    assert ws.counters.separator_calls == 0 and not ws.cuts
 
 
 def test_three_way_rejects_overlapping_groups():
     with pytest.raises(ValueError):
-        approx_3way_vertex_cut(star_graph(3), (1,), (1,), (2,), 3)
+        approx_3way_vertex_cut(fresh(star_graph(3), (1, 2)), (1,), (1,), (2,), 3)
 
 
 def assert_clean(ws):
@@ -349,11 +395,10 @@ def test_shared_workspace_matches_one_shot_flows_and_networkx():
         rng.shuffle(splits)
         for side_a, side_b in splits:
             bound = rng.randint(0, 5)
-            got = min_vertex_separator(g, (side_a, side_b), bound, None, part,
-                                       workspace=ws)
+            terminals = (side_a, side_b)
+            got = min_vertex_separator(ws, terminals, bound)
             assert_clean(ws)
-            terminals = TerminalSpec(side_a, side_b)
-            assert got == min_vertex_separator(g, terminals, bound, part=part)
+            assert got == one_shot(g, terminals, bound, part)
             value, cut = split_vertex_max_flow(members, sub.edges(), terminals)
             assert isinstance(got, Exceeded) == (value > bound)
             assert got.augmentations == min(value, bound + 1)
@@ -378,11 +423,12 @@ def test_workspace_rejects_bad_sides_and_stays_clean():
     ]
     for side_a, side_b, message in bad:
         with pytest.raises(ValueError, match=message):
-            min_vertex_separator(g, (side_a, side_b), 3, None, part, workspace=ws)
+            min_vertex_separator(ws, (side_a, side_b), 3)
         assert_clean(ws)
+    assert ws.counters.separator_calls == 0
     # The workspace still answers correctly afterwards.
-    got = min_vertex_separator(g, ((0, 3), (9, 10)), 3, None, part, workspace=ws)
-    assert got == min_vertex_separator(g, TerminalSpec((0, 3), (9, 10)), 3, part=part)
+    got = min_vertex_separator(ws, ((0, 3), (9, 10)), 3)
+    assert got == one_shot(g, ((0, 3), (9, 10)), 3, part)
     assert_clean(ws)
 
 
@@ -395,8 +441,3 @@ def test_workspace_checks_targets_graph_and_part():
         FlowWorkspace(g, None, (0, 9))
     ws = FlowWorkspace(g, part, (2, 0, 3, 0))
     assert ws.targets == (0, 2, 3)
-    with pytest.raises(ValueError, match="another graph or part"):
-        min_vertex_separator(g, ((0,), (3,)), 2, None, Part(g, (0, 1, 2, 3)),
-                             workspace=ws)
-    with pytest.raises(ValueError, match="another graph or part"):
-        min_vertex_separator(grid_graph(3, 3), ((0,), (3,)), 2, workspace=ws)

@@ -1,4 +1,5 @@
 import csv
+import time
 
 import pytest
 
@@ -333,3 +334,18 @@ def test_cli_bench_reports_an_unwritable_report(tmp_path, capsys):
                  "--report", str(target)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_cli_validate_names_only_the_first_missing_bags(tmp_path, capsys):
+    # A 20-byte file may declare a billion bags; the error must not list or
+    # even enumerate them all.
+    gr = write_graph(tmp_path, "p1.gr", path_graph(1))
+    td = tmp_path / "huge.td"
+    td.write_text(f"s td {10**9} 1 1\nb 1 1\n")
+    start = time.perf_counter()
+    assert main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert err == (f"error: {td}: line 0: missing bag lines: [2, 3, 4, 5, 6] "
+                   "and 999999994 more\n")
+    assert elapsed < 0.5

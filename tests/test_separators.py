@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from twdecomp import (Counters, Exceeded, Graph, Part, TerminalSpec, ThreeWaySep,
+from twdecomp import (Counters, Exceeded, FlowWorkspace, Graph, Part, ThreeWaySep,
                       alpha_sum_sep, approx_3way_vertex_cut,
                       brute_force_min_separator, connected_components,
                       min_vertex_separator, try_split, two_thirds_vtx_sep,
@@ -33,17 +33,17 @@ def cliqued(g, *groups):
 
 
 def test_try_split_path_bottleneck():
-    sep = try_split(path_graph(5), (0, 1), (3, 4), 1)
+    sep = try_split(FlowWorkspace(path_graph(5), None, (0, 1, 3, 4)), (0, 1), (3, 4), 1)
     assert sep is not None
     assert len(sep.x) == 1
     two_way_sep_is_consistent(path_graph(5), sep, range(5))
-    terminals = TerminalSpec((0, 1), (3, 4))
+    terminals = ((0, 1), (3, 4))
     assert brute_force_min_separator(path_graph(5), terminals) == 1
 
 
 def test_try_split_clique_fails():
     g = complete_graph(6)
-    assert try_split(g, (0, 1), (4, 5), 5) is None
+    assert try_split(FlowWorkspace(g, None, (0, 1, 4, 5)), (0, 1), (4, 5), 5) is None
 
 
 def test_try_split_matches_brute_force_minimum():
@@ -54,8 +54,8 @@ def test_try_split_matches_brute_force_minimum():
         verts = list(range(n))
         rng.shuffle(verts)
         a, b = tuple(verts[:2]), tuple(verts[2:4])
-        sep = try_split(g, a, b, n)
-        expected = brute_force_min_separator(cliqued(g, a, b), TerminalSpec(a, b))
+        sep = try_split(FlowWorkspace(g, None, a + b), a, b, n)
+        expected = brute_force_min_separator(cliqued(g, a, b), (a, b))
         if sep is not None:
             assert len(sep.x) == expected
             two_way_sep_is_consistent(g, sep, verts)
@@ -75,11 +75,12 @@ def test_group_cliques_never_change_the_cut():
         last = rng.randint(j, n)
         a, b, c = verts[:i], verts[i:j], verts[j:last]
         bound = rng.randint(0, n)
-        spec = TerminalSpec(a, b)
-        assert (min_vertex_separator(g, spec, bound)
-                == min_vertex_separator(cliqued(g, a, b), spec, bound))
-        assert (approx_3way_vertex_cut(g, a, b, c, bound)
-                == approx_3way_vertex_cut(cliqued(g, a, b, c), a, b, c, bound))
+        clique_ab, clique_abc = cliqued(g, a, b), cliqued(g, a, b, c)
+        assert (min_vertex_separator(FlowWorkspace(g, None, a + b), (a, b), bound)
+                == min_vertex_separator(FlowWorkspace(clique_ab, None, a + b), (a, b), bound))
+        assert (approx_3way_vertex_cut(FlowWorkspace(g, None, a + b + c), a, b, c, bound)
+                == approx_3way_vertex_cut(FlowWorkspace(clique_abc, None, a + b + c),
+                                          a, b, c, bound))
 
 
 def test_two_thirds_path_whole_vertex_set():
@@ -92,7 +93,7 @@ def test_two_thirds_path_whole_vertex_set():
         if len(comps) >= 2 and all(3 * len(set(c) & set(w)) <= 2 * len(w) for c in comps):
             valid.append((x,))
     assert valid  # at least one qualifying single-vertex separator exists
-    sep = two_thirds_vtx_sep(g, w, 1)
+    sep = two_thirds_vtx_sep(FlowWorkspace(g, None, w), 1)
     assert sep is not None
     assert sep.x in valid
     assert sep.x == (2,)
@@ -102,20 +103,20 @@ def test_two_thirds_path_whole_vertex_set():
 
 def test_two_thirds_clique_not_found():
     # a clique on 3k+3 vertices admits no balanced separator of size k
-    assert two_thirds_vtx_sep(complete_graph(6), range(6), 1) is None
+    assert two_thirds_vtx_sep(FlowWorkspace(complete_graph(6), None, range(6)), 1) is None
 
 
 def test_two_thirds_never_fails_when_treewidth_allows(small_corpus_tw):
     for g, twv in small_corpus_tw[:40]:
         k = twv + 1
         w = vset(range(min(g.n, 3 * k + 2)))
-        sep = two_thirds_vtx_sep(g, w, k)
+        sep = two_thirds_vtx_sep(FlowWorkspace(g, None, w), k)
         if g.n > 4 * k:
             assert sep is not None
 
 
 def test_two_way_half_path():
-    sep = two_way_half_vtx_sep(path_graph(5), range(5), 1)
+    sep = two_way_half_vtx_sep(FlowWorkspace(path_graph(5), None, range(5)), 1)
     assert sep is not None
     assert len(sep.x) == 1
     assert sep.x == (2,)
@@ -124,14 +125,14 @@ def test_two_way_half_path():
 
 
 def test_two_way_half_clique_not_found():
-    assert two_way_half_vtx_sep(complete_graph(8), range(8), 2) is None
+    assert two_way_half_vtx_sep(FlowWorkspace(complete_graph(8), None, range(8)), 2) is None
 
 
 def test_two_way_half_never_fails_when_treewidth_allows(small_corpus_tw):
     for g, twv in small_corpus_tw[:40]:
         k = twv + 1
         w = vset(range(min(g.n, 3 * k + 2)))
-        sep = two_way_half_vtx_sep(g, w, k)
+        sep = two_way_half_vtx_sep(FlowWorkspace(g, None, w), k)
         if g.n > 4 * k:
             assert sep is not None
             assert len(sep.x) <= (3 * k) // 2
@@ -181,7 +182,7 @@ def three_way_sep_is_consistent(g, sep):
 
 def test_alpha_sum_star_center():
     g = star_graph(7)
-    sep = alpha_sum_sep(g, range(8), 3)
+    sep = alpha_sum_sep(FlowWorkspace(g, None, range(8)), 3)
     assert sep is not None
     assert sep.x == (0,)
     three_way_sep_is_consistent(g, sep)
@@ -191,7 +192,7 @@ def test_alpha_sum_star_center():
 
 
 def test_alpha_sum_clique_not_found():
-    assert alpha_sum_sep(complete_graph(10), range(10), 2) is None
+    assert alpha_sum_sep(FlowWorkspace(complete_graph(10), None, range(10)), 2) is None
 
 
 def test_alpha_sum_never_fails_when_treewidth_allows(small_corpus_tw):
@@ -200,7 +201,7 @@ def test_alpha_sum_never_fails_when_treewidth_allows(small_corpus_tw):
         k = twv + 1
         nominal = math.floor((1 + alpha) * k) + 1
         w = vset(range(min(g.n, nominal)))
-        sep = alpha_sum_sep(g, w, k)
+        sep = alpha_sum_sep(FlowWorkspace(g, None, w), k)
         if g.n > math.floor((2 * alpha + 1) * k):
             assert sep is not None
             three_way_sep_is_consistent(g, sep)
@@ -212,7 +213,7 @@ def test_alpha_sum_balance_is_checked_on_success(small_corpus_tw):
         k = twv + 1
         nominal = math.floor((1 + alpha) * k) + 1
         w = vset(range(min(g.n, nominal)))
-        sep = alpha_sum_sep(g, w, k)
+        sep = alpha_sum_sep(FlowWorkspace(g, None, w), k)
         if sep is None:
             continue
         limit = (1 + alpha) * k
@@ -224,19 +225,22 @@ def test_separator_determinism(small_corpus_tw):
     g, twv = small_corpus_tw[5]
     k = twv + 1
     w = vset(range(min(g.n, 3 * k + 2)))
-    assert two_thirds_vtx_sep(g, w, k) == two_thirds_vtx_sep(g, w, k)
-    assert two_way_half_vtx_sep(g, w, k) == two_way_half_vtx_sep(g, w, k)
+    assert (two_thirds_vtx_sep(FlowWorkspace(g, None, w), k)
+            == two_thirds_vtx_sep(FlowWorkspace(g, None, w), k))
+    assert (two_way_half_vtx_sep(FlowWorkspace(g, None, w), k)
+            == two_way_half_vtx_sep(FlowWorkspace(g, None, w), k))
 
 
 def test_alpha_sum_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        alpha_sum_sep(path_graph(5), range(5), 0)
+        alpha_sum_sep(FlowWorkspace(path_graph(5), None, range(5)), 0)
     with pytest.raises(ValueError):
-        alpha_sum_sep(path_graph(5), range(5), 2, Fraction(1, 2))
+        alpha_sum_sep(FlowWorkspace(path_graph(5), None, range(5)), 2, Fraction(1, 2))
 
 
 def uncached_alpha_sum_sep(g, targets, k, alpha, counters, part):
-    """alpha_sum_sep with every candidate computing its own isolating cuts."""
+    """alpha_sum_sep with every candidate running its flows in a workspace of
+    its own, so no isolating cut is reused."""
     w = vset(targets)
     wset = set(w)
     cut_bound = math.floor(alpha * k)
@@ -244,13 +248,13 @@ def uncached_alpha_sum_sep(g, targets, k, alpha, counters, part):
     for kind, first, second, third in _three_partitions(w, k):
         if kind == "fallback":
             merged = tuple(v for v in w if v not in set(first))
-            two = try_split(g, first, merged, k, counters, part)
+            two = try_split(FlowWorkspace(g, part, w, counters), first, merged, k)
             if two is None:
                 continue
             cand = ThreeWaySep(two.x, two.s1, two.s2, ())
         else:
-            cut = approx_3way_vertex_cut(g, first, second, third, cut_bound, counters,
-                                         part)
+            cut = approx_3way_vertex_cut(FlowWorkspace(g, part, w, counters),
+                                         first, second, third, cut_bound)
             if isinstance(cut, Exceeded):
                 continue
             cand = ThreeWaySep(cut.separator, *cut.sides)
@@ -283,7 +287,7 @@ def test_alpha_sum_sep_matches_uncached_reference():
                 targets = rng.sample(sorted(members), size)
                 calls = (want.separator_calls, got.separator_calls)
                 expected = uncached_alpha_sum_sep(g, targets, k, alpha, want, part)
-                sep = alpha_sum_sep(g, targets, k, alpha, got, part)
+                sep = alpha_sum_sep(FlowWorkspace(g, part, targets, got), k, alpha)
                 assert sep == expected, (kind, g, alpha, whole, k, targets)
                 found += sep is not None
                 assert got.separator_calls - calls[1] <= want.separator_calls - calls[0]

@@ -1,9 +1,11 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from networkx.algorithms.approximation import treewidth_min_degree
 
-from twdecomp import (Graph, NotChordal, TerminalSpec, TreeDecomposition,
+from twdecomp import (Graph, NotChordal, TreeDecomposition,
                       brute_force_min_separator, check_tree_decomposition,
                       clique_number_chordal, exact_treewidth, is_chordal,
                       min_degree_triang, permutation_treewidth,
@@ -133,6 +135,44 @@ def test_check_accepts_driver_output(small_corpus_tw):
         assert check_tree_decomposition(g, out.decomposition) == []
 
 
+def networkx_decomposition(g):
+    """The bags and tree of networkx's min-degree heuristic on ``g``."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    _, tree = treewidth_min_degree(h)
+    index = {bag: i for i, bag in enumerate(tree.nodes)}
+    return TreeDecomposition.from_bags(list(tree.nodes),
+                                       [(index[a], index[b]) for a, b in tree.edges])
+
+
+def test_check_accepts_networkx_decompositions_and_catches_a_dropped_vertex(small_corpus):
+    # An oracle written independently of this package: every networkx
+    # decomposition is valid, and dropping one endpoint from the only bag
+    # that holds an edge must be reported as that edge left uncovered.
+    rng = random.Random(2718)
+    graphs = list(small_corpus) + [gnp_connected(rng.randint(15, 40),
+                                                 rng.uniform(0.08, 0.25), rng)
+                                   for _ in range(5)]
+    broken = 0
+    for g in graphs:
+        td = networkx_decomposition(g)
+        assert check_tree_decomposition(g, td) == []
+        holders = {(u, v): [i for i, bag in enumerate(td.bags) if u in bag and v in bag]
+                   for u, v in g.edges()}
+        edge = next((e for e, found in holders.items() if len(found) == 1), None)
+        if edge is None:
+            continue
+        (i,) = holders[edge]
+        bags = list(td.bags)
+        bags[i] = tuple(x for x in bags[i] if x != edge[0])
+        violations = check_tree_decomposition(
+            g, TreeDecomposition.from_bags(bags, td.tree_edges))
+        assert ("uncovered-edge", edge) in [(x.kind, x.subject) for x in violations]
+        broken += 1
+    assert broken > len(graphs) // 2
+
+
 def test_exact_treewidth_families():
     assert exact_treewidth(complete_graph(4)) == 3
     assert exact_treewidth(path_graph(5)) == 1
@@ -181,12 +221,12 @@ def test_exact_treewidth_of_chordal_equals_clique_number():
 
 def test_brute_force_separator_examples():
     g = Graph(3, [(0, 1), (1, 2)])
-    assert brute_force_min_separator(g, TerminalSpec((0,), (2,))) == 1
+    assert brute_force_min_separator(g, ((0,), (2,))) == 1
     # adjacent single-vertex attachments: cutting one of them suffices
     k4 = complete_graph(4)
-    assert brute_force_min_separator(k4, TerminalSpec((0,), (1,))) == 1
+    assert brute_force_min_separator(k4, ((0,), (1,))) == 1
 
 
 def test_brute_force_separator_guard():
     with pytest.raises(ValueError):
-        brute_force_min_separator(path_graph(11), TerminalSpec((0,), (10,)))
+        brute_force_min_separator(path_graph(11), ((0,), (10,)))
