@@ -3,6 +3,7 @@ components."""
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
 
@@ -92,13 +93,58 @@ class Part:
                 raise ValueError(f"vertex id out of range: {v}")
             inside[v] = 1
         adj = [()] * g.n
+        rows = g.adj_sorted
+        inside_at = inside.__getitem__
         twice_m = 0
         for v in self.members:
-            row = tuple(w for w in g.adj_sorted[v] if inside[w])
-            adj[v] = row
+            row = rows[v]
+            adj[v] = row = tuple(compress(row, map(inside_at, row)))
             twice_m += len(row)
         self.adj = adj
         self.m = twice_m // 2
+
+    def handover(self, members: Iterable[int]) -> "Part":
+        """The part on ``members``, a subset of this part's members, built in
+        this part's own arrays.
+
+        Each removed member's row is cleared and only the rows of its
+        surviving neighbours are filtered again, so the cost follows the
+        removed vertices and their neighbourhood rather than the sub-part.
+        This part is spent: its fields are dropped, and any later use raises
+        AttributeError.  A whole-graph part shares its graph's rows, so it
+        refuses, as does a ``members`` with a vertex outside the part.
+        """
+        if isinstance(self.members, range):
+            raise ValueError("a whole-graph part shares its graph's rows")
+        members = vset(members)
+        inside = self.inside
+        gone = set(self.members).difference(members)
+        if len(self.members) - len(gone) != len(members):
+            stray = next(v for v in members if not (0 <= v < len(inside) and inside[v]))
+            raise ValueError(f"vertex {stray} is not a member of the part")
+        adj = self.adj
+        touched = set()
+        removed_ends = 0
+        for v in gone:
+            inside[v] = 0
+            row = adj[v]
+            removed_ends += len(row)
+            touched.update(row)
+            adj[v] = ()
+        touched.difference_update(gone)
+        inside_at = inside.__getitem__
+        cut_ends = 0
+        for w in touched:
+            row = adj[w]
+            adj[w] = kept = tuple(compress(row, map(inside_at, row)))
+            cut_ends += len(row) - len(kept)
+        # An edge inside the removed set is listed twice in the removed rows,
+        # an edge to a survivor once there and once in the survivor's row.
+        m = self.m - (removed_ends + cut_ends) // 2
+        del self.members, self.inside, self.adj, self.m
+        sub = Part.__new__(Part)
+        sub.members, sub.inside, sub.adj, sub.m = members, inside, adj, m
+        return sub
 
 
 def connected_components(g: Graph, removed: Iterable[int] = (),

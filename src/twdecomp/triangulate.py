@@ -111,20 +111,26 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
     """The recursion shared by every driver, on an explicit stack.
 
     A node is a vertex subset of ``g`` (an ascending tuple of its ids), its
-    inherited boundary and its parent's bag index.  Nodes above ``base_size``
-    vertices ask ``split(g, part, boundary)`` for ``(x, sides)``, where
-    ``part`` is the node's ``Part``; None rejects k.  The node's bag is the
+    inherited boundary, its parent's bag index and its ``Part`` if it has
+    inherited one.  Nodes above ``base_size`` vertices ask
+    ``split(g, part, boundary)`` for ``(x, sides)``, where ``part`` is the
+    node's ``Part``; None rejects k.  The node's bag is the
     boundary plus ``x``, made a clique, and every non-empty side plus ``x``
     becomes a child.  Bags are numbered in pre-order and the roots of separate
     components are chained into one tree.
+
+    The child on the largest side (the first of equal ones) takes over the
+    node's ``Part`` by ``Part.handover`` when it is above ``base_size``, so a
+    split that cuts off a few vertices costs about as much surgery as it
+    removes; every other node builds its part from ``g``.
     """
-    stack = [(comp, (), -1) for comp in reversed(connected_components(g) or [()])]
+    stack = [(comp, (), -1, None) for comp in reversed(connected_components(g) or [()])]
     fills: set[tuple[int, int]] = set()
     bags: list[tuple[int, ...]] = []
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
     while stack:
-        members, boundary, parent = stack.pop()
+        members, boundary, parent, part = stack.pop()
         idx = len(bags)
         if parent < 0:
             roots.append(idx)
@@ -133,7 +139,9 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
         if len(members) <= base_size:
             found = members, ()
         else:
-            found = split(g, Part(g, members), boundary)
+            if part is None:
+                part = Part(g, members)
+            found = split(g, part, boundary)
         if found is None:
             return TreewidthExceeded(k)
         x, sides = found
@@ -141,10 +149,16 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
         bags.append(bag)
         fills.update(_missing_pairs(g, bag))
         boundary_set = set(boundary)
-        for side in reversed(sides):
+        heir = max(range(len(sides)), key=lambda i: len(sides[i]), default=-1)
+        for i in reversed(range(len(sides))):
+            side = sides[i]
             if side:
-                stack.append((vset(side + x),
-                              vset((boundary_set & set(side)) | set(x)), idx))
+                child = vset(side + x)
+                heir_part = None
+                if i == heir and len(child) > base_size:
+                    heir_part = part.handover(child)
+                stack.append((child, vset((boundary_set & set(side)) | set(x)), idx,
+                              heir_part))
     edges += zip(roots, roots[1:])
     return _finish(g, k, fills, TreeDecomposition.from_bags(bags, edges), clique_cap)
 
@@ -171,7 +185,8 @@ def _check_three_way_contract(part: Part, sep: ThreeWaySep, bound: int) -> None:
     # one as not found would be an unsound rejection, so it is an error.
     if len(sep.x) > bound:
         raise RuntimeError(f"separator of {len(sep.x)} vertices exceeds the bound {bound}")
-    pieces = [sep.x, *sep.sides()]
+    sides = sep.sides()
+    pieces = [sep.x, *sides]
     combined: set[int] = set()
     total = 0
     for piece in pieces:
@@ -179,17 +194,24 @@ def _check_three_way_contract(part: Part, sep: ThreeWaySep, bound: int) -> None:
         total += len(piece)
     if total != len(part.members) or combined != set(part.members):
         raise RuntimeError("separator and sides do not partition the vertices")
-    if sum(1 for side in sep.sides() if side) < 2:
+    if sum(1 for side in sides if side) < 2:
         raise RuntimeError("three-way split has fewer than two non-empty sides")
-    owner = {}
-    for idx, side in enumerate(sep.sides()):
-        for v in side:
-            owner[v] = idx
-    for u, idx in owner.items():
-        for v in part.adj[u]:
-            if owner.get(v, idx) != idx:
-                raise RuntimeError(
-                    f"three-way separator misses edge ({min(u, v)}, {max(u, v)})")
+    # Every edge between two sides has an end outside the largest side, so
+    # only the other two sides' rows are scanned; a neighbour listed in
+    # neither them nor x is in the largest side.
+    big = max(range(3), key=lambda i: len(sides[i]))
+    owner = dict.fromkeys(sep.x, -1)
+    for idx, side in enumerate(sides):
+        if idx != big:
+            owner.update(dict.fromkeys(side, idx))
+    for idx, side in enumerate(sides):
+        if idx == big:
+            continue
+        for u in side:
+            for v in part.adj[u]:
+                if owner.get(v, big) not in (idx, -1):
+                    raise RuntimeError(
+                        f"three-way separator misses edge ({min(u, v)}, {max(u, v)})")
 
 
 def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,

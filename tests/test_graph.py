@@ -4,7 +4,10 @@ import networkx as nx
 import pytest
 
 from twdecomp import Graph, Part, connected_components, vset
-from twdecomp.corpus import cycle_graph, gnp_connected, grid_graph, path_graph
+from twdecomp.corpus import (cycle_graph, gnp_connected, grid_graph, path_graph,
+                             star_graph)
+
+from test_golden import disjoint_union
 
 
 def test_rejects_self_loop():
@@ -86,6 +89,55 @@ def test_nested_induction_equals_intersection():
         for v in range(g.n):
             expected = tuple(w for w in parent.adj[v] if w in b) if v in b else ()
             assert child.adj[v] == expected
+
+
+def assert_same_part(part, g, members):
+    fresh = Part(g, members)
+    assert part.members == fresh.members
+    assert bytes(part.inside) == bytes(fresh.inside)
+    for v in range(g.n):
+        assert part.adj[v] == fresh.adj[v], v
+    assert part.m == fresh.m
+
+
+def test_handover_equals_a_fresh_build():
+    # Each graph's part is handed down a chain of random nested subsets, as
+    # the recursion hands a node's part to its largest child; at every step
+    # it must equal the part built from the root graph.
+    rng = random.Random(2024)
+    graphs = [gnp_connected(rng.randint(6, 40), rng.uniform(0.05, 0.5), rng)
+              for _ in range(12)]
+    graphs += [grid_graph(5, 7), path_graph(30), star_graph(25),
+               disjoint_union(star_graph(8), gnp_connected(15, 0.3, rng), path_graph(9))]
+    for g in graphs:
+        for _ in range(3):
+            members = vset(rng.sample(range(g.n), rng.randint(1, g.n)))
+            part = Part(g, members)
+            while members:
+                members = vset(rng.sample(members, rng.randint(0, len(members))))
+                part = part.handover(members)
+                assert_same_part(part, g, members)
+
+
+def test_handover_refuses_and_spends():
+    g = grid_graph(3, 3)
+    part = Part(g, (0, 1, 2, 4))
+    for stray in ((0, 5), (3,), (-1, 0), (0, 9)):
+        with pytest.raises(ValueError, match="not a member"):
+            part.handover(stray)
+    assert_same_part(part, g, (0, 1, 2, 4))
+    # A whole-graph part shares g.adj_sorted, so it is never handed over.
+    whole = Part(g)
+    with pytest.raises(ValueError, match="whole-graph"):
+        whole.handover((0, 1))
+    assert whole.adj is g.adj_sorted
+    assert g.adj_sorted[1] == (0, 2, 4)
+    sub = part.handover((1, 2))
+    assert_same_part(sub, g, (1, 2))
+    with pytest.raises(AttributeError):
+        part.members
+    with pytest.raises(AttributeError):
+        part.handover((1,))
 
 
 def test_components_path_minus_middle():

@@ -11,8 +11,9 @@ from twdecomp import (Counters, Graph, NotChordal, Part, ThreeWaySep,
                       check_tree_decomposition, decompose, exact_treewidth,
                       is_chordal, min_degree_triang, triang_2way_23,
                       triang_2way_half, triang_3way)
+from twdecomp import triangulate
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
-                             grid_graph, path_graph, random_tree)
+                             grid_graph, path_graph, random_tree, star_graph)
 from twdecomp.triangulate import _check_three_way_contract
 
 
@@ -144,6 +145,10 @@ def test_three_way_separator_bound_is_an_invariant():
         "do not partition": ThreeWaySep((3,), (0, 1), (4, 5, 6), ()),
         "fewer than two non-empty sides": ThreeWaySep((3,), (0, 1, 2, 4, 5, 6), (), ()),
         "misses edge (2, 3)": ThreeWaySep((4,), (0, 1, 2), (3,), (5, 6)),
+        # between the two smaller sides; the largest is (0, 1, 2)
+        "misses edge (4, 5)": ThreeWaySep((3,), (0, 1, 2), (4,), (5, 6)),
+        # between a smaller side and the largest, listed last
+        "misses edge (1, 2)": ThreeWaySep((0,), (), (1,), (2, 3, 4, 5, 6)),
     }
     for message, sep in bad.items():
         with pytest.raises(RuntimeError, match=re.escape(message)):
@@ -361,3 +366,56 @@ def test_every_flow_enters_through_min_vertex_separator(monkeypatch):
             report = decompose(g, algo, **{mode: True}).report
             assert len(augmentations) == report.separator_calls > 0, (algo, mode)
             assert sum(augmentations) == report.flow_augmentations, (algo, mode)
+
+
+def test_no_stale_part_reaches_a_search(monkeypatch):
+    # The largest child of a split node inherits the node's part; every
+    # search must still see exactly the part induced by its members.
+    original = triangulate.FlowWorkspace
+    seen = []
+
+    def checked(g, part, targets, counters=None):
+        fresh = Part(g, part.members)
+        assert bytes(part.inside) == bytes(fresh.inside)
+        assert list(part.adj) == list(fresh.adj)
+        assert part.m == fresh.m
+        seen.append(len(part.members))
+        return original(g, part, targets, counters)
+
+    monkeypatch.setattr(triangulate, "FlowWorkspace", checked)
+    graphs = (path_graph(300), star_graph(200), random_tree(150, random.Random(5)),
+              grid_graph(6, 6))
+    runs = [(algo, {"k": 2}) for algo in ("rs4", "half45", "bg367")]
+    runs += [(algo, {"search": True}) for algo in ("rs4", "half45", "bg367")]
+    runs += [(algo, {"adaptive": True}) for algo in ("rs4", "half45")]
+    for g in graphs:
+        for algo, mode in runs:
+            seen.clear()
+            decompose(g, algo, **mode)
+            assert seen, (algo, mode)
+
+
+def test_subgraph_surgery_is_linear(monkeypatch):
+    # Members materialized from the root graph plus vertices removed by a
+    # handover, summed over the run.  Rebuilding every split node from g
+    # costs about 334n on the path.
+    total = [0]
+    init, handover = Part.__init__, Part.handover
+
+    def counted_init(self, g, members=None):
+        init(self, g, members)
+        if members is not None:
+            total[0] += len(self.members)
+
+    def counted_handover(self, members):
+        before = len(self.members)
+        sub = handover(self, members)
+        total[0] += before - len(sub.members)
+        return sub
+
+    monkeypatch.setattr(Part, "__init__", counted_init)
+    monkeypatch.setattr(Part, "handover", counted_handover)
+    for g, mode in ((path_graph(2000), {"k": 2}), (star_graph(800), {"search": True})):
+        total[0] = 0
+        assert isinstance(decompose(g, "half45", **mode).outcome, TriangSuccess)
+        assert 0 < total[0] <= 3 * g.n, (g, total[0])
