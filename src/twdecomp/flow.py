@@ -29,13 +29,15 @@ class Counters:
     """Per-run flow tallies.
 
     Every ``FlowWorkspace`` adds each flow it runs to its counters; a driver
-    hands one ``Counters`` to all the workspaces of a run.  Both fields count
-    the flows that actually ran: an isolating cut that a workspace already
-    holds adds nothing.
+    hands one ``Counters`` to all the workspaces of a run.  The first two
+    fields count the flows that actually ran: an isolating cut that a
+    workspace already holds adds nothing, and neither does a candidate that a
+    kept certificate rules out; ``certified`` counts those candidates.
     """
 
     separator_calls: int = 0
     augmentations: int = 0
+    certified: int = 0
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,56 @@ def _invariant(condition: bool, message: str) -> None:
         raise RuntimeError(f"flow invariant violated: {message}")
 
 
+class _Certificates:
+    """The Menger certificates of one bound, kept target by target.
+
+    A certificate is ``paths`` (bound+1) vertex-disjoint paths.  Every kept
+    path has a bit: path ``i`` of certificate ``c`` is bit ``c * paths + i``,
+    and ``on[t]`` holds the bits of the kept paths that pass through target
+    ``t``.  Each certificate thus owns a field of ``paths`` bits; ``low``,
+    ``one`` and ``high`` hold the lower bits, the lowest bit and the top bit
+    of every field.
+    """
+
+    __slots__ = ("paths", "count", "on", "low", "one", "high")
+
+    def __init__(self, targets: tuple[int, ...], paths: int):
+        self.paths = paths
+        self.count = 0
+        self.on = dict.fromkeys(targets, 0)
+        self.low = self.one = self.high = 0
+
+    def add(self, paths: list[list[int]]) -> None:
+        """Keep one certificate, given as the targets on each of its paths."""
+        on = self.on
+        first = self.count * self.paths
+        for i, path in enumerate(paths):
+            bit = 1 << (first + i)
+            for t in path:
+                on[t] |= bit
+        self.low |= ((1 << (self.paths - 1)) - 1) << first
+        self.one |= 1 << first
+        self.high |= 1 << (first + self.paths - 1)
+        self.count += 1
+
+    def rule_out(self, side_a, side_b) -> bool:
+        """True when every path of some certificate holds a target of each
+        side; False when a side holds a vertex that is not a target."""
+        on = self.on
+        a = b = 0
+        try:
+            for v in side_a:
+                a |= on[v]
+            for v in side_b:
+                b |= on[v]
+        except KeyError:
+            return False
+        both = a & b
+        # A field is all ones exactly when adding its lowest bit to its lower
+        # bits carries into its top bit and that top bit is set.
+        return ((both & self.low) + self.one) & both & self.high != 0
+
+
 class FlowWorkspace:
     """The context of one separator search: every flow between subsets of
     one target set inside one part, the counters they add to, and the
@@ -91,10 +143,22 @@ class FlowWorkspace:
     Every flow is added to ``counters`` (a private ``Counters`` when none is
     given).  ``cuts`` maps (group mask, bound) to the isolating cut of that
     group against the other targets, filled by ``approx_3way_vertex_cut``.
+
+    ``certs`` keeps, per bound, the certificate of every flow that ended
+    ``Exceeded``: its bound+1 vertex-disjoint paths, each as the targets on
+    it.  By Menger's theorem a later pair of sides that puts a target of each
+    side on every one of those paths has no separator of at most bound
+    vertices either: each path holds a path from one side to the other, and a
+    separator must cut all bound+1 of them, so the flow of that pair would
+    end ``Exceeded`` too: a ruling is exactly as sound as the flow it
+    replaces.  ``certified`` tests all kept certificates of a bound at once,
+    with one OR per target of the two sides and five big-int operations.
+    ``separators.try_split`` asks it before it runs a flow; only flows that
+    run are counted in ``separator_calls``, and rulings in ``certified``.
     """
 
-    __slots__ = ("g", "part", "targets", "counters", "cuts", "bit_of", "near",
-                 "rows", "role", "sat", "in_flow", "prev")
+    __slots__ = ("g", "part", "targets", "counters", "cuts", "certs", "bit_of",
+                 "near", "rows", "role", "sat", "in_flow", "prev")
 
     def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
                  counters: Counters | None = None):
@@ -108,6 +172,7 @@ class FlowWorkspace:
         self.targets = w = vset(targets)
         self.counters = Counters() if counters is None else counters
         self.cuts = {}
+        self.certs = {}
         self.bit_of = bit_of = {}
         self.near = near = [0] * n
         bit = 1
@@ -135,6 +200,34 @@ class FlowWorkspace:
             raise ValueError(f"terminal vertex {err.args[0]} is not a target") from None
         return mask
 
+    def side_masks(self, side_a, side_b) -> tuple[int, int]:
+        """The masks of a pair of sides; ValueError unless both are non-empty,
+        disjoint and free of repeats, and hold targets only."""
+        if not side_a or not side_b:
+            raise ValueError("terminal attachment sets must be non-empty")
+        sources = self.mask(side_a)
+        sinks = self.mask(side_b)
+        if sources & sinks:
+            raise ValueError("terminal attachment sets must be disjoint")
+        if sources.bit_count() != len(side_a) or sinks.bit_count() != len(side_b):
+            raise ValueError("terminal attachment sets must not repeat a vertex")
+        return sources, sinks
+
+    def certified(self, side_a, side_b, bound: int) -> bool:
+        """True when a kept certificate shows that every separator between
+        the sides has more than ``bound`` vertices.
+
+        A ruling stands only for sides that a flow accepts: they are checked
+        as a flow checks them (``ValueError``) before True is returned.  Sides
+        that no certificate rules out are left to the flow, which checks them
+        itself, so every pair of sides is checked once.
+        """
+        certs = self.certs.get(bound)
+        if certs is None or not certs.rule_out(side_a, side_b):
+            return False
+        self.side_masks(side_a, side_b)
+        return True
+
 
 def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult | Exceeded:
     """Minimum vertex cut between the two super-terminals, or Exceeded.
@@ -151,14 +244,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
     if bound < 0:
         raise ValueError("bound must be non-negative")
     side_a, side_b = terminals
-    if not side_a or not side_b:
-        raise ValueError("terminal attachment sets must be non-empty")
-    sources = ws.mask(side_a)
-    free = ws.mask(side_b)
-    if sources & free:
-        raise ValueError("terminal attachment sets must be disjoint")
-    if sources.bit_count() != len(side_a) or free.bit_count() != len(side_b):
-        raise ValueError("terminal attachment sets must not repeat a vertex")
+    free = ws.side_masks(side_a, side_b)[1]
 
     part = ws.part
     adj = part.adj
@@ -288,6 +374,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
         if flow > bound + 1:
             raise RuntimeError("augmentation count exceeded bound + 1")
         if flow > bound:
+            _keep_certificate(ws, side_b, flow, bound)
             return Exceeded(bound, flow)
 
         separator = []
@@ -314,6 +401,39 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
     result = CutResult(tuple(separator), tuple(side1), tuple(side2), flow)
     _verify_cut(ws.g, side_a, side_b, result, flow, part)
     return result
+
+
+def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
+    """Keep the paths of a flow that ended Exceeded in ``ws.certs``.
+
+    Each saturated sink's ``in_flow`` chain leads back to the source its path
+    starts from; the path is kept as the list of the targets on it.
+    """
+    bit_of = ws.bit_of
+    sat = ws.sat
+    in_flow = ws.in_flow
+    paths = []
+    seen = 0
+    for b in side_b:
+        if not sat[b]:
+            continue
+        path = []
+        mask = 0
+        v = b
+        while v >= 0:
+            if v in bit_of:
+                mask |= bit_of[v]
+                path.append(v)
+            v = in_flow[v]
+        # Each chain ends at its source, and the paths share no target.
+        _invariant(v == _FROM_SOURCE and not mask & seen, "certificate paths are broken")
+        seen |= mask
+        paths.append(path)
+    _invariant(len(paths) == flow, "certificate paths differ from the flow value")
+    certs = ws.certs.get(bound)
+    if certs is None:
+        certs = ws.certs[bound] = _Certificates(ws.targets, bound + 1)
+    certs.add(paths)
 
 
 def _verify_cut(g: Graph, side_a, side_b, cut: CutResult, flow: int,

@@ -169,7 +169,7 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
 
 
 REPORT_COLUMNS = ("graph", "n", "m", "algo", "mode", "k_used", "width_plus_one",
-                  "separator_calls", "flow_augmentations", "wall_ms")
+                  "separator_calls", "flow_augmentations", "wall_ms", "certified")
 
 
 def append_report(path: str, report: AlgoReport) -> None:
@@ -184,4 +184,5 @@ def append_report(path: str, report: AlgoReport) -> None:
             report.k_used,
             "" if report.width_plus_one is None else report.width_plus_one,
             report.separator_calls, report.flow_augmentations, report.wall_ms,
+            report.certified,
         ])

@@ -8,6 +8,16 @@ separator exists.  A search takes one ``flow.FlowWorkspace``, built by its
 caller over the target set inside the part being split (a recursion node), and
 runs every flow through it; the workspace counts the flows and keeps the
 isolating cuts.
+
+Most candidates of a search that ends in a rejection fail, and each failed
+flow leaves a certificate: bound+1 vertex-disjoint paths between its groups.
+By Menger's theorem a later candidate whose groups each hold a target of
+every one of those paths has bound+1 vertex-disjoint paths between its
+groups too, so its flow would also exceed the bound.  ``try_split`` asks the
+workspace's kept certificates and returns None without a flow when one rules
+the candidate out, after checking the groups as the flow does; the ruling is
+exactly as sound as the flow it replaces.  ``separator_calls`` counts the
+flows that ran, and ``certified`` the candidates ruled out without one.
 """
 
 from __future__ import annotations
@@ -59,8 +69,13 @@ def try_split(ws: FlowWorkspace, group_a: tuple[int, ...], group_b: tuple[int, .
 
     Each super-terminal attaches to every vertex of its group, so edges inside
     a group cannot change the cut.  Returns None when the minimum cut exceeds
-    the bound or leaves one side empty; both are normal outcomes.
+    the bound or leaves one side empty; both are normal outcomes.  A
+    candidate that a kept certificate already rules out returns None without
+    a flow, once its groups have passed the checks the flow makes.
     """
+    if ws.certified(group_a, group_b, bound):
+        ws.counters.certified += 1
+        return None
     res = min_vertex_separator(ws, (group_a, group_b), bound)
     if isinstance(res, Exceeded):
         return None

@@ -78,6 +78,7 @@ class AlgoReport:
     separator_calls: int
     flow_augmentations: int
     wall_ms: float
+    certified: int
 
 
 @dataclass(frozen=True)
@@ -419,5 +420,5 @@ def decompose(g: Graph, algo: str, *, k: int | None = None, search: bool = False
         width_plus_one = outcome.decomposition.width + 1
     report = AlgoReport(graph_name, g.n, g.m, algo, mode, k_used, width_plus_one,
                         counters.separator_calls, counters.augmentations,
-                        round(wall_ms, 3))
+                        round(wall_ms, 3), counters.certified)
     return DecomposeResult(k_used, outcome, report)

@@ -441,3 +441,58 @@ def test_workspace_checks_targets_graph_and_part():
         FlowWorkspace(g, None, (0, 9))
     ws = FlowWorkspace(g, part, (2, 0, 3, 0))
     assert ws.targets == (0, 2, 3)
+
+
+def certificate_masks(ws, bound, c):
+    """The target masks of the paths of certificate ``c`` kept at ``bound``."""
+    certs = ws.certs[bound]
+    return [sum(ws.bit_of[t] for t, bits in certs.on.items() if bits >> i & 1)
+            for i in range(c * certs.paths, (c + 1) * certs.paths)]
+
+
+def test_exceeded_flow_keeps_a_menger_certificate():
+    # Every flow that ends Exceeded keeps bound+1 paths, disjoint on the
+    # targets, each from one source to one sink; the certificate rules out
+    # its own pair of sides.
+    kept = 0
+    for g, part, targets, rng in workspace_inputs():
+        ws = FlowWorkspace(g, part, targets)
+        splits = list(two_thirds_candidates(targets)) + list(half_candidates(targets))
+        for side_a, side_b in splits:
+            bound = rng.randint(0, 3)
+            before = ws.certs[bound].count if bound in ws.certs else 0
+            got = min_vertex_separator(ws, (side_a, side_b), bound)
+            if not isinstance(got, Exceeded):
+                assert ws.certs.get(bound) is None or ws.certs[bound].count == before
+                continue
+            assert ws.certs[bound].count == before + 1
+            masks = certificate_masks(ws, bound, before)
+            assert len(masks) == bound + 1
+            sources, sinks = ws.mask(side_a), ws.mask(side_b)
+            for i, mask in enumerate(masks):
+                assert (mask & sources).bit_count() == 1
+                assert (mask & sinks).bit_count() == 1
+                assert not any(mask & other for other in masks[i + 1:])
+            assert ws.certified(side_a, side_b, bound)
+            assert ws.certified(side_b, side_a, bound)
+            kept += 1
+    assert kept > 20
+
+
+def test_certificate_on_a_grid():
+    # The 4x4 grid's first three columns join its top row to its bottom row.
+    g = grid_graph(4, 4)
+    top, bottom = (0, 1, 2, 3), (12, 13, 14, 15)
+    ws = fresh(g, top, bottom)
+    assert isinstance(min_vertex_separator(ws, (top, bottom), 2), Exceeded)
+    assert ws.certs[2].count == 1
+    assert certificate_masks(ws, 2, 0) == [ws.mask((c, c + 12)) for c in (0, 1, 2)]
+    # Each side of another split holds an end of every kept path ...
+    assert ws.certified((0, 13, 2, 15), (12, 1, 14, 3), 2)
+    assert min_vertex_separator(fresh(g, top, bottom), ((0, 13, 2, 15), (12, 1, 14, 3)),
+                                2) == Exceeded(2, 3)
+    # ... but not here, where the first column has both ends on one side.
+    assert not ws.certified((0, 12, 1), (13, 2, 14), 2)
+    # Certificates answer for their own bound only.
+    assert not ws.certified(top, bottom, 1)
+    assert_clean(ws)

@@ -3,7 +3,11 @@
 ``golden_decompose.json`` was recorded from the recursive drivers that the
 explicit-stack loop replaced. The bg367 search counts were re-recorded once
 isolating cuts were cached per separator search, because reused cuts run no
-flow. Regenerate it only for a change that is meant to alter the output:
+flow. The counts were re-recorded again once a separator search kept the
+Menger certificate of every flow that ended Exceeded: a candidate that a
+certificate rules out is rejected without a flow, so seven search runs count
+fewer flows and augmentations, while every digest and k_used stayed the same.
+Regenerate it only for a change that is meant to alter the output:
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -107,7 +107,7 @@ def test_report_rows_append_with_stable_schema(tmp_path):
     append_report(str(path), res2.report)
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["graph", "n", "m", "algo", "mode", "k_used", "width_plus_one",
-                       "separator_calls", "flow_augmentations", "wall_ms"]
+                       "separator_calls", "flow_augmentations", "wall_ms", "certified"]
     assert len(rows) == 3
     assert rows[1][0] == "p6" and rows[2][0] == "c6"
 

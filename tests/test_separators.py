@@ -9,12 +9,14 @@ from itertools import combinations
 import pytest
 
 from twdecomp import (Counters, Exceeded, FlowWorkspace, Graph, Part, ThreeWaySep,
-                      alpha_sum_sep, approx_3way_vertex_cut,
+                      TriangSuccess, alpha_sum_sep, approx_3way_vertex_cut,
                       brute_force_min_separator, connected_components,
-                      min_vertex_separator, try_split, two_thirds_vtx_sep,
+                      decompose, min_vertex_separator, try_split, two_thirds_vtx_sep,
                       two_way_half_vtx_sep, vset)
-from twdecomp.corpus import complete_graph, gnp_connected, grid_graph, path_graph, star_graph
-from twdecomp.separators import _three_partitions
+from twdecomp import separators
+from twdecomp.corpus import (complete_graph, gnp_connected, grid_graph, partial_k_tree,
+                             path_graph, star_graph)
+from twdecomp.separators import DEFAULT_ALPHA, _three_partitions
 
 
 def two_way_sep_is_consistent(g, sep, w):
@@ -295,3 +297,96 @@ def test_alpha_sum_sep_matches_uncached_reference():
         if kind == "grid":
             assert got.separator_calls < want.separator_calls, g
     assert 0 < found < len(graphs) * 6
+
+
+def test_try_split_refuses_bad_groups_while_certificates_are_kept():
+    g = grid_graph(4, 4)
+    top, bottom = (0, 1, 2, 3), (12, 13, 14, 15)
+    ws = FlowWorkspace(g, None, top + bottom)
+    assert try_split(ws, top, bottom, 2) is None
+    assert ws.certs[2].count == 1
+    # The kept certificate would rule out the first two if their groups were
+    # not checked; the others it does not rule out, and the flow refuses them.
+    bad = [
+        ((0, 13, 2, 15), (12, 1, 14, 3, 15), "disjoint"),
+        ((0, 13, 2, 15, 0), (12, 1, 14, 3), "repeat"),
+        ((0, 13, 2, 15), (), "non-empty"),
+        ((), (12, 1, 14, 3), "non-empty"),
+        ((0, 13, 2, 15, 5), (12, 1, 14, 3), "not a target"),
+        ((0, 13, 2, 15), (12, 1, 14, 3, 99), "not a target"),
+    ]
+    certs = ws.certs[2]
+    assert [certs.rule_out(a, b) for a, b, _ in bad] == [True, True] + [False] * 4
+    for group_a, group_b, message in bad:
+        with pytest.raises(ValueError, match=message):
+            try_split(ws, group_a, group_b, 2)
+    assert ws.counters.certified == 0
+    assert try_split(ws, (0, 13, 2, 15), (12, 1, 14, 3), 2) is None
+    assert ws.counters.certified == 1 and ws.counters.separator_calls == 1
+
+
+def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
+    # A candidate that a kept certificate rules out runs no flow.  Run it
+    # anyway, in a twin workspace whose certificates nothing reads: the flow
+    # must end Exceeded.  The output must not depend on the rulings either.
+    original = FlowWorkspace.certified
+    twins = {}
+    rulings = [0]
+
+    def checked(ws, side_a, side_b, bound):
+        ruled = original(ws, side_a, side_b, bound)
+        if ruled:
+            twin = twins.get(ws)
+            if twin is None:
+                twin = twins[ws] = FlowWorkspace(ws.g, ws.part, ws.targets)
+            assert isinstance(min_vertex_separator(twin, (side_a, side_b), bound), Exceeded)
+            rulings[0] += 1
+        return ruled
+
+    grids = [grid_graph(6, 6), grid_graph(5, 8), grid_graph(7, 7)]
+    pkts = [partial_k_tree(n, k, 0.15, random.Random(n)) for n, k in ((36, 3), (48, 4), (60, 3))]
+    gnps = [gnp_connected(n, p, random.Random(n)) for n, p in ((30, 0.1), (45, 0.07), (60, 0.05))]
+    runs = [(g, algo, {"search": True}) for g in grids + pkts + gnps
+            for algo in ("half45", "bg367")]
+    runs += [(g, "rs4", {"search": True}) for g in grids[:2] + pkts[:1] + gnps[:1]]
+    runs += [(g, algo, {"adaptive": True}) for g in (grids[0], pkts[0], gnps[0])
+             for algo in ("rs4", "half45")]
+    ruled_by_algo = dict.fromkeys(("rs4", "half45", "bg367"), 0)
+    for g, algo, mode in runs:
+        monkeypatch.setattr(FlowWorkspace, "certified", checked)
+        rulings[0] = 0
+        twins.clear()
+        res = decompose(g, algo, **mode)
+        assert res.report.certified == rulings[0], (algo, mode)
+        ruled_by_algo[algo] += rulings[0]
+        monkeypatch.setattr(FlowWorkspace, "certified", lambda ws, a, b, bound: False)
+        plain = decompose(g, algo, **mode)
+        assert isinstance(res.outcome, TriangSuccess)
+        assert res.k_used == plain.k_used, (algo, mode)
+        assert res.outcome.decomposition == plain.outcome.decomposition, (algo, mode)
+        assert res.report.separator_calls <= plain.report.separator_calls
+        assert plain.report.certified == 0
+    assert all(ruled_by_algo.values()), ruled_by_algo
+
+
+def test_isolating_cuts_of_a_triple_never_exceed_the_bound(monkeypatch):
+    # A triple's groups hold at most k <= floor(alpha * k) targets each, and a
+    # group is itself a separator between it and the other targets, so no
+    # isolating cut exceeds the bound: a triple is rejected only when the
+    # union of its two cheapest isolating cuts does.
+    original = separators.approx_3way_vertex_cut
+    seen = []
+
+    def checked(ws, t1, t2, t3, bound):
+        cut = original(ws, t1, t2, t3, bound)
+        assert max(map(len, (t1, t2, t3))) <= bound
+        for grp in (t1, t2, t3):
+            assert not isinstance(ws.cuts.get((ws.mask(grp), bound)), Exceeded)
+        seen.append(isinstance(cut, Exceeded))
+        return cut
+
+    monkeypatch.setattr(separators, "approx_3way_vertex_cut", checked)
+    for g in (grid_graph(8, 8), gnp_connected(30, 0.1, random.Random(30)), path_graph(40)):
+        for alpha in (Fraction(1), DEFAULT_ALPHA):
+            decompose(g, "bg367", search=True, alpha=alpha)
+    assert any(seen) and not all(seen)
