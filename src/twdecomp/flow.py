@@ -7,7 +7,9 @@ vertices: cutting one detaches it from its super-terminal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .graph import Graph, Part, connected_components, vset
@@ -19,33 +21,72 @@ _NO_FLOW = -1
 # Marks of FlowWorkspace.role.
 _SOURCE = 1
 _SINK = 2
-# Translation table taking the side codes 1, 2 and 3 of _verify_cut to 1, so
-# its marks compare directly with a part's membership mask.
-_LISTED = bytes([0, 1, 1, 1]) + bytes(252)
+# A target whose row is longer than this many times the other targets' rows
+# together is a hub, whose row FlowWorkspace does not scan for ``near``.
+_HUB_FACTOR = 8
+
+
+class _FlowArrays:
+    """The scratch arrays of the flows of one run, sized to the root graph.
+
+    ``role`` marks the current sources and sinks, and ``sat``, ``in_flow``
+    and ``prev`` hold the flow and its breadth-first searches; every flow
+    hands them back clean.  ``near`` holds the target masks of one
+    workspace, the one whose list of set entries is ``marked``; a workspace
+    that finds another's list there clears those entries and fills in its
+    own (``FlowWorkspace._claim``).  So the workspaces of a run share one
+    set of arrays, and a split node allocates nothing sized to the graph.
+    """
+
+    __slots__ = ("role", "sat", "in_flow", "prev", "near", "marked")
+
+    def __init__(self, n: int):
+        self.role = bytearray(n)
+        self.sat = bytearray(n)
+        self.in_flow = [_NO_FLOW] * n
+        self.prev = [_UNSEEN] * (2 * n)
+        self.near = [0] * n
+        self.marked: list[int] = []
 
 
 @dataclass
 class Counters:
-    """Per-run flow tallies.
+    """Per-run flow tallies, and the flow scratch arrays of the run.
 
     Every ``FlowWorkspace`` adds each flow it runs to its counters; a driver
     hands one ``Counters`` to all the workspaces of a run.  The first two
     fields count the flows that actually ran: an isolating cut that a
     workspace already holds adds nothing, and neither does a candidate that a
     kept certificate rules out; ``certified`` counts those candidates.
+
+    ``arrays`` holds the root-sized scratch arrays, allocated by the first
+    workspace of the run and borrowed by every later one over a graph of the
+    same size.
     """
 
     separator_calls: int = 0
     augmentations: int = 0
     certified: int = 0
+    arrays: _FlowArrays | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CutResult:
+    """A minimum cut inside ``part``.
+
+    ``side1`` lists the residual-reachable members and ``separator`` the cut;
+    ``side2``, the rest of the part, is not listed by the flow and is built
+    from ``part`` on first use, while the part is not yet handed over.
+    """
+
     separator: tuple[int, ...]
     side1: tuple[int, ...]
-    side2: tuple[int, ...]
     augmentations: int
+    part: Part = field(compare=False, repr=False)
+
+    @cached_property
+    def side2(self) -> tuple[int, ...]:
+        return self.part.remainder(self.side1, self.separator)
 
 
 @dataclass(frozen=True)
@@ -130,15 +171,26 @@ class FlowWorkspace:
     records in ``near[v]`` the mask of targets next to each vertex ``v``.
     The warm start then packs one- and two-edge paths by mask: a source's
     direct path is ``near[a] & free``, where ``free`` holds the unsaturated
-    sinks, and its two-hop paths scan the row ``[(v, near[v]), ...]`` of its
-    neighbours that touch a target, built the first time the source needs
-    it and kept for later flows.
+    sinks, and its two-hop paths scan ``two_hop(a)``, the row
+    ``[(v, near[v]), ...]`` of its neighbours that touch a target, built the
+    first time the source needs it and kept for later flows.
 
-    The flow arrays ``sat``, ``in_flow`` and ``prev`` and the ``role`` marks
-    of the current sources and sinks are allocated once, sized to ``g``, and
-    every flow hands them back clean: it resets exactly the vertices it
-    touched and the states its breadth-first searches queued.  A workspace
-    is therefore used by one flow at a time.
+    ``near`` is filled by scanning the targets' rows, except the row of a
+    hub: a target whose row is more than ``_HUB_FACTOR`` times longer than
+    the other targets' rows together (a star's centre).  Its bit is added
+    only where ``near`` is read, at the targets and at the neighbours of a
+    source whose two-hop row is built, each found in the hub's row by
+    bisection.  ``near`` holds the same masks either way, so the packing is
+    the same, and a workspace costs what its targets' short rows cost.
+
+    The flow arrays ``sat``, ``in_flow`` and ``prev``, the ``role`` marks of
+    the current sources and sinks and ``near`` are sized to ``g`` and
+    borrowed from ``counters``, shared by every workspace of a run.  Every
+    flow hands the first four back clean: it resets exactly the vertices it
+    touched and the states its breadth-first searches queued.  Flows
+    therefore run one at a time.  ``near`` stays filled between flows; a
+    flow (or ``two_hop``) that finds it filled by another workspace fills it
+    again for its own (``_claim``), so workspaces may still take turns.
 
     Every flow is added to ``counters`` (a private ``Counters`` when none is
     given).  ``cuts`` maps (group mask, bound) to the isolating cut of that
@@ -158,7 +210,8 @@ class FlowWorkspace:
     """
 
     __slots__ = ("g", "part", "targets", "counters", "cuts", "certs", "bit_of",
-                 "near", "rows", "role", "sat", "in_flow", "prev")
+                 "hub", "rows", "arrays", "marked", "near", "role", "sat", "in_flow",
+                 "prev")
 
     def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
                  counters: Counters | None = None):
@@ -170,24 +223,76 @@ class FlowWorkspace:
         self.g = g
         self.part = part
         self.targets = w = vset(targets)
-        self.counters = Counters() if counters is None else counters
+        self.counters = counters = Counters() if counters is None else counters
         self.cuts = {}
         self.certs = {}
         self.bit_of = bit_of = {}
-        self.near = near = [0] * n
-        bit = 1
-        for t in w:
+        total = longest = 0
+        hub = -1
+        for i, t in enumerate(w):
             if not (0 <= t < n and inside[t]):
                 raise ValueError(f"terminal vertex out of range: {t}")
-            bit_of[t] = bit
-            for v in adj[t]:
-                near[v] |= bit
-            bit <<= 1
+            bit_of[t] = 1 << i
+            length = len(adj[t])
+            total += length
+            if length > longest:
+                longest, hub = length, t
+        self.hub = (hub, bit_of[hub]) if longest > _HUB_FACTOR * (total - longest) else None
         self.rows = {}
-        self.role = bytearray(n)
-        self.sat = bytearray(n)
-        self.in_flow = [_NO_FLOW] * n
-        self.prev = [_UNSEEN] * (2 * n)
+        arrays = counters.arrays
+        if arrays is None or len(arrays.sat) != n:
+            arrays = counters.arrays = _FlowArrays(n)
+        self.arrays = arrays
+        self.role, self.sat = arrays.role, arrays.sat
+        self.in_flow, self.prev = arrays.in_flow, arrays.prev
+        self.near = arrays.near
+        self._claim()
+
+    def _claim(self) -> None:
+        """Fill the run's shared ``near`` with this workspace's masks, after
+        clearing the entries the workspace that filled it last had set."""
+        arrays = self.arrays
+        near = self.near
+        for v in arrays.marked:
+            near[v] = 0
+        self.marked = arrays.marked = marked = []
+        adj = self.part.adj
+        hub = self.hub[0] if self.hub is not None else -1
+        for t, bit in self.bit_of.items():
+            if t != hub:
+                row = adj[t]
+                for v in row:
+                    near[v] |= bit
+                marked += row
+        if self.hub is not None:
+            self._add_hub(self.targets)
+
+    def _add_hub(self, vertices) -> None:
+        """Add the hub's bit to ``near`` at each of ``vertices`` next to it."""
+        hub, bit = self.hub
+        row = self.part.adj[hub]
+        near = self.near
+        marked = self.marked
+        for v in vertices:
+            i = bisect_left(row, v)
+            if i < len(row) and row[i] == v:
+                near[v] |= bit
+                marked.append(v)
+
+    def two_hop(self, a: int) -> list[tuple[int, int]]:
+        """The row ``[(v, near[v]), ...]`` of ``a``'s neighbours that touch a
+        target, built on the first call and kept.  The shared ``near`` holds
+        this workspace's masks afterwards."""
+        if self.arrays.marked is not self.marked:
+            self._claim()
+        row = self.rows.get(a)
+        if row is None:
+            near = self.near
+            nbrs = self.part.adj[a]
+            if self.hub is not None:
+                self._add_hub(nbrs)
+            row = self.rows[a] = [(v, near[v]) for v in nbrs if near[v]]
+        return row
 
     def mask(self, vertices: Iterable[int]) -> int:
         """The bits of ``vertices``; ValueError names one that is not a target."""
@@ -235,7 +340,8 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
     ``terminals`` is a pair of sides, each a non-empty sequence of distinct
     targets of ``ws``, and the cut is taken inside ``ws.part``.  Returns a
     minimum-cardinality separator of size <= bound if one exists, with side1
-    the residual-reachable members and side2 the remainder.  Exceeded is
+    the residual-reachable members, listed from the last breadth-first
+    search, and side2 the remainder, left unlisted.  Exceeded is
     reported after bound+1 successful unit augmentations, which certifies
     that every separator is larger than the bound.  The result does not
     depend on the order of a side; ascending sides make the warm start pack
@@ -245,6 +351,8 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
         raise ValueError("bound must be non-negative")
     side_a, side_b = terminals
     free = ws.side_masks(side_a, side_b)[1]
+    if ws.arrays.marked is not ws.marked:
+        ws._claim()
 
     part = ws.part
     adj = part.adj
@@ -287,7 +395,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
             else:
                 row = rows.get(a)
                 if row is None:
-                    row = rows[a] = [(v, near[v]) for v in adj[a] if near[v]]
+                    row = ws.two_hop(a)
                 for v, mask in row:
                     # An unsaturated sink here would have been taken above; a
                     # source may still start its own path.
@@ -377,18 +485,13 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
             _keep_certificate(ws, side_b, flow, bound)
             return Exceeded(bound, flow)
 
-        separator = []
-        side1 = []
-        side2 = []
-        for v in part.members:
-            seen_in = prev[2 * v] != _UNSEEN
-            seen_out = prev[2 * v + 1] != _UNSEEN
-            if seen_in and not seen_out:
-                separator.append(v)
-            elif seen_in or seen_out:
-                side1.append(v)
-            else:
-                side2.append(v)
+        # The last search reached no sink, and its queue lists every state it
+        # reached: a vertex whose exit side was reached is residual-reachable,
+        # one reached at its entry side only is cut (an exit state in the
+        # queue is itself reached).  The rest of the part is side2, which the
+        # flow never lists.
+        side1 = sorted([s >> 1 for s in queue if s & 1])
+        separator = sorted([s >> 1 for s in queue if prev[s | 1] == _UNSEEN])
     finally:
         # Hand the scratch arrays back clean.
         for s in queue:
@@ -398,8 +501,8 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
                 role[v] = 0
                 sat[v] = 0
                 in_flow[v] = _NO_FLOW
-    result = CutResult(tuple(separator), tuple(side1), tuple(side2), flow)
-    _verify_cut(ws.g, side_a, side_b, result, flow, part)
+    result = CutResult(tuple(separator), tuple(side1), flow, part)
+    _verify_cut(ws.g, side_a, side_b, result, flow)
     return result
 
 
@@ -436,28 +539,37 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
     certs.add(paths)
 
 
-def _verify_cut(g: Graph, side_a, side_b, cut: CutResult, flow: int,
-                part: Part) -> None:
+def _verify_cut(g: Graph, side_a, side_b, cut: CutResult, flow: int) -> None:
+    """Check a cut at the cost of its listed vertices and their rows.
+
+    side2 is the part minus side1 and the separator, so side1 and the
+    separator partition the part with it exactly when they hold members
+    only, each once; no edge crosses from side1 to side2 exactly when every
+    neighbour of side1 is in side1 or the separator; and an uncut sink, a
+    member, is in side2 exactly when it is not in side1.
+    """
     _invariant(len(cut.separator) == flow, "cut size differs from flow value")
-    side_of = bytearray(g.n)
-    for side, code in ((cut.side1, 1), (cut.side2, 2), (cut.separator, 3)):
-        for v in side:
-            side_of[v] = code
-    # The lists mark exactly the members and hold as many entries as there
-    # are members, so they list each member once and nothing else.
-    _invariant(
-        len(cut.separator) + len(cut.side1) + len(cut.side2) == len(part.members)
-        and side_of.translate(_LISTED) == part.inside,
-        "separator and sides do not partition the vertices",
-    )
-    adj = part.adj
+    inside = cut.part.inside
+    adj = cut.part.adj
+    n = g.n
+    side_of = {}
+    for v in cut.separator:
+        side_of[v] = 3
+    for v in cut.side1:
+        side_of[v] = 1
+    # Listed once each (no key lost to a repeat) and members only.
+    partition = len(side_of) == len(cut.side1) + len(cut.separator)
+    for v in side_of:
+        if not (0 <= v < n and inside[v]):
+            partition = False
+            break
+    _invariant(partition, "separator and sides do not partition the vertices")
     for u in cut.side1:
         for v in adj[u]:
-            if side_of[v] == 2:
+            if v not in side_of:
                 _invariant(False, f"edge ({min(u, v)}, {max(u, v)}) crosses the cut")
-    _invariant(all(side_of[v] in (1, 3) for v in side_a),
-               "uncut source attachment outside side1")
-    _invariant(all(side_of[v] in (2, 3) for v in side_b),
+    _invariant(all(v in side_of for v in side_a), "uncut source attachment outside side1")
+    _invariant(all(side_of.get(v) != 1 for v in side_b),
                "uncut sink attachment outside side2")
 
 

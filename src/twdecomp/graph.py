@@ -3,8 +3,14 @@ components."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import compress
 from typing import Iterable
+
+
+# Part.handover cuts a surviving row at the removed vertices instead of
+# filtering it when the row is longer than this many times the removed set.
+_CUT_FACTOR = 16
 
 
 def vset(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -69,26 +75,34 @@ class Graph:
 
 
 class Part:
-    """The subgraph of ``g`` induced by ``members``, kept in g's vertex ids.
+    """The subgraph of ``g`` induced by its members, kept in g's vertex ids.
 
-    ``adj[v]`` holds member ``v``'s neighbours inside the part in ascending
-    order, and ``()`` for every vertex outside it; ``inside[v]`` is 1 for a
-    member and 0 otherwise; ``m`` is the part's edge count.  Without
-    ``members`` the part is the whole graph and shares its rows.
+    ``inside[v]`` is 1 for a member and 0 otherwise, ``size`` counts the
+    members, ``adj[v]`` holds member ``v``'s neighbours inside the part in
+    ascending order, as a tuple or, once ``handover`` has cut it in place, a
+    list (``()`` for every vertex outside the part) and ``m`` is the
+    part's edge count.  ``low`` is at most the smallest member, a cursor that
+    only moves up as a handover removes members.  Without ``members`` the
+    part is the whole graph and shares its rows.
+
+    No member list is kept: ``members`` builds the ascending tuple from
+    ``inside`` on each use, and ``remainder`` the members outside some listed
+    vertex sets.
     """
 
-    __slots__ = ("members", "inside", "adj", "m")
+    __slots__ = ("inside", "adj", "m", "size", "low")
 
     def __init__(self, g: Graph, members: Iterable[int] | None = None):
+        self.low = 0
         if members is None:
-            self.members = range(g.n)
             self.inside = b"\x01" * g.n
             self.adj = g.adj_sorted
             self.m = g.m
+            self.size = g.n
             return
-        self.members = vset(members)
+        members = vset(members)
         self.inside = inside = bytearray(g.n)
-        for v in self.members:
+        for v in members:
             if not (0 <= v < g.n):
                 raise ValueError(f"vertex id out of range: {v}")
             inside[v] = 1
@@ -96,32 +110,81 @@ class Part:
         rows = g.adj_sorted
         inside_at = inside.__getitem__
         twice_m = 0
-        for v in self.members:
+        for v in members:
             row = rows[v]
             adj[v] = row = tuple(compress(row, map(inside_at, row)))
             twice_m += len(row)
         self.adj = adj
         self.m = twice_m // 2
+        self.size = len(members)
+        if members:
+            self.low = members[0]
 
-    def handover(self, members: Iterable[int]) -> "Part":
-        """The part on ``members``, a subset of this part's members, built in
-        this part's own arrays.
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The members, ascending, read off ``inside``."""
+        return self.remainder()
+
+    def remainder(self, *taken: Iterable[int]) -> tuple[int, ...]:
+        """The members that are in none of ``taken``, ascending.
+
+        The mark is a copy of ``inside`` between the smallest and the largest
+        member, found and read at C speed, so the cost is the listed vertices
+        plus one pass over the ids that span the part.
+        """
+        inside = self.inside
+        low = inside.find(1, self.low)
+        if low < 0:
+            return ()
+        self.low = low
+        high = inside.rfind(1) + 1
+        keep = bytearray(inside[low:high])
+        for piece in taken:
+            for v in piece:
+                keep[v - low] = 0
+        return tuple(compress(range(low, high), keep))
+
+    def smallest(self, count: int, skip: Iterable[int] = ()) -> tuple[int, ...]:
+        """The ``count`` smallest members outside ``skip``, ascending (fewer
+        when the part runs out); ``low`` moves up to the smallest member."""
+        find = self.inside.find
+        v = find(1, self.low)
+        if v < 0:
+            return ()
+        self.low = v
+        skip = set(skip)
+        out = []
+        while v >= 0 and len(out) < count:
+            if v not in skip:
+                out.append(v)
+            v = find(1, v + 1)
+        return tuple(out)
+
+    def handover(self, removed: Iterable[int]) -> "Part":
+        """The part without the members in ``removed``, built in this part's
+        own arrays.
 
         Each removed member's row is cleared and only the rows of its
-        surviving neighbours are filtered again, so the cost follows the
-        removed vertices and their neighbourhood rather than the sub-part.
+        surviving neighbours are changed, so the cost follows the removed
+        vertices and their neighbourhood, not the part that remains.  A row
+        longer than ``_CUT_FACTOR`` times the removed set (a hub's, losing a
+        few leaves) becomes a list, once, and loses the removed vertices in
+        place, found by bisection: a memmove per run of them, with no copy of
+        the row; any other row is filtered through ``inside`` into a new
+        tuple, at most ``_CUT_FACTOR`` lookups per removed vertex.
+
         This part is spent: its fields are dropped, and any later use raises
         AttributeError.  A whole-graph part shares its graph's rows, so it
-        refuses, as does a ``members`` with a vertex outside the part.
+        refuses, as does a ``removed`` with a vertex outside the part; a
+        refused part is left as it was.
         """
-        if isinstance(self.members, range):
-            raise ValueError("a whole-graph part shares its graph's rows")
-        members = vset(members)
         inside = self.inside
-        gone = set(self.members).difference(members)
-        if len(self.members) - len(gone) != len(members):
-            stray = next(v for v in members if not (0 <= v < len(inside) and inside[v]))
-            raise ValueError(f"vertex {stray} is not a member of the part")
+        if not isinstance(inside, bytearray):
+            raise ValueError("a whole-graph part shares its graph's rows")
+        gone = set(removed)
+        for v in gone:
+            if not (0 <= v < len(inside) and inside[v]):
+                raise ValueError(f"vertex {v} is not a member of the part")
         adj = self.adj
         touched = set()
         removed_ends = 0
@@ -133,17 +196,40 @@ class Part:
             adj[v] = ()
         touched.difference_update(gone)
         inside_at = inside.__getitem__
+        order = sorted(gone)
+        long_row = _CUT_FACTOR * len(gone)
         cut_ends = 0
         for w in touched:
             row = adj[w]
-            adj[w] = kept = tuple(compress(row, map(inside_at, row)))
-            cut_ends += len(row) - len(kept)
+            if len(row) > long_row:
+                if type(row) is tuple:
+                    adj[w] = row = list(row)
+                hits = []
+                for v in order:
+                    i = bisect_left(row, v)
+                    if i < len(row) and row[i] == v:
+                        hits.append(i)
+                cut_ends += len(hits)
+                # Delete each run of consecutive positions, the last run first
+                # so that the earlier positions stay put: a memmove per run.
+                end = len(hits)
+                while end:
+                    start = end - 1
+                    while start and hits[start - 1] == hits[start] - 1:
+                        start -= 1
+                    del row[hits[start]:hits[end - 1] + 1]
+                    end = start
+            else:
+                adj[w] = kept = tuple(compress(row, map(inside_at, row)))
+                cut_ends += len(row) - len(kept)
         # An edge inside the removed set is listed twice in the removed rows,
         # an edge to a survivor once there and once in the survivor's row.
-        m = self.m - (removed_ends + cut_ends) // 2
-        del self.members, self.inside, self.adj, self.m
         sub = Part.__new__(Part)
-        sub.members, sub.inside, sub.adj, sub.m = members, inside, adj, m
+        sub.inside, sub.adj = inside, adj
+        sub.m = self.m - (removed_ends + cut_ends) // 2
+        sub.size = self.size - len(gone)
+        sub.low = self.low
+        del self.inside, self.adj, self.m, self.size, self.low
         return sub
 
 
@@ -162,7 +248,7 @@ def connected_components(g: Graph, removed: Iterable[int] = (),
     for v in gone:
         seen[v] = 1
     comps = []
-    for start in part.members:
+    for start in compress(range(g.n), part.inside):
         if seen[start]:
             continue
         seen[start] = 1

@@ -25,7 +25,6 @@ class ParseError(Exception):
 @dataclass(frozen=True)
 class ParsedGraph:
     graph: Graph
-    labels: tuple[str, ...]
     warnings: tuple[str, ...]
 
 
@@ -87,9 +86,7 @@ def parse_graph(text: str) -> ParsedGraph:
     if edge_lines != declared_m:
         raise ParseError(header_line,
                          f"header declares {declared_m} edges but found {edge_lines}")
-    graph = Graph(n, sorted(edges))
-    labels = tuple(str(v + 1) for v in range(n))
-    return ParsedGraph(graph, labels, tuple(warnings))
+    return ParsedGraph(Graph(n, sorted(edges)), tuple(warnings))
 
 
 def emit_graph(g: Graph, comment: str | None = None) -> str:

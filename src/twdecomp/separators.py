@@ -23,23 +23,37 @@ flows that ran, and ``certified`` the candidates ruled out without one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .flow import Exceeded, FlowWorkspace, approx_3way_vertex_cut, min_vertex_separator
+from .graph import Part
 
 DEFAULT_ALPHA = Fraction(4, 3)
 
 
 @dataclass(frozen=True)
 class TwoWaySep:
+    """A two-way split of ``part``: ``s1`` is the side its flow listed, and
+    ``s2``, the rest of the part, is built on first use, while the part is
+    not yet handed over."""
+
     x: tuple[int, ...]
     s1: tuple[int, ...]
-    s2: tuple[int, ...]
+    part: Part = field(compare=False, repr=False)
+
+    @cached_property
+    def s2(self) -> tuple[int, ...]:
+        return self.part.remainder(self.s1, self.x)
 
     def sides(self):
         return (self.s1, self.s2)
+
+    def listed(self):
+        """The sides the flow listed; the rest of the part is the other."""
+        return (self.s1,)
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,10 @@ class ThreeWaySep:
 
     def sides(self):
         return (self.s1, self.s2, self.s3)
+
+    def listed(self):
+        """Every side: a three-way split lists all three."""
+        return self.sides()
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -79,9 +97,10 @@ def try_split(ws: FlowWorkspace, group_a: tuple[int, ...], group_b: tuple[int, .
     res = min_vertex_separator(ws, (group_a, group_b), bound)
     if isinstance(res, Exceeded):
         return None
-    if not res.side1 or not res.side2:
+    # side2 is empty when side1 and the separator take the whole part.
+    if not res.side1 or len(res.side1) + len(res.separator) == ws.part.size:
         return None
-    return TwoWaySep(res.separator, res.side1, res.side2)
+    return TwoWaySep(res.separator, res.side1, ws.part)
 
 
 def two_thirds_candidates(w: tuple[int, ...]):
@@ -111,7 +130,8 @@ def half_candidates(w: tuple[int, ...]):
 def _first_split(ws: FlowWorkspace, candidates, bound: int, share: int) -> TwoWaySep | None:
     """First split of ``candidates(ws.targets)`` with a cut of at most ``bound``.
 
-    Neither side may hold more than ``share`` of the targets.
+    Neither side may hold more than ``share`` of the targets; s2's share is
+    counted as the targets in neither s1 nor the separator.
     """
     w = ws.targets
     wset = set(w)
@@ -120,9 +140,10 @@ def _first_split(ws: FlowWorkspace, candidates, bound: int, share: int) -> TwoWa
         if sep is None:
             continue
         _require(len(sep.x) <= bound, "separator above bound")
-        for side in sep.sides():
-            _require(len(wset.intersection(side)) <= share,
-                     "side holds more than its share of the targets")
+        in_s1 = len(wset.intersection(sep.s1))
+        in_s2 = len(w) - in_s1 - len(wset.intersection(sep.x))
+        _require(max(in_s1, in_s2) <= share,
+                 "side holds more than its share of the targets")
         return sep
     return None
 

@@ -90,17 +90,10 @@ class DecomposeResult:
 
 def _pad_targets(part: Part, boundary: tuple[int, ...], size: int) -> tuple[int, ...]:
     # Fill up with the smallest member ids not already present.
-    wanted = min(len(part.members), size)
-    if len(boundary) >= wanted:
+    need = min(part.size, size) - len(boundary)
+    if need <= 0:
         return boundary
-    have = set(boundary)
-    extra = []
-    for v in part.members:
-        if v not in have:
-            extra.append(v)
-            if len(boundary) + len(extra) == wanted:
-                break
-    return vset(boundary + tuple(extra))
+    return vset(boundary + part.smallest(need, boundary))
 
 
 def _missing_pairs(g: Graph, members: Iterable[int]) -> set[tuple[int, int]]:
@@ -111,19 +104,24 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
                  clique_cap: int | None) -> TriangOutcome:
     """The recursion shared by every driver, on an explicit stack.
 
-    A node is a vertex subset of ``g`` (an ascending tuple of its ids), its
-    inherited boundary, its parent's bag index and its ``Part`` if it has
-    inherited one.  Nodes above ``base_size`` vertices ask
-    ``split(g, part, boundary)`` for ``(x, sides)``, where ``part`` is the
-    node's ``Part``; None rejects k.  The node's bag is the
+    A node is a vertex subset of ``g``, its inherited boundary, its parent's
+    bag index and its ``Part``: either an ascending tuple of its ids and no
+    part yet, or, for a node that inherited its parent's part, None and that
+    part.  Nodes above ``base_size`` vertices ask ``split(g, part, boundary)``
+    for ``(x, listed)``, where ``part`` is the node's ``Part``; None rejects
+    k.  The node's sides are the listed ones, then the rest of the part,
+    which is not listed: its size is a count.  The node's bag is the
     boundary plus ``x``, made a clique, and every non-empty side plus ``x``
-    becomes a child.  Bags are numbered in pre-order and the roots of separate
-    components are chained into one tree.
+    becomes a child.  Bags are numbered in pre-order and the roots of
+    separate components are chained into one tree.
 
-    The child on the largest side (the first of equal ones) takes over the
-    node's ``Part`` by ``Part.handover`` when it is above ``base_size``, so a
-    split that cuts off a few vertices costs about as much surgery as it
-    removes; every other node builds its part from ``g``.
+    The child on the largest side (the first of equal sides) takes over the
+    node's ``Part`` by ``Part.handover`` when it is above ``base_size``,
+    handing over the vertices of the other sides; when that child is the
+    rest, those are the listed sides only, so a split that cuts off a few
+    vertices costs what it removes.  The rest is listed only when it is not
+    handed over, and then it is no larger than a listed side or no larger
+    than ``base_size``.  Every other node builds its part from ``g``.
     """
     stack = [(comp, (), -1, None) for comp in reversed(connected_components(g) or [()])]
     fills: set[tuple[int, int]] = set()
@@ -137,7 +135,8 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
             roots.append(idx)
         else:
             edges.append((parent, idx))
-        if len(members) <= base_size:
+        size = part.size if members is None else len(members)
+        if size <= base_size:
             found = members, ()
         else:
             if part is None:
@@ -145,21 +144,34 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
             found = split(g, part, boundary)
         if found is None:
             return TreewidthExceeded(k)
-        x, sides = found
+        x, listed = found
         bag = vset(boundary + x)
         bags.append(bag)
         fills.update(_missing_pairs(g, bag))
-        boundary_set = set(boundary)
-        heir = max(range(len(sides)), key=lambda i: len(sides[i]), default=-1)
-        for i in reversed(range(len(sides))):
-            side = sides[i]
-            if side:
-                child = vset(side + x)
-                heir_part = None
-                if i == heir and len(child) > base_size:
-                    heir_part = part.handover(child)
-                stack.append((child, vset((boundary_set & set(side)) | set(x)), idx,
-                              heir_part))
+        sizes = [len(side) for side in listed]
+        sizes.append(size - len(x) - sum(sizes))
+        last = len(listed)
+        heir = sizes.index(max(sizes))
+        if sizes[heir] + len(x) <= base_size:
+            heir = -1
+        rest = () if not sizes[last] or heir == last else part.remainder(x, *listed)
+        sides = [*listed, rest]
+        # Each boundary vertex outside x goes to the side that holds it.
+        shares: list[list[int]] = [[] for _ in sizes]
+        outside = [v for v in boundary if v not in x]
+        if outside:
+            sets = list(map(set, listed))
+            for v in outside:
+                shares[next((i for i, side in enumerate(sets) if v in side), last)].append(v)
+        for i in reversed(range(len(sizes))):
+            if not sizes[i]:
+                continue
+            child_boundary = vset(shares[i] + list(x))
+            if i == heir:
+                removed = [v for j, side in enumerate(sides) if j != i for v in side]
+                stack.append((None, child_boundary, idx, part.handover(removed)))
+            else:
+                stack.append((vset(sides[i] + x), child_boundary, idx, None))
     edges += zip(roots, roots[1:])
     return _finish(g, k, fills, TreeDecomposition.from_bags(bags, edges), clique_cap)
 
@@ -172,12 +184,12 @@ def _fixed_k_split(find, k: int, pad_size: int, counters: Counters | None):
     """
     def split(g: Graph, part: Part, boundary: tuple[int, ...]):
         # A graph of treewidth at most k-1 has at most n*k edges.
-        if part.m > len(part.members) * k:
+        if part.m > part.size * k:
             return None
         sep = find(FlowWorkspace(g, part, _pad_targets(part, boundary, pad_size), counters))
         if sep is None:
             return None
-        return sep.x, sep.sides()
+        return sep.x, sep.listed()
     return split
 
 
@@ -187,30 +199,28 @@ def _check_three_way_contract(part: Part, sep: ThreeWaySep, bound: int) -> None:
     if len(sep.x) > bound:
         raise RuntimeError(f"separator of {len(sep.x)} vertices exceeds the bound {bound}")
     sides = sep.sides()
-    pieces = [sep.x, *sides]
-    combined: set[int] = set()
-    total = 0
-    for piece in pieces:
-        combined.update(piece)
-        total += len(piece)
-    if total != len(part.members) or combined != set(part.members):
+    # Members only, none twice, as many as the part has: exactly the part.
+    owner = dict.fromkeys(sep.x, -1)
+    total = len(sep.x)
+    for idx, side in enumerate(sides):
+        owner.update(dict.fromkeys(side, idx))
+        total += len(side)
+    inside = part.inside
+    if (total != part.size or len(owner) != total or min(owner, default=0) < 0
+            or max(owner, default=-1) >= len(inside)
+            or not all(map(inside.__getitem__, owner))):
         raise RuntimeError("separator and sides do not partition the vertices")
     if sum(1 for side in sides if side) < 2:
         raise RuntimeError("three-way split has fewer than two non-empty sides")
     # Every edge between two sides has an end outside the largest side, so
-    # only the other two sides' rows are scanned; a neighbour listed in
-    # neither them nor x is in the largest side.
+    # only the other two sides' rows are scanned.
     big = max(range(3), key=lambda i: len(sides[i]))
-    owner = dict.fromkeys(sep.x, -1)
-    for idx, side in enumerate(sides):
-        if idx != big:
-            owner.update(dict.fromkeys(side, idx))
     for idx, side in enumerate(sides):
         if idx == big:
             continue
         for u in side:
             for v in part.adj[u]:
-                if owner.get(v, big) not in (idx, -1):
+                if owner[v] not in (idx, -1):
                     raise RuntimeError(
                         f"three-way separator misses edge ({min(u, v)}, {max(u, v)})")
 
@@ -338,10 +348,9 @@ def _adaptive_split(flavor: str, counters: Counters):
     candidates = two_thirds_candidates if flavor == "rs4" else half_candidates
 
     def split(g: Graph, part: Part, boundary: tuple[int, ...]):
-        n = len(part.members)
+        n = part.size
         targets = list(boundary)
-        inherited = set(boundary)
-        pool = [v for v in part.members if v not in inherited]
+        pool = list(part.remainder(boundary))
         best: TwoWaySep | None = None
         while True:
             # The target set grows between rounds, so each round has its own
@@ -352,7 +361,7 @@ def _adaptive_split(flavor: str, counters: Counters):
                 if sep is not None and (best is None or len(sep.x) < len(best.x)):
                     best = sep
             if best is not None:
-                return best.x, best.sides()
+                return best.x, best.listed()
             if not pool:
                 return part.members, ()
             targets.append(pool.pop(0))

@@ -5,15 +5,19 @@ from collections import deque
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 from networkx.algorithms.flow import edmonds_karp
 
 from twdecomp import (Counters, CutResult, Exceeded, FlowWorkspace, Graph, Part,
                       ThreeWayCut, approx_3way_vertex_cut, brute_force_min_multiway,
                       brute_force_min_separator, max_disjoint_paths,
                       min_vertex_separator, vset)
-from twdecomp.corpus import complete_graph, cycle_graph, gnp_connected, grid_graph, star_graph
+from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected, grid_graph,
+                             partial_k_tree, random_tree, star_graph)
 from twdecomp.flow import _verify_cut
 from twdecomp.separators import half_candidates, two_thirds_candidates
+
+from test_graph import assert_same_part
 
 
 def fresh(g, *groups, part=None, counters=None):
@@ -199,17 +203,26 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
     assert outcomes == part_outcomes == {CutResult, Exceeded}
 
 
-@pytest.mark.parametrize("cut, flow, message", [
-    (CutResult((2,), (0, 3), (1, 4), 1), 1, "edge (0, 1) crosses the cut"),
-    (CutResult((2,), (0, 1), (3, 4), 1), 2, "cut size differs from flow value"),
-    (CutResult((2,), (0, 1), (3,), 1), 1, "do not partition the vertices"),
-], ids=["crossing-edge", "size-differs", "not-a-partition"])
-def test_verify_cut_rejects_tampered_cuts(cut, flow, message):
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("separator, side1, flow, message", [
+    ((2,), (0, 3), 1, "edge (0, 1) crosses the cut"),
+    ((2,), (0, 1), 2, "cut size differs from flow value"),
+    ((2,), (0, 1, 5), 1, "do not partition the vertices"),
+    ((2,), (0, 1, 7), 1, "do not partition the vertices"),
+    ((2,), (0, 1, 1), 1, "do not partition the vertices"),
+    ((2,), (0, 1, 2), 1, "do not partition the vertices"),
+    ((2,), (0, 1, 3, 4), 1, "uncut sink attachment outside side2"),
+    ((2,), (3, 4), 1, "uncut source attachment outside side1"),
+], ids=["crossing-edge", "size-differs", "not-a-partition", "out-of-range",
+        "listed-twice", "separator-in-side1", "sink-in-side1", "source-outside-side1"])
+def test_verify_cut_rejects_tampered_cuts(separator, side1, flow, message):
+    # side2 is never listed: it is the part minus side1 and the separator.
+    # Vertex 5 is in the graph but not in the part.
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     terminals = ((0,), (4,))
-    _verify_cut(g, *terminals, CutResult((2,), (0, 1), (3, 4), 1), 1, Part(g))
+    part = Part(g, range(5))
+    _verify_cut(g, *terminals, CutResult((2,), (0, 1), 1, part), 1)
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        _verify_cut(g, *terminals, cut, flow, Part(g))
+        _verify_cut(g, *terminals, CutResult(separator, side1, 1, part), flow)
 
 
 def test_matches_brute_force_on_random_graphs():
@@ -406,6 +419,72 @@ def test_shared_workspace_matches_one_shot_flows_and_networkx():
                 assert (got.separator, got.side1, got.side2) == cut
             outcomes.add(type(got))
     assert outcomes == {CutResult, Exceeded}
+
+
+def property_graph(kind, n, rng):
+    """A seeded graph of ``kind`` with at most n <= 60 vertices."""
+    if kind == "gnp":
+        return gnp_connected(n, rng.uniform(1.5, 5.0) / n, rng)
+    if kind == "grid":
+        rows = rng.randint(2, 6)
+        return grid_graph(rows, max(2, n // rows))
+    if kind == "tree":
+        return random_tree(n, rng)
+    if kind == "star":
+        # A hub: its row is far longer than the other targets' rows.
+        chords = [tuple(rng.sample(range(1, n), 2)) for _ in range(n // 10)]
+        return Graph(n, [(0, v) for v in range(1, n)] + chords)
+    return partial_k_tree(n, rng.randint(2, 4), 0.15, rng)
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt")),
+       n=st.integers(8, 60), seed=st.integers(0, 2**31))
+def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
+    # Along a random chain of handovers, as the recursion hands a node's part
+    # to its largest child, the part equals a fresh build; in it every
+    # successful flow lists the side networkx reaches from the sources in
+    # the split-vertex residual network, and the unlisted side2 is the rest
+    # of the part.  Two workspaces over the part share one Counters and take
+    # turns, so each finds the shared ``near`` filled by the other.
+    rng = random.Random(seed)
+    g = property_graph(kind, n, rng)
+    nx_g = nx.Graph(g.edges())
+    nx_g.add_nodes_from(range(g.n))
+    members = vset(v for v in range(g.n) if rng.random() < 0.85)
+    part = Part(g, members)
+    counters = Counters()
+    while len(members) >= 2:
+        assert_same_part(part, g, members)
+        sub = nx_g.subgraph(members)
+        spaces = [FlowWorkspace(g, part, rng.sample(members, rng.randint(2, min(8, len(members)))),
+                                counters) for _ in range(2)]
+        for _ in range(3):
+            ws = rng.choice(spaces)
+            targets = list(ws.targets)
+            rng.shuffle(targets)
+            cut = rng.randint(1, len(targets) - 1)
+            terminals = (vset(targets[:cut]), vset(targets[cut:]))
+            bound = rng.randint(0, 4)
+            got = min_vertex_separator(ws, terminals, bound)
+            value, (separator, side1, side2) = split_vertex_max_flow(members, sub.edges(),
+                                                                     terminals)
+            assert isinstance(got, Exceeded) == (value > bound)
+            if isinstance(got, CutResult):
+                assert (got.separator, got.side1) == (separator, side1)
+                assert got.side2 == side2 == vset(set(members) - set(side1) - set(separator))
+        # The warm start reads ``near`` at the targets and in the two-hop
+        # rows; there it must hold every target next to a vertex, hub or not.
+        for ws in spaces:
+            for a in ws.targets:
+                near = [(v, sum(ws.bit_of.get(t, 0) for t in sub[v])) for v in sorted(sub[a])]
+                assert ws.two_hop(a) == [(v, mask) for v, mask in near if mask]
+                assert ws.near[a] == sum(ws.bit_of.get(t, 0) for t in sub[a])
+        count = rng.choice((1, 2, max(1, len(members) // 3)))
+        removed = rng.sample(members, min(len(members), count))
+        members = vset(set(members).difference(removed))
+        part = part.handover(removed)
+    assert_same_part(part, g, members)
 
 
 def test_workspace_rejects_bad_sides_and_stays_clean():

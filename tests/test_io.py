@@ -13,7 +13,6 @@ from twdecomp.io import (ParseError, append_report, emit_decomposition, emit_gra
 def test_parse_small_path():
     parsed = parse_graph("p tw 3 2\n1 2\n2 3\n")
     assert parsed.graph.edges() == ((0, 1), (1, 2))
-    assert parsed.labels == ("1", "2", "3")
     assert parsed.warnings == ()
 
 

@@ -2,7 +2,10 @@ import math
 import random
 import re
 import sys
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -11,7 +14,8 @@ from twdecomp import (Counters, Graph, NotChordal, Part, ThreeWaySep,
                       check_tree_decomposition, decompose, exact_treewidth,
                       is_chordal, min_degree_triang, triang_2way_23,
                       triang_2way_half, triang_3way)
-from twdecomp import triangulate
+from twdecomp import flow, graph, triangulate
+from twdecomp.flow import FlowWorkspace
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
                              grid_graph, path_graph, random_tree, star_graph)
 from twdecomp.triangulate import _check_three_way_contract
@@ -136,21 +140,24 @@ def test_deep_recursion_keeps_the_interpreter_limit():
 
 
 def test_three_way_separator_bound_is_an_invariant():
-    # path 0-1-2-3-4-5-6 split at 3; bound 1 admits x = (3,) only
-    g = path_graph(7)
-    part = Part(g)
+    # path 0-1-2-3-4-5-6 split at 3; bound 1 admits x = (3,) only.  Vertex 7
+    # of the graph is outside the part.
+    g = path_graph(8)
+    part = Part(g, range(7))
     _check_three_way_contract(part, ThreeWaySep((3,), (0, 1, 2), (4, 5, 6), ()), 1)
-    bad = {
-        "exceeds the bound": ThreeWaySep((2, 3), (0, 1), (4, 5, 6), ()),
-        "do not partition": ThreeWaySep((3,), (0, 1), (4, 5, 6), ()),
-        "fewer than two non-empty sides": ThreeWaySep((3,), (0, 1, 2, 4, 5, 6), (), ()),
-        "misses edge (2, 3)": ThreeWaySep((4,), (0, 1, 2), (3,), (5, 6)),
+    bad = [
+        ("exceeds the bound", ThreeWaySep((2, 3), (0, 1), (4, 5, 6), ())),
+        ("do not partition", ThreeWaySep((3,), (0, 1), (4, 5, 6), ())),
+        ("do not partition", ThreeWaySep((3,), (0, 1, 2), (4, 5, 7), ())),
+        ("do not partition", ThreeWaySep((3,), (0, 1, 2), (4, 5, 5), ())),
+        ("fewer than two non-empty sides", ThreeWaySep((3,), (0, 1, 2, 4, 5, 6), (), ())),
+        ("misses edge (2, 3)", ThreeWaySep((4,), (0, 1, 2), (3,), (5, 6))),
         # between the two smaller sides; the largest is (0, 1, 2)
-        "misses edge (4, 5)": ThreeWaySep((3,), (0, 1, 2), (4,), (5, 6)),
+        ("misses edge (4, 5)", ThreeWaySep((3,), (0, 1, 2), (4,), (5, 6))),
         # between a smaller side and the largest, listed last
-        "misses edge (1, 2)": ThreeWaySep((0,), (), (1,), (2, 3, 4, 5, 6)),
-    }
-    for message, sep in bad.items():
+        ("misses edge (1, 2)", ThreeWaySep((0,), (), (1,), (2, 3, 4, 5, 6))),
+    ]
+    for message, sep in bad:
         with pytest.raises(RuntimeError, match=re.escape(message)):
             _check_three_way_contract(part, sep, 1)
 
@@ -377,7 +384,7 @@ def test_no_stale_part_reaches_a_search(monkeypatch):
     def checked(g, part, targets, counters=None):
         fresh = Part(g, part.members)
         assert bytes(part.inside) == bytes(fresh.inside)
-        assert list(part.adj) == list(fresh.adj)
+        assert list(map(tuple, part.adj)) == list(fresh.adj)
         assert part.m == fresh.m
         seen.append(len(part.members))
         return original(g, part, targets, counters)
@@ -395,27 +402,52 @@ def test_no_stale_part_reaches_a_search(monkeypatch):
             assert seen, (algo, mode)
 
 
-def test_subgraph_surgery_is_linear(monkeypatch):
-    # Members materialized from the root graph plus vertices removed by a
-    # handover, summed over the run.  Rebuilding every split node from g
-    # costs about 334n on the path.
-    total = [0]
-    init, handover = Part.__init__, Part.handover
+def test_split_nodes_cost_what_they_remove(monkeypatch):
+    # A count, with no timing, summed over the run: the members listed by the
+    # flows (side1 and the separator of every cut); the members scanned by
+    # cut verification (those, plus the rows of side1); the entries the
+    # workspaces write into ``near``; and the surgery: every row or id range
+    # filtered (Part.__init__, a handover's short rows, Part.remainder), every
+    # vertex a handover removes and every bisection into a hub's row.  A node
+    # that listed, verified or rebuilt its whole part would make these counts
+    # grow as n squared: listing whole parts alone is about 670n on the path,
+    # while both runs here come to about 14n.
+    per_vertex = 20
+    counts = Counter()
+    verify = flow._verify_cut
+    claim = FlowWorkspace._claim
+    handover = Part.handover
 
-    def counted_init(self, g, members=None):
-        init(self, g, members)
-        if members is not None:
-            total[0] += len(self.members)
+    def counted_verify(g, side_a, side_b, cut, value):
+        listed = len(cut.side1) + len(cut.separator)
+        counts["listed"] += listed
+        counts["verified"] += listed + sum(len(cut.part.adj[u]) for u in cut.side1)
+        verify(g, side_a, side_b, cut, value)
 
-    def counted_handover(self, members):
-        before = len(self.members)
-        sub = handover(self, members)
-        total[0] += before - len(sub.members)
-        return sub
+    def counted_claim(ws):
+        claim(ws)
+        counts["near"] += len(ws.marked)
 
-    monkeypatch.setattr(Part, "__init__", counted_init)
+    def counted_handover(part, removed):
+        removed = set(removed)
+        counts["surgery"] += len(removed)
+        return handover(part, removed)
+
+    def counted_compress(data, selectors):
+        counts["surgery"] += len(data)
+        return compress(data, selectors)
+
+    def counted_bisect(row, v, *bounds):
+        counts["surgery"] += 1
+        return bisect_left(row, v, *bounds)
+
+    monkeypatch.setattr(flow, "_verify_cut", counted_verify)
+    monkeypatch.setattr(FlowWorkspace, "_claim", counted_claim)
     monkeypatch.setattr(Part, "handover", counted_handover)
-    for g, mode in ((path_graph(2000), {"k": 2}), (star_graph(800), {"search": True})):
-        total[0] = 0
+    monkeypatch.setattr(graph, "compress", counted_compress)
+    monkeypatch.setattr(graph, "bisect_left", counted_bisect)
+    for g, mode in ((path_graph(4000), {"k": 2}), (star_graph(2000), {"search": True})):
+        counts.clear()
         assert isinstance(decompose(g, "half45", **mode).outcome, TriangSuccess)
-        assert 0 < total[0] <= 3 * g.n, (g, total[0])
+        assert all(counts.values()) and len(counts) == 4, counts
+        assert counts.total() <= per_vertex * g.n, (g, counts)
