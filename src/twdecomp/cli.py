@@ -11,10 +11,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .io import ParseError, append_report, emit_decomposition, parse_decomposition, parse_graph
+from .io import (MAX_VERTICES, ParseError, append_report, emit_decomposition,
+                 parse_decomposition, parse_graph)
 from .separators import DEFAULT_ALPHA
 from .triangulate import ALGORITHMS, TriangSuccess, decompose
-from .validate import check_tree_decomposition, exact_treewidth
+from .validate import EXACT_MAX_VERTICES, check_tree_decomposition, exact_treewidth
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,9 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(path: str):
+def _load_graph(path: str, max_vertices: int = MAX_VERTICES):
     try:
-        parsed = parse_graph(Path(path).read_text(encoding="utf-8"))
+        parsed = parse_graph(Path(path).read_text(encoding="utf-8"), max_vertices)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
@@ -142,7 +143,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    parsed = _load_graph(args.infile)
+    # The header is checked against the oracle's limit before a graph is built.
+    parsed = _load_graph(args.infile, EXACT_MAX_VERTICES)
     if parsed is None:
         return 2
     try:

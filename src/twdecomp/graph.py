@@ -1,5 +1,5 @@
-"""Immutable adjacency-set graphs, induced parts in root ids and connected
-components."""
+"""Immutable graphs with sorted adjacency rows, induced parts in root ids and
+connected components."""
 
 from __future__ import annotations
 
@@ -23,45 +23,37 @@ class Graph:
 
     Instances are immutable after construction and safe to share between
     concurrent tasks; every operation in this module returns a new value.
-    Neighbor iteration order is ascending, which keeps every algorithm
-    built on top of this class deterministic.
+    ``adj[v]`` lists v's neighbours as an ascending tuple, which keeps every
+    algorithm built on top of this class deterministic.
     """
 
-    __slots__ = ("n", "adj", "adj_sorted", "m", "_edges")
+    __slots__ = ("n", "adj", "m", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        sets: list[set[int]] = [set() for _ in range(n)]
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex id out of range in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            sets[u].add(v)
-            sets[v].add(u)
+            rows[u].append(v)
+            rows[v].append(u)
         self.n = n
-        self.adj = tuple(frozenset(s) for s in sets)
-        self.adj_sorted = tuple(tuple(sorted(s)) for s in sets)
-        self.m = sum(len(s) for s in sets) // 2
+        # Each row sorted, then deduplicated in order by dict keys; every
+        # empty row becomes the one shared ().
+        self.adj = tuple(map(tuple, map(dict.fromkeys, map(sorted, rows))))
+        self.m = sum(map(len, self.adj)) // 2
         self._edges = None
-
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def neighbors(self, v: int) -> frozenset:
-        return self.adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         if self._edges is None:
             self._edges = tuple(
-                (u, v) for u in range(self.n) for v in self.adj_sorted[u] if u < v
+                (u, v) for u in range(self.n) for v in self.adj[u] if u < v
             )
         return self._edges
 
@@ -96,7 +88,7 @@ class Part:
         self.low = 0
         if members is None:
             self.inside = b"\x01" * g.n
-            self.adj = g.adj_sorted
+            self.adj = g.adj
             self.m = g.m
             self.size = g.n
             return
@@ -107,7 +99,7 @@ class Part:
                 raise ValueError(f"vertex id out of range: {v}")
             inside[v] = 1
         adj = [()] * g.n
-        rows = g.adj_sorted
+        rows = g.adj
         inside_at = inside.__getitem__
         twice_m = 0
         for v in members:

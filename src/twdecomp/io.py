@@ -15,6 +15,12 @@ from itertools import count, islice
 from .graph import Graph
 from .triangulate import AlgoReport, TreeDecomposition
 
+# The most vertices a ``.gr`` header may declare.  A decompose of n isolated
+# vertices peaks at about 670 bytes of memory per vertex, so a header at the
+# limit costs at most about 0.7 GB, and a larger one is refused before
+# anything is built.
+MAX_VERTICES = 10**6
+
 
 class ParseError(Exception):
     def __init__(self, line: int, message: str):
@@ -42,8 +48,11 @@ def _ints(lineno: int, fields: list[str], what: str, line: str) -> list[int]:
         raise ParseError(lineno, f"non-integer {what}: {line!r}")
 
 
-def parse_graph(text: str) -> ParsedGraph:
-    """Parse ``.gr`` text; duplicates and self-loops are dropped with a warning."""
+def parse_graph(text: str, max_vertices: int = MAX_VERTICES) -> ParsedGraph:
+    """Parse ``.gr`` text; duplicates and self-loops are dropped with a warning.
+
+    A header that declares more than ``max_vertices`` vertices is an error.
+    """
     n = None
     declared_m = 0
     header_line = 0
@@ -63,6 +72,9 @@ def parse_graph(text: str) -> ParsedGraph:
             n, declared_m = _ints(lineno, parts[2:], "header fields", line)
             if n < 0 or declared_m < 0:
                 raise ParseError(lineno, "negative counts in header")
+            if n > max_vertices:
+                raise ParseError(lineno, f"header declares {n} vertices, "
+                                         f"more than the limit of {max_vertices}")
             header_line = lineno
             continue
         if n is None:

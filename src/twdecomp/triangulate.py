@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Union
 
 from .flow import Counters, FlowWorkspace
 from .graph import Graph, Part, connected_components, vset
 from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
                          half_candidates, try_split, two_thirds_candidates,
                          two_thirds_vtx_sep, two_way_half_vtx_sep)
-from .validate import NotChordal, clique_number_chordal, is_chordal
+from .validate import _mcs_order, clique_number_chordal
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,12 @@ def _pad_targets(part: Part, boundary: tuple[int, ...], size: int) -> tuple[int,
     return vset(boundary + part.smallest(need, boundary))
 
 
-def _missing_pairs(g: Graph, members: Iterable[int]) -> set[tuple[int, int]]:
-    return {(u, v) for u, v in combinations(vset(members), 2) if v not in g.adj[u]}
+def _missing_pairs(g: Graph, bag: tuple[int, ...], sets: list) -> set[tuple[int, int]]:
+    # ``sets[v]`` is v's row as a set, built the first time a bag holds v.
+    for u in bag:
+        if sets[u] is None:
+            sets[u] = set(g.adj[u])
+    return {(u, v) for u, v in combinations(bag, 2) if v not in sets[u]}
 
 
 def _triangulate(g: Graph, k: int, split, base_size: int,
@@ -125,6 +129,7 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
     """
     stack = [(comp, (), -1, None) for comp in reversed(connected_components(g) or [()])]
     fills: set[tuple[int, int]] = set()
+    row_sets: list[set[int] | None] = [None] * g.n
     bags: list[tuple[int, ...]] = []
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
@@ -147,7 +152,7 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
         x, listed = found
         bag = vset(boundary + x)
         bags.append(bag)
-        fills.update(_missing_pairs(g, bag))
+        fills.update(_missing_pairs(g, bag, row_sets))
         sizes = [len(side) for side in listed]
         sizes.append(size - len(x) - sum(sizes))
         last = len(listed)
@@ -228,10 +233,11 @@ def _check_three_way_contract(part: Part, sep: ThreeWaySep, bound: int) -> None:
 def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,
             clique_cap: int | None) -> TriangSuccess:
     chordal = Graph(g.n, list(g.edges()) + sorted(fills)) if fills else g
-    order = is_chordal(chordal)
-    if isinstance(order, NotChordal):
-        raise RuntimeError("triangulated output is not chordal")
-    cn = clique_number_chordal(chordal, order)
+    order = tuple(_mcs_order(chordal))
+    try:  # the search order passes exactly when the graph is chordal
+        cn = clique_number_chordal(chordal, order)
+    except ValueError:
+        raise RuntimeError("triangulated output is not chordal") from None
     if clique_cap is not None and cn > clique_cap:
         raise RuntimeError(
             f"clique number {cn} breaks the guarantee {clique_cap} for k={k}")

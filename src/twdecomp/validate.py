@@ -10,6 +10,9 @@ from typing import Iterable
 
 from .graph import Graph, vset
 
+# The most vertices exact_treewidth accepts; its table has 2**n entries.
+EXACT_MAX_VERTICES = 14
+
 
 @dataclass(frozen=True)
 class NotChordal:
@@ -41,7 +44,7 @@ def _mcs_order(g: Graph) -> list[int]:
             continue
         picked[best] = True
         order.append(best)
-        for w in g.adj_sorted[best]:
+        for w in g.adj[best]:
             if not picked[w]:
                 weight[w] += 1
                 heappush(heap, (-weight[w], w))
@@ -51,19 +54,26 @@ def _mcs_order(g: Graph) -> list[int]:
 
 def _peo_failure(g: Graph, order: list[int]):
     # Tarjan-Yannakakis test: for each vertex, its later neighbors minus the
-    # earliest must all be adjacent to that earliest neighbor.
+    # earliest must all be adjacent to that earliest neighbor.  Returns the
+    # failing triple or None, and the clique number if ``order`` passes.
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
+    sets: list[set[int] | None] = [None] * g.n  # rows read as sets, once each
+    clique = 0
     for v in order:
-        later = [w for w in g.adj_sorted[v] if pos[w] > pos[v]]
+        later = [w for w in g.adj[v] if pos[w] > pos[v]]
+        clique = max(clique, 1 + len(later))
         if not later:
             continue
         u = min(later, key=lambda w: pos[w])
+        nbrs = sets[u]
+        if nbrs is None:
+            sets[u] = nbrs = set(g.adj[u])
         for w in later:
-            if w != u and w not in g.adj[u]:
-                return (v, u, w)
-    return None
+            if w != u and w not in nbrs:
+                return (v, u, w), clique
+    return None, clique
 
 
 def _chordless_cycle(g: Graph, v: int, u: int, w: int) -> tuple[int, ...]:
@@ -71,14 +81,14 @@ def _chordless_cycle(g: Graph, v: int, u: int, w: int) -> tuple[int, ...]:
     # G - v - (N(v) - {u, w}) is induced and meets N[v] only at its ends, so
     # v followed by it is a chordless cycle of length >= 4.  One BFS, O(n + m).
     blocked = bytearray(g.n)
-    for x in g.adj_sorted[v]:
+    for x in g.adj[v]:
         blocked[x] = 1
     blocked[v] = 1
     blocked[w] = 0
     parent = {u: u}
     queue = [u]
     for cur in queue:
-        for nxt in g.adj_sorted[cur]:
+        for nxt in g.adj[cur]:
             if blocked[nxt] or nxt in parent:
                 continue
             parent[nxt] = cur
@@ -95,7 +105,7 @@ def _chordless_cycle(g: Graph, v: int, u: int, w: int) -> tuple[int, ...]:
 def is_chordal(g: Graph) -> tuple[int, ...] | NotChordal:
     """A perfect elimination ordering, or a chordless-cycle witness."""
     order = _mcs_order(g)
-    failure = _peo_failure(g, order)
+    failure, _ = _peo_failure(g, order)
     if failure is None:
         return tuple(order)
     return NotChordal(_chordless_cycle(g, *failure))
@@ -106,16 +116,10 @@ def clique_number_chordal(g: Graph, peo: Iterable[int]) -> int:
     order = list(peo)
     if sorted(order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
-    if _peo_failure(g, order) is not None:
+    failure, clique = _peo_failure(g, order)
+    if failure is not None:
         raise ValueError("ordering is not a perfect elimination ordering")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    best = 0
-    for v in order:
-        later = sum(1 for w in g.adj[v] if pos[w] > pos[v])
-        best = max(best, 1 + later)
-    return best
+    return clique
 
 
 def check_tree_decomposition(g: Graph, td) -> list[Violation]:
@@ -204,17 +208,19 @@ def check_tree_decomposition(g: Graph, td) -> list[Violation]:
 def exact_treewidth(g: Graph) -> int:
     """Exact treewidth by dynamic programming over elimination prefixes.
 
-    Guarded to n <= 14; the state space is every subset of vertices.
+    Guarded to n <= EXACT_MAX_VERTICES; the state space is every subset of
+    vertices.
     """
     n = g.n
-    if n > 14:
-        raise ValueError("exact treewidth oracle is limited to 14 vertices")
+    if n > EXACT_MAX_VERTICES:
+        raise ValueError(
+            f"exact treewidth oracle is limited to {EXACT_MAX_VERTICES} vertices")
     if n == 0:
         return -1
     nbr = [0] * n
     for v in range(n):
         mask = 0
-        for w in g.adj_sorted[v]:
+        for w in g.adj[v]:
             mask |= 1 << w
         nbr[v] = mask
 
@@ -301,7 +307,7 @@ def _groups_disconnected(g: Graph, cut: set[int], groups) -> bool:
         stack = [start]
         while stack:
             cur = stack.pop()
-            for nxt in g.adj_sorted[cur]:
+            for nxt in g.adj[cur]:
                 if nxt not in seen:
                     seen.add(nxt)
                     comp.add(nxt)
@@ -363,7 +369,7 @@ def max_disjoint_paths(g: Graph, side_a, side_b, limit: int | None = None) -> in
                 if cur in b:
                     seen_paths.append(path)
                     continue
-                for nxt in g.adj_sorted[cur]:
+                for nxt in g.adj[cur]:
                     if nxt in used or nxt in path:
                         continue
                     stack.append((nxt, path + [nxt]))

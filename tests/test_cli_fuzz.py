@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from twdecomp import Graph, decompose
 from twdecomp.cli import main
 from twdecomp.corpus import complete_graph, cycle_graph, grid_graph, path_graph, star_graph
-from twdecomp.io import (ParseError, emit_decomposition, emit_graph, parse_decomposition,
-                         parse_graph)
+from twdecomp.io import (MAX_VERTICES, ParseError, emit_decomposition, emit_graph,
+                         parse_decomposition, parse_graph)
 
 COMMANDS = (
     ("decompose", "--algo", "mindeg", "--in", "{gr}"),
@@ -32,11 +32,13 @@ VALID = tuple((emit_graph(g), emit_decomposition(decompose(g, "mindeg").outcome.
                                                  g.n))
               for g in SEEDS)
 
-# Replacement tokens are at most three characters long, so a mutated header
-# declares fewer than a thousand vertices or bags: the tests probe the
-# parsers and the commands' error handling, not large inputs.
+# A header may be mutated to any size: the parser refuses a vertex count above
+# its limit before it builds anything, and a bag count costs nothing until
+# bag lines are read.  The sizes just over the limit and far over it are
+# tried as whole tokens; random text stays short.
 TOKENS = st.one_of(
     st.integers(-2, 16).map(str),
+    st.sampled_from([str(MAX_VERTICES + 1), "100000000"]),
     st.sampled_from(["", "x", "1.5", "+3", "p", "s", "b", "c", "tw", "td", "é", "\x00"]),
     st.text(max_size=3),
 )

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twdecomp import Graph, Part, connected_components, vset
 from twdecomp.corpus import (cycle_graph, gnp_connected, grid_graph, path_graph,
@@ -26,6 +28,40 @@ def test_duplicate_edges_collapse():
     assert g.edges() == ((0, 1),)
 
 
+@settings(max_examples=100)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=40) if n > 1 else st.just([]))))
+def test_rows_are_ascending_symmetric_and_match_networkx(case):
+    # Edges repeat in either direction and many vertices stay isolated.
+    n, edges = case
+    g = Graph(n, edges + [(v, u) for u, v in edges[::2]])
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(edges)
+    assert len(g.adj) == n and g.m == reference.number_of_edges()
+    for v, row in enumerate(g.adj):
+        assert type(row) is tuple
+        assert list(row) == sorted(set(row))
+        assert all(v in g.adj[w] for w in row)
+        assert row == tuple(sorted(reference.adj[v]))
+    assert len({id(row) for row in g.adj if not row}) <= 1
+
+
+def test_isolated_vertices_share_one_empty_row():
+    # Every empty row is the one shared (); building holds one list per
+    # vertex, about 73 bytes, and no set.
+    tracemalloc.start()
+    try:
+        g = Graph(200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 0 and len({id(row) for row in g.adj}) == 1
+    assert peak < 20_000_000, peak
+
+
 def test_induced_subgraph_triangle_edge():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     part = Part(g, (1, 0))
@@ -39,7 +75,7 @@ def test_induced_subgraph_identity():
     g = cycle_graph(6)
     for part in (Part(g, range(6)), Part(g)):
         assert tuple(part.members) == tuple(range(6))
-        assert tuple(part.adj) == g.adj_sorted
+        assert tuple(part.adj) == g.adj
         assert list(part.inside) == [1] * 6
         assert part.m == g.m
 
@@ -132,12 +168,12 @@ def test_handover_refuses_and_spends():
         with pytest.raises(ValueError, match="not a member"):
             part.handover(stray)
     assert_same_part(part, g, (0, 1, 2, 4))
-    # A whole-graph part shares g.adj_sorted, so it is never handed over.
+    # A whole-graph part shares g.adj, so it is never handed over.
     whole = Part(g)
     with pytest.raises(ValueError, match="whole-graph"):
         whole.handover((2,))
-    assert whole.adj is g.adj_sorted
-    assert g.adj_sorted[1] == (0, 2, 4)
+    assert whole.adj is g.adj
+    assert g.adj[1] == (0, 2, 4)
     sub = part.handover((0, 4, 4))
     assert_same_part(sub, g, (1, 2))
     with pytest.raises(AttributeError):
@@ -167,7 +203,7 @@ def test_components_grid_minus_middle_column():
         queue = [start]
         while queue:
             cur = queue.pop()
-            for nxt in g.neighbors(cur):
+            for nxt in g.adj[cur]:
                 if nxt not in removed and nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)

@@ -6,8 +6,8 @@ import pytest
 from twdecomp import check_tree_decomposition, decompose
 from twdecomp.cli import main
 from twdecomp.corpus import complete_graph, cycle_graph, grid_graph, path_graph, star_graph
-from twdecomp.io import (ParseError, append_report, emit_decomposition, emit_graph,
-                         parse_decomposition, parse_graph)
+from twdecomp.io import (MAX_VERTICES, ParseError, append_report, emit_decomposition,
+                         emit_graph, parse_decomposition, parse_graph)
 
 
 def test_parse_small_path():
@@ -48,6 +48,16 @@ def test_parse_rejects_out_of_range_vertex():
 def test_parse_requires_header_first():
     with pytest.raises(ParseError):
         parse_graph("1 2\np tw 2 1\n")
+
+
+def test_parse_refuses_a_header_above_the_vertex_limit():
+    for n in (MAX_VERTICES + 1, 10**8):
+        with pytest.raises(ParseError, match=f"declares {n} vertices") as err:
+            parse_graph(f"c big\np tw {n} 0\n")
+        assert err.value.line == 2
+    with pytest.raises(ParseError, match="limit of 5"):
+        parse_graph("p tw 6 1\n1 2\n", 5)
+    assert parse_graph("p tw 5 1\n1 2\n", 5).graph.n == 5
 
 
 def test_graph_round_trip():
@@ -181,6 +191,29 @@ def test_cli_exact(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
     big = write_graph(tmp_path, "big.gr", path_graph(20))
     assert main(["exact", "--in", str(big)]) == 2
+    capsys.readouterr()
+    # The header alone decides: the bad edge line after it is never read.
+    big.write_text("p tw 15 1\nnot an edge\n")
+    assert main(["exact", "--in", str(big)]) == 2
+    assert capsys.readouterr().err == (f"error: {big}: line 1: header declares 15 "
+                                       "vertices, more than the limit of 14\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--algo", "mindeg", "--in", "{gr}"],
+    ["decompose", "--algo", "half45", "--search", "--in", "{gr}"],
+    ["validate", "--graph", "{gr}", "--td", "{td}"],
+    ["exact", "--in", "{gr}"],
+], ids=["decompose-mindeg", "decompose-half45", "validate", "exact"])
+def test_cli_refuses_a_huge_header_at_once(tmp_path, capsys, command):
+    gr, td = tmp_path / "huge.gr", tmp_path / "huge.td"
+    gr.write_text("p tw 100000000 0\n")
+    td.write_text("s td 1 0 100000000\nb 1\n")
+    start = time.perf_counter()
+    assert main([arg.format(gr=gr, td=td) for arg in command]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gr}: line 1: header declares 100000000 vertices")
 
 
 def test_cli_bench_produces_one_row_per_cell(tmp_path, capsys):

@@ -3,8 +3,8 @@ decomposition checker and the one-BFS chordless-cycle witness against the
 quadratic versions they replaced.
 
 The four reference functions below are the earlier library code, kept
-verbatim apart from their names: they scan every vertex, bag or vertex pair
-at each step.  The library must return exactly what the first three return;
+verbatim apart from their names and from reading a row as a set where they
+subtract from it: they scan every vertex, bag or vertex pair at each step.  The library must return exactly what the first three return;
 a chordless cycle is not unique, so the witness is checked for validity.
 """
 
@@ -41,7 +41,7 @@ def quadratic_mcs_order(g):
                 best_w = weight[v]
         picked[best] = True
         order.append(best)
-        for w in g.adj_sorted[best]:
+        for w in g.adj[best]:
             if not picked[w]:
                 weight[w] += 1
     order.reverse()
@@ -96,17 +96,17 @@ def quadratic_chordless_cycle(g):
     # Any chordless cycle c0..cm yields a hit for v=c0 with u, w its cycle
     # neighbors: the rest of the cycle avoids N[v] entirely.
     for v in range(g.n):
-        nbrs = g.adj_sorted[v]
+        nbrs = g.adj[v]
         for u, w in combinations(nbrs, 2):
             if w in g.adj[u]:
                 continue
-            blocked = (g.adj[v] - {u, w}) | {v}
+            blocked = (set(g.adj[v]) - {u, w}) | {v}
             parent = {u: None}
             queue = [u]
             found = False
             while queue and not found:
                 cur = queue.pop(0)
-                for nxt in g.adj_sorted[cur]:
+                for nxt in g.adj[cur]:
                     if nxt in blocked or nxt in parent:
                         continue
                     parent[nxt] = cur

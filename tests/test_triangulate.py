@@ -18,7 +18,7 @@ from twdecomp import flow, graph, triangulate
 from twdecomp.flow import FlowWorkspace
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
                              grid_graph, path_graph, random_tree, star_graph)
-from twdecomp.triangulate import _check_three_way_contract
+from twdecomp.triangulate import TreeDecomposition, _check_three_way_contract, _finish
 
 
 def assert_sound_success(g, out, clique_cap=None):
@@ -160,6 +160,16 @@ def test_three_way_separator_bound_is_an_invariant():
     for message, sep in bad:
         with pytest.raises(RuntimeError, match=re.escape(message)):
             _check_three_way_contract(part, sep, 1)
+
+
+def test_finish_refuses_a_fill_that_leaves_a_chordless_cycle():
+    # The 5-cycle with one chord keeps the chordless 4-cycle 0-1-2-3.
+    td = TreeDecomposition.from_bags([(0, 1, 2), (0, 2, 3), (0, 3, 4)], [(0, 1), (1, 2)])
+    with pytest.raises(RuntimeError, match="not chordal"):
+        _finish(cycle_graph(5), 1, {(0, 3)}, td, None)
+    out = _finish(cycle_graph(5), 1, {(0, 2), (0, 3)}, td, None)
+    assert out.triangulation.clique_number == 3
+    assert sorted(out.triangulation.peo) == list(range(5))
 
 
 def test_min_degree_on_tree():

@@ -18,10 +18,10 @@ def cycle_is_chordless(g, cycle):
     k = len(cycle)
     assert k >= 4
     for i in range(k):
-        assert g.has_edge(cycle[i], cycle[(i + 1) % k])
+        assert cycle[(i + 1) % k] in g.adj[cycle[i]]
     for i, j in combinations(range(k), 2):
         if (j - i) % k not in (1, k - 1):
-            assert not g.has_edge(cycle[i], cycle[j])
+            assert cycle[j] not in g.adj[cycle[i]]
 
 
 def test_square_is_not_chordal():
@@ -65,7 +65,7 @@ def brute_force_max_clique(g):
     best = 1 if g.n else 0
     for size in range(2, g.n + 1):
         for sub in combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
+            if all(v in g.adj[u] for u, v in combinations(sub, 2)):
                 best = max(best, size)
     return best
 
