@@ -5,11 +5,11 @@ built on flow-based minimum vertex separators, plus independent validators
 and brute-force oracles for small graphs.
 """
 
-from .flow import (Counters, CutResult, Exceeded, FlowWorkspace, ThreeWayCut,
-                   approx_3way_vertex_cut, min_vertex_separator)
+from .flow import (Counters, Cut, Exceeded, FlowWorkspace, approx_3way_vertex_cut,
+                   min_vertex_separator)
 from .graph import Graph, Part, connected_components, vset
-from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
-                         try_split, two_thirds_vtx_sep, two_way_half_vtx_sep)
+from .separators import (DEFAULT_ALPHA, alpha_sum_sep, try_split, two_thirds_vtx_sep,
+                         two_way_half_vtx_sep)
 from .triangulate import (ALGORITHMS, AlgoReport, DecomposeResult,
                           TreeDecomposition, TreewidthExceeded, TriangSuccess,
                           Triangulation, decompose, min_degree_triang,
@@ -20,12 +20,10 @@ from .validate import (NotChordal, Violation, brute_force_min_multiway,
                        max_disjoint_paths, permutation_treewidth)
 
 __all__ = [
-    "ALGORITHMS", "AlgoReport", "Counters", "CutResult",
+    "ALGORITHMS", "AlgoReport", "Counters", "Cut",
     "DecomposeResult", "DEFAULT_ALPHA", "Exceeded", "FlowWorkspace", "Graph",
-    "NotChordal",
-    "Part", "ThreeWayCut",
-    "ThreeWaySep", "TreeDecomposition", "TreewidthExceeded", "TriangSuccess",
-    "Triangulation", "TwoWaySep", "Violation", "alpha_sum_sep",
+    "NotChordal", "Part", "TreeDecomposition", "TreewidthExceeded", "TriangSuccess",
+    "Triangulation", "Violation", "alpha_sum_sep",
     "approx_3way_vertex_cut",
     "brute_force_min_multiway", "brute_force_min_separator",
     "check_tree_decomposition", "clique_number_chordal", "connected_components",

@@ -71,22 +71,31 @@ class Counters:
 
 
 @dataclass(frozen=True)
-class CutResult:
-    """A minimum cut inside ``part``.
+class Cut:
+    """A separator inside ``part`` and the sides it leaves.
 
-    ``side1`` lists the residual-reachable members and ``separator`` the cut;
-    ``side2``, the rest of the part, is not listed by the flow and is built
-    from ``part`` on first use, while the part is not yet handed over.
+    ``listed`` holds the sides the search listed, each ascending: a flow
+    lists its residual-reachable side, a three-way cut all three sides.  The
+    rest of the part is one more side, ``rest``, which no search lists: it
+    is built from ``part`` on first use, while the part is not yet handed
+    over, and ``sizes()`` counts it.  Two cuts are equal when their
+    separators and listed sides are.
     """
 
     separator: tuple[int, ...]
-    side1: tuple[int, ...]
-    augmentations: int
+    listed: tuple[tuple[int, ...], ...]
+    augmentations: int = field(compare=False)
     part: Part = field(compare=False, repr=False)
 
     @cached_property
-    def side2(self) -> tuple[int, ...]:
-        return self.part.remainder(self.side1, self.separator)
+    def rest(self) -> tuple[int, ...]:
+        return self.part.remainder(self.separator, *self.listed)
+
+    def sizes(self) -> list[int]:
+        """The sizes of the listed sides, then the size of the rest."""
+        sizes = [len(side) for side in self.listed]
+        sizes.append(self.part.size - len(self.separator) - sum(sizes))
+        return sizes
 
 
 @dataclass(frozen=True)
@@ -94,13 +103,6 @@ class Exceeded:
     """The minimum separator is larger than the requested bound."""
 
     bound: int
-    augmentations: int
-
-
-@dataclass(frozen=True)
-class ThreeWayCut:
-    separator: tuple[int, ...]
-    sides: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     augmentations: int
 
 
@@ -334,14 +336,14 @@ class FlowWorkspace:
         return True
 
 
-def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult | Exceeded:
+def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> Cut | Exceeded:
     """Minimum vertex cut between the two super-terminals, or Exceeded.
 
     ``terminals`` is a pair of sides, each a non-empty sequence of distinct
     targets of ``ws``, and the cut is taken inside ``ws.part``.  Returns a
-    minimum-cardinality separator of size <= bound if one exists, with side1
-    the residual-reachable members, listed from the last breadth-first
-    search, and side2 the remainder, left unlisted.  Exceeded is
+    minimum-cardinality separator of size <= bound if one exists, with its
+    one listed side the residual-reachable members, listed from the last
+    breadth-first search, and the remainder left as the cut's rest.  Exceeded is
     reported after bound+1 successful unit augmentations, which certifies
     that every separator is larger than the bound.  The result does not
     depend on the order of a side; ascending sides make the warm start pack
@@ -488,8 +490,8 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
         # The last search reached no sink, and its queue lists every state it
         # reached: a vertex whose exit side was reached is residual-reachable,
         # one reached at its entry side only is cut (an exit state in the
-        # queue is itself reached).  The rest of the part is side2, which the
-        # flow never lists.
+        # queue is itself reached).  The rest of the part is the cut's rest,
+        # which the flow never lists.
         side1 = sorted([s >> 1 for s in queue if s & 1])
         separator = sorted([s >> 1 for s in queue if prev[s | 1] == _UNSEEN])
     finally:
@@ -501,7 +503,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> CutResult 
                 role[v] = 0
                 sat[v] = 0
                 in_flow[v] = _NO_FLOW
-    result = CutResult(tuple(separator), tuple(side1), flow, part)
+    result = Cut(tuple(separator), (tuple(side1),), flow, part)
     _verify_cut(ws.g, side_a, side_b, result, flow)
     return result
 
@@ -539,49 +541,50 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
     certs.add(paths)
 
 
-def _verify_cut(g: Graph, side_a, side_b, cut: CutResult, flow: int) -> None:
-    """Check a cut at the cost of its listed vertices and their rows.
+def _verify_cut(g: Graph, side_a, side_b, cut: Cut, flow: int) -> None:
+    """Check a flow's cut at the cost of its listed vertices and their rows.
 
-    side2 is the part minus side1 and the separator, so side1 and the
-    separator partition the part with it exactly when they hold members
-    only, each once; no edge crosses from side1 to side2 exactly when every
-    neighbour of side1 is in side1 or the separator; and an uncut sink, a
-    member, is in side2 exactly when it is not in side1.
+    The rest is the part minus side1, the one listed side, and the
+    separator, so those partition the part with it exactly when they hold
+    members only, each once; no edge crosses from side1 to the rest exactly
+    when every neighbour of side1 is in side1 or the separator; and an uncut
+    sink, a member, is in the rest exactly when it is not in side1.
     """
     _invariant(len(cut.separator) == flow, "cut size differs from flow value")
+    side1 = cut.listed[0]
     inside = cut.part.inside
     adj = cut.part.adj
     n = g.n
     side_of = {}
     for v in cut.separator:
         side_of[v] = 3
-    for v in cut.side1:
+    for v in side1:
         side_of[v] = 1
     # Listed once each (no key lost to a repeat) and members only.
-    partition = len(side_of) == len(cut.side1) + len(cut.separator)
+    partition = len(side_of) == len(side1) + len(cut.separator)
     for v in side_of:
         if not (0 <= v < n and inside[v]):
             partition = False
             break
     _invariant(partition, "separator and sides do not partition the vertices")
-    for u in cut.side1:
+    for u in side1:
         for v in adj[u]:
             if v not in side_of:
                 _invariant(False, f"edge ({min(u, v)}, {max(u, v)}) crosses the cut")
     _invariant(all(v in side_of for v in side_a), "uncut source attachment outside side1")
     _invariant(all(side_of.get(v) != 1 for v in side_b),
-               "uncut sink attachment outside side2")
+               "uncut sink attachment outside the rest")
 
 
-def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3,
-                           bound: int) -> ThreeWayCut | Exceeded:
+def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | Exceeded:
     """Three-way separator by isolating cuts: union of the two cheapest.
 
     The three groups partition ``ws.targets`` and the cut is taken inside
     ``ws.part``.  For each group the minimum cut isolating it from the union
     of the other two is computed; the union of the two cheapest such cuts
     separates all three groups pairwise.  For single-vertex groups the result
-    is within ceil(4/3 * opt) of the optimum.
+    is within ceil(4/3 * opt) of the optimum.  All three sides are listed,
+    so the cut's rest is empty.
 
     Since every split partitions the same targets, a group's isolating cut
     depends on the group and the bound alone: it is kept in ``ws.cuts`` and
@@ -624,7 +627,7 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3,
 
     separator = vset(union)
     sides = _split_three_ways(ws.g, separator, groups, ws.part)
-    return ThreeWayCut(separator, sides, total_augs)
+    return Cut(separator, sides, total_augs, ws.part)
 
 
 def _split_three_ways(g, separator, groups, part):

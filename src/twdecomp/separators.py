@@ -23,52 +23,12 @@ flows that ran, and ``certified`` the candidates ruled out without one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
-from .flow import Exceeded, FlowWorkspace, approx_3way_vertex_cut, min_vertex_separator
-from .graph import Part
+from .flow import Cut, Exceeded, FlowWorkspace, approx_3way_vertex_cut, min_vertex_separator
 
 DEFAULT_ALPHA = Fraction(4, 3)
-
-
-@dataclass(frozen=True)
-class TwoWaySep:
-    """A two-way split of ``part``: ``s1`` is the side its flow listed, and
-    ``s2``, the rest of the part, is built on first use, while the part is
-    not yet handed over."""
-
-    x: tuple[int, ...]
-    s1: tuple[int, ...]
-    part: Part = field(compare=False, repr=False)
-
-    @cached_property
-    def s2(self) -> tuple[int, ...]:
-        return self.part.remainder(self.s1, self.x)
-
-    def sides(self):
-        return (self.s1, self.s2)
-
-    def listed(self):
-        """The sides the flow listed; the rest of the part is the other."""
-        return (self.s1,)
-
-
-@dataclass(frozen=True)
-class ThreeWaySep:
-    x: tuple[int, ...]
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-    s3: tuple[int, ...]
-
-    def sides(self):
-        return (self.s1, self.s2, self.s3)
-
-    def listed(self):
-        """Every side: a three-way split lists all three."""
-        return self.sides()
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -81,7 +41,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def try_split(ws: FlowWorkspace, group_a: tuple[int, ...], group_b: tuple[int, ...],
-              bound: int) -> TwoWaySep | None:
+              bound: int) -> Cut | None:
     """One candidate split: minimum cut between the two groups' super-terminals,
     where the groups are disjoint tuples of the workspace's targets.
 
@@ -94,13 +54,10 @@ def try_split(ws: FlowWorkspace, group_a: tuple[int, ...], group_b: tuple[int, .
     if ws.certified(group_a, group_b, bound):
         ws.counters.certified += 1
         return None
-    res = min_vertex_separator(ws, (group_a, group_b), bound)
-    if isinstance(res, Exceeded):
+    cut = min_vertex_separator(ws, (group_a, group_b), bound)
+    if isinstance(cut, Exceeded) or not all(cut.sizes()):
         return None
-    # side2 is empty when side1 and the separator take the whole part.
-    if not res.side1 or len(res.side1) + len(res.separator) == ws.part.size:
-        return None
-    return TwoWaySep(res.separator, res.side1, ws.part)
+    return cut
 
 
 def two_thirds_candidates(w: tuple[int, ...]):
@@ -127,28 +84,32 @@ def half_candidates(w: tuple[int, ...]):
         yield first, tuple(v for v in w if v not in chosen)
 
 
-def _first_split(ws: FlowWorkspace, candidates, bound: int, share: int) -> TwoWaySep | None:
+def _target_counts(wset: set[int], cut: Cut) -> list[int]:
+    """The targets on each listed side of ``cut``, then on its rest: the
+    targets in neither a listed side nor the separator."""
+    counts = [len(wset.intersection(side)) for side in cut.listed]
+    counts.append(len(wset) - sum(counts) - len(wset.intersection(cut.separator)))
+    return counts
+
+
+def _first_split(ws: FlowWorkspace, candidates, bound: int, share: int) -> Cut | None:
     """First split of ``candidates(ws.targets)`` with a cut of at most ``bound``.
 
-    Neither side may hold more than ``share`` of the targets; s2's share is
-    counted as the targets in neither s1 nor the separator.
+    Neither side may hold more than ``share`` of the targets.
     """
-    w = ws.targets
-    wset = set(w)
-    for first, second in candidates(w):
-        sep = try_split(ws, first, second, bound)
-        if sep is None:
+    wset = set(ws.targets)
+    for first, second in candidates(ws.targets):
+        cut = try_split(ws, first, second, bound)
+        if cut is None:
             continue
-        _require(len(sep.x) <= bound, "separator above bound")
-        in_s1 = len(wset.intersection(sep.s1))
-        in_s2 = len(w) - in_s1 - len(wset.intersection(sep.x))
-        _require(max(in_s1, in_s2) <= share,
+        _require(len(cut.separator) <= bound, "separator above bound")
+        _require(max(_target_counts(wset, cut)) <= share,
                  "side holds more than its share of the targets")
-        return sep
+        return cut
     return None
 
 
-def two_thirds_vtx_sep(ws: FlowWorkspace, k: int) -> TwoWaySep | None:
+def two_thirds_vtx_sep(ws: FlowWorkspace, k: int) -> Cut | None:
     """Two-thirds-balanced separator of ``ws.targets``, of size at most k.
 
     Enumerates every choice of ceil(|T|/2) targets against ceil(|T|/3) of
@@ -158,7 +119,7 @@ def two_thirds_vtx_sep(ws: FlowWorkspace, k: int) -> TwoWaySep | None:
     return _first_split(ws, two_thirds_candidates, k, 2 * len(ws.targets) // 3)
 
 
-def two_way_half_vtx_sep(ws: FlowWorkspace, k: int) -> TwoWaySep | None:
+def two_way_half_vtx_sep(ws: FlowWorkspace, k: int) -> Cut | None:
     """Half-balanced two-way separator of ``ws.targets`` of size at most
     floor(1.5 k).
 
@@ -197,14 +158,15 @@ def _three_partitions(w: tuple[int, ...], k: int):
 
 
 def alpha_sum_sep(ws: FlowWorkspace, k: int,
-                  alpha: Fraction = DEFAULT_ALPHA) -> ThreeWaySep | None:
+                  alpha: Fraction = DEFAULT_ALPHA) -> Cut | None:
     """Three-way separator whose sides each satisfy |(S_i & T) + X| <= (1+a)k,
     where T is ``ws.targets``.
 
     Partitions of the target set are tried largest-part-first.  A first part
     larger than k collapses the other two and reuses the two-way machinery
-    with bound k; otherwise the isolating cut approximation runs on the three
-    parts with bound floor(a*k).  Success additionally
+    with bound k, so the cut lists one side and leaves the other as its
+    rest; otherwise the isolating cut approximation runs on the three parts
+    with bound floor(a*k) and lists all three sides.  Success additionally
     requires at least two non-empty sides.
     """
     if k < 1:
@@ -217,29 +179,16 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
 
-    def qualifies(sep: ThreeWaySep) -> bool:
-        nonempty = sum(1 for side in sep.sides() if side)
-        if nonempty < 2:
-            return False
-        x = set(sep.x)
-        for side in sep.sides():
-            if len((set(side) & wset) | x) > per_side_limit:
-                return False
-        return True
-
     for kind, first, second, third in _three_partitions(w, k):
         if kind == "fallback":
             chosen = set(first)
-            merged = tuple(v for v in w if v not in chosen)
-            two = try_split(ws, first, merged, k)
-            if two is None:
-                continue
-            cand = ThreeWaySep(two.x, two.s1, two.s2, ())
+            cut = try_split(ws, first, tuple(v for v in w if v not in chosen), k)
         else:
             cut = approx_3way_vertex_cut(ws, first, second, third, cut_bound)
-            if isinstance(cut, Exceeded):
-                continue
-            cand = ThreeWaySep(cut.separator, *cut.sides)
-        if qualifies(cand):
-            return cand
+        if cut is None or isinstance(cut, Exceeded):
+            continue
+        # A side and the separator are disjoint, so |(S_i & T) + X| is a sum.
+        if (sum(map(bool, cut.sizes())) >= 2
+                and max(_target_counts(wset, cut)) + len(cut.separator) <= per_side_limit):
+            return cut
     return None

@@ -16,11 +16,10 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Union
 
-from .flow import Counters, FlowWorkspace
+from .flow import Counters, Cut, FlowWorkspace
 from .graph import Graph, Part, connected_components, vset
-from .separators import (DEFAULT_ALPHA, ThreeWaySep, TwoWaySep, alpha_sum_sep,
-                         half_candidates, try_split, two_thirds_candidates,
-                         two_thirds_vtx_sep, two_way_half_vtx_sep)
+from .separators import (DEFAULT_ALPHA, alpha_sum_sep, half_candidates, try_split,
+                         two_thirds_candidates, two_thirds_vtx_sep, two_way_half_vtx_sep)
 from .validate import _mcs_order, clique_number_chordal
 
 
@@ -185,47 +184,56 @@ def _fixed_k_split(find, k: int, pad_size: int, counters: Counters | None):
     """Split closure of the fixed-k drivers: edge budget, then the search.
 
     Each split node gets one flow workspace over its padded targets, adding
-    to ``counters``; ``find(ws)`` returns a separator or None.
+    to ``counters``; ``find(ws)`` returns a ``Cut`` or None.
     """
     def split(g: Graph, part: Part, boundary: tuple[int, ...]):
         # A graph of treewidth at most k-1 has at most n*k edges.
         if part.m > part.size * k:
             return None
-        sep = find(FlowWorkspace(g, part, _pad_targets(part, boundary, pad_size), counters))
-        if sep is None:
+        cut = find(FlowWorkspace(g, part, _pad_targets(part, boundary, pad_size), counters))
+        if cut is None:
             return None
-        return sep.x, sep.listed()
+        return cut.separator, cut.listed
     return split
 
 
-def _check_three_way_contract(part: Part, sep: ThreeWaySep, bound: int) -> None:
+def _check_three_way_contract(cut: Cut, bound: int) -> None:
     # alpha_sum_sep never returns a separator above floor(alpha*k); treating
     # one as not found would be an unsound rejection, so it is an error.
-    if len(sep.x) > bound:
-        raise RuntimeError(f"separator of {len(sep.x)} vertices exceeds the bound {bound}")
-    sides = sep.sides()
-    # Members only, none twice, as many as the part has: exactly the part.
-    owner = dict.fromkeys(sep.x, -1)
-    total = len(sep.x)
-    for idx, side in enumerate(sides):
+    x = cut.separator
+    if len(x) > bound:
+        raise RuntimeError(f"separator of {len(x)} vertices exceeds the bound {bound}")
+    part = cut.part
+    listed = cut.listed
+    # The rest is the members outside x and the listed sides, so these
+    # partition the part with it exactly when they are members, none twice;
+    # and a three-way split has at most three sides in all.
+    owner = dict.fromkeys(x, -1)
+    total = len(x)
+    for idx, side in enumerate(listed):
         owner.update(dict.fromkeys(side, idx))
         total += len(side)
+    sizes = cut.sizes()
     inside = part.inside
-    if (total != part.size or len(owner) != total or min(owner, default=0) < 0
+    if (len(owner) != total or min(owner, default=0) < 0
             or max(owner, default=-1) >= len(inside)
-            or not all(map(inside.__getitem__, owner))):
+            or not all(map(inside.__getitem__, owner))
+            or len(listed) + (sizes[-1] > 0) > 3):
         raise RuntimeError("separator and sides do not partition the vertices")
-    if sum(1 for side in sides if side) < 2:
+    if sum(map(bool, sizes)) < 2:
         raise RuntimeError("three-way split has fewer than two non-empty sides")
-    # Every edge between two sides has an end outside the largest side, so
-    # only the other two sides' rows are scanned.
-    big = max(range(3), key=lambda i: len(sides[i]))
-    for idx, side in enumerate(sides):
-        if idx == big:
+    # Every edge between two sides has an end on a listed side and one
+    # outside the largest side, so the rows of the listed sides are scanned:
+    # all but the largest one's when the rest is empty.  A neighbour in no
+    # listed side and not in x is in the rest.
+    rest = len(listed)
+    skip = rest if sizes[-1] else sizes.index(max(sizes))
+    for idx, side in enumerate(listed):
+        if idx == skip:
             continue
         for u in side:
             for v in part.adj[u]:
-                if owner[v] not in (idx, -1):
+                if owner.get(v, rest) not in (idx, -1):
                     raise RuntimeError(
                         f"three-way separator misses edge ({min(u, v)}, {max(u, v)})")
 
@@ -279,11 +287,11 @@ def triang_3way(g: Graph, k: int, *, alpha: Fraction = DEFAULT_ALPHA,
         raise ValueError("alpha must be at least 1")
     bound = math.floor(alpha * k)
 
-    def find(ws: FlowWorkspace) -> ThreeWaySep | None:
-        sep = alpha_sum_sep(ws, k, alpha)
-        if sep is not None:
-            _check_three_way_contract(ws.part, sep, bound)
-        return sep
+    def find(ws: FlowWorkspace) -> Cut | None:
+        cut = alpha_sum_sep(ws, k, alpha)
+        if cut is not None:
+            _check_three_way_contract(cut, bound)
+        return cut
 
     split = _fixed_k_split(find, k, math.floor((1 + alpha) * k) + 1, counters)
     return _triangulate(g, k, split, math.floor((2 * alpha + 1) * k),
@@ -357,17 +365,18 @@ def _adaptive_split(flavor: str, counters: Counters):
         n = part.size
         targets = list(boundary)
         pool = list(part.remainder(boundary))
-        best: TwoWaySep | None = None
+        best: Cut | None = None
         while True:
             # The target set grows between rounds, so each round has its own
             # flow workspace.
             ws = FlowWorkspace(g, part, targets, counters)
             for first, second in candidates(ws.targets):
-                sep = try_split(ws, first, second, n)
-                if sep is not None and (best is None or len(sep.x) < len(best.x)):
-                    best = sep
+                cut = try_split(ws, first, second, n)
+                if cut is not None and (best is None
+                                        or len(cut.separator) < len(best.separator)):
+                    best = cut
             if best is not None:
-                return best.x, best.listed()
+                return best.separator, best.listed
             if not pool:
                 return part.members, ()
             targets.append(pool.pop(0))

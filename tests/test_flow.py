@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.flow import edmonds_karp
 
-from twdecomp import (Counters, CutResult, Exceeded, FlowWorkspace, Graph, Part,
-                      ThreeWayCut, approx_3way_vertex_cut, brute_force_min_multiway,
+from twdecomp import (Counters, Cut, Exceeded, FlowWorkspace, Graph, Part,
+                      approx_3way_vertex_cut, brute_force_min_multiway,
                       brute_force_min_separator, max_disjoint_paths,
                       min_vertex_separator, vset)
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected, grid_graph,
@@ -31,7 +31,7 @@ def one_shot(g, terminals, bound, part=None):
 
 
 def cut_is_consistent(g, terminals, res):
-    sep, s1, s2 = set(res.separator), set(res.side1), set(res.side2)
+    sep, s1, s2 = set(res.separator), set(res.listed[0]), set(res.rest)
     assert len(sep) + len(s1) + len(s2) == g.n
     assert not (sep & s1) and not (sep & s2) and not (s1 & s2)
     for u, v in g.edges():
@@ -57,7 +57,7 @@ def test_path_bottleneck():
     g = Graph(3, [(0, 1), (1, 2)])
     terminals = ((0,), (2,))
     res = one_shot(g, terminals, 2)
-    assert isinstance(res, CutResult)
+    assert isinstance(res, Cut)
     assert len(res.separator) == 1 == brute_force_min_separator(g, terminals)
     cut_is_consistent(g, terminals, res)
 
@@ -85,7 +85,7 @@ def test_wide_attachments_need_internal_cut():
     g = cycle_graph(4)
     terminals = ((0, 2), (1, 3))
     res = one_shot(g, terminals, 4)
-    assert isinstance(res, CutResult)
+    assert isinstance(res, Cut)
     assert len(res.separator) == brute_force_min_separator(g, terminals) == 2
 
 
@@ -105,7 +105,7 @@ def test_packed_path_blocking_a_second_source_is_rerouted():
     g = Graph(7, [(a1, m), (m, b1), (a2, m), (a1, x), (x, y), (y, b2)])
     terminals = ((a1, a2), (b1, b2))
     res = one_shot(g, terminals, 3)
-    assert isinstance(res, CutResult)
+    assert isinstance(res, Cut)
     assert len(res.separator) == 2 == brute_force_min_separator(g, terminals)
     assert res.augmentations == 2
     cut_is_consistent(g, terminals, res)
@@ -121,7 +121,7 @@ def test_adjacent_terminals_are_packed_up_to_the_bound():
         assert isinstance(res, Exceeded)
         assert res.augmentations == bound + 1
     res = one_shot(g, terminals, 3)
-    assert isinstance(res, CutResult)
+    assert isinstance(res, Cut)
     assert len(res.separator) == 3 == brute_force_min_separator(g, terminals)
     assert res.augmentations == 3
 
@@ -184,8 +184,8 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
         res = one_shot(g, terminals, bound)
         assert isinstance(res, Exceeded) == (value > bound)
         assert res.augmentations == min(value, bound + 1)
-        if isinstance(res, CutResult):
-            assert (res.separator, res.side1, res.side2) == cut
+        if isinstance(res, Cut):
+            assert (res.separator, *res.listed, res.rest) == cut
         outcomes.add(type(res))
 
         # the same terminals inside a random member subset, against
@@ -197,10 +197,10 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
         res = one_shot(g, terminals, bound, Part(g, members))
         assert isinstance(res, Exceeded) == (value > bound)
         assert res.augmentations == min(value, bound + 1)
-        if isinstance(res, CutResult):
-            assert (res.separator, res.side1, res.side2) == cut
+        if isinstance(res, Cut):
+            assert (res.separator, *res.listed, res.rest) == cut
         part_outcomes.add(type(res))
-    assert outcomes == part_outcomes == {CutResult, Exceeded}
+    assert outcomes == part_outcomes == {Cut, Exceeded}
 
 
 @pytest.mark.parametrize("separator, side1, flow, message", [
@@ -210,19 +210,19 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
     ((2,), (0, 1, 7), 1, "do not partition the vertices"),
     ((2,), (0, 1, 1), 1, "do not partition the vertices"),
     ((2,), (0, 1, 2), 1, "do not partition the vertices"),
-    ((2,), (0, 1, 3, 4), 1, "uncut sink attachment outside side2"),
+    ((2,), (0, 1, 3, 4), 1, "uncut sink attachment outside the rest"),
     ((2,), (3, 4), 1, "uncut source attachment outside side1"),
 ], ids=["crossing-edge", "size-differs", "not-a-partition", "out-of-range",
         "listed-twice", "separator-in-side1", "sink-in-side1", "source-outside-side1"])
 def test_verify_cut_rejects_tampered_cuts(separator, side1, flow, message):
-    # side2 is never listed: it is the part minus side1 and the separator.
-    # Vertex 5 is in the graph but not in the part.
+    # A flow's cut lists side1 only; its rest is the part minus side1 and
+    # the separator.  Vertex 5 is in the graph but not in the part.
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     terminals = ((0,), (4,))
     part = Part(g, range(5))
-    _verify_cut(g, *terminals, CutResult((2,), (0, 1), 1, part), 1)
+    _verify_cut(g, *terminals, Cut((2,), ((0, 1),), 1, part), 1)
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        _verify_cut(g, *terminals, CutResult(separator, side1, 1, part), flow)
+        _verify_cut(g, *terminals, Cut(separator, (side1,), 1, part), flow)
 
 
 def test_matches_brute_force_on_random_graphs():
@@ -236,7 +236,7 @@ def test_matches_brute_force_on_random_graphs():
         b = rng.randint(1, max(1, n // 3))
         terminals = (tuple(verts[:a]), tuple(verts[a:a + b]))
         res = one_shot(g, terminals, n)
-        assert isinstance(res, CutResult)
+        assert isinstance(res, Cut)
         assert len(res.separator) == brute_force_min_separator(g, terminals)
         assert res.augmentations <= n + 1
         cut_is_consistent(g, terminals, res)
@@ -268,7 +268,7 @@ def test_three_way_star_all_isolating_cuts_are_center():
     g = star_graph(3)
     res = approx_3way_vertex_cut(fresh(g, (1, 2, 3)), (1,), (2,), (3,), 3)
     assert res.separator == (0,)
-    assert res.sides == ((1,), (2,), (3,))
+    assert res.listed == ((1,), (2,), (3,)) and res.rest == ()
 
 
 def test_three_way_spider_matches_brute_force():
@@ -294,7 +294,7 @@ def test_three_way_respects_four_thirds_factor():
         opt = brute_force_min_multiway(g, groups)
         got = len(res.separator)
         assert got <= math.ceil(4 * opt / 3)
-        sides = res.sides
+        sides = res.listed
         combined = set(res.separator) | set().union(*map(set, sides))
         assert len(combined) == n
 
@@ -311,7 +311,7 @@ def test_three_way_reuses_cached_isolating_cuts():
     # A workspace of its own for each call runs three flows every time.
     plain = Counters()
     want = approx_3way_vertex_cut(fresh(g, *groups, counters=plain), *groups, 6)
-    assert isinstance(want, ThreeWayCut)
+    assert isinstance(want, Cut)
     assert approx_3way_vertex_cut(fresh(g, *groups, counters=plain), *groups, 6) == want
     assert plain.separator_calls == 6
     ws = fresh(g, *groups, counters=Counters())
@@ -415,10 +415,10 @@ def test_shared_workspace_matches_one_shot_flows_and_networkx():
             value, cut = split_vertex_max_flow(members, sub.edges(), terminals)
             assert isinstance(got, Exceeded) == (value > bound)
             assert got.augmentations == min(value, bound + 1)
-            if isinstance(got, CutResult):
-                assert (got.separator, got.side1, got.side2) == cut
+            if isinstance(got, Cut):
+                assert (got.separator, *got.listed, got.rest) == cut
             outcomes.add(type(got))
-    assert outcomes == {CutResult, Exceeded}
+    assert outcomes == {Cut, Exceeded}
 
 
 def property_graph(kind, n, rng):
@@ -444,8 +444,8 @@ def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
     # Along a random chain of handovers, as the recursion hands a node's part
     # to its largest child, the part equals a fresh build; in it every
     # successful flow lists the side networkx reaches from the sources in
-    # the split-vertex residual network, and the unlisted side2 is the rest
-    # of the part.  Two workspaces over the part share one Counters and take
+    # the split-vertex residual network, and networkx's side2 is the cut's
+    # unlisted rest, the rest of the part.  Two workspaces over the part share one Counters and take
     # turns, so each finds the shared ``near`` filled by the other.
     rng = random.Random(seed)
     g = property_graph(kind, n, rng)
@@ -470,9 +470,9 @@ def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
             value, (separator, side1, side2) = split_vertex_max_flow(members, sub.edges(),
                                                                      terminals)
             assert isinstance(got, Exceeded) == (value > bound)
-            if isinstance(got, CutResult):
-                assert (got.separator, got.side1) == (separator, side1)
-                assert got.side2 == side2 == vset(set(members) - set(side1) - set(separator))
+            if isinstance(got, Cut):
+                assert (got.separator, got.listed) == (separator, (side1,))
+                assert got.rest == side2 == vset(set(members) - set(side1) - set(separator))
         # The warm start reads ``near`` at the targets and in the two-hop
         # rows; there it must hold every target next to a vertex, hub or not.
         for ws in spaces:

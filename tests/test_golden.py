@@ -7,23 +7,33 @@ flow. The counts were re-recorded again once a separator search kept the
 Menger certificate of every flow that ended Exceeded: a candidate that a
 certificate rules out is rejected without a flow, so seven search runs count
 fewer flows and augmentations, while every digest and k_used stayed the same.
-Regenerate it only for a change that is meant to alter the output:
+
+None of those runs reaches bg367's two-way fallback, which needs k >= 3 (a
+first group of more than k of the floor(7k/3)+1 targets), and every bg367 run
+at k = 3 there is one base-case bag.  The ``pkt*/bg367/search`` and
+``pkt*/bg367/k=4`` entries were added later from the same code, before the
+separator result types were merged into ``flow.Cut``: on those small partial
+3-trees every bg367 split node takes the fallback, with the listed side or
+the rest as the largest child.  Regenerate the file only for a change that is
+meant to alter the output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 from twdecomp import Graph, decompose
-from twdecomp.corpus import (complete_graph, cycle_graph, grid_graph, path_graph,
-                             star_graph)
+from twdecomp.corpus import (complete_graph, cycle_graph, grid_graph, partial_k_tree,
+                             path_graph, star_graph)
 from twdecomp.io import emit_decomposition
 
 GOLDEN = Path(__file__).with_name("golden_decompose.json")
 RUNS = (("rs4", "search"), ("half45", "search"), ("bg367", "search"),
         ("rs4", "adaptive"), ("half45", "adaptive"))
+FALLBACK_RUNS = (("bg367", "search"), ("bg367", "k=4"))
 
 
 def disjoint_union(*parts):
@@ -44,11 +54,17 @@ def golden_graphs(small_corpus):
     return graphs
 
 
-def observe(graphs):
+def fallback_graphs():
+    return {f"pkt{n}": partial_k_tree(n, 3, drop, random.Random(seed))
+            for n, drop, seed in ((25, 0.1, 6), (30, 0.03, 4), (32, 0.05, 8))}
+
+
+def observe(graphs, runs=RUNS):
     out = {}
     for name, g in graphs.items():
-        for algo, mode in RUNS:
-            res = decompose(g, algo, **{mode: True})
+        for algo, mode in runs:
+            kwargs = {"k": int(mode[2:])} if mode.startswith("k=") else {mode: True}
+            res = decompose(g, algo, **kwargs)
             text = emit_decomposition(res.outcome.decomposition, g.n)
             out[f"{name}/{algo}/{mode}"] = {
                 "sha256": hashlib.sha256(text.encode()).hexdigest(),
@@ -62,6 +78,7 @@ def observe(graphs):
 def test_outputs_match_golden(small_corpus):
     expected = json.loads(GOLDEN.read_text())
     observed = observe(golden_graphs(small_corpus))
+    observed.update(observe(fallback_graphs(), FALLBACK_RUNS))
     assert observed.keys() == expected.keys()
     for key, want in expected.items():
         assert observed[key] == want, key
@@ -70,5 +87,6 @@ def test_outputs_match_golden(small_corpus):
 if __name__ == "__main__":
     from conftest import build_small_corpus
 
-    GOLDEN.write_text(json.dumps(observe(golden_graphs(build_small_corpus())),
-                                 indent=1, sort_keys=True) + "\n")
+    golden = observe(golden_graphs(build_small_corpus()))
+    golden.update(observe(fallback_graphs(), FALLBACK_RUNS))
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from twdecomp import (Counters, Exceeded, FlowWorkspace, Graph, Part, ThreeWaySep,
+from twdecomp import (Counters, Exceeded, FlowWorkspace, Graph, Part,
                       TriangSuccess, alpha_sum_sep, approx_3way_vertex_cut,
                       brute_force_min_separator, connected_components,
                       decompose, min_vertex_separator, try_split, two_thirds_vtx_sep,
@@ -20,10 +20,11 @@ from twdecomp.separators import DEFAULT_ALPHA, _three_partitions
 
 
 def two_way_sep_is_consistent(g, sep, w):
-    pieces = set(sep.x) | set(sep.s1) | set(sep.s2)
+    (side1,) = sep.listed
+    pieces = set(sep.separator) | set(side1) | set(sep.rest)
     assert len(pieces) == g.n
-    assert len(sep.x) + len(sep.s1) + len(sep.s2) == g.n
-    s1, s2 = set(sep.s1), set(sep.s2)
+    assert len(sep.separator) + len(side1) + len(sep.rest) == g.n
+    s1, s2 = set(side1), set(sep.rest)
     assert s1 and s2
     for u, v in g.edges():
         assert not ((u in s1 and v in s2) or (u in s2 and v in s1))
@@ -37,7 +38,7 @@ def cliqued(g, *groups):
 def test_try_split_path_bottleneck():
     sep = try_split(FlowWorkspace(path_graph(5), None, (0, 1, 3, 4)), (0, 1), (3, 4), 1)
     assert sep is not None
-    assert len(sep.x) == 1
+    assert len(sep.separator) == 1
     two_way_sep_is_consistent(path_graph(5), sep, range(5))
     terminals = ((0, 1), (3, 4))
     assert brute_force_min_separator(path_graph(5), terminals) == 1
@@ -59,7 +60,7 @@ def test_try_split_matches_brute_force_minimum():
         sep = try_split(FlowWorkspace(g, None, a + b), a, b, n)
         expected = brute_force_min_separator(cliqued(g, a, b), (a, b))
         if sep is not None:
-            assert len(sep.x) == expected
+            assert len(sep.separator) == expected
             two_way_sep_is_consistent(g, sep, verts)
 
 
@@ -97,9 +98,9 @@ def test_two_thirds_path_whole_vertex_set():
     assert valid  # at least one qualifying single-vertex separator exists
     sep = two_thirds_vtx_sep(FlowWorkspace(g, None, w), 1)
     assert sep is not None
-    assert sep.x in valid
-    assert sep.x == (2,)
-    for side in (sep.s1, sep.s2):
+    assert sep.separator in valid
+    assert sep.separator == (2,)
+    for side in (*sep.listed, sep.rest):
         assert 3 * len(set(side) & set(w)) <= 2 * len(w)
 
 
@@ -120,9 +121,9 @@ def test_two_thirds_never_fails_when_treewidth_allows(small_corpus_tw):
 def test_two_way_half_path():
     sep = two_way_half_vtx_sep(FlowWorkspace(path_graph(5), None, range(5)), 1)
     assert sep is not None
-    assert len(sep.x) == 1
-    assert sep.x == (2,)
-    for side in (sep.s1, sep.s2):
+    assert len(sep.separator) == 1
+    assert sep.separator == (2,)
+    for side in (*sep.listed, sep.rest):
         assert len(set(side) & set(range(5))) <= 3
 
 
@@ -137,7 +138,7 @@ def test_two_way_half_never_fails_when_treewidth_allows(small_corpus_tw):
         sep = two_way_half_vtx_sep(FlowWorkspace(g, None, w), k)
         if g.n > 4 * k:
             assert sep is not None
-            assert len(sep.x) <= (3 * k) // 2
+            assert len(sep.separator) <= (3 * k) // 2
 
 
 def brute_force_half_separator_exists(g, w, size_limit):
@@ -170,14 +171,17 @@ def test_half_separator_existence_bound(small_corpus_tw):
 
 
 def three_way_sep_is_consistent(g, sep):
-    sides = [set(sep.s1), set(sep.s2), set(sep.s3)]
-    pieces = set(sep.x) | sides[0] | sides[1] | sides[2]
+    # Three listed sides and an empty rest, or a fallback's one listed side
+    # and its rest.
+    sides = [set(side) for side in (*sep.listed, sep.rest)]
+    assert len(sides) in (2, 4) and (len(sides) == 2 or not sides[3])
+    pieces = set(sep.separator).union(*sides)
     assert len(pieces) == g.n
-    assert sum(map(len, sides)) + len(sep.x) == g.n
+    assert sum(map(len, sides)) + len(sep.separator) == g.n
     assert sum(1 for s in sides if s) >= 2
     for u, v in g.edges():
-        for i in range(3):
-            for j in range(3):
+        for i in range(len(sides)):
+            for j in range(len(sides)):
                 if i != j:
                     assert not (u in sides[i] and v in sides[j])
 
@@ -186,11 +190,11 @@ def test_alpha_sum_star_center():
     g = star_graph(7)
     sep = alpha_sum_sep(FlowWorkspace(g, None, range(8)), 3)
     assert sep is not None
-    assert sep.x == (0,)
+    assert sep.separator == (0,)
     three_way_sep_is_consistent(g, sep)
     limit = (1 + Fraction(4, 3)) * 3
-    for side in (sep.s1, sep.s2, sep.s3):
-        assert len((set(side) & set(range(8))) | set(sep.x)) <= limit
+    for side in (*sep.listed, sep.rest):
+        assert len((set(side) & set(range(8))) | set(sep.separator)) <= limit
 
 
 def test_alpha_sum_clique_not_found():
@@ -219,8 +223,8 @@ def test_alpha_sum_balance_is_checked_on_success(small_corpus_tw):
         if sep is None:
             continue
         limit = (1 + alpha) * k
-        for side in (sep.s1, sep.s2, sep.s3):
-            assert len((set(side) & set(w)) | set(sep.x)) <= limit
+        for side in (*sep.listed, sep.rest):
+            assert len((set(side) & set(w)) | set(sep.separator)) <= limit
 
 
 def test_separator_determinism(small_corpus_tw):
@@ -250,21 +254,20 @@ def uncached_alpha_sum_sep(g, targets, k, alpha, counters, part):
     for kind, first, second, third in _three_partitions(w, k):
         if kind == "fallback":
             merged = tuple(v for v in w if v not in set(first))
-            two = try_split(FlowWorkspace(g, part, w, counters), first, merged, k)
-            if two is None:
+            cut = try_split(FlowWorkspace(g, part, w, counters), first, merged, k)
+            if cut is None:
                 continue
-            cand = ThreeWaySep(two.x, two.s1, two.s2, ())
         else:
             cut = approx_3way_vertex_cut(FlowWorkspace(g, part, w, counters),
                                          first, second, third, cut_bound)
             if isinstance(cut, Exceeded):
                 continue
-            cand = ThreeWaySep(cut.separator, *cut.sides)
-        sides = cand.sides()
+        # Every side, the rest listed too.
+        sides = (*cut.listed, cut.rest)
         if (sum(1 for side in sides if side) >= 2
-                and all(len((set(side) & wset) | set(cand.x)) <= per_side_limit
+                and all(len((set(side) & wset) | set(cut.separator)) <= per_side_limit
                         for side in sides)):
-            return cand
+            return cut
     return None
 
 

@@ -9,15 +9,16 @@ from itertools import compress
 
 import pytest
 
-from twdecomp import (Counters, Graph, NotChordal, Part, ThreeWaySep,
+from twdecomp import (Counters, Cut, Graph, NotChordal, Part,
                       TreewidthExceeded, TriangSuccess,
                       check_tree_decomposition, decompose, exact_treewidth,
                       is_chordal, min_degree_triang, triang_2way_23,
                       triang_2way_half, triang_3way)
-from twdecomp import flow, graph, triangulate
+from twdecomp import flow, graph, separators, triangulate
 from twdecomp.flow import FlowWorkspace
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
-                             grid_graph, path_graph, random_tree, star_graph)
+                             grid_graph, partial_k_tree, path_graph, random_tree,
+                             star_graph)
 from twdecomp.triangulate import TreeDecomposition, _check_three_way_contract, _finish
 
 
@@ -141,25 +142,48 @@ def test_deep_recursion_keeps_the_interpreter_limit():
 
 def test_three_way_separator_bound_is_an_invariant():
     # path 0-1-2-3-4-5-6 split at 3; bound 1 admits x = (3,) only.  Vertex 7
-    # of the graph is outside the part.
+    # of the graph is outside the part.  A cut lists its sides; the rest of
+    # the part is one more side, never listed.
     g = path_graph(8)
     part = Part(g, range(7))
-    _check_three_way_contract(part, ThreeWaySep((3,), (0, 1, 2), (4, 5, 6), ()), 1)
+
+    def cut(x, *listed):
+        return Cut(x, listed, 0, part)
+
+    # Three listed sides and an empty rest, and bg367's fallback: one listed
+    # side and the rest.
+    _check_three_way_contract(cut((3,), (0, 1, 2), (4, 5, 6), ()), 1)
+    _check_three_way_contract(cut((3,), (0, 1, 2)), 1)
+    _check_three_way_contract(cut((3,), (4, 5, 6)), 1)
     bad = [
-        ("exceeds the bound", ThreeWaySep((2, 3), (0, 1), (4, 5, 6), ())),
-        ("do not partition", ThreeWaySep((3,), (0, 1), (4, 5, 6), ())),
-        ("do not partition", ThreeWaySep((3,), (0, 1, 2), (4, 5, 7), ())),
-        ("do not partition", ThreeWaySep((3,), (0, 1, 2), (4, 5, 5), ())),
-        ("fewer than two non-empty sides", ThreeWaySep((3,), (0, 1, 2, 4, 5, 6), (), ())),
-        ("misses edge (2, 3)", ThreeWaySep((4,), (0, 1, 2), (3,), (5, 6))),
+        ("exceeds the bound", cut((2, 3), (0, 1), (4, 5, 6), ())),
+        # three listed sides and the rest (2,): four sides in all
+        ("do not partition", cut((3,), (0, 1), (4, 5, 6), ())),
+        ("do not partition", cut((3,), (0, 1, 2), (4, 5, 7), ())),
+        ("do not partition", cut((3,), (0, 1, 2), (4, 5, 5), ())),
+        ("do not partition", cut((3,), (0, 1, 2, 7))),
+        ("do not partition", cut((3,), (0, 1, 1, 2))),
+        ("fewer than two non-empty sides", cut((3,), (0, 1, 2, 4, 5, 6), (), ())),
+        # a listed side and the separator that cover the part leave no rest
+        ("fewer than two non-empty sides", cut((3,), (0, 1, 2, 4, 5, 6))),
+        ("misses edge (2, 3)", cut((4,), (0, 1, 2), (3,), (5, 6))),
         # between the two smaller sides; the largest is (0, 1, 2)
-        ("misses edge (4, 5)", ThreeWaySep((3,), (0, 1, 2), (4,), (5, 6))),
+        ("misses edge (4, 5)", cut((3,), (0, 1, 2), (4,), (5, 6))),
         # between a smaller side and the largest, listed last
-        ("misses edge (1, 2)", ThreeWaySep((0,), (), (1,), (2, 3, 4, 5, 6))),
+        ("misses edge (1, 2)", cut((0,), (), (1,), (2, 3, 4, 5, 6))),
+        # from the one listed side into the rest (3, 5, 6), the larger side
+        ("misses edge (2, 3)", cut((4,), (0, 1, 2))),
+        # from a listed side into the rest (6,)
+        ("misses edge (5, 6)", cut((3,), (0, 1, 2), (4, 5))),
+        # from the largest listed side into the rest (3,): with a rest, no
+        # listed side is skipped
+        ("misses edge (2, 3)", cut((4,), (0, 1, 2), (5, 6))),
+        # between two listed sides while the rest (4, 5, 6) is not empty
+        ("misses edge (1, 2)", cut((3,), (0, 1), (2,))),
     ]
     for message, sep in bad:
         with pytest.raises(RuntimeError, match=re.escape(message)):
-            _check_three_way_contract(part, sep, 1)
+            _check_three_way_contract(sep, 1)
 
 
 def test_finish_refuses_a_fill_that_leaves_a_chordless_cycle():
@@ -429,9 +453,10 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
     handover = Part.handover
 
     def counted_verify(g, side_a, side_b, cut, value):
-        listed = len(cut.side1) + len(cut.separator)
+        side1 = cut.listed[0]
+        listed = len(side1) + len(cut.separator)
         counts["listed"] += listed
-        counts["verified"] += listed + sum(len(cut.part.adj[u]) for u in cut.side1)
+        counts["verified"] += listed + sum(len(cut.part.adj[u]) for u in side1)
         verify(g, side_a, side_b, cut, value)
 
     def counted_claim(ws):
@@ -461,3 +486,36 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
         assert isinstance(decompose(g, "half45", **mode).outcome, TriangSuccess)
         assert all(counts.values()) and len(counts) == 4, counts
         assert counts.total() <= per_vertex * g.n, (g, counts)
+
+
+def test_fallback_splits_list_the_rest_only_for_a_child(monkeypatch):
+    # A count, with no timing: the members that Part.remainder lists over a
+    # bg367 search on partial k-trees whose split nodes take the two-way
+    # fallback (a first group of more than k targets).  A fallback's rest is
+    # listed only when it becomes a child that is not the heir; listing it at
+    # every fallback node, to check and size it as a third side, came to
+    # about 6n on the first graph and 8n on the second.
+    listed = [0]
+    fallbacks = [0]
+    remainder = Part.remainder
+    try_split = separators.try_split
+
+    def counted_remainder(part, *taken):
+        out = remainder(part, *taken)
+        listed[0] += len(out)
+        return out
+
+    def counted_try_split(*args):
+        cut = try_split(*args)
+        fallbacks[0] += cut is not None
+        return cut
+
+    monkeypatch.setattr(Part, "remainder", counted_remainder)
+    # bg367 reaches try_split through its fallback only.
+    monkeypatch.setattr(separators, "try_split", counted_try_split)
+    for n, k, drop in ((320, 5, 0.04), (600, 4, 0.03)):
+        g = partial_k_tree(n, k, drop, random.Random(n))
+        listed[0] = fallbacks[0] = 0
+        assert isinstance(decompose(g, "bg367", search=True).outcome, TriangSuccess)
+        assert fallbacks[0] >= n // 10, (n, fallbacks)
+        assert listed[0] <= n, (n, listed)
