@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 from .graph import Graph, Part, connected_components, vset
@@ -72,22 +71,64 @@ class Counters:
 
 @dataclass(frozen=True)
 class Cut:
-    """A separator inside ``part`` and the sides it leaves.
+    """A separator inside ``part`` and the sides it leaves, checked when built.
 
     ``listed`` holds the sides the search listed, each ascending: a flow
     lists its residual-reachable side, a three-way cut all three sides.  The
     rest of the part is one more side, ``rest``, which no search lists: it
-    is built from ``part`` on first use, while the part is not yet handed
-    over, and ``sizes()`` counts it.  Two cuts are equal when their
-    separators and listed sides are.
+    is built from ``part`` on use, while the part is not yet handed over,
+    and ``sizes()`` counts it.  ``owner`` maps each vertex of the separator
+    to -1 and each vertex of listed side ``i`` to ``i``; a member it does
+    not hold is in the rest.  Two cuts are equal when their separators and
+    listed sides are.
+
+    Building a cut checks that it splits its part: the separator and the
+    listed sides hold members only, none twice, so that with the rest they
+    partition the part; and no edge joins two sides.  Every such edge has an
+    end on a listed side, so the rows of the listed sides are scanned: all
+    but the largest one's when the rest is empty.
     """
 
     separator: tuple[int, ...]
     listed: tuple[tuple[int, ...], ...]
     augmentations: int = field(compare=False)
     part: Part = field(compare=False, repr=False)
+    owner: dict[int, int] = field(init=False, compare=False, repr=False)
 
-    @cached_property
+    def __post_init__(self):
+        part = self.part
+        inside = part.inside
+        n = len(inside)
+        listed = self.listed
+        owner = dict.fromkeys(self.separator, -1)
+        total = len(self.separator)
+        for i, side in enumerate(listed):
+            for v in side:
+                owner[v] = i
+            total += len(side)
+        # Listed once each (no key lost to a repeat) and members only.
+        partition = len(owner) == total
+        for v in owner:
+            if not (0 <= v < n and inside[v]):
+                partition = False
+                break
+        _invariant(partition, "separator and sides do not partition the vertices")
+        skip = -1
+        if total == part.size and listed:
+            sizes = [len(side) for side in listed]
+            skip = sizes.index(max(sizes))
+        adj = part.adj
+        get = owner.get
+        for i, side in enumerate(listed):
+            if i != skip:
+                ends = (i, -1)
+                for u in side:
+                    for v in adj[u]:
+                        if get(v) not in ends:
+                            _invariant(False, f"edge ({min(u, v)}, {max(u, v)}) crosses the cut")
+        object.__setattr__(self, "owner", owner)
+
+    @property
     def rest(self) -> tuple[int, ...]:
         return self.part.remainder(self.separator, *self.listed)
 
@@ -196,7 +237,9 @@ class FlowWorkspace:
 
     Every flow is added to ``counters`` (a private ``Counters`` when none is
     given).  ``cuts`` maps (group mask, bound) to the isolating cut of that
-    group against the other targets, filled by ``approx_3way_vertex_cut``.
+    group against the other targets, filled by ``approx_3way_vertex_cut``:
+    its augmentations and its separator, None when it exceeded the bound.
+    Only these are kept, not the cut's sides and ``owner``.
 
     ``certs`` keeps, per bound, the certificate of every flow that ended
     ``Exceeded``: its bound+1 vertex-disjoint paths, each as the targets on
@@ -504,7 +547,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> Cut | Exce
                 sat[v] = 0
                 in_flow[v] = _NO_FLOW
     result = Cut(tuple(separator), (tuple(side1),), flow, part)
-    _verify_cut(ws.g, side_a, side_b, result, flow)
+    _verify_cut(side_a, side_b, result, flow)
     return result
 
 
@@ -541,39 +584,14 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
     certs.add(paths)
 
 
-def _verify_cut(g: Graph, side_a, side_b, cut: Cut, flow: int) -> None:
-    """Check a flow's cut at the cost of its listed vertices and their rows.
-
-    The rest is the part minus side1, the one listed side, and the
-    separator, so those partition the part with it exactly when they hold
-    members only, each once; no edge crosses from side1 to the rest exactly
-    when every neighbour of side1 is in side1 or the separator; and an uncut
-    sink, a member, is in the rest exactly when it is not in side1.
-    """
+def _verify_cut(side_a, side_b, cut: Cut, flow: int) -> None:
+    """Check a flow's own conditions on its cut, which was checked as a cut
+    when built: its size is the flow value, an uncut source is in side1 (the
+    one listed side) and a sink is not."""
     _invariant(len(cut.separator) == flow, "cut size differs from flow value")
-    side1 = cut.listed[0]
-    inside = cut.part.inside
-    adj = cut.part.adj
-    n = g.n
-    side_of = {}
-    for v in cut.separator:
-        side_of[v] = 3
-    for v in side1:
-        side_of[v] = 1
-    # Listed once each (no key lost to a repeat) and members only.
-    partition = len(side_of) == len(side1) + len(cut.separator)
-    for v in side_of:
-        if not (0 <= v < n and inside[v]):
-            partition = False
-            break
-    _invariant(partition, "separator and sides do not partition the vertices")
-    for u in side1:
-        for v in adj[u]:
-            if v not in side_of:
-                _invariant(False, f"edge ({min(u, v)}, {max(u, v)}) crosses the cut")
-    _invariant(all(v in side_of for v in side_a), "uncut source attachment outside side1")
-    _invariant(all(side_of.get(v) != 1 for v in side_b),
-               "uncut sink attachment outside the rest")
+    owner = cut.owner
+    _invariant(all(map(owner.__contains__, side_a)), "uncut source attachment outside side1")
+    _invariant(0 not in map(owner.get, side_b), "uncut sink attachment outside the rest")
 
 
 def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | Exceeded:
@@ -606,15 +624,18 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
         if mask == 0 or mask == full:
             isolating.append((0, i, ()))
             continue
-        res = ws.cuts.get((mask, bound))
-        if res is None:
+        kept = ws.cuts.get((mask, bound))
+        if kept is None:
             others = tuple(t for t in ws.targets if not ws.bit_of[t] & mask)
-            res = ws.cuts[mask, bound] = min_vertex_separator(ws, (others, grp), bound)
-        total_augs += res.augmentations
-        if isinstance(res, Exceeded):
+            res = min_vertex_separator(ws, (others, grp), bound)
+            kept = ws.cuts[mask, bound] = (
+                res.augmentations, None if isinstance(res, Exceeded) else res.separator)
+        augs, sep = kept
+        total_augs += augs
+        if sep is None:
             exceeded += 1
             continue
-        isolating.append((len(res.separator), i, res.separator))
+        isolating.append((len(sep), i, sep))
     if exceeded >= 2:
         return Exceeded(bound, total_augs)
 

@@ -153,7 +153,7 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
                 raise ParseError(lineno, f"bag index out of range: {idx}")
             if idx in bags:
                 raise ParseError(lineno, f"duplicate bag {idx}")
-            bags[idx] = tuple(sorted(v - 1 for v in verts))
+            bags[idx] = tuple(v - 1 for v in verts)
             continue
         if len(parts) != 2:
             raise ParseError(lineno, f"malformed tree edge line: {line!r}")
@@ -188,10 +188,5 @@ def append_report(path: str, report: AlgoReport) -> None:
         writer = csv.writer(handle)
         if fresh:
             writer.writerow(REPORT_COLUMNS)
-        writer.writerow([
-            report.graph, report.n, report.m, report.algo, report.mode,
-            report.k_used,
-            "" if report.width_plus_one is None else report.width_plus_one,
-            report.separator_calls, report.flow_augmentations, report.wall_ms,
-            report.certified,
-        ])
+        values = (getattr(report, name) for name in REPORT_COLUMNS)
+        writer.writerow(["" if value is None else value for value in values])

@@ -84,11 +84,16 @@ def half_candidates(w: tuple[int, ...]):
         yield first, tuple(v for v in w if v not in chosen)
 
 
-def _target_counts(wset: set[int], cut: Cut) -> list[int]:
+def _target_counts(targets: tuple[int, ...], cut: Cut) -> list[int]:
     """The targets on each listed side of ``cut``, then on its rest: the
-    targets in neither a listed side nor the separator."""
-    counts = [len(wset.intersection(side)) for side in cut.listed]
-    counts.append(len(wset) - sum(counts) - len(wset.intersection(cut.separator)))
+    targets that ``cut.owner`` does not hold."""
+    rest = len(cut.listed)
+    # The separator's side, -1, is the last entry: counted, then dropped.
+    counts = [0] * (rest + 2)
+    get = cut.owner.get
+    for t in targets:
+        counts[get(t, rest)] += 1
+    counts.pop()
     return counts
 
 
@@ -97,13 +102,12 @@ def _first_split(ws: FlowWorkspace, candidates, bound: int, share: int) -> Cut |
 
     Neither side may hold more than ``share`` of the targets.
     """
-    wset = set(ws.targets)
     for first, second in candidates(ws.targets):
         cut = try_split(ws, first, second, bound)
         if cut is None:
             continue
         _require(len(cut.separator) <= bound, "separator above bound")
-        _require(max(_target_counts(wset, cut)) <= share,
+        _require(max(_target_counts(ws.targets, cut)) <= share,
                  "side holds more than its share of the targets")
         return cut
     return None
@@ -132,9 +136,9 @@ def two_way_half_vtx_sep(ws: FlowWorkspace, k: int) -> Cut | None:
 def _three_partitions(w: tuple[int, ...], k: int):
     """Ordered 3-partitions with floor(|w|/2) >= |p1| >= |p2| >= |p3|.
 
-    Yields ('fallback', first) blocks once per first part when |p1| > k,
-    otherwise ('triple', first, second, third); sizes descend, subsets
-    ascend in combinadic order.
+    Yields (first, complement) once per first part when |p1| > k, otherwise
+    (first, second, third); sizes descend, subsets ascend in combinadic
+    order.
     """
     size = len(w)
     for s1 in range(size // 2, _ceil_div(size, 3) - 1, -1):
@@ -142,7 +146,8 @@ def _three_partitions(w: tuple[int, ...], k: int):
             continue
         if s1 > k:
             for first in combinations(w, s1):
-                yield ("fallback", first, None, None)
+                chosen = set(first)
+                yield first, tuple(v for v in w if v not in chosen)
             continue
         rest_size = size - s1
         hi = min(s1, rest_size)
@@ -154,7 +159,7 @@ def _three_partitions(w: tuple[int, ...], k: int):
                 for second in combinations(rest, s2):
                     second_set = set(second)
                     third = tuple(v for v in rest if v not in second_set)
-                    yield ("triple", first, second, third)
+                    yield first, second, third
 
 
 def alpha_sum_sep(ws: FlowWorkspace, k: int,
@@ -175,20 +180,18 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     w = ws.targets
-    wset = set(w)
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
 
-    for kind, first, second, third in _three_partitions(w, k):
-        if kind == "fallback":
-            chosen = set(first)
-            cut = try_split(ws, first, tuple(v for v in w if v not in chosen), k)
+    for groups in _three_partitions(w, k):
+        if len(groups) == 2:
+            cut = try_split(ws, *groups, k)
         else:
-            cut = approx_3way_vertex_cut(ws, first, second, third, cut_bound)
+            cut = approx_3way_vertex_cut(ws, *groups, cut_bound)
         if cut is None or isinstance(cut, Exceeded):
             continue
         # A side and the separator are disjoint, so |(S_i & T) + X| is a sum.
         if (sum(map(bool, cut.sizes())) >= 2
-                and max(_target_counts(wset, cut)) + len(cut.separator) <= per_side_limit):
+                and max(_target_counts(w, cut)) + len(cut.separator) <= per_side_limit):
             return cut
     return None

@@ -110,13 +110,13 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
     A node is a vertex subset of ``g``, its inherited boundary, its parent's
     bag index and its ``Part``: either an ascending tuple of its ids and no
     part yet, or, for a node that inherited its parent's part, None and that
-    part.  Nodes above ``base_size`` vertices ask ``split(g, part, boundary)``
-    for ``(x, listed)``, where ``part`` is the node's ``Part``; None rejects
-    k.  The node's sides are the listed ones, then the rest of the part,
-    which is not listed: its size is a count.  The node's bag is the
-    boundary plus ``x``, made a clique, and every non-empty side plus ``x``
-    becomes a child.  Bags are numbered in pre-order and the roots of
-    separate components are chained into one tree.
+    part.  A node of at most ``base_size`` vertices is a leaf whose bag is
+    the boundary plus its vertices.  Every other node asks
+    ``split(g, part, boundary)`` for a ``Cut`` of its ``Part``; None rejects
+    k.  The node's bag is the boundary plus the separator ``x``, made a
+    clique, and every non-empty side of the cut plus ``x`` becomes a child.
+    Bags are numbered in pre-order and the roots of separate components are
+    chained into one tree.
 
     The child on the largest side (the first of equal sides) takes over the
     node's ``Part`` by ``Part.handover`` when it is above ``base_size``,
@@ -139,34 +139,34 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
             roots.append(idx)
         else:
             edges.append((parent, idx))
-        size = part.size if members is None else len(members)
-        if size <= base_size:
-            found = members, ()
+        cut = None
+        if members is not None and len(members) <= base_size:
+            x = members
         else:
             if part is None:
                 part = Part(g, members)
-            found = split(g, part, boundary)
-        if found is None:
-            return TreewidthExceeded(k)
-        x, listed = found
+            cut = split(g, part, boundary)
+            if cut is None:
+                return TreewidthExceeded(k)
+            x = cut.separator
         bag = vset(boundary + x)
         bags.append(bag)
         fills.update(_missing_pairs(g, bag, row_sets))
-        sizes = [len(side) for side in listed]
-        sizes.append(size - len(x) - sum(sizes))
-        last = len(listed)
+        if cut is None:
+            continue
+        sizes = cut.sizes()
+        last = len(cut.listed)
         heir = sizes.index(max(sizes))
         if sizes[heir] + len(x) <= base_size:
             heir = -1
-        rest = () if not sizes[last] or heir == last else part.remainder(x, *listed)
-        sides = [*listed, rest]
+        sides = [*cut.listed, () if not sizes[last] or heir == last else cut.rest]
         # Each boundary vertex outside x goes to the side that holds it.
         shares: list[list[int]] = [[] for _ in sizes]
-        outside = [v for v in boundary if v not in x]
-        if outside:
-            sets = list(map(set, listed))
-            for v in outside:
-                shares[next((i for i, side in enumerate(sets) if v in side), last)].append(v)
+        owner = cut.owner
+        for v in boundary:
+            i = owner.get(v, last)
+            if i >= 0:
+                shares[i].append(v)
         for i in reversed(range(len(sizes))):
             if not sizes[i]:
                 continue
@@ -186,56 +186,26 @@ def _fixed_k_split(find, k: int, pad_size: int, counters: Counters | None):
     Each split node gets one flow workspace over its padded targets, adding
     to ``counters``; ``find(ws)`` returns a ``Cut`` or None.
     """
-    def split(g: Graph, part: Part, boundary: tuple[int, ...]):
+    def split(g: Graph, part: Part, boundary: tuple[int, ...]) -> Cut | None:
         # A graph of treewidth at most k-1 has at most n*k edges.
         if part.m > part.size * k:
             return None
-        cut = find(FlowWorkspace(g, part, _pad_targets(part, boundary, pad_size), counters))
-        if cut is None:
-            return None
-        return cut.separator, cut.listed
+        return find(FlowWorkspace(g, part, _pad_targets(part, boundary, pad_size), counters))
     return split
 
 
 def _check_three_way_contract(cut: Cut, bound: int) -> None:
     # alpha_sum_sep never returns a separator above floor(alpha*k); treating
-    # one as not found would be an unsound rejection, so it is an error.
+    # one as not found would be an unsound rejection, so it is an error.  The
+    # cut itself checked that it splits its part when it was built.
     x = cut.separator
     if len(x) > bound:
         raise RuntimeError(f"separator of {len(x)} vertices exceeds the bound {bound}")
-    part = cut.part
-    listed = cut.listed
-    # The rest is the members outside x and the listed sides, so these
-    # partition the part with it exactly when they are members, none twice;
-    # and a three-way split has at most three sides in all.
-    owner = dict.fromkeys(x, -1)
-    total = len(x)
-    for idx, side in enumerate(listed):
-        owner.update(dict.fromkeys(side, idx))
-        total += len(side)
     sizes = cut.sizes()
-    inside = part.inside
-    if (len(owner) != total or min(owner, default=0) < 0
-            or max(owner, default=-1) >= len(inside)
-            or not all(map(inside.__getitem__, owner))
-            or len(listed) + (sizes[-1] > 0) > 3):
-        raise RuntimeError("separator and sides do not partition the vertices")
+    if len(cut.listed) + (sizes[-1] > 0) > 3:
+        raise RuntimeError("three-way split has more than three sides")
     if sum(map(bool, sizes)) < 2:
         raise RuntimeError("three-way split has fewer than two non-empty sides")
-    # Every edge between two sides has an end on a listed side and one
-    # outside the largest side, so the rows of the listed sides are scanned:
-    # all but the largest one's when the rest is empty.  A neighbour in no
-    # listed side and not in x is in the rest.
-    rest = len(listed)
-    skip = rest if sizes[-1] else sizes.index(max(sizes))
-    for idx, side in enumerate(listed):
-        if idx == skip:
-            continue
-        for u in side:
-            for v in part.adj[u]:
-                if owner.get(v, rest) not in (idx, -1):
-                    raise RuntimeError(
-                        f"three-way separator misses edge ({min(u, v)}, {max(u, v)})")
 
 
 def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,
@@ -357,11 +327,12 @@ def _adaptive_split(flavor: str, counters: Counters):
     """Split closure of adaptive mode: grow the target set until a cut exists.
 
     Every candidate of the current target set is tried and the smallest
-    separator wins; with no vertex left to add, the node becomes a leaf.
+    separator wins; with no vertex left to add, the node becomes a leaf: a
+    cut whose separator is the whole part.
     """
     candidates = two_thirds_candidates if flavor == "rs4" else half_candidates
 
-    def split(g: Graph, part: Part, boundary: tuple[int, ...]):
+    def split(g: Graph, part: Part, boundary: tuple[int, ...]) -> Cut:
         n = part.size
         targets = list(boundary)
         pool = list(part.remainder(boundary))
@@ -376,9 +347,9 @@ def _adaptive_split(flavor: str, counters: Counters):
                                         or len(cut.separator) < len(best.separator)):
                     best = cut
             if best is not None:
-                return best.separator, best.listed
+                return best
             if not pool:
-                return part.members, ()
+                return Cut(part.members, (), 0, part)
             targets.append(pool.pop(0))
     return split
 
@@ -405,10 +376,13 @@ def decompose(g: Graph, algo: str, *, k: int | None = None, search: bool = False
     every failed trial is a sound rejection, so the first success stands.
     Adaptive mode (two-way algorithms only) grows the split set one vertex
     at a time until a minimum cut leaves both sides non-empty, and never
-    rejects.  The min-degree baseline ignores the mode entirely.
+    rejects.  The other algorithms take exactly one of the three modes; the
+    min-degree baseline ignores the mode entirely.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algo}")
+    if algo != "mindeg" and (k is not None) + bool(search) + bool(adaptive) != 1:
+        raise ValueError("exactly one of k=, search=, adaptive= is required")
     alpha = Fraction(alpha)
     counters = Counters()
     start = time.perf_counter()
@@ -432,11 +406,9 @@ def decompose(g: Graph, algo: str, *, k: int | None = None, search: bool = False
                 k_used = trial
                 break
             trial += 1
-    elif k is not None:
+    else:
         outcome = _fixed_k_run(g, algo, k, alpha, counters)
         k_used, mode = k, "fixed-k"
-    else:
-        raise ValueError("one of k=, search=, adaptive= is required")
 
     wall_ms = (time.perf_counter() - start) * 1000.0
     width_plus_one = None

@@ -216,13 +216,70 @@ def test_matches_networkx_max_flow_beyond_brute_force_range():
         "listed-twice", "separator-in-side1", "sink-in-side1", "source-outside-side1"])
 def test_verify_cut_rejects_tampered_cuts(separator, side1, flow, message):
     # A flow's cut lists side1 only; its rest is the part minus side1 and
-    # the separator.  Vertex 5 is in the graph but not in the part.
+    # the separator.  Vertex 5 is in the graph but not in the part.  A cut
+    # that does not split its part is refused when it is built, the others
+    # by the flow's own checks.
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     terminals = ((0,), (4,))
     part = Part(g, range(5))
-    _verify_cut(g, *terminals, Cut((2,), ((0, 1),), 1, part), 1)
+    _verify_cut(*terminals, Cut((2,), ((0, 1),), 1, part), 1)
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        _verify_cut(g, *terminals, Cut(separator, (side1,), 1, part), flow)
+        _verify_cut(*terminals, Cut(separator, (side1,), 1, part), flow)
+
+
+@settings(max_examples=120)
+@given(kind=st.sampled_from(("gnp", "grid", "tree")), n=st.integers(4, 40),
+       count=st.sampled_from((1, 3)), rest=st.booleans(),
+       tamper=st.sampled_from((None, "moved", "repeat", "outsider")),
+       seed=st.integers(0, 2**31))
+def test_a_cut_is_built_exactly_when_it_splits_its_part(kind, n, count, rest, tamper, seed):
+    # The members of a part go at random to the separator, to ``count``
+    # listed sides and, when ``rest`` holds, to the rest: whole components of
+    # the part minus the separator at a time, then tampered with by moving
+    # one member to another side, listing a vertex twice, or listing one
+    # from outside the part.  networkx decides independently whether the
+    # pieces partition the part and every component of the part minus the
+    # separator lies in one side.
+    rng = random.Random(seed)
+    g = property_graph(kind, n, rng)
+    if rng.random() < 0.25:
+        part, members = Part(g), tuple(range(g.n))
+    else:
+        members = vset(v for v in range(g.n) if rng.random() < 0.8)
+        part = Part(g, members)
+    sub = nx.Graph(g.edges())
+    sub.add_nodes_from(range(g.n))
+    sub = sub.subgraph(members)
+    labels = range(count + 1 if rest else count)
+    share = rng.uniform(0.05, 0.5)
+    separator = [v for v in members if rng.random() < share]
+    label = dict.fromkeys(separator, -1)
+    for comp in nx.connected_components(sub.subgraph(set(members) - set(separator))):
+        label.update(dict.fromkeys(comp, rng.choice(labels)))
+    if tamper == "moved" and len(label) > len(separator):
+        v = rng.choice([v for v in members if label[v] >= 0])
+        label[v] = rng.choice(labels)
+    pieces = [[] for _ in range(count + 1)]
+    for v in members:
+        if label[v] < count:
+            pieces[label[v] + 1].append(v)
+    listed_vertices = [v for piece in pieces for v in piece]
+    if tamper == "repeat" and listed_vertices:
+        rng.choice(pieces).append(rng.choice(listed_vertices))
+    elif tamper == "outsider":
+        outside = [v for v in range(g.n) if v not in sub] + [-1, g.n]
+        rng.choice(pieces).append(rng.choice(outside))
+    rest_vertices = set(sub) - {v for piece in pieces for v in piece}
+    side_of = {v: i for i, piece in enumerate(pieces[1:]) for v in piece}
+    accepted = nx.community.is_partition(sub, [*pieces, rest_vertices]) and all(
+        len({side_of.get(v, count) for v in comp}) == 1
+        for comp in nx.connected_components(sub.subgraph(set(sub) - set(pieces[0]))))
+    separator, listed = tuple(pieces[0]), tuple(map(tuple, pieces[1:]))
+    if accepted:
+        assert Cut(separator, listed, 0, part).owner == dict.fromkeys(separator, -1) | side_of
+    else:
+        with pytest.raises(RuntimeError, match="flow invariant violated"):
+            Cut(separator, listed, 0, part)
 
 
 def test_matches_brute_force_on_random_graphs():

@@ -114,11 +114,17 @@ def test_report_rows_append_with_stable_schema(tmp_path):
     append_report(str(path), res.report)
     res2 = decompose(cycle_graph(6), "rs4", search=True, graph_name="c6")
     append_report(str(path), res2.report)
+    res3 = decompose(complete_graph(6), "rs4", k=1, graph_name="k6")
+    append_report(str(path), res3.report)
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["graph", "n", "m", "algo", "mode", "k_used", "width_plus_one",
                        "separator_calls", "flow_augmentations", "wall_ms", "certified"]
-    assert len(rows) == 3
-    assert rows[1][0] == "p6" and rows[2][0] == "c6"
+    assert len(rows) == 4
+    # Every cell is its column's report field; a rejection has no width.
+    assert res3.report.width_plus_one is None
+    for row, report in zip(rows[1:], (res.report, res2.report, res3.report)):
+        assert row == ["" if getattr(report, name) is None else str(getattr(report, name))
+                       for name in rows[0]]
 
 
 def write_graph(tmp_path, name, g):

@@ -251,15 +251,14 @@ def uncached_alpha_sum_sep(g, targets, k, alpha, counters, part):
     wset = set(w)
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
-    for kind, first, second, third in _three_partitions(w, k):
-        if kind == "fallback":
-            merged = tuple(v for v in w if v not in set(first))
-            cut = try_split(FlowWorkspace(g, part, w, counters), first, merged, k)
+    for groups in _three_partitions(w, k):
+        if len(groups) == 2:
+            cut = try_split(FlowWorkspace(g, part, w, counters), *groups, k)
             if cut is None:
                 continue
         else:
             cut = approx_3way_vertex_cut(FlowWorkspace(g, part, w, counters),
-                                         first, second, third, cut_bound)
+                                         *groups, cut_bound)
             if isinstance(cut, Exceeded):
                 continue
         # Every side, the rest listed too.
@@ -384,7 +383,7 @@ def test_isolating_cuts_of_a_triple_never_exceed_the_bound(monkeypatch):
         cut = original(ws, t1, t2, t3, bound)
         assert max(map(len, (t1, t2, t3))) <= bound
         for grp in (t1, t2, t3):
-            assert not isinstance(ws.cuts.get((ws.mask(grp), bound)), Exceeded)
+            assert ws.cuts.get((ws.mask(grp), bound), (0, ()))[1] is not None
         seen.append(isinstance(cut, Exceeded))
         return cut
 

@@ -14,7 +14,7 @@ from twdecomp import (Counters, Cut, Graph, NotChordal, Part,
                       check_tree_decomposition, decompose, exact_treewidth,
                       is_chordal, min_degree_triang, triang_2way_23,
                       triang_2way_half, triang_3way)
-from twdecomp import flow, graph, separators, triangulate
+from twdecomp import graph, separators, triangulate
 from twdecomp.flow import FlowWorkspace
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
                              grid_graph, partial_k_tree, path_graph, random_tree,
@@ -143,7 +143,8 @@ def test_deep_recursion_keeps_the_interpreter_limit():
 def test_three_way_separator_bound_is_an_invariant():
     # path 0-1-2-3-4-5-6 split at 3; bound 1 admits x = (3,) only.  Vertex 7
     # of the graph is outside the part.  A cut lists its sides; the rest of
-    # the part is one more side, never listed.
+    # the part is one more side, never listed.  A cut that does not split its
+    # part is refused when it is built; the contract checks the rest.
     g = path_graph(8)
     part = Part(g, range(7))
 
@@ -156,34 +157,39 @@ def test_three_way_separator_bound_is_an_invariant():
     _check_three_way_contract(cut((3,), (0, 1, 2)), 1)
     _check_three_way_contract(cut((3,), (4, 5, 6)), 1)
     bad = [
-        ("exceeds the bound", cut((2, 3), (0, 1), (4, 5, 6), ())),
-        # three listed sides and the rest (2,): four sides in all
-        ("do not partition", cut((3,), (0, 1), (4, 5, 6), ())),
-        ("do not partition", cut((3,), (0, 1, 2), (4, 5, 7), ())),
-        ("do not partition", cut((3,), (0, 1, 2), (4, 5, 5), ())),
-        ("do not partition", cut((3,), (0, 1, 2, 7))),
-        ("do not partition", cut((3,), (0, 1, 1, 2))),
-        ("fewer than two non-empty sides", cut((3,), (0, 1, 2, 4, 5, 6), (), ())),
+        ("exceeds the bound", lambda: cut((2, 3), (0, 1), (4, 5, 6), ())),
+        # three listed sides and the rest (2,): four sides in all, and the
+        # edges (1, 2) and (2, 3) join two of them
+        ("edge (1, 2) crosses the cut", lambda: cut((3,), (0, 1), (4, 5, 6), ())),
+        ("do not partition", lambda: cut((3,), (0, 1, 2), (4, 5, 7), ())),
+        ("do not partition", lambda: cut((3,), (0, 1, 2), (4, 5, 5), ())),
+        ("do not partition", lambda: cut((3,), (0, 1, 2, 7))),
+        ("do not partition", lambda: cut((3,), (0, 1, 1, 2))),
+        ("fewer than two non-empty sides", lambda: cut((3,), (0, 1, 2, 4, 5, 6), (), ())),
         # a listed side and the separator that cover the part leave no rest
-        ("fewer than two non-empty sides", cut((3,), (0, 1, 2, 4, 5, 6))),
-        ("misses edge (2, 3)", cut((4,), (0, 1, 2), (3,), (5, 6))),
+        ("fewer than two non-empty sides", lambda: cut((3,), (0, 1, 2, 4, 5, 6))),
+        ("edge (2, 3) crosses the cut", lambda: cut((4,), (0, 1, 2), (3,), (5, 6))),
         # between the two smaller sides; the largest is (0, 1, 2)
-        ("misses edge (4, 5)", cut((3,), (0, 1, 2), (4,), (5, 6))),
+        ("edge (4, 5) crosses the cut", lambda: cut((3,), (0, 1, 2), (4,), (5, 6))),
         # between a smaller side and the largest, listed last
-        ("misses edge (1, 2)", cut((0,), (), (1,), (2, 3, 4, 5, 6))),
+        ("edge (1, 2) crosses the cut", lambda: cut((0,), (), (1,), (2, 3, 4, 5, 6))),
         # from the one listed side into the rest (3, 5, 6), the larger side
-        ("misses edge (2, 3)", cut((4,), (0, 1, 2))),
+        ("edge (2, 3) crosses the cut", lambda: cut((4,), (0, 1, 2))),
         # from a listed side into the rest (6,)
-        ("misses edge (5, 6)", cut((3,), (0, 1, 2), (4, 5))),
+        ("edge (5, 6) crosses the cut", lambda: cut((3,), (0, 1, 2), (4, 5))),
         # from the largest listed side into the rest (3,): with a rest, no
         # listed side is skipped
-        ("misses edge (2, 3)", cut((4,), (0, 1, 2), (5, 6))),
+        ("edge (2, 3) crosses the cut", lambda: cut((4,), (0, 1, 2), (5, 6))),
         # between two listed sides while the rest (4, 5, 6) is not empty
-        ("misses edge (1, 2)", cut((3,), (0, 1), (2,))),
+        ("edge (1, 2) crosses the cut", lambda: cut((3,), (0, 1), (2,))),
     ]
-    for message, sep in bad:
+    for message, build in bad:
         with pytest.raises(RuntimeError, match=re.escape(message)):
-            _check_three_way_contract(sep, 1)
+            _check_three_way_contract(build(), 1)
+    # A valid split with four sides, three listed and the rest (6,), within
+    # the bound.
+    with pytest.raises(RuntimeError, match="more than three sides"):
+        _check_three_way_contract(cut((1, 3, 5), (0,), (2,), (4,)), 3)
 
 
 def test_finish_refuses_a_fill_that_leaves_a_chordless_cycle():
@@ -268,6 +274,17 @@ def test_decompose_adaptive_rejected_for_threeway():
 def test_decompose_needs_a_mode():
     with pytest.raises(ValueError):
         decompose(path_graph(4), "rs4")
+    # Conflicting modes are refused, not resolved by precedence.
+    conflicts = ({"k": 1, "search": True}, {"k": 1, "adaptive": True},
+                 {"search": True, "adaptive": True},
+                 {"k": 1, "search": True, "adaptive": True})
+    for algo in ("rs4", "half45", "bg367"):
+        for modes in conflicts:
+            with pytest.raises(ValueError, match="exactly one"):
+                decompose(complete_graph(6), algo, **modes)
+    # The baseline ignores the modes.
+    for modes in conflicts:
+        assert decompose(path_graph(4), "mindeg", **modes).report.mode == "none"
 
 
 def test_decompose_report_fields():
@@ -439,25 +456,25 @@ def test_no_stale_part_reaches_a_search(monkeypatch):
 def test_split_nodes_cost_what_they_remove(monkeypatch):
     # A count, with no timing, summed over the run: the members listed by the
     # flows (side1 and the separator of every cut); the members scanned by
-    # cut verification (those, plus the rows of side1); the entries the
-    # workspaces write into ``near``; and the surgery: every row or id range
-    # filtered (Part.__init__, a handover's short rows, Part.remainder), every
-    # vertex a handover removes and every bisection into a hub's row.  A node
-    # that listed, verified or rebuilt its whole part would make these counts
-    # grow as n squared: listing whole parts alone is about 670n on the path,
-    # while both runs here come to about 14n.
+    # the check of every cut as it is built (those, plus the rows of side1);
+    # the entries the workspaces write into ``near``; and the surgery: every
+    # row or id range filtered (Part.__init__, a handover's short rows,
+    # Part.remainder), every vertex a handover removes and every bisection
+    # into a hub's row.  A node that listed, verified or rebuilt its whole
+    # part would make these counts grow as n squared: listing whole parts
+    # alone is about 670n on the path, while both runs here come to about 14n.
     per_vertex = 20
     counts = Counter()
-    verify = flow._verify_cut
+    check = Cut.__post_init__
     claim = FlowWorkspace._claim
     handover = Part.handover
 
-    def counted_verify(g, side_a, side_b, cut, value):
+    def counted_check(cut):
         side1 = cut.listed[0]
         listed = len(side1) + len(cut.separator)
         counts["listed"] += listed
         counts["verified"] += listed + sum(len(cut.part.adj[u]) for u in side1)
-        verify(g, side_a, side_b, cut, value)
+        check(cut)
 
     def counted_claim(ws):
         claim(ws)
@@ -476,7 +493,7 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
         counts["surgery"] += 1
         return bisect_left(row, v, *bounds)
 
-    monkeypatch.setattr(flow, "_verify_cut", counted_verify)
+    monkeypatch.setattr(Cut, "__post_init__", counted_check)
     monkeypatch.setattr(FlowWorkspace, "_claim", counted_claim)
     monkeypatch.setattr(Part, "handover", counted_handover)
     monkeypatch.setattr(graph, "compress", counted_compress)
