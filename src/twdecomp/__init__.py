@@ -2,7 +2,7 @@
 
 Approximate minimum-treewidth triangulation with provable width bounds,
 built on flow-based minimum vertex separators, plus independent validators
-and brute-force oracles for small graphs.
+and exact treewidth for small graphs.
 """
 
 from .flow import (Counters, Cut, Exceeded, FlowWorkspace, approx_3way_vertex_cut,
@@ -14,10 +14,8 @@ from .triangulate import (ALGORITHMS, AlgoReport, DecomposeResult,
                           TreeDecomposition, TreewidthExceeded, TriangSuccess,
                           Triangulation, decompose, min_degree_triang,
                           triang_2way_23, triang_2way_half, triang_3way)
-from .validate import (NotChordal, Violation, brute_force_min_multiway,
-                       brute_force_min_separator, check_tree_decomposition,
-                       clique_number_chordal, exact_treewidth, is_chordal,
-                       max_disjoint_paths, permutation_treewidth)
+from .validate import (NotChordal, Violation, check_tree_decomposition,
+                       clique_number_chordal, exact_treewidth, is_chordal)
 
 __all__ = [
     "ALGORITHMS", "AlgoReport", "Counters", "Cut",
@@ -25,11 +23,9 @@ __all__ = [
     "NotChordal", "Part", "TreeDecomposition", "TreewidthExceeded", "TriangSuccess",
     "Triangulation", "Violation", "alpha_sum_sep",
     "approx_3way_vertex_cut",
-    "brute_force_min_multiway", "brute_force_min_separator",
     "check_tree_decomposition", "clique_number_chordal", "connected_components",
-    "decompose", "exact_treewidth", "is_chordal",
-    "max_disjoint_paths", "min_degree_triang",
-    "min_vertex_separator", "permutation_treewidth", "triang_2way_23",
+    "decompose", "exact_treewidth", "is_chordal", "min_degree_triang",
+    "min_vertex_separator", "triang_2way_23",
     "triang_2way_half", "triang_3way", "try_split",
     "two_thirds_vtx_sep", "two_way_half_vtx_sep", "vset",
 ]

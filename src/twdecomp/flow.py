@@ -236,10 +236,10 @@ class FlowWorkspace:
     again for its own (``_claim``), so workspaces may still take turns.
 
     Every flow is added to ``counters`` (a private ``Counters`` when none is
-    given).  ``cuts`` maps (group mask, bound) to the isolating cut of that
-    group against the other targets, filled by ``approx_3way_vertex_cut``:
-    its augmentations and its separator, None when it exceeded the bound.
-    Only these are kept, not the cut's sides and ``owner``.
+    given).  ``cuts`` maps (group mask, bound) to the separator of the
+    isolating cut of that group against the other targets, or None when that
+    cut exceeded the bound; ``approx_3way_vertex_cut`` fills it.  Only the
+    separator is kept, not the cut's sides and ``owner``.
 
     ``certs`` keeps, per bound, the certificate of every flow that ended
     ``Exceeded``: its bound+1 vertex-disjoint paths, each as the targets on
@@ -606,7 +606,9 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
 
     Since every split partitions the same targets, a group's isolating cut
     depends on the group and the bound alone: it is kept in ``ws.cuts`` and
-    computed once per workspace.
+    computed once per workspace.  The result's ``augmentations`` counts the
+    flows this call ran, so a call that reuses all its isolating cuts
+    reports 0.
     """
     groups = (t1, t2, t3)
     masks = [ws.mask(grp) for grp in groups]
@@ -616,7 +618,9 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
     if sum(map(len, groups)) != len(ws.targets) or masks[0] | masks[1] | masks[2] != full:
         raise ValueError("terminal groups must partition the targets")
 
-    total_augs = 0
+    counters = ws.counters
+    before = counters.augmentations
+    cuts = ws.cuts
     isolating: list[tuple[int, int, tuple[int, ...]]] = []
     exceeded = 0
     for i, grp in enumerate(groups):
@@ -624,31 +628,29 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
         if mask == 0 or mask == full:
             isolating.append((0, i, ()))
             continue
-        kept = ws.cuts.get((mask, bound))
-        if kept is None:
+        key = (mask, bound)
+        if key not in cuts:
             others = tuple(t for t in ws.targets if not ws.bit_of[t] & mask)
             res = min_vertex_separator(ws, (others, grp), bound)
-            kept = ws.cuts[mask, bound] = (
-                res.augmentations, None if isinstance(res, Exceeded) else res.separator)
-        augs, sep = kept
-        total_augs += augs
+            cuts[key] = None if isinstance(res, Exceeded) else res.separator
+        sep = cuts[key]
         if sep is None:
             exceeded += 1
             continue
         isolating.append((len(sep), i, sep))
     if exceeded >= 2:
-        return Exceeded(bound, total_augs)
+        return Exceeded(bound, counters.augmentations - before)
 
     isolating.sort(key=lambda item: (item[0], item[1]))
     union: set[int] = set()
     for size, _, sep in isolating[:2]:
         union |= set(sep)
     if len(union) > bound:
-        return Exceeded(bound, total_augs)
+        return Exceeded(bound, counters.augmentations - before)
 
     separator = vset(union)
     sides = _split_three_ways(ws.g, separator, groups, ws.part)
-    return Cut(separator, sides, total_augs, ws.part)
+    return Cut(separator, sides, counters.augmentations - before, ws.part)
 
 
 def _split_three_ways(g, separator, groups, part):

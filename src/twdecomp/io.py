@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import count, islice
 
 from .graph import Graph
@@ -177,8 +177,7 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
     return ParsedDecomposition(td, n_vertices, max_bag)
 
 
-REPORT_COLUMNS = ("graph", "n", "m", "algo", "mode", "k_used", "width_plus_one",
-                  "separator_calls", "flow_augmentations", "wall_ms", "certified")
+REPORT_COLUMNS = tuple(f.name for f in fields(AlgoReport))
 
 
 def append_report(path: str, report: AlgoReport) -> None:

@@ -65,7 +65,9 @@ TriangOutcome = Union[TriangSuccess, TreewidthExceeded]
 
 @dataclass(frozen=True)
 class AlgoReport:
-    """One benchmark row: input stats, achieved width, and work counters."""
+    """One benchmark row: input stats, achieved width, and work counters.
+
+    Its fields, in order, are the columns of ``io.append_report``'s CSV."""
 
     graph: str
     n: int

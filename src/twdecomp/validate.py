@@ -1,14 +1,13 @@
-"""Independent correctness machinery: chordality, decomposition checking,
-and small brute-force oracles that anchor the test suite."""
+"""Independent correctness machinery: chordality, the clique number of a
+chordal graph, decomposition checking and exact treewidth of small graphs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations
 from typing import Iterable
 
-from .graph import Graph, vset
+from .graph import Graph
 
 # The most vertices exact_treewidth accepts; its table has 2**n entries.
 EXACT_MAX_VERTICES = 14
@@ -258,127 +257,3 @@ def exact_treewidth(g: Graph) -> int:
                 best = cost
         width[s] = best
     return width[full]
-
-
-def permutation_treewidth(g: Graph) -> int:
-    """Treewidth by backtracking over explicit elimination orders (n <= 9).
-
-    Simulates fill-in directly on adjacency sets, independent of the subset
-    dynamic program, so it serves as its ground anchor.
-    """
-    n = g.n
-    if n > 9:
-        raise ValueError("permutation oracle is limited to 9 vertices")
-    if n == 0:
-        return -1
-
-    def feasible(adj: dict[int, set[int]], limit: int) -> bool:
-        if not adj:
-            return True
-        for v in sorted(adj):
-            if len(adj[v]) > limit:
-                continue
-            nxt = {u: set(s) for u, s in adj.items() if u != v}
-            for a in adj[v]:
-                for b in adj[v]:
-                    if a != b:
-                        nxt[a].add(b)
-            for u in adj[v]:
-                nxt[u].discard(v)
-            if feasible(nxt, limit):
-                return True
-        return False
-
-    base = {v: set(g.adj[v]) for v in range(n)}
-    for limit in range(n):
-        if feasible(base, limit):
-            return limit
-    return n - 1
-
-
-def _groups_disconnected(g: Graph, cut: set[int], groups) -> bool:
-    live = [set(grp) - cut for grp in groups]
-    seen = set(cut)
-    for start in range(g.n):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in g.adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    comp.add(nxt)
-                    stack.append(nxt)
-        if sum(1 for grp in live if comp & grp) > 1:
-            return False
-    return True
-
-
-def brute_force_min_separator(g: Graph, terminals) -> int | float:
-    """Minimum separator size between the two attachment sets, by subsets.
-
-    ``terminals`` is the pair of sets.  Exhaustive over every vertex subset,
-    smallest first; guarded to n <= 10.
-    """
-    if g.n > 10:
-        raise ValueError("brute-force separator oracle is limited to 10 vertices")
-    groups = [set(side) for side in terminals]
-    for size in range(g.n + 1):
-        for cut in combinations(range(g.n), size):
-            if _groups_disconnected(g, set(cut), groups):
-                return size
-    return float("inf")
-
-
-def brute_force_min_multiway(g: Graph, groups) -> int | float:
-    """Minimum three-way separator size by subset enumeration (n <= 10)."""
-    if g.n > 10:
-        raise ValueError("brute-force multiway oracle is limited to 10 vertices")
-    gsets = [set(grp) for grp in groups]
-    for size in range(g.n + 1):
-        for cut in combinations(range(g.n), size):
-            if _groups_disconnected(g, set(cut), gsets):
-                return size
-    return float("inf")
-
-
-def max_disjoint_paths(g: Graph, side_a, side_b, limit: int | None = None) -> int:
-    """Largest set of fully vertex-disjoint paths between the two sets.
-
-    Backtracking path packing; intended for graphs of at most ~10 vertices.
-    """
-    a = vset(side_a)
-    b = set(side_b)
-    cap = limit if limit is not None else g.n
-
-    def extend(used: set[int], start_index: int, count: int) -> int:
-        best = count
-        if count >= cap:
-            return count
-        for i in range(start_index, len(a)):
-            src = a[i]
-            if src in used:
-                continue
-            stack = [(src, [src])]
-            seen_paths = []
-            while stack:
-                cur, path = stack.pop()
-                if cur in b:
-                    seen_paths.append(path)
-                    continue
-                for nxt in g.adj[cur]:
-                    if nxt in used or nxt in path:
-                        continue
-                    stack.append((nxt, path + [nxt]))
-            for path in seen_paths:
-                got = extend(used | set(path), i + 1, count + 1)
-                if got > best:
-                    best = got
-                    if best >= cap:
-                        return best
-        return best
-
-    return extend(set(), 0, 0)

@@ -1,0 +1,111 @@
+"""Brute-force oracles for small graphs, independent of the library's flows
+and dynamic programs.  Each is exhaustive and guarded to the sizes where that
+stays fast: separators to n <= 10 and elimination orders to n <= 9."""
+
+from itertools import combinations
+
+
+def permutation_treewidth(g) -> int:
+    """Treewidth by backtracking over explicit elimination orders (n <= 9).
+
+    Simulates fill-in directly on adjacency sets, independent of the subset
+    dynamic program, so it serves as its ground anchor.
+    """
+    n = g.n
+    if n > 9:
+        raise ValueError("permutation oracle is limited to 9 vertices")
+    if n == 0:
+        return -1
+
+    def feasible(adj: dict[int, set[int]], limit: int) -> bool:
+        if not adj:
+            return True
+        for v in sorted(adj):
+            if len(adj[v]) > limit:
+                continue
+            nxt = {u: set(s) for u, s in adj.items() if u != v}
+            for a in adj[v]:
+                for b in adj[v]:
+                    if a != b:
+                        nxt[a].add(b)
+            for u in adj[v]:
+                nxt[u].discard(v)
+            if feasible(nxt, limit):
+                return True
+        return False
+
+    base = {v: set(g.adj[v]) for v in range(n)}
+    for limit in range(n):
+        if feasible(base, limit):
+            return limit
+    return n - 1
+
+
+def _groups_disconnected(g, cut: set[int], groups) -> bool:
+    live = [set(grp) - cut for grp in groups]
+    seen = set(cut)
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = {start}
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for nxt in g.adj[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    comp.add(nxt)
+                    stack.append(nxt)
+        if sum(1 for grp in live if comp & grp) > 1:
+            return False
+    return True
+
+
+def brute_force_min_separator(g, groups) -> int | float:
+    """Fewest vertices whose removal leaves no path between two of ``groups``.
+
+    ``groups`` holds two or three vertex sets; a removed vertex leaves its
+    group.  Exhaustive over every vertex subset, smallest first; guarded to
+    n <= 10.
+    """
+    if g.n > 10:
+        raise ValueError("brute-force separator oracle is limited to 10 vertices")
+    gsets = [set(grp) for grp in groups]
+    for size in range(g.n + 1):
+        for cut in combinations(range(g.n), size):
+            if _groups_disconnected(g, set(cut), gsets):
+                return size
+    return float("inf")
+
+
+def max_disjoint_paths(g, side_a, side_b) -> int:
+    """Largest set of fully vertex-disjoint paths between the two sets.
+
+    Backtracking path packing; intended for graphs of at most ~10 vertices.
+    """
+    a = sorted(set(side_a))
+    b = set(side_b)
+
+    def extend(used: set[int], start_index: int, count: int) -> int:
+        best = count
+        for i in range(start_index, len(a)):
+            src = a[i]
+            if src in used:
+                continue
+            stack = [(src, [src])]
+            seen_paths = []
+            while stack:
+                cur, path = stack.pop()
+                if cur in b:
+                    seen_paths.append(path)
+                    continue
+                for nxt in g.adj[cur]:
+                    if nxt in used or nxt in path:
+                        continue
+                    stack.append((nxt, path + [nxt]))
+            for path in seen_paths:
+                best = max(best, extend(used | set(path), i + 1, count + 1))
+        return best
+
+    return extend(set(), 0, 0)

@@ -12,12 +12,13 @@ from contextlib import contextmanager
 import pytest
 
 from twdecomp import (Counters, FlowWorkspace, TreewidthExceeded, TriangSuccess,
-                      approx_3way_vertex_cut, brute_force_min_multiway,
-                      brute_force_min_separator, check_tree_decomposition,
-                      decompose, is_chordal, min_degree_triang, min_vertex_separator,
-                      NotChordal, triang_2way_23, triang_2way_half, triang_3way)
+                      approx_3way_vertex_cut, check_tree_decomposition, decompose,
+                      is_chordal, min_degree_triang, min_vertex_separator, NotChordal,
+                      triang_2way_23, triang_2way_half, triang_3way)
 from twdecomp.corpus import gnp_connected, partial_k_tree
 from twdecomp.io import emit_decomposition, parse_decomposition
+
+from oracles import brute_force_min_separator
 
 
 @contextmanager
@@ -108,7 +109,7 @@ def test_criterion_6_isolating_cut_factor():
             groups = [(v,) for v in rng.sample(range(n), 3)]
             ws = FlowWorkspace(g, None, [v for grp in groups for v in grp])
             res = approx_3way_vertex_cut(ws, *groups, bound=n)
-            opt = brute_force_min_multiway(g, groups)
+            opt = brute_force_min_separator(g, groups)
             assert len(res.separator) <= math.ceil(4 * opt / 3)
 
 

@@ -2,6 +2,7 @@ import math
 import random
 import re
 from collections import deque
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -9,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from networkx.algorithms.flow import edmonds_karp
 
 from twdecomp import (Counters, Cut, Exceeded, FlowWorkspace, Graph, Part,
-                      approx_3way_vertex_cut, brute_force_min_multiway,
-                      brute_force_min_separator, max_disjoint_paths,
-                      min_vertex_separator, vset)
+                      approx_3way_vertex_cut, min_vertex_separator, vset)
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected, grid_graph,
                              partial_k_tree, random_tree, star_graph)
 from twdecomp.flow import _verify_cut
 from twdecomp.separators import half_candidates, two_thirds_candidates
 
+from oracles import brute_force_min_separator, max_disjoint_paths
 from test_graph import assert_same_part
 
 
@@ -333,7 +333,7 @@ def test_three_way_spider_matches_brute_force():
     # point separates everything, so the optimum is a single vertex.
     g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 2), (5, 6), (6, 2)])
     groups = ((0,), (3,), (5,))
-    opt = brute_force_min_multiway(g, groups)
+    opt = brute_force_min_separator(g, groups)
     assert opt == 1
     res = approx_3way_vertex_cut(fresh(g, *groups), *groups, bound=3)
     assert len(res.separator) == 1
@@ -348,7 +348,7 @@ def test_three_way_respects_four_thirds_factor():
         rng.shuffle(verts)
         groups = (tuple(verts[0:1]), tuple(verts[1:2]), tuple(verts[2:3]))
         res = approx_3way_vertex_cut(fresh(g, *groups), *groups, bound=n)
-        opt = brute_force_min_multiway(g, groups)
+        opt = brute_force_min_separator(g, groups)
         got = len(res.separator)
         assert got <= math.ceil(4 * opt / 3)
         sides = res.listed
@@ -373,23 +373,31 @@ def test_three_way_reuses_cached_isolating_cuts():
     assert plain.separator_calls == 6
     ws = fresh(g, *groups, counters=Counters())
     counters = ws.counters
-    assert approx_3way_vertex_cut(ws, *groups, 6) == want
+    first = approx_3way_vertex_cut(ws, *groups, 6)
+    assert first == want and first.augmentations == want.augmentations
     assert counters.separator_calls == 3
+    assert counters.augmentations == first.augmentations
     assert sorted(ws.cuts) == sorted((ws.mask(grp), 6) for grp in groups)
-    # The same groups again run no flow and give an equal cut.
-    assert approx_3way_vertex_cut(ws, *groups, 6) == want
+    # The same groups again run no flow, give an equal cut and report no
+    # augmentations.
+    again = approx_3way_vertex_cut(ws, *groups, 6)
+    assert again == want and again.augmentations == 0
     assert counters.separator_calls == 3
     assert 2 * counters.augmentations == plain.augmentations
-    # Another split of the same targets shares one group: two flows run.
+    # Another split of the same targets shares one group: two flows run, and
+    # the cut reports theirs alone.
     regrouped = ((0, 1), (14,), (3, 7, 15))
-    assert (approx_3way_vertex_cut(ws, *regrouped, 6)
-            == approx_3way_vertex_cut(fresh(g, *regrouped), *regrouped, 6))
+    before = counters.augmentations
+    shared = approx_3way_vertex_cut(ws, *regrouped, 6)
+    assert shared == approx_3way_vertex_cut(fresh(g, *regrouped), *regrouped, 6)
     assert counters.separator_calls == 5
+    assert shared.augmentations == counters.augmentations - before > 0
     # Exceeded isolating cuts are kept too.
     ws = fresh(complete_graph(7), (0, 1, 2))
     first = approx_3way_vertex_cut(ws, (0,), (1,), (2,), 1)
     again = approx_3way_vertex_cut(ws, (0,), (1,), (2,), 1)
-    assert isinstance(first, Exceeded) and first == again
+    assert isinstance(first, Exceeded) and again == Exceeded(first.bound, 0)
+    assert first.augmentations == ws.counters.augmentations > 0
     assert ws.counters.separator_calls == 3
 
 
@@ -398,11 +406,17 @@ def test_isolating_cuts_are_kept_per_group_and_bound():
     groups = ((0, 1), (14, 15), (3, 7))
     ws = fresh(g, *groups)
     # A new bound runs each group's flow again; a repeated (group, bound)
-    # runs none.
+    # runs none and reports no augmentations.  Each result reports what its
+    # own flows added to the counters.
     for bound, flows in ((6, 3), (2, 6), (6, 6), (2, 6)):
+        calls, augs = ws.counters.separator_calls, ws.counters.augmentations
         got = approx_3way_vertex_cut(ws, *groups, bound)
-        assert got == approx_3way_vertex_cut(fresh(g, *groups), *groups, bound)
+        want = approx_3way_vertex_cut(fresh(g, *groups), *groups, bound)
         assert ws.counters.separator_calls == flows
+        assert got.augmentations == ws.counters.augmentations - augs
+        if flows == calls:
+            want = replace(want, augmentations=0)
+        assert got == want and got.augmentations == want.augmentations
     assert isinstance(approx_3way_vertex_cut(ws, *groups, 2), Exceeded)
     assert sorted(ws.cuts) == sorted((ws.mask(grp), bound)
                                      for grp in groups for bound in (2, 6))

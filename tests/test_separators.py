@@ -10,13 +10,14 @@ import pytest
 
 from twdecomp import (Counters, Exceeded, FlowWorkspace, Graph, Part,
                       TriangSuccess, alpha_sum_sep, approx_3way_vertex_cut,
-                      brute_force_min_separator, connected_components,
-                      decompose, min_vertex_separator, try_split, two_thirds_vtx_sep,
+                      connected_components, decompose, min_vertex_separator, try_split, two_thirds_vtx_sep,
                       two_way_half_vtx_sep, vset)
 from twdecomp import separators
 from twdecomp.corpus import (complete_graph, gnp_connected, grid_graph, partial_k_tree,
                              path_graph, star_graph)
 from twdecomp.separators import DEFAULT_ALPHA, _three_partitions
+
+from oracles import brute_force_min_separator
 
 
 def two_way_sep_is_consistent(g, sep, w):
@@ -380,10 +381,12 @@ def test_isolating_cuts_of_a_triple_never_exceed_the_bound(monkeypatch):
     seen = []
 
     def checked(ws, t1, t2, t3, bound):
+        before = ws.counters.augmentations
         cut = original(ws, t1, t2, t3, bound)
+        assert cut.augmentations == ws.counters.augmentations - before
         assert max(map(len, (t1, t2, t3))) <= bound
         for grp in (t1, t2, t3):
-            assert ws.cuts.get((ws.mask(grp), bound), (0, ()))[1] is not None
+            assert ws.cuts.get((ws.mask(grp), bound), ()) is not None
         seen.append(isinstance(cut, Exceeded))
         return cut
 

@@ -5,13 +5,13 @@ import networkx as nx
 import pytest
 from networkx.algorithms.approximation import treewidth_min_degree
 
-from twdecomp import (Graph, NotChordal, TreeDecomposition,
-                      brute_force_min_separator, check_tree_decomposition,
+from twdecomp import (Graph, NotChordal, TreeDecomposition, check_tree_decomposition,
                       clique_number_chordal, exact_treewidth, is_chordal,
-                      min_degree_triang, permutation_treewidth,
-                      triang_2way_23, TriangSuccess)
+                      min_degree_triang, triang_2way_23, TriangSuccess)
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
                              grid_graph, path_graph, random_tree, star_graph)
+
+from oracles import brute_force_min_separator, permutation_treewidth
 
 
 def cycle_is_chordless(g, cycle):
@@ -230,3 +230,12 @@ def test_brute_force_separator_examples():
 def test_brute_force_separator_guard():
     with pytest.raises(ValueError):
         brute_force_min_separator(path_graph(11), ((0,), (10,)))
+    with pytest.raises(ValueError):
+        brute_force_min_separator(path_graph(11), ((0,), (5,), (10,)))
+    with pytest.raises(ValueError):
+        permutation_treewidth(path_graph(10))
+    # Three legs meeting at vertex 2: the one separator oracle answers the
+    # three-group case too.
+    spider = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 2), (5, 6), (6, 2)])
+    assert brute_force_min_separator(spider, ((0,), (3,), (5,))) == 1
+    assert brute_force_min_separator(spider, ((0,), (3,))) == 1
