@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Graph, Part, connected_components, vset
+from .graph import Graph, Part, vset
 
 _UNSEEN = -1
 _ROOT = -2
@@ -74,7 +74,8 @@ class Cut:
     """A separator inside ``part`` and the sides it leaves, checked when built.
 
     ``listed`` holds the sides the search listed, each ascending: a flow
-    lists its residual-reachable side, a three-way cut all three sides.  The
+    lists its residual-reachable side (an isolating flow, run with
+    ``separator_only``, lists none), a three-way cut all three sides.  The
     rest of the part is one more side, ``rest``, which no search lists: it
     is built from ``part`` on use, while the part is not yet handed over,
     and ``sizes()`` counts it.  ``owner`` maps each vertex of the separator
@@ -236,10 +237,15 @@ class FlowWorkspace:
     again for its own (``_claim``), so workspaces may still take turns.
 
     Every flow is added to ``counters`` (a private ``Counters`` when none is
-    given).  ``cuts`` maps (group mask, bound) to the separator of the
-    isolating cut of that group against the other targets, or None when that
-    cut exceeded the bound; ``approx_3way_vertex_cut`` fills it.  Only the
-    separator is kept, not the cut's sides and ``owner``.
+    given).  ``cuts`` maps (group mask, bound) to the isolating cut of that
+    group against the other targets, or None when that cut exceeded the
+    bound; ``isolating_union`` fills it, running each cut's flow once with
+    ``separator_only``, so no side of it is ever listed.  A cut is kept as
+    ``(separator, mask)``: its vertices and their bits in the workspace's
+    own numbering of separator vertices, ``sep_ids`` (bit ``i`` is vertex
+    ``sep_ids[i]``), which grows as flows find new ones.  The numbering
+    holds only vertices some isolating cut used, so a mask stays a few words
+    long however large the graph is, and the union of two cuts is one OR.
 
     ``certs`` keeps, per bound, the certificate of every flow that ended
     ``Exceeded``: its bound+1 vertex-disjoint paths, each as the targets on
@@ -254,9 +260,9 @@ class FlowWorkspace:
     run are counted in ``separator_calls``, and rulings in ``certified``.
     """
 
-    __slots__ = ("g", "part", "targets", "counters", "cuts", "certs", "bit_of",
-                 "hub", "rows", "arrays", "marked", "near", "role", "sat", "in_flow",
-                 "prev")
+    __slots__ = ("g", "part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
+                 "certs", "bit_of", "hub", "rows", "arrays", "marked", "near", "role",
+                 "sat", "in_flow", "prev")
 
     def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
                  counters: Counters | None = None):
@@ -270,6 +276,8 @@ class FlowWorkspace:
         self.targets = w = vset(targets)
         self.counters = counters = Counters() if counters is None else counters
         self.cuts = {}
+        self.sep_ids = []
+        self.sep_bit = {}
         self.certs = {}
         self.bit_of = bit_of = {}
         total = longest = 0
@@ -378,8 +386,67 @@ class FlowWorkspace:
         self.side_masks(side_a, side_b)
         return True
 
+    def targets_of(self, mask: int) -> tuple[int, ...]:
+        """The targets whose bits are in ``mask``, ascending."""
+        return tuple(t for i, t in enumerate(self.targets) if mask >> i & 1)
 
-def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> Cut | Exceeded:
+    def isolating_union(self, masks, bound: int) -> int | None:
+        """The union, as a mask over ``sep_ids``, of the two cheapest isolating
+        cuts of three groups of targets, given by their masks, or None when
+        two of the cuts exceed ``bound``.
+
+        The cheapest cuts are the two smallest, the earlier group first among
+        equal sizes.  A cut not yet in ``cuts`` is computed first, group by
+        group, each by a flow from the other targets to the group; an empty
+        group needs no cut and costs nothing.
+        """
+        cuts = self.cuts
+        full = (1 << len(self.targets)) - 1
+        kept = []
+        for mask in masks:
+            if mask == 0 or mask == full:
+                kept.append(((), 0))
+                continue
+            key = (mask, bound)
+            try:
+                cut = cuts[key]
+            except KeyError:
+                cut = cuts[key] = self._isolating_cut(mask, bound)
+            if cut is not None:
+                kept.append(cut)
+        if len(kept) < 2:
+            return None
+        if len(kept) == 2:
+            return kept[0][1] | kept[1][1]
+        # Drop the costliest of three: the largest, the later one of equals.
+        (sep_a, a), (sep_b, b), (sep_c, c) = kept
+        if len(sep_c) >= len(sep_a) and len(sep_c) >= len(sep_b):
+            return a | b
+        if len(sep_b) >= len(sep_a):
+            return a | c
+        return b | c
+
+    def _isolating_cut(self, mask: int, bound: int):
+        """The isolating cut of group ``mask`` as (separator, separator mask),
+        numbering the separator's new vertices; None when it exceeds the bound."""
+        group = self.targets_of(mask)
+        others = self.targets_of(((1 << len(self.targets)) - 1) ^ mask)
+        res = min_vertex_separator(self, (others, group), bound, separator_only=True)
+        if isinstance(res, Exceeded):
+            return None
+        ids, bit_of = self.sep_ids, self.sep_bit
+        sep_mask = 0
+        for v in res.separator:
+            bit = bit_of.get(v)
+            if bit is None:
+                bit = bit_of[v] = 1 << len(ids)
+                ids.append(v)
+            sep_mask |= bit
+        return res.separator, sep_mask
+
+
+def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
+                         separator_only: bool = False) -> Cut | Exceeded:
     """Minimum vertex cut between the two super-terminals, or Exceeded.
 
     ``terminals`` is a pair of sides, each a non-empty sequence of distinct
@@ -391,6 +458,11 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> Cut | Exce
     that every separator is larger than the bound.  The result does not
     depend on the order of a side; ascending sides make the warm start pack
     the smallest ids first.
+
+    With ``separator_only`` (an isolating cut, whose sides no caller reads)
+    the cut lists no side: only its separator and ``augmentations`` carry
+    meaning.  The flow's conditions are then checked on its search state by
+    ``_verify_separator``, which scans the smaller side, not the listed one.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -535,8 +607,15 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> Cut | Exce
         # one reached at its entry side only is cut (an exit state in the
         # queue is itself reached).  The rest of the part is the cut's rest,
         # which the flow never lists.
-        side1 = sorted([s >> 1 for s in queue if s & 1])
-        separator = sorted([s >> 1 for s in queue if prev[s | 1] == _UNSEEN])
+        if separator_only:
+            # A cut vertex carries flow (an unsaturated one's entry leads to
+            # its exit), so it is a terminal or a vertex the flow touched.
+            separator = sorted({v for side in (side_a, side_b, touched) for v in side
+                                if prev[2 * v] != _UNSEEN and prev[2 * v + 1] == _UNSEEN})
+            _verify_separator(part, prev, queue, separator, side_a, side_b, flow)
+        else:
+            side1 = sorted([s >> 1 for s in queue if s & 1])
+            separator = sorted([s >> 1 for s in queue if prev[s | 1] == _UNSEEN])
     finally:
         # Hand the scratch arrays back clean.
         for s in queue:
@@ -546,6 +625,8 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int) -> Cut | Exce
                 role[v] = 0
                 sat[v] = 0
                 in_flow[v] = _NO_FLOW
+    if separator_only:
+        return Cut(tuple(separator), (), flow, part)
     result = Cut(tuple(separator), (tuple(side1),), flow, part)
     _verify_cut(side_a, side_b, result, flow)
     return result
@@ -594,6 +675,56 @@ def _verify_cut(side_a, side_b, cut: Cut, flow: int) -> None:
     _invariant(0 not in map(owner.get, side_b), "uncut sink attachment outside the rest")
 
 
+def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: list[int],
+                      side_a, side_b, flow: int) -> None:
+    """Check a flow's cut on the state of its last breadth-first search,
+    before its scratch arrays are reset, without listing a side.
+
+    A member is on the reached side R when its exit state was reached, in
+    the separator when only its entry state was, and in the rest when
+    neither was.  The checks are ``_verify_cut``'s and the ``Cut``'s: the
+    separator's size is the flow value (that it holds members only, none
+    twice, the ``Cut`` built from it checks); every source is on R or cut,
+    and no sink is on R; and no edge joins R and the rest, checked from the
+    smaller of the two.  The rest is searched from the uncut sinks and
+    passes only when the search visits all of it; when some of it holds no
+    sink, R's rows are scanned.
+
+    The sizes come from counts: every reached exit state's entry state is
+    reached too (a saturated vertex's exit leads back to its entry, and an
+    unsaturated one's exit is reached from its entry only), so the queue
+    holds 2|R| + |separator| states.  Were that ever not so, the count of
+    the rest would come out too large, so the search could only fall short
+    of it and R would be scanned: no count can make a check pass.
+    """
+    _invariant(len(separator) == flow, "cut size differs from flow value")
+    cut = set(separator)
+    for a in side_a:
+        _invariant(prev[2 * a + 1] != _UNSEEN or a in cut, "uncut source attachment outside side1")
+    for b in side_b:
+        _invariant(prev[2 * b + 1] == _UNSEEN, "uncut sink attachment outside the rest")
+    adj = part.adj
+    reached = (len(queue) - len(separator)) // 2
+    rest = part.size - len(separator) - reached
+    if rest < reached:
+        seen = {b for b in side_b if prev[2 * b] == _UNSEEN}
+        stack = list(seen)
+        while stack:
+            for w in adj[stack.pop()]:
+                _invariant(prev[2 * w + 1] == _UNSEEN,
+                           "an edge joins the reached side and the rest")
+                if prev[2 * w] == _UNSEEN and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == rest:
+            return
+    for s in queue:
+        if s & 1:
+            for w in adj[s >> 1]:
+                if prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN:
+                    _invariant(False, "an edge joins the reached side and the rest")
+
+
 def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | Exceeded:
     """Three-way separator by isolating cuts: union of the two cheapest.
 
@@ -605,10 +736,19 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
     so the cut's rest is empty.
 
     Since every split partitions the same targets, a group's isolating cut
-    depends on the group and the bound alone: it is kept in ``ws.cuts`` and
-    computed once per workspace.  The result's ``augmentations`` counts the
-    flows this call ran, so a call that reuses all its isolating cuts
-    reports 0.
+    depends on the group and the bound alone: ``ws.isolating_union`` keeps
+    it in ``ws.cuts`` and computes it once per workspace, by a flow that
+    lists no side.  The result's ``augmentations`` counts the flows this
+    call ran, so a call that reuses all its isolating cuts reports 0.
+
+    The sides are found by ``_split_three_ways``, which lists every
+    component of the part minus the separator but the last one its searches
+    reach.  That is exact when every such component holds a target or has a
+    neighbour in the separator; every part the drivers build meets this.
+    Otherwise a component with neither is not searched and joins the side
+    that is not listed by search: the side of the last unfinished search, or
+    side 1 when every search finished.  The cut is checked when built either
+    way, so it still splits its part.
     """
     groups = (t1, t2, t3)
     masks = [ws.mask(grp) for grp in groups]
@@ -620,47 +760,90 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
 
     counters = ws.counters
     before = counters.augmentations
-    cuts = ws.cuts
-    isolating: list[tuple[int, int, tuple[int, ...]]] = []
-    exceeded = 0
-    for i, grp in enumerate(groups):
-        mask = masks[i]
-        if mask == 0 or mask == full:
-            isolating.append((0, i, ()))
-            continue
-        key = (mask, bound)
-        if key not in cuts:
-            others = tuple(t for t in ws.targets if not ws.bit_of[t] & mask)
-            res = min_vertex_separator(ws, (others, grp), bound)
-            cuts[key] = None if isinstance(res, Exceeded) else res.separator
-        sep = cuts[key]
-        if sep is None:
-            exceeded += 1
-            continue
-        isolating.append((len(sep), i, sep))
-    if exceeded >= 2:
+    union = ws.isolating_union(masks, bound)
+    if union is None or union.bit_count() > bound:
         return Exceeded(bound, counters.augmentations - before)
-
-    isolating.sort(key=lambda item: (item[0], item[1]))
-    union: set[int] = set()
-    for size, _, sep in isolating[:2]:
-        union |= set(sep)
-    if len(union) > bound:
-        return Exceeded(bound, counters.augmentations - before)
-
-    separator = vset(union)
-    sides = _split_three_ways(ws.g, separator, groups, ws.part)
+    separator = vset(v for i, v in enumerate(ws.sep_ids) if union >> i & 1)
+    sides = _split_three_ways(ws.part, separator, groups)
     return Cut(separator, sides, counters.augmentations - before, ws.part)
 
 
-def _split_three_ways(g, separator, groups, part):
-    sep = set(separator)
-    survivors = [set(grp) - sep for grp in groups]
-    sides: list[list[int]] = [[], [], []]
-    for comp in connected_components(g, separator, part):
-        comp_set = set(comp)
-        owners = [i for i in range(3) if comp_set & survivors[i]]
-        _invariant(len(owners) <= 1, "terminal groups share a component")
-        target = owners[0] if owners else 1
-        sides[target].extend(comp)
-    return tuple(vset(side) for side in sides)
+def _split_three_ways(part: Part, separator, groups) -> tuple[tuple[int, ...], ...]:
+    """The three sides of ``part`` minus ``separator``: each component goes
+    to the group whose survivors (members outside the separator) it holds,
+    to side 1 when it holds none; a component that holds survivors of two
+    groups breaks the invariant.
+
+    Searches start from every survivor and every neighbour of the separator
+    and take one step each in turn; two that meet merge, so each search
+    covers part of one component, and one that runs out of steps has covered
+    all of it.  When at most one search is left unfinished, every component
+    a search started in is found but that one, which ``part.remainder``
+    lists at C speed, so the largest side costs no search.
+    """
+    adj = part.adj
+    label = dict.fromkeys(separator, -1)   # vertex -> search; -1: separator
+    up: list[int] = []                     # union-find over the searches
+    owner: list[int] = []                  # bit of the group a search holds
+    found: list[list[int]] = []
+    todo: list[list[int]] = []
+
+    def start(v: int, bit: int) -> None:
+        label[v] = len(up)
+        up.append(len(up))
+        owner.append(bit)
+        found.append([v])
+        todo.append([v])
+
+    for i, grp in enumerate(groups):
+        for v in grp:
+            if v not in label:
+                start(v, 1 << i)
+    for x in separator:
+        for v in adj[x]:
+            if v not in label:
+                start(v, 0)
+
+    def root(i: int) -> int:
+        while up[i] != i:
+            up[i] = i = up[up[i]]
+        return i
+
+    live = list(range(len(up)))
+    while len(live) > 1:
+        for i in live:
+            if up[i] != i or not todo[i]:
+                continue
+            stack = todo[i]
+            for w in adj[stack.pop()]:
+                j = label.get(w)
+                if j is None:
+                    label[w] = i
+                    found[i].append(w)
+                    stack.append(w)
+                elif j >= 0 and (j := root(j)) != i:
+                    # The larger search takes the smaller one's lists.
+                    if len(found[j]) > len(found[i]):
+                        i, j = j, i
+                    up[j] = i
+                    owner[i] |= owner[j]
+                    _invariant(owner[i] & (owner[i] - 1) == 0,
+                               "terminal groups share a component")
+                    found[i] += found[j]
+                    todo[i] += todo[j]
+                    found[j], todo[j] = [], []
+                    stack = todo[i]
+        live = [i for i in live if up[i] == i and todo[i]]
+
+    sides: list = [[], [], []]
+    last = 1
+    for i, bit in enumerate(owner):
+        if up[i] == i:
+            side = bit.bit_length() - 1 if bit else 1
+            if todo[i]:
+                last = side
+            else:
+                sides[side] += found[i]
+    listed = [() if j == last else vset(side) for j, side in enumerate(sides)]
+    listed[last] = part.remainder(separator, *listed)
+    return tuple(listed)

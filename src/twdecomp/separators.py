@@ -134,13 +134,16 @@ def two_way_half_vtx_sep(ws: FlowWorkspace, k: int) -> Cut | None:
 
 
 def _three_partitions(w: tuple[int, ...], k: int):
-    """Ordered 3-partitions with floor(|w|/2) >= |p1| >= |p2| >= |p3|.
+    """Ordered 3-partitions of the targets ``w`` with floor(|w|/2) >= |p1| >=
+    |p2| >= |p3|.
 
-    Yields (first, complement) once per first part when |p1| > k, otherwise
-    (first, second, third); sizes descend, subsets ascend in combinadic
-    order.
+    Yields (first, complement) as target tuples once per first part when
+    |p1| > k, otherwise (first, second, third) as target masks (bit ``i`` is
+    ``w[i]``); sizes descend, subsets ascend in combinadic order.
     """
     size = len(w)
+    bits = [1 << i for i in range(size)]
+    full = (1 << size) - 1
     for s1 in range(size // 2, _ceil_div(size, 3) - 1, -1):
         if s1 <= 0:
             continue
@@ -153,13 +156,12 @@ def _three_partitions(w: tuple[int, ...], k: int):
         hi = min(s1, rest_size)
         lo = _ceil_div(rest_size, 2)
         for s2 in range(hi, lo - 1, -1):
-            for first in combinations(w, s1):
-                chosen = set(first)
-                rest = tuple(v for v in w if v not in chosen)
-                for second in combinations(rest, s2):
-                    second_set = set(second)
-                    third = tuple(v for v in rest if v not in second_set)
-                    yield first, second, third
+            for first in combinations(bits, s1):
+                mask = sum(first)
+                rest = full ^ mask
+                for second in combinations([b for b in bits if b & rest], s2):
+                    second_mask = sum(second)
+                    yield mask, second_mask, rest ^ second_mask
 
 
 def alpha_sum_sep(ws: FlowWorkspace, k: int,
@@ -173,6 +175,11 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
     rest; otherwise the isolating cut approximation runs on the three parts
     with bound floor(a*k) and lists all three sides.  Success additionally
     requires at least two non-empty sides.
+
+    A triple is rejected by mask first: ``ws.isolating_union`` runs the
+    isolating flows the triple needs, in the order ``approx_3way_vertex_cut``
+    would, and only a triple whose two cheapest cuts fit floor(a*k) together
+    reaches ``approx_3way_vertex_cut``, which would reject every other one.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -182,14 +189,19 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
     w = ws.targets
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
+    targets_of = ws.targets_of
+    isolating_union = ws.isolating_union
 
     for groups in _three_partitions(w, k):
         if len(groups) == 2:
             cut = try_split(ws, *groups, k)
+            if cut is None:
+                continue
         else:
-            cut = approx_3way_vertex_cut(ws, *groups, cut_bound)
-        if cut is None or isinstance(cut, Exceeded):
-            continue
+            union = isolating_union(groups, cut_bound)
+            if union is None or union.bit_count() > cut_bound:
+                continue
+            cut = approx_3way_vertex_cut(ws, *map(targets_of, groups), cut_bound)
         # A side and the separator are disjoint, so |(S_i & T) + X| is a sum.
         if (sum(map(bool, cut.sizes())) >= 2
                 and max(_target_counts(w, cut)) + len(cut.separator) <= per_side_limit):

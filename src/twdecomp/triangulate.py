@@ -329,30 +329,37 @@ def _adaptive_split(flavor: str, counters: Counters):
     """Split closure of adaptive mode: grow the target set until a cut exists.
 
     Every candidate of the current target set is tried and the smallest
-    separator wins; with no vertex left to add, the node becomes a leaf: a
-    cut whose separator is the whole part.
+    separator wins, the first of equal ones; with no vertex left to add, the
+    node becomes a leaf: a cut whose separator is the whole part.  Once a
+    cut is found, each later flow is bounded by one less than its size, so a
+    candidate that cannot win ends ``Exceeded`` after that many
+    augmentations instead of running to its maximum; a separator of size 0
+    ends the round.
     """
     candidates = two_thirds_candidates if flavor == "rs4" else half_candidates
 
     def split(g: Graph, part: Part, boundary: tuple[int, ...]) -> Cut:
-        n = part.size
         targets = list(boundary)
-        pool = list(part.remainder(boundary))
         best: Cut | None = None
         while True:
             # The target set grows between rounds, so each round has its own
             # flow workspace.
             ws = FlowWorkspace(g, part, targets, counters)
+            bound = part.size
             for first, second in candidates(ws.targets):
-                cut = try_split(ws, first, second, n)
-                if cut is not None and (best is None
-                                        or len(cut.separator) < len(best.separator)):
+                cut = try_split(ws, first, second, bound)
+                if cut is not None:
                     best = cut
+                    bound = len(cut.separator) - 1
+                    if bound < 0:
+                        break
             if best is not None:
                 return best
-            if not pool:
+            # The next target is the smallest member not yet one.
+            more = part.smallest(1, targets)
+            if not more:
                 return Cut(part.members, (), 0, part)
-            targets.append(pool.pop(0))
+            targets += more
     return split
 
 

@@ -1,8 +1,12 @@
 """Brute-force oracles for small graphs, independent of the library's flows
 and dynamic programs.  Each is exhaustive and guarded to the sizes where that
-stays fast: separators to n <= 10 and elimination orders to n <= 9."""
+stays fast: separators to n <= 10 and elimination orders to n <= 9.  The
+full-scan three-way split is the reference for the library's searches that
+skip the largest side."""
 
 from itertools import combinations
+
+from twdecomp import connected_components, vset
 
 
 def permutation_treewidth(g) -> int:
@@ -109,3 +113,19 @@ def max_disjoint_paths(g, side_a, side_b) -> int:
         return best
 
     return extend(set(), 0, 0)
+
+
+def split_three_ways_by_components(g, part, separator, groups):
+    """The three sides of ``part`` minus ``separator`` from all of its
+    components: each goes to the group whose survivors it holds, to side 1
+    when it holds none; RuntimeError when one holds survivors of two groups."""
+    sep = set(separator)
+    survivors = [set(grp) - sep for grp in groups]
+    sides = [[], [], []]
+    for comp in connected_components(g, separator, part):
+        comp_set = set(comp)
+        owners = [i for i in range(3) if comp_set & survivors[i]]
+        if len(owners) > 1:
+            raise RuntimeError("flow invariant violated: terminal groups share a component")
+        sides[owners[0] if owners else 1].extend(comp)
+    return tuple(vset(side) for side in sides)

@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 from networkx.algorithms.flow import edmonds_karp
 
 from twdecomp import (Counters, Cut, Exceeded, FlowWorkspace, Graph, Part,
-                      approx_3way_vertex_cut, min_vertex_separator, vset)
+                      approx_3way_vertex_cut, decompose, flow, min_vertex_separator, vset)
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected, grid_graph,
                              partial_k_tree, random_tree, star_graph)
-from twdecomp.flow import _verify_cut
-from twdecomp.separators import half_candidates, two_thirds_candidates
+from twdecomp.flow import _split_three_ways, _verify_cut, _verify_separator
+from twdecomp.separators import _three_partitions, half_candidates, two_thirds_candidates
 
-from oracles import brute_force_min_separator, max_disjoint_paths
+from oracles import (brute_force_min_separator, max_disjoint_paths,
+                     split_three_ways_by_components)
+from test_golden import fallback_graphs, golden_graphs
 from test_graph import assert_same_part
 
 
@@ -646,3 +648,214 @@ def test_certificate_on_a_grid():
     # Certificates answer for their own bound only.
     assert not ws.certified(top, bottom, 1)
     assert_clean(ws)
+
+
+@settings(max_examples=80)
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt")),
+       n=st.integers(8, 60), seed=st.integers(0, 2**31))
+def test_separator_only_flow_matches_the_listed_flow(kind, n, seed):
+    # The same sides in two twin workspaces, one flow listing its side and
+    # one not: the separator, the augmentations, Exceeded-ness and the
+    # counters (certificates included) must agree, and both hand back clean
+    # arrays.
+    rng = random.Random(seed)
+    g = property_graph(kind, n, rng)
+    part = None
+    members = list(range(g.n))
+    if rng.random() < 0.6:
+        members = [v for v in members if rng.random() < 0.8] or [0]
+        part = Part(g, members)
+    targets = rng.sample(members, min(len(members), rng.randint(2, 8)))
+    if len(targets) < 2:
+        return
+    listed, bare = (FlowWorkspace(g, part, targets, Counters()) for _ in range(2))
+    for _ in range(4):
+        pick = list(listed.targets)
+        rng.shuffle(pick)
+        cut = rng.randint(1, len(pick) - 1)
+        terminals = (vset(pick[:cut]), vset(pick[cut:]))
+        bound = rng.randint(0, 5)
+        want = min_vertex_separator(listed, terminals, bound)
+        got = min_vertex_separator(bare, terminals, bound, separator_only=True)
+        assert_clean(listed)
+        assert_clean(bare)
+        assert type(got) is type(want)
+        assert got.augmentations == want.augmentations
+        if isinstance(want, Cut):
+            assert got.separator == want.separator and got.listed == ()
+        assert bare.counters == listed.counters
+        assert {b: c.on for b, c in bare.certs.items()} == {b: c.on for b, c in listed.certs.items()}
+
+
+def separator_state(monkeypatch, g, terminals, bound):
+    """The arguments ``_verify_separator`` saw in a separator-only flow over
+    all of ``g``, copied before the flow reset its arrays."""
+    seen = []
+
+    def record(part, prev, queue, separator, side_a, side_b, value):
+        seen.append((list(prev), list(queue), list(separator), value))
+        return _verify_separator(part, prev, queue, separator, side_a, side_b, value)
+
+    monkeypatch.setattr(flow, "_verify_separator", record)
+    res = one_shot_bare(g, terminals, bound)
+    monkeypatch.undo()
+    assert isinstance(res, Cut) and len(seen) == 1
+    return seen[0]
+
+
+def one_shot_bare(g, terminals, bound):
+    return min_vertex_separator(fresh(g, *terminals), terminals, bound, separator_only=True)
+
+
+def path_plus(n, *extra):
+    return Graph(n, [(v, v + 1) for v in range(9)] + list(extra))
+
+
+@pytest.mark.parametrize("sources, extra, tamper, message", [
+    # The reached side {0, 1, 2} is smaller than the rest {4..9}: its rows
+    # are scanned.
+    ((0, 1, 2, 3), [], None, None),
+    ((0, 1, 2, 3), [(1, 7)], None, "an edge joins the reached side and the rest"),
+    # The rest {7, 8, 9} is smaller than the reached side {0..5}: it is
+    # searched from the sink.
+    ((0, 1, 2, 3, 4, 5, 6), [], None, None),
+    ((0, 1, 2, 3, 4, 5, 6), [(3, 8)], None, "an edge joins the reached side and the rest"),
+    # A pocket {10, 11} of the rest holds no sink: the search sees fewer
+    # vertices than the rest holds, and the reached side is scanned.
+    ((0, 1, 2, 3, 4, 5, 6), [(10, 11)], None, None),
+    ((0, 1, 2, 3, 4, 5, 6), [(10, 11), (2, 10)], None,
+     "an edge joins the reached side and the rest"),
+    ((0, 1, 2, 3), [], "size", "cut size differs from flow value"),
+    ((0, 1, 2, 3), [], "source", "uncut source attachment outside side1"),
+    ((0, 1, 2, 3), [], "sink", "uncut sink attachment outside the rest"),
+    ((0, 1, 2, 3), [], "repeat", "do not partition the vertices"),
+    ((0, 1, 2, 3), [], "outsider", "do not partition the vertices"),
+], ids=["reached-smaller", "reached-smaller-crossing", "rest-smaller",
+        "rest-smaller-crossing", "sink-free-pocket", "sink-free-pocket-crossing",
+        "size-differs", "source-in-rest", "sink-reached", "listed-twice", "out-of-range"])
+def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, extra, tamper,
+                                                         message):
+    # The state of a real separator-only flow on the path 0..9 (plus
+    # vertices 10 and 11 when an extra edge uses them) from ``sources`` to
+    # the sink 9, checked again against a graph with ``extra`` edges or with
+    # one input changed.
+    n = 12 if any(max(edge) >= 10 for edge in extra) else 10
+    terminals = (sources, (9,))
+    prev, queue, separator, value = separator_state(monkeypatch, path_plus(n), terminals, 3)
+    part = Part(path_plus(n, *extra))
+    side_a, side_b = terminals
+    if tamper == "size":
+        value += 1
+    elif tamper == "source":
+        side_a += (7,)
+    elif tamper == "sink":
+        side_b += (1,)
+    elif tamper in ("repeat", "outsider"):
+        # The flow returns its separator as a Cut, which checks it is made of
+        # members, none twice.
+        again = separator[0] if tamper == "repeat" else n
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            Cut(tuple(separator) + (again,), (), value, part)
+        return
+    if message is None:
+        _verify_separator(part, prev, queue, separator, side_a, side_b, value)
+    else:
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            _verify_separator(part, prev, queue, separator, side_a, side_b, value)
+
+
+def test_split_three_ways_matches_the_full_scan_on_every_golden_split(monkeypatch,
+                                                                       small_corpus):
+    # Every three-way split of the golden bg367 runs, against the full scan
+    # of the part's components: the same sides, or the same refusal.
+    seen = []
+
+    def compared(part, separator, groups):
+        want = split_three_ways_by_components(Graph(len(part.inside)), part, separator, groups)
+        got = _split_three_ways(part, separator, groups)
+        assert got == want
+        seen.append(len(part.inside))
+        return got
+
+    monkeypatch.setattr(flow, "_split_three_ways", compared)
+    for g in [*golden_graphs(small_corpus).values(), *fallback_graphs().values()]:
+        decompose(g, "bg367", search=True)
+        decompose(g, "bg367", k=4)
+    assert len(seen) > 100
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt")),
+       n=st.integers(8, 60), seed=st.integers(0, 2**31))
+def test_split_three_ways_matches_the_full_scan_on_connected_graphs(kind, n, seed):
+    # A random separator and three disjoint random groups of a connected
+    # graph: every component of the rest touches the separator, so the
+    # searches find every side but the last exactly as the full scan does,
+    # or refuse the same groups.
+    rng = random.Random(seed)
+    g = property_graph(kind, n, rng)
+    part = Part(g)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    separator = vset(order[:rng.randint(0, max(1, g.n // 6))])
+    groups = [[], [], []]
+    for v in order[:rng.randint(3, min(g.n, 12))]:
+        groups[rng.randrange(3)].append(v)
+    try:
+        want = split_three_ways_by_components(g, part, separator, groups)
+    except RuntimeError as err:
+        with pytest.raises(RuntimeError, match=re.escape(str(err))):
+            _split_three_ways(part, separator, groups)
+        return
+    assert _split_three_ways(part, separator, groups) == want
+
+
+def reference_three_way_accepts(g, targets, masks, bound, isolating):
+    """Whether the two cheapest isolating cuts of a triple fit ``bound``
+    together, each cut from a listed flow in a workspace of its own (kept
+    in ``isolating`` by group mask); ties go to the earlier group."""
+    costs = []
+    full = (1 << len(targets)) - 1
+    for i, mask in enumerate(masks):
+        if mask in (0, full):
+            costs.append((0, i, set()))
+            continue
+        if mask not in isolating:
+            group = tuple(t for j, t in enumerate(targets) if mask >> j & 1)
+            others = tuple(t for j, t in enumerate(targets) if not mask >> j & 1)
+            res = min_vertex_separator(FlowWorkspace(g, None, targets), (others, group), bound)
+            isolating[mask] = None if isinstance(res, Exceeded) else set(res.separator)
+        if isolating[mask] is not None:
+            costs.append((len(isolating[mask]), i, isolating[mask]))
+    if len(costs) < 2:
+        return False
+    costs.sort(key=lambda c: c[:2])
+    return len(costs[0][2] | costs[1][2]) <= bound
+
+
+def test_mask_filter_accepts_exactly_the_triples_with_a_three_way_cut():
+    # Every triple of a bg367 search's target set, on grids, partial k-trees
+    # and G(n, p) up to n = 40: the mask filter passes a triple exactly when
+    # the reference's two cheapest cuts fit the bound, and exactly then does
+    # approx_3way_vertex_cut return a Cut.
+    rng = random.Random(367)
+    graphs = [grid_graph(4, 4), grid_graph(5, 8), grid_graph(6, 6)]
+    graphs += [partial_k_tree(n, rng.randint(2, 4), 0.15, rng) for n in (20, 30, 40)]
+    graphs += [gnp_connected(n, rng.uniform(1.5, 4.0) / n, rng) for n in (20, 30, 40)]
+    verdicts = set()
+    for g in graphs:
+        for k in (1, 2, 3):
+            bound = math.floor(4 * k / 3)
+            targets = vset(rng.sample(range(g.n), min(g.n, math.floor(7 * k / 3) + 1)))
+            ws = FlowWorkspace(g, None, targets)
+            isolating = {}
+            for masks in _three_partitions(targets, k):
+                if len(masks) == 2:
+                    continue
+                union = ws.isolating_union(masks, bound)
+                passed = union is not None and union.bit_count() <= bound
+                assert passed == reference_three_way_accepts(g, targets, masks, bound, isolating)
+                groups = [ws.targets_of(mask) for mask in masks]
+                assert isinstance(approx_3way_vertex_cut(ws, *groups, bound), Cut) == passed
+                verdicts.add(passed)
+    assert verdicts == {True, False}

@@ -253,6 +253,8 @@ def uncached_alpha_sum_sep(g, targets, k, alpha, counters, part):
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
     for groups in _three_partitions(w, k):
+        if len(groups) == 3:
+            groups = [tuple(v for i, v in enumerate(w) if mask >> i & 1) for mask in groups]
         if len(groups) == 2:
             cut = try_split(FlowWorkspace(g, part, w, counters), *groups, k)
             if cut is None:
@@ -376,21 +378,31 @@ def test_isolating_cuts_of_a_triple_never_exceed_the_bound(monkeypatch):
     # A triple's groups hold at most k <= floor(alpha * k) targets each, and a
     # group is itself a separator between it and the other targets, so no
     # isolating cut exceeds the bound: a triple is rejected only when the
-    # union of its two cheapest isolating cuts does.
-    original = separators.approx_3way_vertex_cut
+    # union of its two cheapest isolating cuts does.  Rejections happen in
+    # the mask filter, before any call of approx_3way_vertex_cut, so they are
+    # observed there; every triple that reaches approx_3way_vertex_cut gets
+    # a cut.
+    original_union = FlowWorkspace.isolating_union
+    original_cut = separators.approx_3way_vertex_cut
     seen = []
 
-    def checked(ws, t1, t2, t3, bound):
+    def union_checked(ws, masks, bound):
+        union = original_union(ws, masks, bound)
+        assert max(mask.bit_count() for mask in masks) <= bound
+        for mask in masks:
+            assert ws.cuts.get((mask, bound), ()) is not None
+        seen.append(union is None or union.bit_count() > bound)
+        return union
+
+    def cut_checked(ws, t1, t2, t3, bound):
         before = ws.counters.augmentations
-        cut = original(ws, t1, t2, t3, bound)
+        cut = original_cut(ws, t1, t2, t3, bound)
         assert cut.augmentations == ws.counters.augmentations - before
-        assert max(map(len, (t1, t2, t3))) <= bound
-        for grp in (t1, t2, t3):
-            assert ws.cuts.get((ws.mask(grp), bound), ()) is not None
-        seen.append(isinstance(cut, Exceeded))
+        assert not isinstance(cut, Exceeded)
         return cut
 
-    monkeypatch.setattr(separators, "approx_3way_vertex_cut", checked)
+    monkeypatch.setattr(FlowWorkspace, "isolating_union", union_checked)
+    monkeypatch.setattr(separators, "approx_3way_vertex_cut", cut_checked)
     for g in (grid_graph(8, 8), gnp_connected(30, 0.1, random.Random(30)), path_graph(40)):
         for alpha in (Fraction(1), DEFAULT_ALPHA):
             decompose(g, "bg367", search=True, alpha=alpha)

@@ -426,6 +426,66 @@ def test_every_flow_enters_through_min_vertex_separator(monkeypatch):
             assert sum(augmentations) == report.flow_augmentations, (algo, mode)
 
 
+def wrap_everywhere(monkeypatch, original, wrapper):
+    """Replace every reference to ``original`` in the package's modules."""
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "twdecomp" or name.startswith("twdecomp.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def listed_sizes(monkeypatch):
+    """Wrap ``min_vertex_separator`` everywhere; the returned list gets, per
+    flow that returns a Cut, the sizes of its listed sides together."""
+    from twdecomp import flow
+
+    original = flow.min_vertex_separator
+    sizes = []
+
+    def wrapper(*args, **kwargs):
+        res = original(*args, **kwargs)
+        if isinstance(res, Cut):
+            sizes.append(sum(map(len, res.listed)))
+        return res
+
+    wrap_everywhere(monkeypatch, original, wrapper)
+    return sizes
+
+
+@pytest.mark.parametrize("algo", ["rs4", "half45"])
+def test_adaptive_flows_list_little_on_a_path(monkeypatch, algo):
+    # Once a node has a cut, adaptive mode bounds each later flow by one less
+    # than that cut's size, so a flow that cannot win stops early instead of
+    # listing the part's far side: the listed sides of all flows together
+    # stay linear in n.
+    sizes = listed_sizes(monkeypatch)
+    n = 2000
+    res = decompose(path_graph(n), algo, adaptive=True)
+    assert res.report.width_plus_one == 2
+    assert sizes and sum(sizes) <= 4 * n
+
+
+def test_bg367_on_a_path_searches_no_component_and_lists_no_isolating_side(monkeypatch):
+    # At k = 2 every bg367 candidate on a path is a triple, so every flow is
+    # an isolating cut: none lists a side, and the three-way split finds its
+    # sides without a components search.
+    sizes = listed_sizes(monkeypatch)
+    original = graph.connected_components
+    callers = []
+
+    def components(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return original(*args, **kwargs)
+
+    wrap_everywhere(monkeypatch, original, components)
+    res = decompose(path_graph(2000), "bg367", k=2)
+    assert isinstance(res.outcome, TriangSuccess)
+    assert len(sizes) == res.report.separator_calls > 0
+    assert set(sizes) == {0}
+    assert "twdecomp.flow" not in callers
+
+
 def test_no_stale_part_reaches_a_search(monkeypatch):
     # The largest child of a split node inherits the node's part; every
     # search must still see exactly the part induced by its members.
