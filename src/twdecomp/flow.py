@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .graph import Graph, Part, vset
 
@@ -23,6 +23,9 @@ _SINK = 2
 # A target whose row is longer than this many times the other targets' rows
 # together is a hub, whose row FlowWorkspace does not scan for ``near``.
 _HUB_FACTOR = 8
+# A found region with fewer members than this is searched even where it is a
+# dead end: skipping it saves the search less than the lookups cost.
+_DEAD_END_MIN = 16
 
 
 class _FlowArrays:
@@ -73,15 +76,17 @@ class Counters:
 class Cut:
     """A separator inside ``part`` and the sides it leaves, checked when built.
 
-    ``listed`` holds the sides the search listed, each ascending: a flow
-    lists its residual-reachable side (an isolating flow, run with
-    ``separator_only``, lists none), a three-way cut all three sides.  The
-    rest of the part is one more side, ``rest``, which no search lists: it
-    is built from ``part`` on use, while the part is not yet handed over,
-    and ``sizes()`` counts it.  ``owner`` maps each vertex of the separator
-    to -1 and each vertex of listed side ``i`` to ``i``; a member it does
-    not hold is in the rest.  Two cuts are equal when their separators and
-    listed sides are.
+    ``listed`` holds the sides the search listed, each ascending, and one
+    more side, the rest, is never listed: it is built from ``part`` on use,
+    while the part is not yet handed over, and ``sizes()`` counts it.  The
+    rest sits at position ``rest_at`` among the sides, after the listed ones
+    by default.  A flow lists its residual-reachable side (an isolating
+    flow, run with ``separator_only``, lists none) and leaves the rest last;
+    a three-way cut lists two sides and leaves the side of its last
+    unfinished search in its place.  ``owner`` maps each vertex of the
+    separator to -1 and each listed vertex to the position of its side; a
+    member it does not hold is in the rest.  Two cuts are equal when their
+    separators, listed sides and rest positions are.
 
     Building a cut checks that it splits its part: the separator and the
     listed sides hold members only, none twice, so that with the rest they
@@ -94,6 +99,7 @@ class Cut:
     listed: tuple[tuple[int, ...], ...]
     augmentations: int = field(compare=False)
     part: Part = field(compare=False, repr=False)
+    rest_at: int | None = None
     owner: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -101,11 +107,18 @@ class Cut:
         inside = part.inside
         n = len(inside)
         listed = self.listed
+        rest_at = self.rest_at
+        if rest_at is None:
+            rest_at = len(listed)
+            object.__setattr__(self, "rest_at", rest_at)
+        if not 0 <= rest_at <= len(listed):
+            _invariant(False, "the rest is not among the sides")
         owner = dict.fromkeys(self.separator, -1)
         total = len(self.separator)
         for i, side in enumerate(listed):
+            at = i + (i >= rest_at)
             for v in side:
-                owner[v] = i
+                owner[v] = at
             total += len(side)
         # Listed once each (no key lost to a repeat) and members only.
         partition = len(owner) == total
@@ -122,7 +135,7 @@ class Cut:
         get = owner.get
         for i, side in enumerate(listed):
             if i != skip:
-                ends = (i, -1)
+                ends = (i + (i >= rest_at), -1)
                 for u in side:
                     for v in adj[u]:
                         if get(v) not in ends:
@@ -134,9 +147,9 @@ class Cut:
         return self.part.remainder(self.separator, *self.listed)
 
     def sizes(self) -> list[int]:
-        """The sizes of the listed sides, then the size of the rest."""
+        """The sizes of the sides in order, the rest's at ``rest_at``."""
         sizes = [len(side) for side in self.listed]
-        sizes.append(self.part.size - len(self.separator) - sum(sizes))
+        sizes.insert(self.rest_at, self.part.size - len(self.separator) - sum(sizes))
         return sizes
 
 
@@ -203,6 +216,130 @@ class _Certificates:
         return ((both & self.low) + self.one) & both & self.high != 0
 
 
+def _dovetail(adj, label: dict[int, int], seeds, bits: dict[int, int]):
+    """Searches over the vertices that ``label`` does not hold, one per
+    seed, that take one step each in turn until at most one is unfinished.
+
+    ``label`` maps each blocked vertex to -1; every vertex a search claims
+    is added, mapped to a search.  ``seeds`` lists (vertex, tag) pairs: a
+    free vertex starts a search with that tag, a claimed one adds the tag to
+    its search's, a blocked one is passed over.  A step pops a vertex and
+    claims its free neighbours; a blocked neighbour adds its ``bits`` to the
+    search's tag, and a neighbour claimed by another search merges the two
+    (the larger takes the smaller's lists, and the tags are joined).  A
+    search that runs out of steps therefore holds a whole component of the
+    free vertices, with every search that started in it, and once at most
+    one search is unfinished so does every component a search started in
+    but that one's, which is never walked further.
+
+    Returns (tag, found, todo) for each search that was not merged into
+    another, in the order the searches started; ``todo`` is empty exactly
+    when the search finished.
+    """
+    up: list[int] = []            # union-find over the searches
+    tags: list[int] = []
+    found: list[list[int]] = []
+    todo: list[list[int]] = []
+    for v, tag in seeds:
+        i = label.get(v)
+        if i is None:
+            label[v] = i = len(up)
+            up.append(i)
+            tags.append(tag)
+            found.append([v])
+            todo.append([v])
+        elif i >= 0:
+            tags[i] |= tag
+
+    def root(i: int) -> int:
+        while up[i] != i:
+            up[i] = i = up[up[i]]
+        return i
+
+    live = list(range(len(up)))
+    while len(live) > 1:
+        for i in live:
+            if up[i] != i or not todo[i]:
+                continue
+            stack = todo[i]
+            for w in adj[stack.pop()]:
+                j = label.get(w)
+                if j is None:
+                    label[w] = i
+                    found[i].append(w)
+                    stack.append(w)
+                elif j < 0:
+                    tags[i] |= bits.get(w, 0)
+                elif (j := root(j)) != i:
+                    if len(found[j]) > len(found[i]):
+                        i, j = j, i
+                    up[j] = i
+                    tags[i] |= tags[j]
+                    found[i] += found[j]
+                    todo[i] += todo[j]
+                    found[j], todo[j] = [], []
+                    stack = todo[i]
+        live = [i for i in live if up[i] == i and todo[i]]
+    return [(tags[i], found[i], todo[i]) for i in range(len(up)) if up[i] == i]
+
+
+class _Regions:
+    """The regions of a workspace's part: the components of the part minus
+    its targets, each with its attachment mask, the bits of the targets next
+    to it.
+
+    A region whose attachment lies inside a flow's sources is a dead end of
+    that flow: it carries no flow, and its states lead only back to source
+    entry states, which are roots, so leaving it out of every breadth-first
+    search changes neither the order in which the other states are found
+    nor their ``prev`` entries.
+
+    The regions are found by ``_dovetail`` from the neighbours of the
+    targets, but not from a hub's row (a star's leaves would each start a
+    search), so the largest region is never walked.  ``label`` maps each
+    target to 0 and each vertex of a found region to that region's index,
+    from 2 up; every other member (the largest region, the regions next to
+    the hub alone and the components that touch no target) belongs to the
+    one pseudo-region 1, whose mask is the largest region's with the hub's
+    bit added.  A mask may thus hold more targets than the region touches,
+    never fewer.  ``narrow`` lists (index, mask) for each region that may be
+    a dead end: its mask misses a target (a flow has sinks; the targets'
+    mask 0 holds every bit), and it is the pseudo-region or has at least
+    ``_DEAD_END_MIN`` members.
+    ``sizes`` counts each region's members, the pseudo-region's as what
+    ``label`` does not hold, and ``members`` lists each found region's
+    members (None for 0 and 1).
+    """
+
+    __slots__ = ("label", "narrow", "sizes", "members")
+
+    def __init__(self, ws: "FlowWorkspace"):
+        part = ws.part
+        adj = part.adj
+        bit_of = ws.bit_of
+        hub, hub_bit = ws.hub if ws.hub is not None else (-1, 0)
+        self.label = label = dict.fromkeys(ws.targets, -1)
+        seeds = [(v, bit) for t, bit in bit_of.items() if t != hub for v in adj[t]]
+        masks = [-1, hub_bit]
+        self.members = members = [None, None]
+        for tag, found, todo in _dovetail(adj, label, seeds, bit_of):
+            if todo:
+                masks[1] |= tag
+                for v in found:
+                    del label[v]
+            else:
+                for v in found:
+                    label[v] = len(masks)
+                masks.append(tag)
+                members.append(found)
+        for t in ws.targets:
+            label[t] = 0
+        self.sizes = [0, part.size - len(label)] + [len(found) for found in members[2:]]
+        full = (1 << len(ws.targets)) - 1
+        self.narrow = [(i, mask) for i, mask in enumerate(masks)
+                       if mask & full != full and (i == 1 or self.sizes[i] >= _DEAD_END_MIN)]
+
+
 class FlowWorkspace:
     """The context of one separator search: every flow between subsets of
     one target set inside one part, the counters they add to, and the
@@ -247,6 +384,12 @@ class FlowWorkspace:
     holds only vertices some isolating cut used, so a mask stays a few words
     long however large the graph is, and the union of two cuts is one OR.
 
+    ``regions`` holds the ``_Regions`` of the part minus the targets, with
+    their attachment masks, built on the first flow run with
+    ``separator_only``: such a flow leaves its sources' dead ends out of its
+    searches, so an isolating cut costs what it reaches short of them, not
+    the tail of a path beyond its sources.
+
     ``certs`` keeps, per bound, the certificate of every flow that ended
     ``Exceeded``: its bound+1 vertex-disjoint paths, each as the targets on
     it.  By Menger's theorem a later pair of sides that puts a target of each
@@ -261,8 +404,8 @@ class FlowWorkspace:
     """
 
     __slots__ = ("g", "part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
-                 "certs", "bit_of", "hub", "rows", "arrays", "marked", "near", "role",
-                 "sat", "in_flow", "prev")
+                 "certs", "bit_of", "hub", "rows", "regions", "arrays", "marked", "near",
+                 "role", "sat", "in_flow", "prev")
 
     def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
                  counters: Counters | None = None):
@@ -292,6 +435,7 @@ class FlowWorkspace:
                 longest, hub = length, t
         self.hub = (hub, bit_of[hub]) if longest > _HUB_FACTOR * (total - longest) else None
         self.rows = {}
+        self.regions = None
         arrays = counters.arrays
         if arrays is None or len(arrays.sat) != n:
             arrays = counters.arrays = _FlowArrays(n)
@@ -461,13 +605,21 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
 
     With ``separator_only`` (an isolating cut, whose sides no caller reads)
     the cut lists no side: only its separator and ``augmentations`` carry
-    meaning.  The flow's conditions are then checked on its search state by
-    ``_verify_separator``, which scans the smaller side, not the listed one.
+    meaning.  Its searches then leave out the sources' dead ends: the
+    regions of ``ws.regions`` that may be dead ends (``narrow``) and whose
+    attachment lies inside the sources.  A
+    region is left out only where a source's exit state would enter it, and
+    the regions so skipped in the last search lie on the reached side.  The
+    augmenting paths, the certificates, the counts and the cut stay exactly
+    those of a search that enters them (see ``_Regions``).  The flow's
+    conditions are checked on its search state by ``_verify_separator``,
+    which counts the skipped regions by their sizes and scans the smaller
+    side, not a listed one.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     side_a, side_b = terminals
-    free = ws.side_masks(side_a, side_b)[1]
+    sources, free = ws.side_masks(side_a, side_b)
     if ws.arrays.marked is not ws.marked:
         ws._claim()
 
@@ -485,6 +637,17 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     # this flow may set, and the states whose ``prev`` entry is set.
     touched: list[int] = []
     queue: list[int] = []
+    # The regions that are dead ends of this flow, and those the current
+    # search left out.
+    dead = skipped = ()
+    if separator_only:
+        regions = ws.regions
+        if regions is None:
+            regions = ws.regions = _Regions(ws)
+        if regions.narrow:
+            other = ((1 << len(targets)) - 1) ^ sources
+            dead = {i for i, mask in regions.narrow if not mask & other}
+        region_of = regions.label.get
     flow = 0
     counters.separator_calls += 1
 
@@ -541,13 +704,29 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
             for s in queue:
                 prev[s] = _ROOT
             push = queue.append
+            if dead:
+                skipped = set()
             goal = -1
             for s in queue:
                 v = s >> 1
                 if s & 1:
-                    if role[v] == _SINK:
-                        goal = s
-                        break
+                    if role[v]:
+                        if role[v] == _SINK:
+                            goal = s
+                            break
+                        if dead:
+                            # A source: its entry state is a root, so only
+                            # its neighbours' entry states can be new.
+                            for w in adj[v]:
+                                t = 2 * w
+                                if prev[t] == _UNSEEN:
+                                    i = region_of(w, 1)
+                                    if i in dead:
+                                        skipped.add(i)
+                                    else:
+                                        prev[t] = s
+                                        push(t)
+                            continue
                     for w in adj[v]:
                         t = 2 * w
                         if prev[t] == _UNSEEN:
@@ -612,7 +791,8 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
             # its exit), so it is a terminal or a vertex the flow touched.
             separator = sorted({v for side in (side_a, side_b, touched) for v in side
                                 if prev[2 * v] != _UNSEEN and prev[2 * v + 1] == _UNSEEN})
-            _verify_separator(part, prev, queue, separator, side_a, side_b, flow)
+            _verify_separator(part, prev, queue, separator, side_a, side_b, flow,
+                              regions, skipped)
         else:
             side1 = sorted([s >> 1 for s in queue if s & 1])
             separator = sorted([s >> 1 for s in queue if prev[s | 1] == _UNSEEN])
@@ -626,8 +806,8 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
                 sat[v] = 0
                 in_flow[v] = _NO_FLOW
     if separator_only:
-        return Cut(tuple(separator), (), flow, part)
-    result = Cut(tuple(separator), (tuple(side1),), flow, part)
+        return Cut(tuple(separator), (), flow, part, 0)
+    result = Cut(tuple(separator), (tuple(side1),), flow, part, 1)
     _verify_cut(side_a, side_b, result, flow)
     return result
 
@@ -676,26 +856,33 @@ def _verify_cut(side_a, side_b, cut: Cut, flow: int) -> None:
 
 
 def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: list[int],
-                      side_a, side_b, flow: int) -> None:
+                      side_a, side_b, flow: int, regions: _Regions,
+                      skipped: Collection[int]) -> None:
     """Check a flow's cut on the state of its last breadth-first search,
     before its scratch arrays are reset, without listing a side.
 
-    A member is on the reached side R when its exit state was reached, in
-    the separator when only its entry state was, and in the rest when
-    neither was.  The checks are ``_verify_cut``'s and the ``Cut``'s: the
-    separator's size is the flow value (that it holds members only, none
-    twice, the ``Cut`` built from it checks); every source is on R or cut,
-    and no sink is on R; and no edge joins R and the rest, checked from the
-    smaller of the two.  The rest is searched from the uncut sinks and
-    passes only when the search visits all of it; when some of it holds no
-    sink, R's rows are scanned.
+    A member is on the reached side R when its exit state was reached or it
+    lies in a region of ``regions`` that the search ``skipped`` (a dead end
+    next to a reached source), in the separator when only its entry state
+    was reached, and in the rest otherwise.  The checks are ``_verify_cut``'s
+    and the ``Cut``'s: the separator's size is the flow value (that it holds
+    members only, none twice, the ``Cut`` built from it checks); every
+    source is on R or cut, and no sink is on R; and no edge joins R and the
+    rest, checked from the smaller of the two.  The rest is searched from
+    the uncut sinks and passes only when the search visits all of it; when
+    some of it holds no sink, R's rows are scanned: the walked part's, read
+    from the queue, and each skipped region's, the pseudo-region's members
+    listed by ``part.remainder``.
 
-    The sizes come from counts: every reached exit state's entry state is
+    The sizes come from counts.  Every reached exit state's entry state is
     reached too (a saturated vertex's exit leads back to its entry, and an
     unsaturated one's exit is reached from its entry only), so the queue
-    holds 2|R| + |separator| states.  Were that ever not so, the count of
-    the rest would come out too large, so the search could only fall short
-    of it and R would be scanned: no count can make a check pass.
+    holds 2|walked| + |separator| states, and a skipped region adds its
+    size.  Before the counts are trusted, no queued state may lie in a
+    skipped region, so no vertex is counted twice.  Were a count ever
+    wrong otherwise, the rest's would come out too large, so the search
+    could only fall short of it and R would be scanned: no count can make a
+    check pass.
     """
     _invariant(len(separator) == flow, "cut size differs from flow value")
     cut = set(separator)
@@ -704,14 +891,27 @@ def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: 
     for b in side_b:
         _invariant(prev[2 * b + 1] == _UNSEEN, "uncut sink attachment outside the rest")
     adj = part.adj
+    region_of = regions.label.get
     reached = (len(queue) - len(separator)) // 2
+    if skipped:
+        reached += sum(regions.sizes[i] for i in skipped)
     rest = part.size - len(separator) - reached
     if rest < reached:
+        if 1 in skipped:
+            for s in queue:
+                if region_of(s >> 1, 1) in skipped:
+                    _invariant(False, "a skipped dead end was searched")
+        else:
+            for i in skipped:
+                for v in regions.members[i]:
+                    if prev[2 * v] != _UNSEEN or prev[2 * v + 1] != _UNSEEN:
+                        _invariant(False, "a skipped dead end was searched")
         seen = {b for b in side_b if prev[2 * b] == _UNSEEN}
         stack = list(seen)
         while stack:
             for w in adj[stack.pop()]:
-                _invariant(prev[2 * w + 1] == _UNSEEN,
+                _invariant(prev[2 * w + 1] == _UNSEEN
+                           and not (skipped and region_of(w, 1) in skipped),
                            "an edge joins the reached side and the rest")
                 if prev[2 * w] == _UNSEEN and w not in seen:
                     seen.add(w)
@@ -721,7 +921,15 @@ def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: 
     for s in queue:
         if s & 1:
             for w in adj[s >> 1]:
-                if prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN:
+                if (prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN
+                        and region_of(w, 1) not in skipped):
+                    _invariant(False, "an edge joins the reached side and the rest")
+    for i in skipped:
+        members = regions.members[i]
+        for u in part.remainder(regions.label) if members is None else members:
+            for w in adj[u]:
+                if (prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN
+                        and region_of(w, 1) not in skipped):
                     _invariant(False, "an edge joins the reached side and the rest")
 
 
@@ -732,8 +940,9 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
     ``ws.part``.  For each group the minimum cut isolating it from the union
     of the other two is computed; the union of the two cheapest such cuts
     separates all three groups pairwise.  For single-vertex groups the result
-    is within ceil(4/3 * opt) of the optimum.  All three sides are listed,
-    so the cut's rest is empty.
+    is within ceil(4/3 * opt) of the optimum.  Two sides are listed; the
+    third, the side of the last unfinished search, is the cut's rest, at its
+    place in the side order.
 
     Since every split partitions the same targets, a group's isolating cut
     depends on the group and the bound alone: ``ws.isolating_union`` keeps
@@ -745,10 +954,10 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
     component of the part minus the separator but the last one its searches
     reach.  That is exact when every such component holds a target or has a
     neighbour in the separator; every part the drivers build meets this.
-    Otherwise a component with neither is not searched and joins the side
-    that is not listed by search: the side of the last unfinished search, or
-    side 1 when every search finished.  The cut is checked when built either
-    way, so it still splits its part.
+    Otherwise a component with neither is not searched and joins the rest:
+    the side of the last unfinished search, or side 1 when every search
+    finished.  The cut is checked when built either way, so it still splits
+    its part.
     """
     groups = (t1, t2, t3)
     masks = [ws.mask(grp) for grp in groups]
@@ -764,86 +973,36 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
     if union is None or union.bit_count() > bound:
         return Exceeded(bound, counters.augmentations - before)
     separator = vset(v for i, v in enumerate(ws.sep_ids) if union >> i & 1)
-    sides = _split_three_ways(ws.part, separator, groups)
-    return Cut(separator, sides, counters.augmentations - before, ws.part)
+    listed, rest_at = _split_three_ways(ws.part, separator, groups)
+    return Cut(separator, listed, counters.augmentations - before, ws.part, rest_at)
 
 
-def _split_three_ways(part: Part, separator, groups) -> tuple[tuple[int, ...], ...]:
-    """The three sides of ``part`` minus ``separator``: each component goes
-    to the group whose survivors (members outside the separator) it holds,
-    to side 1 when it holds none; a component that holds survivors of two
+def _split_three_ways(part: Part, separator, groups) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Two of the three sides of ``part`` minus ``separator``, and the
+    position of the third, which is left unlisted: each component goes to
+    the group whose survivors (members outside the separator) it holds, to
+    side 1 when it holds none; a component that holds survivors of two
     groups breaks the invariant.
 
-    Searches start from every survivor and every neighbour of the separator
-    and take one step each in turn; two that meet merge, so each search
-    covers part of one component, and one that runs out of steps has covered
-    all of it.  When at most one search is left unfinished, every component
-    a search started in is found but that one, which ``part.remainder``
-    lists at C speed, so the largest side costs no search.
+    ``_dovetail`` searches from every survivor and every neighbour of the
+    separator until at most one search is unfinished; every component a
+    search started in is then found but that one's, whose side is the one
+    left unlisted (side 1 when every search finished), so the largest side
+    costs no search.
     """
     adj = part.adj
-    label = dict.fromkeys(separator, -1)   # vertex -> search; -1: separator
-    up: list[int] = []                     # union-find over the searches
-    owner: list[int] = []                  # bit of the group a search holds
-    found: list[list[int]] = []
-    todo: list[list[int]] = []
-
-    def start(v: int, bit: int) -> None:
-        label[v] = len(up)
-        up.append(len(up))
-        owner.append(bit)
-        found.append([v])
-        todo.append([v])
-
-    for i, grp in enumerate(groups):
-        for v in grp:
-            if v not in label:
-                start(v, 1 << i)
-    for x in separator:
-        for v in adj[x]:
-            if v not in label:
-                start(v, 0)
-
-    def root(i: int) -> int:
-        while up[i] != i:
-            up[i] = i = up[up[i]]
-        return i
-
-    live = list(range(len(up)))
-    while len(live) > 1:
-        for i in live:
-            if up[i] != i or not todo[i]:
-                continue
-            stack = todo[i]
-            for w in adj[stack.pop()]:
-                j = label.get(w)
-                if j is None:
-                    label[w] = i
-                    found[i].append(w)
-                    stack.append(w)
-                elif j >= 0 and (j := root(j)) != i:
-                    # The larger search takes the smaller one's lists.
-                    if len(found[j]) > len(found[i]):
-                        i, j = j, i
-                    up[j] = i
-                    owner[i] |= owner[j]
-                    _invariant(owner[i] & (owner[i] - 1) == 0,
-                               "terminal groups share a component")
-                    found[i] += found[j]
-                    todo[i] += todo[j]
-                    found[j], todo[j] = [], []
-                    stack = todo[i]
-        live = [i for i in live if up[i] == i and todo[i]]
-
+    seeds = [(v, 1 << i) for i, grp in enumerate(groups) for v in grp]
+    seeds += [(v, 0) for x in separator for v in adj[x]]
     sides: list = [[], [], []]
     last = 1
-    for i, bit in enumerate(owner):
-        if up[i] == i:
-            side = bit.bit_length() - 1 if bit else 1
-            if todo[i]:
-                last = side
-            else:
-                sides[side] += found[i]
-    listed = [() if j == last else vset(side) for j, side in enumerate(sides)]
-    listed[last] = part.remainder(separator, *listed)
-    return tuple(listed)
+    for tag, found, todo in _dovetail(adj, dict.fromkeys(separator, -1), seeds, {}):
+        # The searches of one component have all merged by now, so a
+        # component with survivors of two groups has a tag of two bits.
+        if tag & (tag - 1):
+            _invariant(False, "terminal groups share a component")
+        side = tag.bit_length() - 1 if tag else 1
+        if todo:
+            last = side
+        else:
+            sides[side] += found
+    return tuple(vset(side) for j, side in enumerate(sides) if j != last), last

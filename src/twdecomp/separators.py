@@ -85,11 +85,11 @@ def half_candidates(w: tuple[int, ...]):
 
 
 def _target_counts(targets: tuple[int, ...], cut: Cut) -> list[int]:
-    """The targets on each listed side of ``cut``, then on its rest: the
-    targets that ``cut.owner`` does not hold."""
-    rest = len(cut.listed)
+    """The targets on each side of ``cut``, in side order: the rest's are
+    the targets that ``cut.owner`` does not hold."""
+    rest = cut.rest_at
     # The separator's side, -1, is the last entry: counted, then dropped.
-    counts = [0] * (rest + 2)
+    counts = [0] * (len(cut.listed) + 2)
     get = cut.owner.get
     for t in targets:
         counts[get(t, rest)] += 1
@@ -173,7 +173,7 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
     larger than k collapses the other two and reuses the two-way machinery
     with bound k, so the cut lists one side and leaves the other as its
     rest; otherwise the isolating cut approximation runs on the three parts
-    with bound floor(a*k) and lists all three sides.  Success additionally
+    with bound floor(a*k), lists two sides and leaves the third as its rest.  Success additionally
     requires at least two non-empty sides.
 
     A triple is rejected by mask first: ``ws.isolating_union`` runs the

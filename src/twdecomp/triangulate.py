@@ -157,11 +157,12 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
         if cut is None:
             continue
         sizes = cut.sizes()
-        last = len(cut.listed)
+        last = cut.rest_at
         heir = sizes.index(max(sizes))
         if sizes[heir] + len(x) <= base_size:
             heir = -1
-        sides = [*cut.listed, () if not sizes[last] or heir == last else cut.rest]
+        sides = list(cut.listed)
+        sides.insert(last, () if not sizes[last] or heir == last else cut.rest)
         # Each boundary vertex outside x goes to the side that holds it.
         shares: list[list[int]] = [[] for _ in sizes]
         owner = cut.owner
@@ -204,7 +205,7 @@ def _check_three_way_contract(cut: Cut, bound: int) -> None:
     if len(x) > bound:
         raise RuntimeError(f"separator of {len(x)} vertices exceeds the bound {bound}")
     sizes = cut.sizes()
-    if len(cut.listed) + (sizes[-1] > 0) > 3:
+    if len(cut.listed) + (sizes[cut.rest_at] > 0) > 3:
         raise RuntimeError("three-way split has more than three sides")
     if sum(map(bool, sizes)) < 2:
         raise RuntimeError("three-way split has fewer than two non-empty sides")
@@ -358,7 +359,7 @@ def _adaptive_split(flavor: str, counters: Counters):
             # The next target is the smallest member not yet one.
             more = part.smallest(1, targets)
             if not more:
-                return Cut(part.members, (), 0, part)
+                return Cut(part.members, (), 0, part, 0)
             targets += more
     return split
 

@@ -32,6 +32,13 @@ def one_shot(g, terminals, bound, part=None):
     return min_vertex_separator(fresh(g, *terminals, part=part), terminals, bound)
 
 
+def sides_in_order(cut):
+    """Every side of ``cut`` in side order, its rest listed at its place."""
+    sides = list(cut.listed)
+    sides.insert(cut.rest_at, cut.rest)
+    return tuple(sides)
+
+
 def cut_is_consistent(g, terminals, res):
     sep, s1, s2 = set(res.separator), set(res.listed[0]), set(res.rest)
     assert len(sep) + len(s1) + len(s2) == g.n
@@ -327,7 +334,9 @@ def test_three_way_star_all_isolating_cuts_are_center():
     g = star_graph(3)
     res = approx_3way_vertex_cut(fresh(g, (1, 2, 3)), (1,), (2,), (3,), 3)
     assert res.separator == (0,)
-    assert res.listed == ((1,), (2,), (3,)) and res.rest == ()
+    # Every search finished, so side 1 is the one left unlisted.
+    assert (res.listed, res.rest_at, res.rest) == (((1,), (3,)), 1, (2,))
+    assert sides_in_order(res) == ((1,), (2,), (3,))
 
 
 def test_three_way_spider_matches_brute_force():
@@ -353,7 +362,7 @@ def test_three_way_respects_four_thirds_factor():
         opt = brute_force_min_separator(g, groups)
         got = len(res.separator)
         assert got <= math.ceil(4 * opt / 3)
-        sides = res.listed
+        sides = sides_in_order(res)
         combined = set(res.separator) | set().union(*map(set, sides))
         assert len(combined) == n
 
@@ -650,22 +659,46 @@ def test_certificate_on_a_grid():
     assert_clean(ws)
 
 
-@settings(max_examples=80)
-@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt")),
+def dead_end_graph(kind, n, rng):
+    """A seeded graph of ``kind`` whose flows have dead ends: a path or a
+    caterpillar (a path of n // 2 vertices, each later vertex a leaf of a
+    random one of them), to take its targets from the low end, or a star
+    with a few chords, to take its hub as a target."""
+    if kind == "path-end":
+        return Graph(n, [(v, v + 1) for v in range(n - 1)])
+    if kind == "caterpillar-end":
+        spine = n // 2
+        legs = [(rng.randrange(spine), v) for v in range(spine, n)]
+        return Graph(n, [(v, v + 1) for v in range(spine - 1)] + legs)
+    chords = [tuple(rng.sample(range(1, n), 2)) for _ in range(n // 20)]
+    return Graph(n, [(0, v) for v in range(1, n)] + chords)
+
+
+@settings(max_examples=130)
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt", "path-end",
+                             "caterpillar-end", "hub")),
        n=st.integers(8, 60), seed=st.integers(0, 2**31))
 def test_separator_only_flow_matches_the_listed_flow(kind, n, seed):
     # The same sides in two twin workspaces, one flow listing its side and
     # one not: the separator, the augmentations, Exceeded-ness and the
     # counters (certificates included) must agree, and both hand back clean
-    # arrays.
+    # arrays.  The last three kinds have dead ends, which the flow that
+    # lists no side leaves out of its searches: targets at the low end of a
+    # path or caterpillar, and a star's hub among the targets.
     rng = random.Random(seed)
-    g = property_graph(kind, n, rng)
+    dead_ends = kind in ("path-end", "caterpillar-end", "hub")
+    g = dead_end_graph(kind, n, rng) if dead_ends else property_graph(kind, n, rng)
     part = None
     members = list(range(g.n))
     if rng.random() < 0.6:
         members = [v for v in members if rng.random() < 0.8] or [0]
         part = Part(g, members)
-    targets = rng.sample(members, min(len(members), rng.randint(2, 8)))
+    if kind == "hub":
+        targets = members[:1] + rng.sample(members[1:], min(len(members) - 1, rng.randint(1, 3)))
+    elif dead_ends:
+        targets = members[:rng.randint(2, 8)]
+    else:
+        targets = rng.sample(members, min(len(members), rng.randint(2, 8)))
     if len(targets) < 2:
         return
     listed, bare = (FlowWorkspace(g, part, targets, Counters()) for _ in range(2))
@@ -687,14 +720,41 @@ def test_separator_only_flow_matches_the_listed_flow(kind, n, seed):
         assert {b: c.on for b, c in bare.certs.items()} == {b: c.on for b, c in listed.certs.items()}
 
 
+@pytest.mark.parametrize("pendant", [False, True], ids=["unlabelled", "labelled"])
+def test_a_region_next_to_a_hub_sink_is_no_dead_end(pendant):
+    # The hub 0 (40 leaves) is the sink, and the sources are its leaf 1 and
+    # the vertex 41, joined to the hub by the path 41, 42, ..., 60, 0.  The
+    # region {42..60} therefore holds the hub's bit although the hub's row
+    # starts no search: in the unlabelled region, by the bit added to its
+    # mask, and as a found region (with the longer pendant path 61..99 of
+    # 41 as a second search, it finishes first), by the hub's bit met while
+    # it is searched.  Skipping it would lose the hub's entry state, and the
+    # cut would be {1}, not {0}.
+    edges = [(0, v) for v in range(1, 41)] + [(41, 42)]
+    edges += [(v, v + 1) for v in range(42, 60)] + [(60, 0)]
+    if pendant:
+        edges += [(41, 61)] + [(v, v + 1) for v in range(61, 99)]
+    g = Graph(100, edges)
+    terminals = ((1, 41), (0,))
+    listed, bare = fresh(g, *terminals), fresh(g, *terminals)
+    assert bare.hub is not None
+    want = min_vertex_separator(listed, terminals, 3)
+    got = min_vertex_separator(bare, terminals, 3, separator_only=True)
+    assert want.separator == got.separator == (0,)
+    assert want.augmentations == got.augmentations == 1
+    assert bare.regions.sizes[2:] == ([19] if pendant else [])
+    assert_clean(bare)
+
+
 def separator_state(monkeypatch, g, terminals, bound):
     """The arguments ``_verify_separator`` saw in a separator-only flow over
     all of ``g``, copied before the flow reset its arrays."""
     seen = []
 
-    def record(part, prev, queue, separator, side_a, side_b, value):
-        seen.append((list(prev), list(queue), list(separator), value))
-        return _verify_separator(part, prev, queue, separator, side_a, side_b, value)
+    def record(part, prev, queue, separator, side_a, side_b, value, regions, skipped):
+        seen.append((list(prev), list(queue), list(separator), value, regions, set(skipped)))
+        return _verify_separator(part, prev, queue, separator, side_a, side_b, value,
+                                 regions, skipped)
 
     monkeypatch.setattr(flow, "_verify_separator", record)
     res = one_shot_bare(g, terminals, bound)
@@ -711,38 +771,70 @@ def path_plus(n, *extra):
     return Graph(n, [(v, v + 1) for v in range(9)] + list(extra))
 
 
-@pytest.mark.parametrize("sources, extra, tamper, message", [
+# The pendant 10-11 hangs off vertex 2.
+PENDANT = [(2, 10), (10, 11)]
+# The path 0..9 goes on to 59.
+LONGER = [(v, v + 1) for v in range(9, 59)]
+
+
+@pytest.mark.parametrize("sources, sink, base, extra, tamper, message", [
     # The reached side {0, 1, 2} is smaller than the rest {4..9}: its rows
     # are scanned.
-    ((0, 1, 2, 3), [], None, None),
-    ((0, 1, 2, 3), [(1, 7)], None, "an edge joins the reached side and the rest"),
+    ((0, 1, 2, 3), 9, [], [], None, None),
+    ((0, 1, 2, 3), 9, [], [(1, 7)], None, "an edge joins the reached side and the rest"),
     # The rest {7, 8, 9} is smaller than the reached side {0..5}: it is
     # searched from the sink.
-    ((0, 1, 2, 3, 4, 5, 6), [], None, None),
-    ((0, 1, 2, 3, 4, 5, 6), [(3, 8)], None, "an edge joins the reached side and the rest"),
+    ((0, 1, 2, 3, 4, 5, 6), 9, [], [], None, None),
+    ((0, 1, 2, 3, 4, 5, 6), 9, [], [(3, 8)], None, "an edge joins the reached side and the rest"),
     # A pocket {10, 11} of the rest holds no sink: the search sees fewer
     # vertices than the rest holds, and the reached side is scanned.
-    ((0, 1, 2, 3, 4, 5, 6), [(10, 11)], None, None),
-    ((0, 1, 2, 3, 4, 5, 6), [(10, 11), (2, 10)], None,
+    ((0, 1, 2, 3, 4, 5, 6), 9, [], [(10, 11)], None, None),
+    ((0, 1, 2, 3, 4, 5, 6), 9, [], [(10, 11), (2, 10)], None,
      "an edge joins the reached side and the rest"),
-    ((0, 1, 2, 3), [], "size", "cut size differs from flow value"),
-    ((0, 1, 2, 3), [], "source", "uncut source attachment outside side1"),
-    ((0, 1, 2, 3), [], "sink", "uncut sink attachment outside the rest"),
-    ((0, 1, 2, 3), [], "repeat", "do not partition the vertices"),
-    ((0, 1, 2, 3), [], "outsider", "do not partition the vertices"),
+    ((0, 1, 2, 3), 9, [], [], "size", "cut size differs from flow value"),
+    ((0, 1, 2, 3), 9, [], [], "source", "uncut source attachment outside side1"),
+    ((0, 1, 2, 3), 9, [], [], "sink", "uncut sink attachment outside the rest"),
+    ((0, 1, 2, 3), 9, [], [], "repeat", "do not partition the vertices"),
+    ((0, 1, 2, 3), 9, [], [], "outsider", "do not partition the vertices"),
+    # On the path 0..59, the found region {1..19} touches the sources 0 and
+    # 20 only, so the search skips it; the cut is {21}, and the reached side
+    # {0..20} is smaller than the rest {22..59}: the walked rows and the
+    # skipped region's are scanned.
+    ((0, 20, 21), 59, LONGER, [], None, None),
+    ((0, 20, 21), 59, LONGER, [(10, 40)], None, "an edge joins the reached side and the rest"),
+    # The unlabelled region {4..9} touches the source 3 only and is skipped;
+    # the cut is {2}, and the rest {0, 1} is searched from the sink 0, which
+    # finds the edge from the rest into the skipped region.
+    ((2, 3), 0, [], [], None, None),
+    ((2, 3), 0, [], [(1, 7)], None, "an edge joins the reached side and the rest"),
+    # Were a queued state in a skipped region (here the targets' region 0,
+    # whose size is 0), the counts would take a vertex twice.
+    ((2, 3), 0, [], [], "searched", "a skipped dead end was searched"),
+    # As above, with the pendant {10, 11} next to the cut source 2 only: a
+    # dead end that no search reaches, so a pocket of the rest without a
+    # sink.  The search of the rest falls short, and the walk of the
+    # unlabelled region finds the edge from it into the pocket.
+    ((2, 3), 0, PENDANT, [], None, None),
+    ((2, 3), 0, PENDANT, [(7, 11)], None, "an edge joins the reached side and the rest"),
 ], ids=["reached-smaller", "reached-smaller-crossing", "rest-smaller",
         "rest-smaller-crossing", "sink-free-pocket", "sink-free-pocket-crossing",
-        "size-differs", "source-in-rest", "sink-reached", "listed-twice", "out-of-range"])
-def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, extra, tamper,
-                                                         message):
-    # The state of a real separator-only flow on the path 0..9 (plus
-    # vertices 10 and 11 when an extra edge uses them) from ``sources`` to
-    # the sink 9, checked again against a graph with ``extra`` edges or with
-    # one input changed.
-    n = 12 if any(max(edge) >= 10 for edge in extra) else 10
-    terminals = (sources, (9,))
-    prev, queue, separator, value = separator_state(monkeypatch, path_plus(n), terminals, 3)
-    part = Part(path_plus(n, *extra))
+        "size-differs", "source-in-rest", "sink-reached", "listed-twice", "out-of-range",
+        "dead-end", "dead-end-crossing", "unlabelled-dead-end",
+        "unlabelled-dead-end-crossing", "searched-dead-end", "pocket-beside-unlabelled-dead-end",
+        "pocket-beside-unlabelled-dead-end-crossing"])
+def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, sink, base,
+                                                         extra, tamper, message):
+    # The state of a real separator-only flow on the path 0..9 plus the
+    # ``base`` edges (and the vertices above 9 that an edge uses) from
+    # ``sources`` to ``sink``, checked again against a graph with ``extra``
+    # edges or with one input changed.
+    n = max(max(edge) + 1 for edge in [(0, 9)] + base + extra)
+    terminals = (sources, (sink,))
+    prev, queue, separator, value, regions, skipped = separator_state(
+        monkeypatch, path_plus(n, *base), terminals, 3)
+    # The cases with the sink 9 skip nothing; the others skip.
+    assert bool(skipped) == (sink != 9)
+    part = Part(path_plus(n, *base, *extra))
     side_a, side_b = terminals
     if tamper == "size":
         value += 1
@@ -750,6 +842,8 @@ def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, e
         side_a += (7,)
     elif tamper == "sink":
         side_b += (1,)
+    elif tamper == "searched":
+        skipped.add(0)
     elif tamper in ("repeat", "outsider"):
         # The flow returns its separator as a Cut, which checks it is made of
         # members, none twice.
@@ -757,11 +851,12 @@ def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, e
         with pytest.raises(RuntimeError, match=re.escape(message)):
             Cut(tuple(separator) + (again,), (), value, part)
         return
+    args = (part, prev, queue, separator, side_a, side_b, value, regions, skipped)
     if message is None:
-        _verify_separator(part, prev, queue, separator, side_a, side_b, value)
+        _verify_separator(*args)
     else:
         with pytest.raises(RuntimeError, match=re.escape(message)):
-            _verify_separator(part, prev, queue, separator, side_a, side_b, value)
+            _verify_separator(*args)
 
 
 def test_split_three_ways_matches_the_full_scan_on_every_golden_split(monkeypatch,
@@ -773,7 +868,7 @@ def test_split_three_ways_matches_the_full_scan_on_every_golden_split(monkeypatc
     def compared(part, separator, groups):
         want = split_three_ways_by_components(Graph(len(part.inside)), part, separator, groups)
         got = _split_three_ways(part, separator, groups)
-        assert got == want
+        assert all_three_sides(part, separator, *got) == want
         seen.append(len(part.inside))
         return got
 
@@ -807,7 +902,16 @@ def test_split_three_ways_matches_the_full_scan_on_connected_graphs(kind, n, see
         with pytest.raises(RuntimeError, match=re.escape(str(err))):
             _split_three_ways(part, separator, groups)
         return
-    assert _split_three_ways(part, separator, groups) == want
+    assert all_three_sides(part, separator, *_split_three_ways(part, separator, groups)) == want
+
+
+def all_three_sides(part, separator, listed, rest_at):
+    """The two listed sides of a three-way split with the unlisted one
+    rebuilt by ``Part.remainder`` at its place."""
+    assert len(listed) == 2 and 0 <= rest_at <= 2
+    sides = list(listed)
+    sides.insert(rest_at, part.remainder(separator, *listed))
+    return tuple(sides)
 
 
 def reference_three_way_accepts(g, targets, masks, bound, isolating):

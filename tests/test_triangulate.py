@@ -486,6 +486,50 @@ def test_bg367_on_a_path_searches_no_component_and_lists_no_isolating_side(monke
     assert "twdecomp.flow" not in callers
 
 
+def test_bg367_on_a_path_queues_and_lists_linearly(monkeypatch):
+    # Two counts, with no timing, over bg367 at k = 2 on a path: the states
+    # queued by the breadth-first searches of all flows (every ``prev``
+    # entry a search sets), and the vertices entered into three-way cuts
+    # (their separators and listed sides).  Isolating flows that searched
+    # their sources' dead ends, the tail of the path, queued 503,958 states
+    # at n = 1000, and three-way cuts that listed their largest side entered
+    # 250,488 vertices there; both grew as n squared.  Now both come to
+    # about 8n and 2n.
+    from twdecomp import flow
+
+    n = 4000
+    limit = 16 * n
+    queued = [0]
+
+    class CountingRow(list):
+        def __setitem__(self, i, value):
+            if value != -1:
+                queued[0] += 1
+                assert queued[0] <= limit, "the searches queue more than 16n states"
+            super().__setitem__(i, value)
+
+    class CountingArrays(flow._FlowArrays):
+        def __init__(self, size):
+            super().__init__(size)
+            self.prev = CountingRow(self.prev)
+
+    entered = [0]
+    check = Cut.__post_init__
+
+    def counted_check(cut):
+        check(cut)
+        if len(cut.listed) >= 2:
+            entered[0] += len(cut.owner)
+
+    monkeypatch.setattr(flow, "_FlowArrays", CountingArrays)
+    monkeypatch.setattr(Cut, "__post_init__", counted_check)
+    res = decompose(path_graph(n), "bg367", k=2)
+    assert isinstance(res.outcome, TriangSuccess)
+    assert res.report.separator_calls > n
+    assert 0 < queued[0] <= limit
+    assert 0 < entered[0] <= 4 * n
+
+
 def test_no_stale_part_reaches_a_search(monkeypatch):
     # The largest child of a split node inherits the node's part; every
     # search must still see exactly the part induced by its members.
