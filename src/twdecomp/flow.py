@@ -166,54 +166,50 @@ def _invariant(condition: bool, message: str) -> None:
         raise RuntimeError(f"flow invariant violated: {message}")
 
 
+def _check_side_masks(side_a, side_b, sources: int, sinks: int) -> None:
+    """ValueError unless the sides, of target masks ``sources`` and
+    ``sinks``, are disjoint and free of repeats."""
+    if sources & sinks:
+        raise ValueError("terminal attachment sets must be disjoint")
+    if sources.bit_count() != len(side_a) or sinks.bit_count() != len(side_b):
+        raise ValueError("terminal attachment sets must not repeat a vertex")
+
+
 class _Certificates:
     """The Menger certificates of one bound, kept target by target.
 
-    A certificate is ``paths`` (bound+1) vertex-disjoint paths.  Every kept
-    path has a bit: path ``i`` of certificate ``c`` is bit ``c * paths + i``,
-    and ``on[t]`` holds the bits of the kept paths that pass through target
-    ``t``.  Each certificate thus owns a field of ``paths`` bits; ``low``,
-    ``one`` and ``high`` hold the lower bits, the lowest bit and the top bit
-    of every field.
+    A certificate is ``paths`` (bound+1) regions: pairwise disjoint,
+    connected sets of vertices of the part, each a kept path of a flow that
+    ended Exceeded together with free targets next to that path (see
+    ``_keep_certificate``).  ``on[t]`` holds target ``t``'s own bit, bit
+    ``i`` for the i-th of the ``width`` ascending targets, and above those
+    the bits of the regions that hold ``t``: region ``i`` of certificate
+    ``c`` is bit ``width + c * paths + i``.  Each certificate thus owns a
+    field of ``paths`` bits; ``low``, ``one`` and ``high`` hold the lower
+    bits, the lowest bit and the top bit of every field.
     """
 
-    __slots__ = ("paths", "count", "on", "low", "one", "high")
+    __slots__ = ("width", "paths", "count", "on", "low", "one", "high")
 
     def __init__(self, targets: tuple[int, ...], paths: int):
+        self.width = len(targets)
         self.paths = paths
         self.count = 0
-        self.on = dict.fromkeys(targets, 0)
+        self.on = {t: 1 << i for i, t in enumerate(targets)}
         self.low = self.one = self.high = 0
 
-    def add(self, paths: list[list[int]]) -> None:
-        """Keep one certificate, given as the targets on each of its paths."""
+    def add(self, regions: list[list[int]]) -> None:
+        """Keep one certificate, given as the targets of each of its regions."""
         on = self.on
-        first = self.count * self.paths
-        for i, path in enumerate(paths):
+        first = self.width + self.count * self.paths
+        for i, region in enumerate(regions):
             bit = 1 << (first + i)
-            for t in path:
+            for t in region:
                 on[t] |= bit
         self.low |= ((1 << (self.paths - 1)) - 1) << first
         self.one |= 1 << first
         self.high |= 1 << (first + self.paths - 1)
         self.count += 1
-
-    def rule_out(self, side_a, side_b) -> bool:
-        """True when every path of some certificate holds a target of each
-        side; False when a side holds a vertex that is not a target."""
-        on = self.on
-        a = b = 0
-        try:
-            for v in side_a:
-                a |= on[v]
-            for v in side_b:
-                b |= on[v]
-        except KeyError:
-            return False
-        both = a & b
-        # A field is all ones exactly when adding its lowest bit to its lower
-        # bits carries into its top bit and that top bit is set.
-        return ((both & self.low) + self.one) & both & self.high != 0
 
 
 def _dovetail(adj, label: dict[int, int], seeds, bits: dict[int, int]):
@@ -391,16 +387,19 @@ class FlowWorkspace:
     the tail of a path beyond its sources.
 
     ``certs`` keeps, per bound, the certificate of every flow that ended
-    ``Exceeded``: its bound+1 vertex-disjoint paths, each as the targets on
-    it.  By Menger's theorem a later pair of sides that puts a target of each
-    side on every one of those paths has no separator of at most bound
-    vertices either: each path holds a path from one side to the other, and a
+    ``Exceeded``: its bound+1 vertex-disjoint paths, each grown into a
+    region, a connected set that holds the path's targets and free targets
+    next to it, and kept as the targets of that region.  By Menger's theorem
+    a later pair of sides that puts a target of each side in every one of
+    those disjoint regions has no separator of at most bound vertices
+    either: each region holds a path from one side to the other, and a
     separator must cut all bound+1 of them, so the flow of that pair would
     end ``Exceeded`` too: a ruling is exactly as sound as the flow it
     replaces.  ``certified`` tests all kept certificates of a bound at once,
-    with one OR per target of the two sides and five big-int operations.
-    ``separators.try_split`` asks it before it runs a flow; only flows that
-    run are counted in ``separator_calls``, and rulings in ``certified``.
+    with one lookup and one OR per target of the two sides and five big-int
+    operations.  ``separators.try_split`` asks it before it runs a flow;
+    only flows that run are counted in ``separator_calls``, and rulings in
+    ``certified``.
     """
 
     __slots__ = ("g", "part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
@@ -509,25 +508,44 @@ class FlowWorkspace:
             raise ValueError("terminal attachment sets must be non-empty")
         sources = self.mask(side_a)
         sinks = self.mask(side_b)
-        if sources & sinks:
-            raise ValueError("terminal attachment sets must be disjoint")
-        if sources.bit_count() != len(side_a) or sinks.bit_count() != len(side_b):
-            raise ValueError("terminal attachment sets must not repeat a vertex")
+        _check_side_masks(side_a, side_b, sources, sinks)
         return sources, sinks
 
     def certified(self, side_a, side_b, bound: int) -> bool:
         """True when a kept certificate shows that every separator between
-        the sides has more than ``bound`` vertices.
+        the sides has more than ``bound`` vertices: every region of some
+        certificate of that bound holds a target of each side.
 
         A ruling stands only for sides that a flow accepts: they are checked
         as a flow checks them (``ValueError``) before True is returned.  Sides
-        that no certificate rules out are left to the flow, which checks them
-        itself, so every pair of sides is checked once.
+        that no certificate rules out, and sides that hold a vertex that is
+        not a target, are left to the flow, which checks them itself, so
+        every pair of sides is checked once.  A ruling reads each vertex of
+        the sides once: one lookup and one OR give both its region bits and
+        its target bit, which the checks read.  Then five big-int operations
+        test every kept certificate of the bound at once.
         """
         certs = self.certs.get(bound)
-        if certs is None or not certs.rule_out(side_a, side_b):
+        if certs is None:
             return False
-        self.side_masks(side_a, side_b)
+        on = certs.on
+        a = b = 0
+        try:
+            for v in side_a:
+                a |= on[v]
+            for v in side_b:
+                b |= on[v]
+        except KeyError:
+            return False
+        both = a & b
+        # A field is all ones exactly when adding its lowest bit to its lower
+        # bits carries into its top bit and that top bit is set; the target
+        # bits below the fields are outside ``low`` and ``high``.
+        if not ((both & certs.low) + certs.one) & both & certs.high:
+            return False
+        # A ruled-out side holds a target, so it is not empty.
+        targets = (1 << certs.width) - 1
+        _check_side_masks(side_a, side_b, a & targets, b & targets)
         return True
 
     def targets_of(self, mask: int) -> tuple[int, ...]:
@@ -813,36 +831,62 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
 
 
 def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
-    """Keep the paths of a flow that ended Exceeded in ``ws.certs``.
+    """Keep the paths of a flow that ended Exceeded in ``ws.certs``, each
+    grown into a region.
 
     Each saturated sink's ``in_flow`` chain leads back to the source its path
-    starts from; the path is kept as the list of the targets on it.
+    starts from; the walk collects the targets on the path and, from
+    ``near``, the targets next to it, the hub's bit left out so that a
+    certificate does not depend on which two-hop rows were built.  Each free
+    target, one on no path, then joins one region next to it, in ascending
+    order: the one that holds the fewest targets so far, the earliest among
+    equals.  A region is connected (a path and targets next to it), and the
+    regions are disjoint (the paths are, and a free target joins one), so
+    sides that hold a target of every region are joined by bound+1
+    vertex-disjoint paths, one inside each region.
     """
     bit_of = ws.bit_of
+    near = ws.near
     sat = ws.sat
     in_flow = ws.in_flow
-    paths = []
+    regions = []
+    nexts = []
     seen = 0
     for b in side_b:
         if not sat[b]:
             continue
-        path = []
-        mask = 0
+        region = []
+        mask = nbrs = 0
         v = b
         while v >= 0:
+            nbrs |= near[v]
             if v in bit_of:
                 mask |= bit_of[v]
-                path.append(v)
+                region.append(v)
             v = in_flow[v]
         # Each chain ends at its source, and the paths share no target.
         _invariant(v == _FROM_SOURCE and not mask & seen, "certificate paths are broken")
         seen |= mask
-        paths.append(path)
-    _invariant(len(paths) == flow, "certificate paths differ from the flow value")
+        regions.append(region)
+        nexts.append(nbrs)
+    _invariant(len(regions) == flow, "certificate paths differ from the flow value")
+    targets = ws.targets
+    free = ((1 << len(targets)) - 1) ^ seen
+    if ws.hub is not None:
+        free &= ~ws.hub[1]
+    while free:
+        low = free & -free
+        free ^= low
+        best = None
+        for nbrs, region in zip(nexts, regions):
+            if nbrs & low and (best is None or len(region) < len(best)):
+                best = region
+        if best is not None:
+            best.append(targets[low.bit_length() - 1])
     certs = ws.certs.get(bound)
     if certs is None:
-        certs = ws.certs[bound] = _Certificates(ws.targets, bound + 1)
-    certs.add(paths)
+        certs = ws.certs[bound] = _Certificates(targets, bound + 1)
+    certs.add(regions)
 
 
 def _verify_cut(side_a, side_b, cut: Cut, flow: int) -> None:

@@ -10,10 +10,11 @@ runs every flow through it; the workspace counts the flows and keeps the
 isolating cuts.
 
 Most candidates of a search that ends in a rejection fail, and each failed
-flow leaves a certificate: bound+1 vertex-disjoint paths between its groups.
-By Menger's theorem a later candidate whose groups each hold a target of
-every one of those paths has bound+1 vertex-disjoint paths between its
-groups too, so its flow would also exceed the bound.  ``try_split`` asks the
+flow leaves a certificate: bound+1 vertex-disjoint paths between its groups,
+each grown into a region with the free targets next to it.  By Menger's
+theorem a later candidate whose groups each hold a target of every one of
+those disjoint, connected regions has bound+1 vertex-disjoint paths between
+its groups too, so its flow would also exceed the bound.  ``try_split`` asks the
 workspace's kept certificates and returns None without a flow when one rules
 the candidate out, after checking the groups as the flow does; the ruling is
 exactly as sound as the flow it replaces.  ``separator_calls`` counts the

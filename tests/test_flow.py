@@ -605,19 +605,23 @@ def test_workspace_checks_targets_graph_and_part():
 
 
 def certificate_masks(ws, bound, c):
-    """The target masks of the paths of certificate ``c`` kept at ``bound``."""
+    """The target masks of the regions of certificate ``c`` kept at ``bound``."""
     certs = ws.certs[bound]
+    first = certs.width + c * certs.paths
     return [sum(ws.bit_of[t] for t, bits in certs.on.items() if bits >> i & 1)
-            for i in range(c * certs.paths, (c + 1) * certs.paths)]
+            for i in range(first, first + certs.paths)]
 
 
 def test_exceeded_flow_keeps_a_menger_certificate():
-    # Every flow that ends Exceeded keeps bound+1 paths, disjoint on the
-    # targets, each from one source to one sink; the certificate rules out
-    # its own pair of sides.
+    # Every flow that ends Exceeded keeps bound+1 regions, pairwise disjoint,
+    # each holding a source and a sink, and each connected: its targets lie
+    # in one component of the part minus the other regions' targets.  The
+    # certificate rules out its own pair of sides.
     kept = 0
     for g, part, targets, rng in workspace_inputs():
         ws = FlowWorkspace(g, part, targets)
+        members = part.members if part is not None else range(g.n)
+        sub = nx.Graph(g.edges()).subgraph(members)
         splits = list(two_thirds_candidates(targets)) + list(half_candidates(targets))
         for side_a, side_b in splits:
             bound = rng.randint(0, 3)
@@ -631,9 +635,12 @@ def test_exceeded_flow_keeps_a_menger_certificate():
             assert len(masks) == bound + 1
             sources, sinks = ws.mask(side_a), ws.mask(side_b)
             for i, mask in enumerate(masks):
-                assert (mask & sources).bit_count() == 1
-                assert (mask & sinks).bit_count() == 1
+                assert mask & sources and mask & sinks
                 assert not any(mask & other for other in masks[i + 1:])
+                others = sum(masks) ^ mask
+                region = ws.targets_of(mask)
+                rest = sub.subgraph(v for v in members if not ws.bit_of.get(v, 0) & others)
+                assert nx.node_connected_component(rest, region[0]) >= set(region)
             assert ws.certified(side_a, side_b, bound)
             assert ws.certified(side_b, side_a, bound)
             kept += 1
@@ -641,21 +648,59 @@ def test_exceeded_flow_keeps_a_menger_certificate():
 
 
 def test_certificate_on_a_grid():
-    # The 4x4 grid's first three columns join its top row to its bottom row.
+    # The 4x4 grid's first three columns join its top row to its bottom row,
+    # and column 3's ends, next to column 2's path, join its region.
     g = grid_graph(4, 4)
     top, bottom = (0, 1, 2, 3), (12, 13, 14, 15)
     ws = fresh(g, top, bottom)
     assert isinstance(min_vertex_separator(ws, (top, bottom), 2), Exceeded)
     assert ws.certs[2].count == 1
-    assert certificate_masks(ws, 2, 0) == [ws.mask((c, c + 12)) for c in (0, 1, 2)]
-    # Each side of another split holds an end of every kept path ...
+    assert certificate_masks(ws, 2, 0) == [ws.mask(region)
+                                           for region in ((0, 12), (1, 13), (2, 3, 14, 15))]
+    # Each side of another split holds a target of every kept region ...
     assert ws.certified((0, 13, 2, 15), (12, 1, 14, 3), 2)
     assert min_vertex_separator(fresh(g, top, bottom), ((0, 13, 2, 15), (12, 1, 14, 3)),
                                 2) == Exceeded(2, 3)
-    # ... but not here, where the first column has both ends on one side.
+    # ... but not here, where the first region has both ends on one side.
     assert not ws.certified((0, 12, 1), (13, 2, 14), 2)
     # Certificates answer for their own bound only.
     assert not ws.certified(top, bottom, 1)
+    assert_clean(ws)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt")),
+       n=st.integers(8, 40), seed=st.integers(0, 2**31))
+def test_every_grown_certificate_ruling_is_sound(kind, n, seed):
+    # Candidates in a random order, each asked of the kept certificates
+    # first and flowed only when none rules it out: every ruling's twin
+    # flow, in a workspace whose certificates nothing reads, ends Exceeded.
+    # Bad groups that a certificate rules out raise through ``certified``
+    # the message that ``side_masks`` raises.
+    rng = random.Random(seed)
+    g = property_graph(kind, n, rng)
+    members = list(range(g.n))
+    part = None
+    if rng.random() < 0.5:
+        members = [v for v in members if rng.random() < 0.8] or members
+        part = Part(g, members)
+    targets = vset(rng.sample(members, min(len(members), rng.randint(3, 9))))
+    ws, twin = FlowWorkspace(g, part, targets), FlowWorkspace(g, part, targets)
+    splits = list(two_thirds_candidates(targets)) + list(half_candidates(targets))
+    rng.shuffle(splits)
+    bound = rng.randint(0, 3)
+    for side_a, side_b in splits:
+        if not ws.certified(side_a, side_b, bound):
+            min_vertex_separator(ws, (side_a, side_b), bound)
+            continue
+        assert isinstance(min_vertex_separator(twin, (side_a, side_b), bound), Exceeded)
+        for bad in ((side_a + side_b[:1], side_b), (side_a, side_b + side_a[-1:]),
+                    (side_a + side_a[:1], side_b), (side_a, side_b + side_b[:1]),
+                    (side_a + side_b[:1] + side_a[:1], side_b)):
+            with pytest.raises(ValueError) as by_masks:
+                ws.side_masks(*bad)
+            with pytest.raises(ValueError, match=re.escape(str(by_masks.value))):
+                ws.certified(*bad, bound)
     assert_clean(ws)
 
 

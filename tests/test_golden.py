@@ -10,7 +10,10 @@ fewer flows and augmentations, while every digest and k_used stayed the same.
 The counts of the 32 ``*/adaptive`` entries were re-recorded once adaptive
 mode bounded each flow by one less than the best separator found so far: a
 candidate that cannot win ends Exceeded early, and its certificate rules out
-later ones, while every digest and k_used stayed the same.
+later ones, while every digest and k_used stayed the same. The counts of 23
+entries were re-recorded once a certificate grew each kept path into a
+region with the free targets next to it, which rules out more candidates,
+while every digest and k_used stayed the same.
 
 None of those runs reaches bg367's two-way fallback, which needs k >= 3 (a
 first group of more than k of the floor(7k/3)+1 targets), and every bg367 run

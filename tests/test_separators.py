@@ -320,8 +320,9 @@ def test_try_split_refuses_bad_groups_while_certificates_are_kept():
     ws = FlowWorkspace(g, None, top + bottom)
     assert try_split(ws, top, bottom, 2) is None
     assert ws.certs[2].count == 1
-    # The kept certificate would rule out the first two if their groups were
-    # not checked; the others it does not rule out, and the flow refuses them.
+    # The kept certificate rules out the first two, so the ruling checks
+    # their groups and refuses them; the others it does not rule out, and
+    # leaves them to the flow, which refuses them.
     bad = [
         ((0, 13, 2, 15), (12, 1, 14, 3, 15), "disjoint"),
         ((0, 13, 2, 15, 0), (12, 1, 14, 3), "repeat"),
@@ -330,8 +331,10 @@ def test_try_split_refuses_bad_groups_while_certificates_are_kept():
         ((0, 13, 2, 15, 5), (12, 1, 14, 3), "not a target"),
         ((0, 13, 2, 15), (12, 1, 14, 3, 99), "not a target"),
     ]
-    certs = ws.certs[2]
-    assert [certs.rule_out(a, b) for a, b, _ in bad] == [True, True] + [False] * 4
+    for group_a, group_b, message in bad[:2]:
+        with pytest.raises(ValueError, match=message):
+            ws.certified(group_a, group_b, 2)
+    assert not any(ws.certified(group_a, group_b, 2) for group_a, group_b, _ in bad[2:])
     for group_a, group_b, message in bad:
         with pytest.raises(ValueError, match=message):
             try_split(ws, group_a, group_b, 2)
@@ -366,6 +369,10 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
     runs += [(g, "rs4", {"search": True}) for g in grids[:2] + pkts[:1] + gnps[:1]]
     runs += [(g, algo, {"adaptive": True}) for g in (grids[0], pkts[0], gnps[0])
              for algo in ("rs4", "half45")]
+    # The criterion-8 partial 5-tree pkt100, where grown certificates rule
+    # out the most candidates.
+    scale = partial_k_tree(100, 5, 0.03, random.Random(8008))
+    runs += [(scale, algo, {"search": True}) for algo in ("rs4", "half45")]
     ruled_by_algo = dict.fromkeys(("rs4", "half45", "bg367"), 0)
     for g, algo, mode in runs:
         monkeypatch.setattr(FlowWorkspace, "certified", checked)
