@@ -63,13 +63,16 @@ class Counters:
 
     ``arrays`` holds the root-sized scratch arrays, allocated by the first
     workspace of the run and borrowed by every later one over a graph of the
-    same size.
+    same size.  ``splits`` holds, per target-set size, the candidate splits
+    the run's two-way searches have reached, by target position, with the
+    iterator that extends them (``separators.candidate_splits``).
     """
 
     separator_calls: int = 0
     augmentations: int = 0
     certified: int = 0
     arrays: _FlowArrays | None = field(default=None, compare=False, repr=False)
+    splits: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -397,9 +400,9 @@ class FlowWorkspace:
     end ``Exceeded`` too: a ruling is exactly as sound as the flow it
     replaces.  ``certified`` tests all kept certificates of a bound at once,
     with one lookup and one OR per target of the two sides and five big-int
-    operations.  ``separators.try_split`` asks it before it runs a flow;
-    only flows that run are counted in ``separator_calls``, and rulings in
-    ``certified``.
+    operations.  ``separators.try_split`` asks it before a flow, and the
+    two-way searches make its test inline; only flows that run are counted
+    in ``separator_calls``, and rulings in ``certified``.
     """
 
     __slots__ = ("g", "part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
@@ -547,6 +550,16 @@ class FlowWorkspace:
         targets = (1 << certs.width) - 1
         _check_side_masks(side_a, side_b, a & targets, b & targets)
         return True
+
+    def ruling(self, bound: int):
+        """The kept certificates of ``bound`` for a caller that makes the
+        test of ``certified`` itself: each target's ``on`` in target order,
+        then ``low``, ``one`` and ``high``; all zero before any is kept."""
+        certs = self.certs.get(bound)
+        if certs is None:
+            return [0] * len(self.targets), 0, 0, 0
+        on = certs.on
+        return [on[t] for t in self.targets], certs.low, certs.one, certs.high
 
     def targets_of(self, mask: int) -> tuple[int, ...]:
         """The targets whose bits are in ``mask``, ascending."""

@@ -14,11 +14,11 @@ flow leaves a certificate: bound+1 vertex-disjoint paths between its groups,
 each grown into a region with the free targets next to it.  By Menger's
 theorem a later candidate whose groups each hold a target of every one of
 those disjoint, connected regions has bound+1 vertex-disjoint paths between
-its groups too, so its flow would also exceed the bound.  ``try_split`` asks the
-workspace's kept certificates and returns None without a flow when one rules
-the candidate out, after checking the groups as the flow does; the ruling is
-exactly as sound as the flow it replaces.  ``separator_calls`` counts the
-flows that ran, and ``certified`` the candidates ruled out without one.
+its groups too, so its flow would also exceed the bound: a ruling is exactly
+as sound as the flow it replaces.  The two-way searches test candidates read by
+target position from one list per run (``candidate_splits``) inline;
+``try_split`` asks ``certified``, which also checks the groups as a flow does.
+``separator_calls`` counts the flows that ran, and ``certified`` the rulings.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .flow import Cut, Exceeded, FlowWorkspace, approx_3way_vertex_cut, min_vertex_separator
+from .flow import (Counters, Cut, Exceeded, FlowWorkspace, approx_3way_vertex_cut,
+                   min_vertex_separator)
 
 DEFAULT_ALPHA = Fraction(4, 3)
 
@@ -61,28 +62,26 @@ def try_split(ws: FlowWorkspace, group_a: tuple[int, ...], group_b: tuple[int, .
     return cut
 
 
-def two_thirds_candidates(w: tuple[int, ...]):
-    """Every ceil(|w|/2)-subset of ``w`` against every ceil(|w|/3)-subset of
-    the rest, in ascending combinadic order."""
-    size = len(w)
+def candidate_splits(counters: Counters, size: int, flavor: str):
+    """Each ceil(size/2)-subset ``first`` of ``size`` target positions, in
+    ascending combinadic order, with the second groups tried against it:
+    each ceil(size/3)-subset of ``rest``, the other positions, for rs4, and
+    ``rest`` alone for half45.  The ``(first, rest)`` pairs are kept in
+    ``counters.splits[size]``, extended only as far as a search of the run
+    has gone; searches run one at a time, so one reads what another left."""
     if size < 2:
         return
-    for first in combinations(w, _ceil_div(size, 2)):
-        chosen = set(first)
-        rest = tuple(v for v in w if v not in chosen)
-        for second in combinations(rest, _ceil_div(size, 3)):
-            yield first, second
-
-
-def half_candidates(w: tuple[int, ...]):
-    """Every ceil(|w|/2)-subset of ``w`` against its complement, in ascending
-    combinadic order."""
-    size = len(w)
-    if size < 2:
-        return
-    for first in combinations(w, _ceil_div(size, 2)):
-        chosen = set(first)
-        yield first, tuple(v for v in w if v not in chosen)
+    grown = counters.splits.get(size)
+    if grown is None:
+        grown = counters.splits[size] = ([], combinations(range(size), _ceil_div(size, 2)))
+    pairs, firsts = grown
+    second = _ceil_div(size, 3) if flavor == "rs4" else size // 2
+    for first, rest in pairs:
+        yield first, combinations(rest, second)
+    for first in firsts:
+        rest = tuple(i for i in range(size) if i not in first)
+        pairs.append((first, rest))
+        yield first, combinations(rest, second)
 
 
 def _target_counts(targets: tuple[int, ...], cut: Cut) -> list[int]:
@@ -98,19 +97,45 @@ def _target_counts(targets: tuple[int, ...], cut: Cut) -> list[int]:
     return counts
 
 
-def _first_split(ws: FlowWorkspace, candidates, bound: int, share: int) -> Cut | None:
-    """First split of ``candidates(ws.targets)`` with a cut of at most ``bound``.
+def _first_split(ws: FlowWorkspace, flavor: str, bound: int, share: int) -> Cut | None:
+    """First of the ``candidate_splits`` of ``ws.targets`` with a cut of at
+    most ``bound``; neither side may hold more than ``share`` of the targets.
 
-    Neither side may hold more than ``share`` of the targets.
+    A candidate is first put to the test of ``FlowWorkspace.certified`` on
+    ``ws.ruling(bound)``: a first group's bits are ORed once, then each
+    second group's, one OR per target; they are re-read only after a flow
+    ends ``Exceeded``.  The groups are distinct target positions, so they
+    need none of the checks that ``certified`` makes on a caller's groups.
     """
-    for first, second in candidates(ws.targets):
-        cut = try_split(ws, first, second, bound)
-        if cut is None:
-            continue
-        _require(len(cut.separator) <= bound, "separator above bound")
-        _require(max(_target_counts(ws.targets, cut)) <= share,
-                 "side holds more than its share of the targets")
-        return cut
+    pick = ws.targets.__getitem__
+    counters = ws.counters
+    bits, low, one, high = ws.ruling(bound)
+    for first, seconds in candidate_splits(counters, len(ws.targets), flavor):
+        a = 0
+        for i in first:
+            a |= bits[i]
+        group_a = None
+        for second in seconds:
+            b = 0
+            for i in second:
+                b |= bits[i]
+            both = a & b
+            if ((both & low) + one) & both & high:
+                counters.certified += 1
+                continue
+            if group_a is None:
+                group_a = tuple(map(pick, first))
+            cut = min_vertex_separator(ws, (group_a, tuple(map(pick, second))), bound)
+            if isinstance(cut, Exceeded):
+                bits, low, one, high = ws.ruling(bound)
+                a = 0
+                for i in first:
+                    a |= bits[i]
+            elif all(cut.sizes()):
+                _require(len(cut.separator) <= bound, "separator above bound")
+                _require(max(_target_counts(ws.targets, cut)) <= share,
+                         "side holds more than its share of the targets")
+                return cut
     return None
 
 
@@ -121,7 +146,7 @@ def two_thirds_vtx_sep(ws: FlowWorkspace, k: int) -> Cut | None:
     the rest, in ascending combinadic order, returning the first success.
     None certifies that no such separator exists.
     """
-    return _first_split(ws, two_thirds_candidates, k, 2 * len(ws.targets) // 3)
+    return _first_split(ws, "rs4", k, 2 * len(ws.targets) // 3)
 
 
 def two_way_half_vtx_sep(ws: FlowWorkspace, k: int) -> Cut | None:
@@ -131,7 +156,7 @@ def two_way_half_vtx_sep(ws: FlowWorkspace, k: int) -> Cut | None:
     Only the ceil(|T|/2)-subsets are enumerated; the complement is the other
     part, so far fewer candidates are tried than in the two-thirds search.
     """
-    return _first_split(ws, half_candidates, (3 * k) // 2, _ceil_div(len(ws.targets), 2))
+    return _first_split(ws, "half45", (3 * k) // 2, _ceil_div(len(ws.targets), 2))
 
 
 def _three_partitions(w: tuple[int, ...], k: int):

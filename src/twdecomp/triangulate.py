@@ -18,8 +18,8 @@ from typing import Union
 
 from .flow import Counters, Cut, FlowWorkspace
 from .graph import Graph, Part, connected_components, vset
-from .separators import (DEFAULT_ALPHA, alpha_sum_sep, half_candidates, try_split,
-                         two_thirds_candidates, two_thirds_vtx_sep, two_way_half_vtx_sep)
+from .separators import (DEFAULT_ALPHA, alpha_sum_sep, candidate_splits, try_split,
+                         two_thirds_vtx_sep, two_way_half_vtx_sep)
 from .validate import _mcs_order, clique_number_chordal
 
 
@@ -337,8 +337,6 @@ def _adaptive_split(flavor: str, counters: Counters):
     augmentations instead of running to its maximum; a separator of size 0
     ends the round.
     """
-    candidates = two_thirds_candidates if flavor == "rs4" else half_candidates
-
     def split(g: Graph, part: Part, boundary: tuple[int, ...]) -> Cut:
         targets = list(boundary)
         best: Cut | None = None
@@ -346,14 +344,18 @@ def _adaptive_split(flavor: str, counters: Counters):
             # The target set grows between rounds, so each round has its own
             # flow workspace.
             ws = FlowWorkspace(g, part, targets, counters)
+            pick = ws.targets.__getitem__
             bound = part.size
-            for first, second in candidates(ws.targets):
-                cut = try_split(ws, first, second, bound)
-                if cut is not None:
-                    best = cut
-                    bound = len(cut.separator) - 1
-                    if bound < 0:
-                        break
+            for first, seconds in candidate_splits(counters, len(ws.targets), flavor):
+                group_a = tuple(map(pick, first))
+                for second in seconds:
+                    cut = try_split(ws, group_a, tuple(map(pick, second)), bound)
+                    if cut is not None:
+                        best, bound = cut, len(cut.separator) - 1
+                        if bound < 0:
+                            break
+                if bound < 0:
+                    break
             if best is not None:
                 return best
             # The next target is the smallest member not yet one.

@@ -2,11 +2,36 @@
 and dynamic programs.  Each is exhaustive and guarded to the sizes where that
 stays fast: separators to n <= 10 and elimination orders to n <= 9.  The
 full-scan three-way split is the reference for the library's searches that
-skip the largest side."""
+skip the largest side, and the two candidate generators, over target tuples,
+the reference order of the two-way searches."""
 
 from itertools import combinations
 
 from twdecomp import connected_components, vset
+
+
+def two_thirds_candidates(w: tuple[int, ...]):
+    """Every ceil(|w|/2)-subset of ``w`` against every ceil(|w|/3)-subset of
+    the rest, in ascending combinadic order: the rs4 search's candidates."""
+    size = len(w)
+    if size < 2:
+        return
+    for first in combinations(w, -(-size // 2)):
+        chosen = set(first)
+        rest = tuple(v for v in w if v not in chosen)
+        for second in combinations(rest, -(-size // 3)):
+            yield first, second
+
+
+def half_candidates(w: tuple[int, ...]):
+    """Every ceil(|w|/2)-subset of ``w`` against its complement, in ascending
+    combinadic order: the half45 search's candidates."""
+    size = len(w)
+    if size < 2:
+        return
+    for first in combinations(w, -(-size // 2)):
+        chosen = set(first)
+        yield first, tuple(v for v in w if v not in chosen)
 
 
 def permutation_treewidth(g) -> int:

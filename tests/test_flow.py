@@ -14,10 +14,10 @@ from twdecomp import (Counters, Cut, Exceeded, FlowWorkspace, Graph, Part,
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected, grid_graph,
                              partial_k_tree, random_tree, star_graph)
 from twdecomp.flow import _split_three_ways, _verify_cut, _verify_separator
-from twdecomp.separators import _three_partitions, half_candidates, two_thirds_candidates
+from twdecomp.separators import _three_partitions
 
-from oracles import (brute_force_min_separator, max_disjoint_paths,
-                     split_three_ways_by_components)
+from oracles import (brute_force_min_separator, half_candidates, max_disjoint_paths,
+                     split_three_ways_by_components, two_thirds_candidates)
 from test_golden import fallback_graphs, golden_graphs
 from test_graph import assert_same_part
 

@@ -7,18 +7,20 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twdecomp import (Counters, Exceeded, FlowWorkspace, Graph, Part,
                       TriangSuccess, alpha_sum_sep, approx_3way_vertex_cut,
                       connected_components, decompose, min_vertex_separator, try_split, two_thirds_vtx_sep,
                       two_way_half_vtx_sep, vset)
-from twdecomp import separators
+from twdecomp import flow, separators
 from twdecomp.corpus import (complete_graph, gnp_connected, grid_graph, partial_k_tree,
                              path_graph, star_graph)
-from twdecomp.separators import DEFAULT_ALPHA, _three_partitions
+from twdecomp.separators import DEFAULT_ALPHA, _three_partitions, candidate_splits
 
-from oracles import brute_force_min_separator
-from test_flow import sides_in_order
+from oracles import brute_force_min_separator, half_candidates, two_thirds_candidates
+from test_certificate_counts import search_graphs
+from test_flow import property_graph, sides_in_order
 
 
 def two_way_sep_is_consistent(g, sep, w):
@@ -347,19 +349,61 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
     # A candidate that a kept certificate rules out runs no flow.  Run it
     # anyway, in a twin workspace whose certificates nothing reads: the flow
     # must end Exceeded.  The output must not depend on the rulings either.
+    # ``try_split`` (bg367's fallback, adaptive mode) rules through
+    # ``FlowWorkspace.certified``.  A two-way search rules inline, so its
+    # rulings are the candidates it reads from ``candidate_splits`` that
+    # reach no flow: each is replayed once its search returns.
     original = FlowWorkspace.certified
+    first_split = separators._first_split
+    splits = separators.candidate_splits
+    real_flow = separators.min_vertex_separator
     twins = {}
     rulings = [0]
+    tried = []      # [first, second, ran a flow] of the running two-way search
+    searching = [False]
+
+    def replay(ws, side_a, side_b, bound):
+        twin = twins.get(ws)
+        if twin is None:
+            twin = twins[ws] = FlowWorkspace(ws.g, ws.part, ws.targets)
+        assert isinstance(min_vertex_separator(twin, (side_a, side_b), bound), Exceeded)
+        rulings[0] += 1
 
     def checked(ws, side_a, side_b, bound):
         ruled = original(ws, side_a, side_b, bound)
         if ruled:
-            twin = twins.get(ws)
-            if twin is None:
-                twin = twins[ws] = FlowWorkspace(ws.g, ws.part, ws.targets)
-            assert isinstance(min_vertex_separator(twin, (side_a, side_b), bound), Exceeded)
-            rulings[0] += 1
+            replay(ws, side_a, side_b, bound)
         return ruled
+
+    def recorded(first, seconds):
+        for second in seconds:
+            tried.append([first, second, False])
+            yield second
+
+    def listed(counters, size, flavor):
+        for first, seconds in splits(counters, size, flavor):
+            yield first, recorded(first, seconds)
+
+    def flowed(ws, terminals, bound, **options):
+        if searching[0]:
+            first, second, ran = tried[-1]
+            pick = ws.targets.__getitem__
+            assert not ran and terminals == (tuple(map(pick, first)), tuple(map(pick, second)))
+            tried[-1][2] = True
+        return real_flow(ws, terminals, bound, **options)
+
+    def searched(ws, flavor, bound, share):
+        tried.clear()
+        searching[0] = True
+        try:
+            cut = first_split(ws, flavor, bound, share)
+        finally:
+            searching[0] = False
+        pick = ws.targets.__getitem__
+        for first, second, ran in tried:
+            if not ran:
+                replay(ws, tuple(map(pick, first)), tuple(map(pick, second)), bound)
+        return cut
 
     grids = [grid_graph(6, 6), grid_graph(5, 8), grid_graph(7, 7)]
     pkts = [partial_k_tree(n, k, 0.15, random.Random(n)) for n, k in ((36, 3), (48, 4), (60, 3))]
@@ -374,14 +418,20 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
     scale = partial_k_tree(100, 5, 0.03, random.Random(8008))
     runs += [(scale, algo, {"search": True}) for algo in ("rs4", "half45")]
     ruled_by_algo = dict.fromkeys(("rs4", "half45", "bg367"), 0)
+    monkeypatch.setattr(FlowWorkspace, "certified", checked)
+    monkeypatch.setattr(separators, "_first_split", searched)
+    monkeypatch.setattr(separators, "candidate_splits", listed)
+    monkeypatch.setattr(separators, "min_vertex_separator", flowed)
+    keep_certificate = flow._keep_certificate
     for g, algo, mode in runs:
-        monkeypatch.setattr(FlowWorkspace, "certified", checked)
+        monkeypatch.setattr(flow, "_keep_certificate", keep_certificate)
         rulings[0] = 0
         twins.clear()
         res = decompose(g, algo, **mode)
         assert res.report.certified == rulings[0], (algo, mode)
         ruled_by_algo[algo] += rulings[0]
-        monkeypatch.setattr(FlowWorkspace, "certified", lambda ws, a, b, bound: False)
+        # No certificate kept: nothing is ruled out.
+        monkeypatch.setattr(flow, "_keep_certificate", lambda ws, side_b, value, bound: None)
         plain = decompose(g, algo, **mode)
         assert isinstance(res.outcome, TriangSuccess)
         assert res.k_used == plain.k_used, (algo, mode)
@@ -389,6 +439,107 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
         assert res.report.separator_calls <= plain.report.separator_calls
         assert plain.report.certified == 0
     assert all(ruled_by_algo.values()), ruled_by_algo
+
+
+def test_two_way_searches_rule_without_a_call(monkeypatch):
+    # A two-way search asks no ``FlowWorkspace.certified``; before it made
+    # one call per candidate: 14,140 on grid10x10 half45 and 10,277 on
+    # pkt100 rs4.  The run's candidate list holds exactly as many first
+    # groups as the longest search of each size read.
+    calls = [0]
+    original = FlowWorkspace.certified
+
+    def counted(ws, side_a, side_b, bound):
+        calls[0] += 1
+        return original(ws, side_a, side_b, bound)
+
+    splits = separators.candidate_splits
+    runs = {}
+    reached = {}
+
+    def measured(counters, size, flavor):
+        runs[id(counters)] = counters
+        firsts = 0
+        for item in splits(counters, size, flavor):
+            firsts += 1
+            reached[size] = max(reached.get(size, 0), firsts)
+            yield item
+
+    monkeypatch.setattr(FlowWorkspace, "certified", counted)
+    monkeypatch.setattr(separators, "candidate_splits", measured)
+    graphs = search_graphs()
+    for name, algo in (("grid10x10", "half45"), ("pkt100", "rs4")):
+        calls[0] = 0
+        runs.clear()
+        reached.clear()
+        report = decompose(graphs[name], algo, search=True).report
+        assert calls[0] == 0, name
+        assert report.certified > 0
+        (counters,) = runs.values()
+        assert {size: len(pairs) for size, (pairs, _) in counters.splits.items()} == reached
+
+
+@pytest.mark.parametrize("flavor, oracle", (("rs4", two_thirds_candidates),
+                                            ("half45", half_candidates)))
+def test_candidate_splits_follow_the_reference_order(flavor, oracle):
+    counters = Counters()
+    for size in range(14):
+        targets = tuple(range(3, 3 + 2 * size, 2))
+        got = [(tuple(targets[i] for i in first), tuple(targets[i] for i in second))
+               for first, seconds in candidate_splits(counters, size, flavor)
+               for second in seconds]
+        assert got == list(oracle(targets)), size
+    # Both flavours share the per-size lists, which the first pass built in full.
+    assert {size: len(pairs) for size, (pairs, _) in counters.splits.items()} == {
+        size: math.comb(size, -(-size // 2)) for size in range(2, 14)}
+
+
+def test_a_later_search_extends_the_list_an_early_stop_left():
+    counters = Counters()
+    early = candidate_splits(counters, 9, "half45")
+    head = [next(early) for _ in range(5)]
+    assert [first for first, _ in head] == list(combinations(range(9), 5))[:5]
+    assert len(counters.splits[9][0]) == 5
+    later = [(first, second) for first, seconds in candidate_splits(counters, 9, "rs4")
+             for second in seconds]
+    assert later == list(two_thirds_candidates(tuple(range(9))))
+    assert len(counters.splits[9][0]) == math.comb(9, 5)
+
+
+def try_split_loop(ws, oracle, bound):
+    """The two-way search as a loop of ``try_split`` over the oracle order."""
+    for first, second in oracle(ws.targets):
+        cut = try_split(ws, first, second, bound)
+        if cut is not None:
+            return cut
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt")),
+       n=st.integers(6, 30), seed=st.integers(0, 2**31))
+def test_two_way_searches_match_a_try_split_loop(kind, n, seed):
+    # Several searches of one run, on twin Counters: the same cuts, and the
+    # same flows, augmentations and rulings, as try_split over the oracle
+    # order, while the run's candidate lists are shared between searches.
+    rng = random.Random(seed)
+    g = property_graph(kind, n, rng)
+    members = list(range(g.n))
+    part = None
+    if rng.random() < 0.5:
+        members = [v for v in members if rng.random() < 0.8] or members
+        part = Part(g, members)
+    fast, slow = Counters(), Counters()
+    for _ in range(4):
+        targets = vset(rng.sample(members, min(len(members), rng.randint(2, 9))))
+        k = rng.randint(1, 3)
+        for search, oracle, bound in ((two_thirds_vtx_sep, two_thirds_candidates, k),
+                                      (two_way_half_vtx_sep, half_candidates, (3 * k) // 2)):
+            got = search(FlowWorkspace(g, part, targets, fast), k)
+            want = try_split_loop(FlowWorkspace(g, part, targets, slow), oracle, bound)
+            assert got == want
+            assert ((fast.separator_calls, fast.augmentations, fast.certified)
+                    == (slow.separator_calls, slow.augmentations, slow.certified))
 
 
 def test_isolating_cuts_of_a_triple_never_exceed_the_bound(monkeypatch):
