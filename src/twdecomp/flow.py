@@ -620,6 +620,60 @@ class FlowWorkspace:
         return res.separator, sep_mask
 
 
+def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead,
+                       skipped, region_of) -> int:
+    """One breadth-first search over the residual states from the roots in
+    ``queue``, which lists every state reached, each with its ``prev``:
+    the exit state (2v+1; 2v is v's entry) of the first free sink it
+    reaches, or -1.  No flow path continues past a sink, so a free sink's
+    exit is reached from its own entry only: the search ends when it pushes
+    that entry, and pushes the exit after it, which a FIFO search that went
+    on would pop first, with the same ``prev`` chain.  A source's entry is a
+    root, so a pushed target entry is a sink's.  A free vertex carries no
+    flow, so its entry leads only to its exit, which nothing else reaches.
+    """
+    push = queue.append
+    for s in queue:
+        v = s >> 1
+        if s & 1:
+            row = adj[v]
+            if dead and role[v]:
+                # A source: its neighbours in dead ends are left out.
+                row = []
+                for w in adj[v]:
+                    if prev[2 * w] == _UNSEEN:
+                        i = region_of(w, 1)
+                        if i in dead:
+                            skipped.add(i)
+                        else:
+                            row.append(w)
+            for w in row:
+                t = 2 * w
+                if prev[t] == _UNSEEN:
+                    prev[t] = s
+                    push(t)
+                    if role[w] and not sat[w]:
+                        prev[t + 1] = t
+                        push(t + 1)
+                        return t + 1
+            if sat[v]:
+                t = 2 * v
+                if prev[t] == _UNSEEN:
+                    prev[t] = s
+                    push(t)
+        elif not sat[v]:
+            prev[s + 1] = s
+            push(s + 1)
+        else:
+            u = in_flow[v]
+            if u >= 0:
+                t = 2 * u + 1
+                if prev[t] == _UNSEEN:
+                    prev[t] = s
+                    push(t)
+    return -1
+
+
 def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
                          separator_only: bool = False) -> Cut | Exceeded:
     """Minimum vertex cut between the two super-terminals, or Exceeded.
@@ -671,6 +725,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     # The regions that are dead ends of this flow, and those the current
     # search left out.
     dead = skipped = ()
+    region_of = None
     if separator_only:
         regions = ws.regions
         if regions is None:
@@ -728,58 +783,15 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
             flow += 1
 
         while flow <= bound:
-            # Breadth-first search over residual states; 2v is the entry side
-            # of vertex v, 2v+1 its exit side.  The queue is never popped, so
-            # it also lists every state whose ``prev`` entry is set.
+            # One breadth-first search; the queue, never popped, lists every
+            # state whose ``prev`` entry it set.
             queue = [2 * a for a in side_a]
             for s in queue:
                 prev[s] = _ROOT
-            push = queue.append
             if dead:
                 skipped = set()
-            goal = -1
-            for s in queue:
-                v = s >> 1
-                if s & 1:
-                    if role[v]:
-                        if role[v] == _SINK:
-                            goal = s
-                            break
-                        if dead:
-                            # A source: its entry state is a root, so only
-                            # its neighbours' entry states can be new.
-                            for w in adj[v]:
-                                t = 2 * w
-                                if prev[t] == _UNSEEN:
-                                    i = region_of(w, 1)
-                                    if i in dead:
-                                        skipped.add(i)
-                                    else:
-                                        prev[t] = s
-                                        push(t)
-                            continue
-                    for w in adj[v]:
-                        t = 2 * w
-                        if prev[t] == _UNSEEN:
-                            prev[t] = s
-                            push(t)
-                    if sat[v]:
-                        t = 2 * v
-                        if prev[t] == _UNSEEN:
-                            prev[t] = s
-                            push(t)
-                else:
-                    if not sat[v]:
-                        t = 2 * v + 1
-                        if prev[t] == _UNSEEN:
-                            prev[t] = s
-                            push(t)
-                    u = in_flow[v]
-                    if u >= 0:
-                        t = 2 * u + 1
-                        if prev[t] == _UNSEEN:
-                            prev[t] = s
-                            push(t)
+            goal = _augmenting_search(adj, role, sat, in_flow, prev, queue, dead,
+                                      skipped, region_of)
             if goal < 0:
                 break
 

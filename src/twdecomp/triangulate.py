@@ -13,18 +13,23 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Union
 
 from .flow import Counters, Cut, FlowWorkspace
 from .graph import Graph, Part, connected_components, vset
 from .separators import (DEFAULT_ALPHA, alpha_sum_sep, candidate_splits, try_split,
                          two_thirds_vtx_sep, two_way_half_vtx_sep)
-from .validate import _mcs_order, clique_number_chordal
+from .validate import clique_number_chordal
 
 
 @dataclass(frozen=True)
 class Triangulation:
+    """A chordal supergraph of ``base`` and a perfect elimination ordering
+    of it, ``peo``: read off the decomposition's bags by the separator
+    drivers (checked by ``clique_number_chordal``), the elimination order
+    itself for ``mindeg``."""
+
     base: Graph
     fill_edges: tuple[tuple[int, int], ...]
     chordal: Graph
@@ -213,9 +218,17 @@ def _check_three_way_contract(cut: Cut, bound: int) -> None:
 
 def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,
             clique_cap: int | None) -> TriangSuccess:
+    """The triangulation of ``g`` by ``fills``, checked, with ``td``.
+
+    Each vertex is listed at its first bag in pre-order, the root of its
+    subtree, and the list is reversed: a later neighbour shares a bag with
+    the vertex, so it lies in the vertex's first bag, a clique.  The test
+    of ``clique_number_chordal`` checks the order; a failure is an invariant
+    violation.
+    """
     chordal = Graph(g.n, list(g.edges()) + sorted(fills)) if fills else g
-    order = tuple(_mcs_order(chordal))
-    try:  # the search order passes exactly when the graph is chordal
+    order = tuple(dict.fromkeys(chain.from_iterable(td.bags)))[::-1]
+    try:
         cn = clique_number_chordal(chordal, order)
     except ValueError:
         raise RuntimeError("triangulated output is not chordal") from None

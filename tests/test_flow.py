@@ -18,6 +18,7 @@ from twdecomp.separators import _three_partitions
 
 from oracles import (brute_force_min_separator, half_candidates, max_disjoint_paths,
                      split_three_ways_by_components, two_thirds_candidates)
+from test_certificate_counts import search_graphs
 from test_golden import fallback_graphs, golden_graphs
 from test_graph import assert_same_part
 
@@ -719,18 +720,11 @@ def dead_end_graph(kind, n, rng):
     return Graph(n, [(0, v) for v in range(1, n)] + chords)
 
 
-@settings(max_examples=130)
-@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt", "path-end",
-                             "caterpillar-end", "hub")),
-       n=st.integers(8, 60), seed=st.integers(0, 2**31))
-def test_separator_only_flow_matches_the_listed_flow(kind, n, seed):
-    # The same sides in two twin workspaces, one flow listing its side and
-    # one not: the separator, the augmentations, Exceeded-ness and the
-    # counters (certificates included) must agree, and both hand back clean
-    # arrays.  The last three kinds have dead ends, which the flow that
-    # lists no side leaves out of its searches: targets at the low end of a
-    # path or caterpillar, and a star's hub among the targets.
-    rng = random.Random(seed)
+def flow_case(kind, n, rng):
+    """A seeded graph of ``kind``, a part of it (None for the whole graph,
+    else a random 80% of it) and targets in that part: at the low end of
+    a path or caterpillar, a star's hub and a few leaves, or a random set.
+    The last three kinds have dead ends next to their targets."""
     dead_ends = kind in ("path-end", "caterpillar-end", "hub")
     g = dead_end_graph(kind, n, rng) if dead_ends else property_graph(kind, n, rng)
     part = None
@@ -744,6 +738,22 @@ def test_separator_only_flow_matches_the_listed_flow(kind, n, seed):
         targets = members[:rng.randint(2, 8)]
     else:
         targets = rng.sample(members, min(len(members), rng.randint(2, 8)))
+    return g, part, targets
+
+
+@settings(max_examples=130)
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt", "path-end",
+                             "caterpillar-end", "hub")),
+       n=st.integers(8, 60), seed=st.integers(0, 2**31))
+def test_separator_only_flow_matches_the_listed_flow(kind, n, seed):
+    # The same sides in two twin workspaces, one flow listing its side and
+    # one not: the separator, the augmentations, Exceeded-ness and the
+    # counters (certificates included) must agree, and both hand back clean
+    # arrays.  The last three kinds have dead ends, which the flow that
+    # lists no side leaves out of its searches: targets at the low end of a
+    # path or caterpillar, and a star's hub among the targets.
+    rng = random.Random(seed)
+    g, part, targets = flow_case(kind, n, rng)
     if len(targets) < 2:
         return
     listed, bare = (FlowWorkspace(g, part, targets, Counters()) for _ in range(2))
@@ -1008,3 +1018,115 @@ def test_mask_filter_accepts_exactly_the_triples_with_a_three_way_cut():
                 assert isinstance(approx_3way_vertex_cut(ws, *groups, bound), Cut) == passed
                 verdicts.add(passed)
     assert verdicts == {True, False}
+
+
+def pop_time_search(adj, role, sat, in_flow, prev, queue, dead, skipped, region_of):
+    """The augmenting search as it ran before it stopped at a free sink's
+    entry: it ends when it pops a sink's exit state.  Kept verbatim apart
+    from spelling out ``_UNSEEN`` and returning the goal, as the reference
+    for ``flow._augmenting_search``."""
+    push = queue.append
+    for s in queue:
+        v = s >> 1
+        if s & 1:
+            if role[v]:
+                if role[v] == flow._SINK:
+                    return s
+                if dead:
+                    # A source: its entry state is a root, so only
+                    # its neighbours' entry states can be new.
+                    for w in adj[v]:
+                        t = 2 * w
+                        if prev[t] == -1:
+                            i = region_of(w, 1)
+                            if i in dead:
+                                skipped.add(i)
+                            else:
+                                prev[t] = s
+                                push(t)
+                    continue
+            for w in adj[v]:
+                t = 2 * w
+                if prev[t] == -1:
+                    prev[t] = s
+                    push(t)
+            if sat[v]:
+                t = 2 * v
+                if prev[t] == -1:
+                    prev[t] = s
+                    push(t)
+        else:
+            if not sat[v]:
+                t = 2 * v + 1
+                if prev[t] == -1:
+                    prev[t] = s
+                    push(t)
+            u = in_flow[v]
+            if u >= 0:
+                t = 2 * u + 1
+                if prev[t] == -1:
+                    prev[t] = s
+                    push(t)
+    return -1
+
+
+def counting(search, tally):
+    """``search``, adding the states each call queued to ``tally[0]``."""
+    def counted(*args):
+        goal = search(*args)
+        tally[0] += len(args[5])
+        return goal
+    return counted
+
+
+def kept_certificates(ws):
+    return {b: (c.on, c.low, c.one, c.high) for b, c in ws.certs.items()}
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt", "path-end",
+                             "caterpillar-end", "hub")),
+       n=st.integers(8, 40), seed=st.integers(0, 2**31))
+def test_search_that_stops_at_a_free_sink_matches_the_pop_time_search(kind, n, seed):
+    # Twin workspaces take the same flows, two-way and separator-only with
+    # mixed bounds, one of them with the pop-time search patched in: the
+    # result, the augmentations, the counters and the kept certificates
+    # agree after every flow, and both hand back clean arrays.
+    rng = random.Random(seed)
+    g, part, targets = flow_case(kind, n, rng)
+    if len(targets) < 2:
+        return
+    ws, twin = FlowWorkspace(g, part, targets), FlowWorkspace(g, part, targets)
+    for _ in range(8):
+        pick = list(ws.targets)
+        rng.shuffle(pick)
+        cut = rng.randint(1, len(pick) - 1)
+        terminals = (vset(pick[:cut]), vset(pick[cut:]))
+        bound = rng.randint(0, 5)
+        separator_only = rng.random() < 0.5
+        got = min_vertex_separator(ws, terminals, bound, separator_only=separator_only)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "_augmenting_search", pop_time_search)
+            want = min_vertex_separator(twin, terminals, bound, separator_only=separator_only)
+        assert got == want
+        assert got.augmentations == want.augmentations
+        assert ws.counters == twin.counters
+        assert kept_certificates(ws) == kept_certificates(twin)
+        assert_clean(ws)
+        assert_clean(twin)
+
+
+def test_a_search_stops_at_the_first_free_sink_it_reaches(monkeypatch):
+    # pkt100 with half45 in search mode, the corpus of the certificate-count
+    # tests: the searches queue about half the states the pop-time search
+    # queued (5,519), and the flow counts stay those of that search.
+    g = search_graphs()["pkt100"]
+    counts = {}
+    for name, search in (("stop", flow._augmenting_search), ("pop", pop_time_search)):
+        tally = [0]
+        monkeypatch.setattr(flow, "_augmenting_search", counting(search, tally))
+        report = decompose(g, "half45", search=True).report
+        counts[name] = tally[0]
+        assert (report.separator_calls, report.flow_augmentations, report.certified) == (64, 499, 24)
+    assert counts["stop"] <= 3_300
+    assert counts["pop"] == 5_519

@@ -11,8 +11,8 @@ import pytest
 
 from twdecomp import (Counters, Cut, Graph, NotChordal, Part,
                       TreewidthExceeded, TriangSuccess,
-                      check_tree_decomposition, decompose, exact_treewidth,
-                      is_chordal, min_degree_triang, triang_2way_23,
+                      check_tree_decomposition, clique_number_chordal, decompose,
+                      exact_treewidth, is_chordal, min_degree_triang, triang_2way_23,
                       triang_2way_half, triang_3way)
 from twdecomp import graph, separators, triangulate
 from twdecomp.flow import FlowWorkspace
@@ -20,6 +20,9 @@ from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
                              grid_graph, partial_k_tree, path_graph, random_tree,
                              star_graph)
 from twdecomp.triangulate import TreeDecomposition, _check_three_way_contract, _finish
+from twdecomp.validate import _mcs_order
+
+from test_golden import golden_graphs
 
 
 def assert_sound_success(g, out, clique_cap=None):
@@ -200,6 +203,33 @@ def test_finish_refuses_a_fill_that_leaves_a_chordless_cycle():
     out = _finish(cycle_graph(5), 1, {(0, 2), (0, 3)}, td, None)
     assert out.triangulation.clique_number == 3
     assert sorted(out.triangulation.peo) == list(range(5))
+
+
+def finish_graphs(small_corpus):
+    """The golden graphs, seeded grids and seeded partial k-trees."""
+    graphs = golden_graphs(small_corpus)
+    graphs.update(grid5x6=grid_graph(5, 6), grid7x7=grid_graph(7, 7))
+    rng = random.Random(2202)
+    for n, k, drop in ((30, 2, 0.1), (45, 3, 0.05), (60, 4, 0.1)):
+        graphs[f"pkt{n}"] = partial_k_tree(n, k, drop, rng)
+    return graphs
+
+
+@pytest.mark.parametrize("algo, mode", [("rs4", "search"), ("rs4", "adaptive"),
+                                        ("half45", "search"), ("half45", "adaptive"),
+                                        ("bg367", "search")])
+def test_finish_takes_a_perfect_elimination_order_off_the_bags(small_corpus, algo, mode):
+    # The order lists each vertex at its first bag in pre-order, reversed; it
+    # passes the ordering test, and the clique number it gives is the
+    # decomposition's width + 1 and the one an MCS order gives.
+    for name, g in finish_graphs(small_corpus).items():
+        out = decompose(g, algo, **{mode: True}).outcome
+        tri, td = out.triangulation, out.decomposition
+        assert tri.peo == tuple(dict.fromkeys(v for bag in td.bags for v in bag))[::-1], name
+        assert clique_number_chordal(tri.chordal, tri.peo) == tri.clique_number, name
+        assert tri.clique_number == td.width + 1, name
+        assert clique_number_chordal(tri.chordal, _mcs_order(tri.chordal)) == tri.clique_number
+        assert isinstance(is_chordal(tri.chordal), tuple), name
 
 
 def test_min_degree_on_tree():
