@@ -169,15 +169,6 @@ def _invariant(condition: bool, message: str) -> None:
         raise RuntimeError(f"flow invariant violated: {message}")
 
 
-def _check_side_masks(side_a, side_b, sources: int, sinks: int) -> None:
-    """ValueError unless the sides, of target masks ``sources`` and
-    ``sinks``, are disjoint and free of repeats."""
-    if sources & sinks:
-        raise ValueError("terminal attachment sets must be disjoint")
-    if sources.bit_count() != len(side_a) or sinks.bit_count() != len(side_b):
-        raise ValueError("terminal attachment sets must not repeat a vertex")
-
-
 class _Certificates:
     """The Menger certificates of one bound, kept target by target.
 
@@ -398,11 +389,11 @@ class FlowWorkspace:
     either: each region holds a path from one side to the other, and a
     separator must cut all bound+1 of them, so the flow of that pair would
     end ``Exceeded`` too: a ruling is exactly as sound as the flow it
-    replaces.  ``certified`` tests all kept certificates of a bound at once,
-    with one lookup and one OR per target of the two sides and five big-int
-    operations.  ``separators.try_split`` asks it before a flow, and the
-    two-way searches make its test inline; only flows that run are counted
-    in ``separator_calls``, and rulings in ``certified``.
+    replaces.  ``ruling`` hands them to ``separators._first_cut``, the one
+    loop that rules two-way candidates: it tests all kept certificates of a
+    bound at once, with one OR per target of the two sides and five big-int
+    operations, before any flow.  Only flows that run are counted in
+    ``separator_calls``, and rulings in ``certified``.
     """
 
     __slots__ = ("g", "part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
@@ -511,50 +502,16 @@ class FlowWorkspace:
             raise ValueError("terminal attachment sets must be non-empty")
         sources = self.mask(side_a)
         sinks = self.mask(side_b)
-        _check_side_masks(side_a, side_b, sources, sinks)
+        if sources & sinks:
+            raise ValueError("terminal attachment sets must be disjoint")
+        if sources.bit_count() != len(side_a) or sinks.bit_count() != len(side_b):
+            raise ValueError("terminal attachment sets must not repeat a vertex")
         return sources, sinks
 
-    def certified(self, side_a, side_b, bound: int) -> bool:
-        """True when a kept certificate shows that every separator between
-        the sides has more than ``bound`` vertices: every region of some
-        certificate of that bound holds a target of each side.
-
-        A ruling stands only for sides that a flow accepts: they are checked
-        as a flow checks them (``ValueError``) before True is returned.  Sides
-        that no certificate rules out, and sides that hold a vertex that is
-        not a target, are left to the flow, which checks them itself, so
-        every pair of sides is checked once.  A ruling reads each vertex of
-        the sides once: one lookup and one OR give both its region bits and
-        its target bit, which the checks read.  Then five big-int operations
-        test every kept certificate of the bound at once.
-        """
-        certs = self.certs.get(bound)
-        if certs is None:
-            return False
-        on = certs.on
-        a = b = 0
-        try:
-            for v in side_a:
-                a |= on[v]
-            for v in side_b:
-                b |= on[v]
-        except KeyError:
-            return False
-        both = a & b
-        # A field is all ones exactly when adding its lowest bit to its lower
-        # bits carries into its top bit and that top bit is set; the target
-        # bits below the fields are outside ``low`` and ``high``.
-        if not ((both & certs.low) + certs.one) & both & certs.high:
-            return False
-        # A ruled-out side holds a target, so it is not empty.
-        targets = (1 << certs.width) - 1
-        _check_side_masks(side_a, side_b, a & targets, b & targets)
-        return True
-
     def ruling(self, bound: int):
-        """The kept certificates of ``bound`` for a caller that makes the
-        test of ``certified`` itself: each target's ``on`` in target order,
-        then ``low``, ``one`` and ``high``; all zero before any is kept."""
+        """The kept certificates of ``bound`` as ``separators._first_cut``
+        tests them: each target's ``on`` in target order, then ``low``,
+        ``one`` and ``high``; all zero before any is kept."""
         certs = self.certs.get(bound)
         if certs is None:
             return [0] * len(self.targets), 0, 0, 0

@@ -15,10 +15,12 @@ each grown into a region with the free targets next to it.  By Menger's
 theorem a later candidate whose groups each hold a target of every one of
 those disjoint, connected regions has bound+1 vertex-disjoint paths between
 its groups too, so its flow would also exceed the bound: a ruling is exactly
-as sound as the flow it replaces.  The two-way searches test candidates read by
-target position from one list per run (``candidate_splits``) inline;
-``try_split`` asks ``certified``, which also checks the groups as a flow does.
-``separator_calls`` counts the flows that ran, and ``certified`` the rulings.
+as sound as the flow it replaces.  Every two-way candidate, of the two-way
+searches (read by target position from one list per run,
+``candidate_splits``), of adaptive mode, of ``alpha_sum_sep``'s collapsed
+partitions and of ``try_split``, is ruled and flowed by one loop,
+``_first_cut``.  ``separator_calls`` counts the flows that ran, and
+``certified`` the rulings.
 """
 
 from __future__ import annotations
@@ -42,6 +44,49 @@ def _require(condition: bool, message: str) -> None:
         raise RuntimeError(f"separator invariant violated: {message}")
 
 
+def _first_cut(ws: FlowWorkspace, pairs, bound: int) -> Cut | None:
+    """The cut of the first of ``pairs`` whose minimum cut has at most
+    ``bound`` vertices and no empty side, leaving ``pairs`` just past it;
+    None once they run out.
+
+    ``pairs`` yields ``(first, second)`` groups of target positions; every
+    two-way candidate of the library passes through here.  Each is ruled on
+    the kept certificates of ``bound`` first (see ``FlowWorkspace``):
+    ``ws.ruling(bound)`` gives each target's bits, a group's bits are ORed,
+    a first group's once for a run of candidates that share it, and five
+    big-int operations test every certificate at once.  The ruling is
+    re-read after a flow ends ``Exceeded``, which kept one more.
+    """
+    pick = ws.targets.__getitem__
+    counters = ws.counters
+    bits, low, one, high = ws.ruling(bound)
+    last = None
+    for first, second in pairs:
+        if first is not last:
+            last = first
+            a = 0
+            for i in first:
+                a |= bits[i]
+        b = 0
+        for i in second:
+            b |= bits[i]
+        both = a & b
+        # A field is all ones exactly when adding its lowest bit to its lower
+        # bits carries into its top bit and that top bit is set; the target
+        # bits below the fields are outside ``low`` and ``high``.
+        if ((both & low) + one) & both & high:
+            counters.certified += 1
+            continue
+        cut = min_vertex_separator(ws, (tuple(map(pick, first)), tuple(map(pick, second))),
+                                   bound)
+        if isinstance(cut, Exceeded):
+            bits, low, one, high = ws.ruling(bound)
+            last = None
+        elif all(cut.sizes()):
+            return cut
+    return None
+
+
 def try_split(ws: FlowWorkspace, group_a: tuple[int, ...], group_b: tuple[int, ...],
               bound: int) -> Cut | None:
     """One candidate split: minimum cut between the two groups' super-terminals,
@@ -49,24 +94,21 @@ def try_split(ws: FlowWorkspace, group_a: tuple[int, ...], group_b: tuple[int, .
 
     Each super-terminal attaches to every vertex of its group, so edges inside
     a group cannot change the cut.  Returns None when the minimum cut exceeds
-    the bound or leaves one side empty; both are normal outcomes.  A
-    candidate that a kept certificate already rules out returns None without
-    a flow, once its groups have passed the checks the flow makes.
+    the bound or leaves one side empty; both are normal outcomes.  The groups
+    are checked as a flow checks them (``ValueError``), then ruled and flowed
+    by ``_first_cut``: a candidate that a kept certificate already rules out
+    returns None without a flow.
     """
-    if ws.certified(group_a, group_b, bound):
-        ws.counters.certified += 1
-        return None
-    cut = min_vertex_separator(ws, (group_a, group_b), bound)
-    if isinstance(cut, Exceeded) or not all(cut.sizes()):
-        return None
-    return cut
+    ws.side_masks(group_a, group_b)
+    pair = tuple(tuple(map(ws.targets.index, group)) for group in (group_a, group_b))
+    return _first_cut(ws, (pair,), bound)
 
 
 def candidate_splits(counters: Counters, size: int, flavor: str):
     """Each ceil(size/2)-subset ``first`` of ``size`` target positions, in
-    ascending combinadic order, with the second groups tried against it:
-    each ceil(size/3)-subset of ``rest``, the other positions, for rs4, and
-    ``rest`` alone for half45.  The ``(first, rest)`` pairs are kept in
+    ascending combinadic order, paired with each second group tried against
+    it: each ceil(size/3)-subset of ``rest``, the other positions, for rs4,
+    and ``rest`` alone for half45.  The ``(first, rest)`` pairs are kept in
     ``counters.splits[size]``, extended only as far as a search of the run
     has gone; searches run one at a time, so one reads what another left."""
     if size < 2:
@@ -77,11 +119,13 @@ def candidate_splits(counters: Counters, size: int, flavor: str):
     pairs, firsts = grown
     second = _ceil_div(size, 3) if flavor == "rs4" else size // 2
     for first, rest in pairs:
-        yield first, combinations(rest, second)
+        for group in combinations(rest, second):
+            yield first, group
     for first in firsts:
         rest = tuple(i for i in range(size) if i not in first)
         pairs.append((first, rest))
-        yield first, combinations(rest, second)
+        for group in combinations(rest, second):
+            yield first, group
 
 
 def _target_counts(targets: tuple[int, ...], cut: Cut) -> list[int]:
@@ -99,44 +143,13 @@ def _target_counts(targets: tuple[int, ...], cut: Cut) -> list[int]:
 
 def _first_split(ws: FlowWorkspace, flavor: str, bound: int, share: int) -> Cut | None:
     """First of the ``candidate_splits`` of ``ws.targets`` with a cut of at
-    most ``bound``; neither side may hold more than ``share`` of the targets.
-
-    A candidate is first put to the test of ``FlowWorkspace.certified`` on
-    ``ws.ruling(bound)``: a first group's bits are ORed once, then each
-    second group's, one OR per target; they are re-read only after a flow
-    ends ``Exceeded``.  The groups are distinct target positions, so they
-    need none of the checks that ``certified`` makes on a caller's groups.
-    """
-    pick = ws.targets.__getitem__
-    counters = ws.counters
-    bits, low, one, high = ws.ruling(bound)
-    for first, seconds in candidate_splits(counters, len(ws.targets), flavor):
-        a = 0
-        for i in first:
-            a |= bits[i]
-        group_a = None
-        for second in seconds:
-            b = 0
-            for i in second:
-                b |= bits[i]
-            both = a & b
-            if ((both & low) + one) & both & high:
-                counters.certified += 1
-                continue
-            if group_a is None:
-                group_a = tuple(map(pick, first))
-            cut = min_vertex_separator(ws, (group_a, tuple(map(pick, second))), bound)
-            if isinstance(cut, Exceeded):
-                bits, low, one, high = ws.ruling(bound)
-                a = 0
-                for i in first:
-                    a |= bits[i]
-            elif all(cut.sizes()):
-                _require(len(cut.separator) <= bound, "separator above bound")
-                _require(max(_target_counts(ws.targets, cut)) <= share,
-                         "side holds more than its share of the targets")
-                return cut
-    return None
+    most ``bound``; neither side may hold more than ``share`` of the targets."""
+    cut = _first_cut(ws, candidate_splits(ws.counters, len(ws.targets), flavor), bound)
+    if cut is not None:
+        _require(len(cut.separator) <= bound, "separator above bound")
+        _require(max(_target_counts(ws.targets, cut)) <= share,
+                 "side holds more than its share of the targets")
+    return cut
 
 
 def two_thirds_vtx_sep(ws: FlowWorkspace, k: int) -> Cut | None:
@@ -160,24 +173,13 @@ def two_way_half_vtx_sep(ws: FlowWorkspace, k: int) -> Cut | None:
 
 
 def _three_partitions(w: tuple[int, ...], k: int):
-    """Ordered 3-partitions of the targets ``w`` with floor(|w|/2) >= |p1| >=
-    |p2| >= |p3|.
-
-    Yields (first, complement) as target tuples once per first part when
-    |p1| > k, otherwise (first, second, third) as target masks (bit ``i`` is
-    ``w[i]``); sizes descend, subsets ascend in combinadic order.
-    """
+    """Ordered 3-partitions of the targets ``w``, as target masks (bit ``i``
+    is ``w[i]``), with min(floor(|w|/2), k) >= |p1| >= |p2| >= |p3|; sizes
+    descend, subsets ascend in combinadic order."""
     size = len(w)
     bits = [1 << i for i in range(size)]
     full = (1 << size) - 1
-    for s1 in range(size // 2, _ceil_div(size, 3) - 1, -1):
-        if s1 <= 0:
-            continue
-        if s1 > k:
-            for first in combinations(w, s1):
-                chosen = set(first)
-                yield first, tuple(v for v in w if v not in chosen)
-            continue
+    for s1 in range(min(size // 2, k), max(_ceil_div(size, 3), 1) - 1, -1):
         rest_size = size - s1
         hi = min(s1, rest_size)
         lo = _ceil_div(rest_size, 2)
@@ -196,11 +198,12 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
     where T is ``ws.targets``.
 
     Partitions of the target set are tried largest-part-first.  A first part
-    larger than k collapses the other two and reuses the two-way machinery
-    with bound k, so the cut lists one side and leaves the other as its
-    rest; otherwise the isolating cut approximation runs on the three parts
-    with bound floor(a*k), lists two sides and leaves the third as its rest.  Success additionally
-    requires at least two non-empty sides.
+    larger than k collapses the other two: it and its complement are a
+    two-way candidate of ``_first_cut`` with bound k, whose cut lists one
+    side and leaves the other as its rest.  Otherwise the isolating cut
+    approximation runs on the three parts with bound floor(a*k), lists two
+    sides and leaves the third as its rest.  Success additionally requires
+    at least two non-empty sides.
 
     A triple is rejected by mask first: ``ws.isolating_union`` runs the
     isolating flows the triple needs, in the order ``approx_3way_vertex_cut``
@@ -215,21 +218,28 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
     w = ws.targets
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
+
+    def fits(cut: Cut) -> bool:
+        # A side and the separator are disjoint, so |(S_i & T) + X| is a sum.
+        return (sum(map(bool, cut.sizes())) >= 2
+                and max(_target_counts(w, cut)) + len(cut.separator) <= per_side_limit)
+
+    size = len(w)
+    positions = range(size)
+    collapsed = ((first, tuple(i for i in positions if i not in first))
+                 for s1 in range(size // 2, max(k, _ceil_div(size, 3) - 1), -1)
+                 for first in combinations(positions, s1))
+    # With no first part above k there is nothing to rule: skip the call.
+    while size // 2 > k and (cut := _first_cut(ws, collapsed, k)) is not None:
+        if fits(cut):
+            return cut
     targets_of = ws.targets_of
     isolating_union = ws.isolating_union
-
     for groups in _three_partitions(w, k):
-        if len(groups) == 2:
-            cut = try_split(ws, *groups, k)
-            if cut is None:
-                continue
-        else:
-            union = isolating_union(groups, cut_bound)
-            if union is None or union.bit_count() > cut_bound:
-                continue
-            cut = approx_3way_vertex_cut(ws, *map(targets_of, groups), cut_bound)
-        # A side and the separator are disjoint, so |(S_i & T) + X| is a sum.
-        if (sum(map(bool, cut.sizes())) >= 2
-                and max(_target_counts(w, cut)) + len(cut.separator) <= per_side_limit):
+        union = isolating_union(groups, cut_bound)
+        if union is None or union.bit_count() > cut_bound:
+            continue
+        cut = approx_3way_vertex_cut(ws, *map(targets_of, groups), cut_bound)
+        if fits(cut):
             return cut
     return None

@@ -18,7 +18,7 @@ from typing import Union
 
 from .flow import Counters, Cut, FlowWorkspace
 from .graph import Graph, Part, connected_components, vset
-from .separators import (DEFAULT_ALPHA, alpha_sum_sep, candidate_splits, try_split,
+from .separators import (DEFAULT_ALPHA, _first_cut, alpha_sum_sep, candidate_splits,
                          two_thirds_vtx_sep, two_way_half_vtx_sep)
 from .validate import clique_number_chordal
 
@@ -226,7 +226,8 @@ def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,
     of ``clique_number_chordal`` checks the order; a failure is an invariant
     violation.
     """
-    chordal = Graph(g.n, list(g.edges()) + sorted(fills)) if fills else g
+    fill_edges = tuple(sorted(fills))
+    chordal = Graph(g.n, chain(g.edges(), fill_edges)) if fills else g
     order = tuple(dict.fromkeys(chain.from_iterable(td.bags)))[::-1]
     try:
         cn = clique_number_chordal(chordal, order)
@@ -237,7 +238,7 @@ def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,
             f"clique number {cn} breaks the guarantee {clique_cap} for k={k}")
     if td.width > cn - 1:
         raise RuntimeError("decomposition width exceeds clique number - 1")
-    tri = Triangulation(g, tuple(sorted(fills)), chordal, order, cn)
+    tri = Triangulation(g, fill_edges, chordal, order, cn)
     return TriangSuccess(tri, td)
 
 
@@ -333,9 +334,10 @@ def min_degree_triang(g: Graph) -> tuple[Triangulation, TreeDecomposition]:
     if not bags:
         bags.append(())
 
-    chordal = Graph(n, list(g.edges()) + sorted(fills)) if fills else g
+    fill_edges = tuple(sorted(fills))
+    chordal = Graph(n, chain(g.edges(), fill_edges)) if fills else g
     cn = max((len(b) for b in bags), default=0)
-    tri = Triangulation(g, tuple(sorted(fills)), chordal, tuple(order), cn)
+    tri = Triangulation(g, fill_edges, chordal, tuple(order), cn)
     return tri, TreeDecomposition.from_bags(bags, edges)
 
 
@@ -357,18 +359,10 @@ def _adaptive_split(flavor: str, counters: Counters):
             # The target set grows between rounds, so each round has its own
             # flow workspace.
             ws = FlowWorkspace(g, part, targets, counters)
-            pick = ws.targets.__getitem__
+            splits = candidate_splits(counters, len(ws.targets), flavor)
             bound = part.size
-            for first, seconds in candidate_splits(counters, len(ws.targets), flavor):
-                group_a = tuple(map(pick, first))
-                for second in seconds:
-                    cut = try_split(ws, group_a, tuple(map(pick, second)), bound)
-                    if cut is not None:
-                        best, bound = cut, len(cut.separator) - 1
-                        if bound < 0:
-                            break
-                if bound < 0:
-                    break
+            while bound >= 0 and (cut := _first_cut(ws, splits, bound)) is not None:
+                best, bound = cut, len(cut.separator) - 1
             if best is not None:
                 return best
             # The next target is the smallest member not yet one.

@@ -3,11 +3,14 @@ and dynamic programs.  Each is exhaustive and guarded to the sizes where that
 stays fast: separators to n <= 10 and elimination orders to n <= 9.  The
 full-scan three-way split is the reference for the library's searches that
 skip the largest side, and the two candidate generators, over target tuples,
-the reference order of the two-way searches."""
+the reference order of the two-way searches.  The certificate ruling and the
+one-candidate split, as a workspace method and a loop of its own, and the
+partitions of the three-way search with its collapsed pairs among them, are
+the references for the library's one ruling loop."""
 
 from itertools import combinations
 
-from twdecomp import connected_components, vset
+from twdecomp import Exceeded, connected_components, min_vertex_separator, vset
 
 
 def two_thirds_candidates(w: tuple[int, ...]):
@@ -154,3 +157,101 @@ def split_three_ways_by_components(g, part, separator, groups):
             raise RuntimeError("flow invariant violated: terminal groups share a component")
         sides[owners[0] if owners else 1].extend(comp)
     return tuple(vset(side) for side in sides)
+
+
+def _check_side_masks(side_a, side_b, sources: int, sinks: int) -> None:
+    """ValueError unless the sides, of target masks ``sources`` and
+    ``sinks``, are disjoint and free of repeats."""
+    if sources & sinks:
+        raise ValueError("terminal attachment sets must be disjoint")
+    if sources.bit_count() != len(side_a) or sinks.bit_count() != len(side_b):
+        raise ValueError("terminal attachment sets must not repeat a vertex")
+
+
+def reference_certified(ws, side_a, side_b, bound: int) -> bool:
+    """True when a kept certificate shows that every separator between
+    the sides has more than ``bound`` vertices: every region of some
+    certificate of that bound holds a target of each side.
+
+    A ruling stands only for sides that a flow accepts: they are checked
+    as a flow checks them (``ValueError``) before True is returned.  Sides
+    that no certificate rules out, and sides that hold a vertex that is
+    not a target, are left to the flow, which checks them itself, so
+    every pair of sides is checked once.  A ruling reads each vertex of
+    the sides once: one lookup and one OR give both its region bits and
+    its target bit, which the checks read.  Then five big-int operations
+    test every kept certificate of the bound at once.
+    """
+    certs = ws.certs.get(bound)
+    if certs is None:
+        return False
+    on = certs.on
+    a = b = 0
+    try:
+        for v in side_a:
+            a |= on[v]
+        for v in side_b:
+            b |= on[v]
+    except KeyError:
+        return False
+    both = a & b
+    # A field is all ones exactly when adding its lowest bit to its lower
+    # bits carries into its top bit and that top bit is set; the target
+    # bits below the fields are outside ``low`` and ``high``.
+    if not ((both & certs.low) + certs.one) & both & certs.high:
+        return False
+    # A ruled-out side holds a target, so it is not empty.
+    targets = (1 << certs.width) - 1
+    _check_side_masks(side_a, side_b, a & targets, b & targets)
+    return True
+
+
+def reference_try_split(ws, group_a: tuple[int, ...], group_b: tuple[int, ...],
+                        bound: int):
+    """One candidate split: minimum cut between the two groups' super-terminals,
+    where the groups are disjoint tuples of the workspace's targets.
+
+    Each super-terminal attaches to every vertex of its group, so edges inside
+    a group cannot change the cut.  Returns None when the minimum cut exceeds
+    the bound or leaves one side empty; both are normal outcomes.  A
+    candidate that a kept certificate already rules out returns None without
+    a flow, once its groups have passed the checks the flow makes.
+    """
+    if reference_certified(ws, group_a, group_b, bound):
+        ws.counters.certified += 1
+        return None
+    cut = min_vertex_separator(ws, (group_a, group_b), bound)
+    if isinstance(cut, Exceeded) or not all(cut.sizes()):
+        return None
+    return cut
+
+
+def reference_three_partitions(w: tuple[int, ...], k: int):
+    """Ordered 3-partitions of the targets ``w`` with floor(|w|/2) >= |p1| >=
+    |p2| >= |p3|.
+
+    Yields (first, complement) as target tuples once per first part when
+    |p1| > k, otherwise (first, second, third) as target masks (bit ``i`` is
+    ``w[i]``); sizes descend, subsets ascend in combinadic order.
+    """
+    size = len(w)
+    bits = [1 << i for i in range(size)]
+    full = (1 << size) - 1
+    for s1 in range(size // 2, -(-size // 3) - 1, -1):
+        if s1 <= 0:
+            continue
+        if s1 > k:
+            for first in combinations(w, s1):
+                chosen = set(first)
+                yield first, tuple(v for v in w if v not in chosen)
+            continue
+        rest_size = size - s1
+        hi = min(s1, rest_size)
+        lo = -(-rest_size // 2)
+        for s2 in range(hi, lo - 1, -1):
+            for first in combinations(bits, s1):
+                mask = sum(first)
+                rest = full ^ mask
+                for second in combinations([b for b in bits if b & rest], s2):
+                    second_mask = sum(second)
+                    yield mask, second_mask, rest ^ second_mask

@@ -5,8 +5,10 @@ is either ruled out by a kept certificate or flowed, so ``separator_calls +
 certified`` is fixed by the candidate order and the first success alone.  A
 certificate grows each of its paths into a region with the free targets next
 to it; these caps hold the flows of the runs where that rules out the most,
-and the fixed sums show that no candidate was skipped or tried twice.  Counts
-only: no timing.
+and the fixed sums show that no candidate was skipped or tried twice.  The
+rulings of adaptive mode and of bg367's two-way fallback pass through the
+same loop as a search's; their runs are pinned exactly, with the mode that
+reaches them.  Counts only: no timing.
 """
 
 import random
@@ -42,3 +44,17 @@ def test_grown_certificates_cap_the_flows_of_a_search(name, algo, cap, candidate
     report = decompose(search_graphs()[name], algo, search=True).report
     assert report.separator_calls <= cap, report
     assert report.separator_calls + report.certified == candidates, report
+
+
+# (graph, algorithm, mode, separator_calls, certified), exact
+PINNED = (
+    ("pkt180", "bg367", "search", 243, 144),
+    ("grid8x8", "rs4", "adaptive", 2_345, 3_172),
+    ("grid8x8", "half45", "adaptive", 1_717, 1_548),
+)
+
+
+@pytest.mark.parametrize("name, algo, mode, calls, certified", PINNED)
+def test_fallback_and_adaptive_rulings_keep_their_counts(name, algo, mode, calls, certified):
+    report = decompose(search_graphs()[name], algo, **{mode: True}).report
+    assert (report.separator_calls, report.certified) == (calls, certified), report

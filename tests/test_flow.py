@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from networkx.algorithms.flow import edmonds_karp
 
 from twdecomp import (Counters, Cut, Exceeded, FlowWorkspace, Graph, Part,
-                      approx_3way_vertex_cut, decompose, flow, min_vertex_separator, vset)
+                      approx_3way_vertex_cut, decompose, flow, min_vertex_separator, try_split,
+                      vset)
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected, grid_graph,
                              partial_k_tree, random_tree, star_graph)
 from twdecomp.flow import _split_three_ways, _verify_cut, _verify_separator
@@ -613,6 +614,15 @@ def certificate_masks(ws, bound, c):
             for i in range(first, first + certs.paths)]
 
 
+def ruled(ws, side_a, side_b, bound):
+    """``try_split`` of the sides, with the rulings and the flows it added:
+    (None, 1, 0) when a kept certificate ruled the sides out."""
+    counters = ws.counters
+    certified, calls = counters.certified, counters.separator_calls
+    cut = try_split(ws, side_a, side_b, bound)
+    return cut, counters.certified - certified, counters.separator_calls - calls
+
+
 def test_exceeded_flow_keeps_a_menger_certificate():
     # Every flow that ends Exceeded keeps bound+1 regions, pairwise disjoint,
     # each holding a source and a sink, and each connected: its targets lie
@@ -642,8 +652,8 @@ def test_exceeded_flow_keeps_a_menger_certificate():
                 region = ws.targets_of(mask)
                 rest = sub.subgraph(v for v in members if not ws.bit_of.get(v, 0) & others)
                 assert nx.node_connected_component(rest, region[0]) >= set(region)
-            assert ws.certified(side_a, side_b, bound)
-            assert ws.certified(side_b, side_a, bound)
+            assert ruled(ws, side_a, side_b, bound) == (None, 1, 0)
+            assert ruled(ws, side_b, side_a, bound) == (None, 1, 0)
             kept += 1
     assert kept > 20
 
@@ -659,13 +669,13 @@ def test_certificate_on_a_grid():
     assert certificate_masks(ws, 2, 0) == [ws.mask(region)
                                            for region in ((0, 12), (1, 13), (2, 3, 14, 15))]
     # Each side of another split holds a target of every kept region ...
-    assert ws.certified((0, 13, 2, 15), (12, 1, 14, 3), 2)
+    assert ruled(ws, (0, 13, 2, 15), (12, 1, 14, 3), 2) == (None, 1, 0)
     assert min_vertex_separator(fresh(g, top, bottom), ((0, 13, 2, 15), (12, 1, 14, 3)),
                                 2) == Exceeded(2, 3)
     # ... but not here, where the first region has both ends on one side.
-    assert not ws.certified((0, 12, 1), (13, 2, 14), 2)
+    assert ruled(ws, (0, 12, 1), (13, 2, 14), 2)[1:] == (0, 1)
     # Certificates answer for their own bound only.
-    assert not ws.certified(top, bottom, 1)
+    assert ruled(ws, top, bottom, 1)[1:] == (0, 1)
     assert_clean(ws)
 
 
@@ -673,11 +683,11 @@ def test_certificate_on_a_grid():
 @given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt")),
        n=st.integers(8, 40), seed=st.integers(0, 2**31))
 def test_every_grown_certificate_ruling_is_sound(kind, n, seed):
-    # Candidates in a random order, each asked of the kept certificates
-    # first and flowed only when none rules it out: every ruling's twin
-    # flow, in a workspace whose certificates nothing reads, ends Exceeded.
-    # Bad groups that a certificate rules out raise through ``certified``
-    # the message that ``side_masks`` raises.
+    # Candidates in a random order, each through ``try_split``, so ruled on
+    # the kept certificates first and flowed only when none rules it out:
+    # every ruling's twin flow, in a workspace whose certificates nothing
+    # reads, ends Exceeded.  Bad groups that a certificate would rule out
+    # raise through ``try_split`` the message that ``side_masks`` raises.
     rng = random.Random(seed)
     g = property_graph(kind, n, rng)
     members = list(range(g.n))
@@ -691,9 +701,10 @@ def test_every_grown_certificate_ruling_is_sound(kind, n, seed):
     rng.shuffle(splits)
     bound = rng.randint(0, 3)
     for side_a, side_b in splits:
-        if not ws.certified(side_a, side_b, bound):
-            min_vertex_separator(ws, (side_a, side_b), bound)
+        outcome = ruled(ws, side_a, side_b, bound)
+        if outcome[1:] == (0, 1):
             continue
+        assert outcome == (None, 1, 0)
         assert isinstance(min_vertex_separator(twin, (side_a, side_b), bound), Exceeded)
         for bad in ((side_a + side_b[:1], side_b), (side_a, side_b + side_a[-1:]),
                     (side_a + side_a[:1], side_b), (side_a, side_b + side_b[:1]),
@@ -701,7 +712,7 @@ def test_every_grown_certificate_ruling_is_sound(kind, n, seed):
             with pytest.raises(ValueError) as by_masks:
                 ws.side_masks(*bad)
             with pytest.raises(ValueError, match=re.escape(str(by_masks.value))):
-                ws.certified(*bad, bound)
+                try_split(ws, *bad, bound)
     assert_clean(ws)
 
 
@@ -1009,8 +1020,6 @@ def test_mask_filter_accepts_exactly_the_triples_with_a_three_way_cut():
             ws = FlowWorkspace(g, None, targets)
             isolating = {}
             for masks in _three_partitions(targets, k):
-                if len(masks) == 2:
-                    continue
                 union = ws.isolating_union(masks, bound)
                 passed = union is not None and union.bit_count() <= bound
                 assert passed == reference_three_way_accepts(g, targets, masks, bound, isolating)

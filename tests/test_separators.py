@@ -9,16 +9,17 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twdecomp import (Counters, Exceeded, FlowWorkspace, Graph, Part,
+from twdecomp import (Counters, Cut, Exceeded, FlowWorkspace, Graph, Part,
                       TriangSuccess, alpha_sum_sep, approx_3way_vertex_cut,
                       connected_components, decompose, min_vertex_separator, try_split, two_thirds_vtx_sep,
                       two_way_half_vtx_sep, vset)
-from twdecomp import flow, separators
+from twdecomp import flow, separators, triangulate
 from twdecomp.corpus import (complete_graph, gnp_connected, grid_graph, partial_k_tree,
                              path_graph, star_graph)
-from twdecomp.separators import DEFAULT_ALPHA, _three_partitions, candidate_splits
+from twdecomp.separators import DEFAULT_ALPHA, candidate_splits
 
-from oracles import brute_force_min_separator, half_candidates, two_thirds_candidates
+from oracles import (brute_force_min_separator, half_candidates, reference_three_partitions,
+                     reference_try_split, two_thirds_candidates)
 from test_certificate_counts import search_graphs
 from test_flow import property_graph, sides_in_order
 
@@ -264,7 +265,7 @@ def uncached_alpha_sum_sep(g, targets, k, alpha, counters, part):
     wset = set(w)
     cut_bound = math.floor(alpha * k)
     per_side_limit = (1 + alpha) * k
-    for groups in _three_partitions(w, k):
+    for groups in reference_three_partitions(w, k):
         if len(groups) == 3:
             groups = [tuple(v for i, v in enumerate(w) if mask >> i & 1) for mask in groups]
         if len(groups) == 2:
@@ -322,9 +323,8 @@ def test_try_split_refuses_bad_groups_while_certificates_are_kept():
     ws = FlowWorkspace(g, None, top + bottom)
     assert try_split(ws, top, bottom, 2) is None
     assert ws.certs[2].count == 1
-    # The kept certificate rules out the first two, so the ruling checks
-    # their groups and refuses them; the others it does not rule out, and
-    # leaves them to the flow, which refuses them.
+    # The kept certificate would rule out the first two; every group is
+    # checked before any ruling, so each is refused and none is counted.
     bad = [
         ((0, 13, 2, 15), (12, 1, 14, 3, 15), "disjoint"),
         ((0, 13, 2, 15, 0), (12, 1, 14, 3), "repeat"),
@@ -333,10 +333,6 @@ def test_try_split_refuses_bad_groups_while_certificates_are_kept():
         ((0, 13, 2, 15, 5), (12, 1, 14, 3), "not a target"),
         ((0, 13, 2, 15), (12, 1, 14, 3, 99), "not a target"),
     ]
-    for group_a, group_b, message in bad[:2]:
-        with pytest.raises(ValueError, match=message):
-            ws.certified(group_a, group_b, 2)
-    assert not any(ws.certified(group_a, group_b, 2) for group_a, group_b, _ in bad[2:])
     for group_a, group_b, message in bad:
         with pytest.raises(ValueError, match=message):
             try_split(ws, group_a, group_b, 2)
@@ -349,17 +345,15 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
     # A candidate that a kept certificate rules out runs no flow.  Run it
     # anyway, in a twin workspace whose certificates nothing reads: the flow
     # must end Exceeded.  The output must not depend on the rulings either.
-    # ``try_split`` (bg367's fallback, adaptive mode) rules through
-    # ``FlowWorkspace.certified``.  A two-way search rules inline, so its
-    # rulings are the candidates it reads from ``candidate_splits`` that
-    # reach no flow: each is replayed once its search returns.
-    original = FlowWorkspace.certified
-    first_split = separators._first_split
-    splits = separators.candidate_splits
+    # Every two-way candidate (of the two-way searches, adaptive mode and
+    # bg367's fallback) is ruled in ``_first_cut``, so the rulings are the
+    # candidates it reads from its pairs that reach no flow: each is
+    # replayed once the loop returns.
+    first_cut = separators._first_cut
     real_flow = separators.min_vertex_separator
     twins = {}
     rulings = [0]
-    tried = []      # [first, second, ran a flow] of the running two-way search
+    tried = []      # [first, second, ran a flow] of the running loop
     searching = [False]
 
     def replay(ws, side_a, side_b, bound):
@@ -369,20 +363,10 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
         assert isinstance(min_vertex_separator(twin, (side_a, side_b), bound), Exceeded)
         rulings[0] += 1
 
-    def checked(ws, side_a, side_b, bound):
-        ruled = original(ws, side_a, side_b, bound)
-        if ruled:
-            replay(ws, side_a, side_b, bound)
-        return ruled
-
-    def recorded(first, seconds):
-        for second in seconds:
+    def recorded(pairs):
+        for first, second in pairs:
             tried.append([first, second, False])
-            yield second
-
-    def listed(counters, size, flavor):
-        for first, seconds in splits(counters, size, flavor):
-            yield first, recorded(first, seconds)
+            yield first, second
 
     def flowed(ws, terminals, bound, **options):
         if searching[0]:
@@ -392,11 +376,11 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
             tried[-1][2] = True
         return real_flow(ws, terminals, bound, **options)
 
-    def searched(ws, flavor, bound, share):
+    def ruled(ws, pairs, bound):
         tried.clear()
         searching[0] = True
         try:
-            cut = first_split(ws, flavor, bound, share)
+            cut = first_cut(ws, recorded(pairs), bound)
         finally:
             searching[0] = False
         pick = ws.targets.__getitem__
@@ -418,9 +402,9 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
     scale = partial_k_tree(100, 5, 0.03, random.Random(8008))
     runs += [(scale, algo, {"search": True}) for algo in ("rs4", "half45")]
     ruled_by_algo = dict.fromkeys(("rs4", "half45", "bg367"), 0)
-    monkeypatch.setattr(FlowWorkspace, "certified", checked)
-    monkeypatch.setattr(separators, "_first_split", searched)
-    monkeypatch.setattr(separators, "candidate_splits", listed)
+    # Adaptive mode reaches the loop through triangulate's reference to it.
+    monkeypatch.setattr(separators, "_first_cut", ruled)
+    monkeypatch.setattr(triangulate, "_first_cut", ruled)
     monkeypatch.setattr(separators, "min_vertex_separator", flowed)
     keep_certificate = flow._keep_certificate
     for g, algo, mode in runs:
@@ -442,38 +426,46 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
 
 
 def test_two_way_searches_rule_without_a_call(monkeypatch):
-    # A two-way search asks no ``FlowWorkspace.certified``; before it made
-    # one call per candidate: 14,140 on grid10x10 half45 and 10,277 on
-    # pkt100 rs4.  The run's candidate list holds exactly as many first
-    # groups as the longest search of each size read.
-    calls = [0]
-    original = FlowWorkspace.certified
+    # A two-way search makes no call per candidate: the workspace has no
+    # per-candidate ``certified``, and the loop reads ``ruling`` once per
+    # search and once after each flow.  A call per candidate would be
+    # 14,140 on grid10x10 half45 and 10,277 on pkt100 rs4.  The run's
+    # candidate list holds exactly as many first groups as the longest
+    # search of each size read.
+    assert not hasattr(FlowWorkspace, "certified")
+    reads = [0]
+    original = FlowWorkspace.ruling
 
-    def counted(ws, side_a, side_b, bound):
-        calls[0] += 1
-        return original(ws, side_a, side_b, bound)
+    def counted(ws, bound):
+        reads[0] += 1
+        return original(ws, bound)
 
     splits = separators.candidate_splits
     runs = {}
     reached = {}
+    searches = [0]
 
     def measured(counters, size, flavor):
         runs[id(counters)] = counters
+        searches[0] += 1
         firsts = 0
-        for item in splits(counters, size, flavor):
-            firsts += 1
-            reached[size] = max(reached.get(size, 0), firsts)
-            yield item
+        last = None
+        for first, second in splits(counters, size, flavor):
+            if first is not last:
+                last = first
+                firsts += 1
+                reached[size] = max(reached.get(size, 0), firsts)
+            yield first, second
 
-    monkeypatch.setattr(FlowWorkspace, "certified", counted)
+    monkeypatch.setattr(FlowWorkspace, "ruling", counted)
     monkeypatch.setattr(separators, "candidate_splits", measured)
     graphs = search_graphs()
     for name, algo in (("grid10x10", "half45"), ("pkt100", "rs4")):
-        calls[0] = 0
+        reads[0] = searches[0] = 0
         runs.clear()
         reached.clear()
         report = decompose(graphs[name], algo, search=True).report
-        assert calls[0] == 0, name
+        assert reads[0] <= searches[0] + report.separator_calls, name
         assert report.certified > 0
         (counters,) = runs.values()
         assert {size: len(pairs) for size, (pairs, _) in counters.splits.items()} == reached
@@ -486,8 +478,7 @@ def test_candidate_splits_follow_the_reference_order(flavor, oracle):
     for size in range(14):
         targets = tuple(range(3, 3 + 2 * size, 2))
         got = [(tuple(targets[i] for i in first), tuple(targets[i] for i in second))
-               for first, seconds in candidate_splits(counters, size, flavor)
-               for second in seconds]
+               for first, second in candidate_splits(counters, size, flavor)]
         assert got == list(oracle(targets)), size
     # Both flavours share the per-size lists, which the first pass built in full.
     assert {size: len(pairs) for size, (pairs, _) in counters.splits.items()} == {
@@ -500,16 +491,16 @@ def test_a_later_search_extends_the_list_an_early_stop_left():
     head = [next(early) for _ in range(5)]
     assert [first for first, _ in head] == list(combinations(range(9), 5))[:5]
     assert len(counters.splits[9][0]) == 5
-    later = [(first, second) for first, seconds in candidate_splits(counters, 9, "rs4")
-             for second in seconds]
+    later = list(candidate_splits(counters, 9, "rs4"))
     assert later == list(two_thirds_candidates(tuple(range(9))))
     assert len(counters.splits[9][0]) == math.comb(9, 5)
 
 
 def try_split_loop(ws, oracle, bound):
-    """The two-way search as a loop of ``try_split`` over the oracle order."""
+    """The two-way search as a loop of the reference ``try_split`` over the
+    oracle order."""
     for first, second in oracle(ws.targets):
-        cut = try_split(ws, first, second, bound)
+        cut = reference_try_split(ws, first, second, bound)
         if cut is not None:
             return cut
     return None
@@ -540,6 +531,87 @@ def test_two_way_searches_match_a_try_split_loop(kind, n, seed):
             assert got == want
             assert ((fast.separator_calls, fast.augmentations, fast.certified)
                     == (slow.separator_calls, slow.augmentations, slow.certified))
+
+
+
+def reference_adaptive_split(g, part, boundary, oracle, counters):
+    """Adaptive mode's split as a loop of the reference ``try_split`` over
+    the oracle order each round, the bound lowered below each cut found."""
+    targets = list(boundary)
+    best = None
+    while True:
+        ws = FlowWorkspace(g, part, targets, counters)
+        bound = part.size
+        for first, second in oracle(ws.targets):
+            cut = reference_try_split(ws, first, second, bound)
+            if cut is not None:
+                best, bound = cut, len(cut.separator) - 1
+                if bound < 0:
+                    break
+        if best is not None:
+            return best
+        more = part.smallest(1, targets)
+        if not more:
+            return Cut(part.members, (), 0, part, 0)
+        targets += more
+
+
+def reference_alpha_sum_sep(ws, k, alpha):
+    """``alpha_sum_sep`` over the reference partitions, each collapsed pair
+    of them through the reference ``try_split``."""
+    w = set(ws.targets)
+    cut_bound = math.floor(alpha * k)
+    per_side_limit = (1 + alpha) * k
+    for groups in reference_three_partitions(ws.targets, k):
+        if len(groups) == 2:
+            cut = reference_try_split(ws, *groups, k)
+            if cut is None:
+                continue
+        else:
+            union = ws.isolating_union(groups, cut_bound)
+            if union is None or union.bit_count() > cut_bound:
+                continue
+            cut = approx_3way_vertex_cut(ws, *map(ws.targets_of, groups), cut_bound)
+        sides = (*cut.listed, cut.rest)
+        if (sum(map(bool, sides)) >= 2
+                and max(len(w.intersection(side)) for side in sides) + len(cut.separator)
+                <= per_side_limit):
+            return cut
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt")),
+       n=st.integers(6, 20), seed=st.integers(0, 2**31))
+def test_adaptive_rounds_and_collapsed_candidates_match_a_try_split_loop(kind, n, seed):
+    # Adaptive splits of both flavours, then bg367 searches whose target
+    # sets are large enough for first parts of more than k targets, on twin
+    # Counters: the same cuts, and the same flows, augmentations and
+    # rulings, as loops of the reference try_split.
+    rng = random.Random(seed)
+    g = property_graph(kind, n, rng)
+    members = list(range(g.n))
+    part = Part(g)
+    if rng.random() < 0.5:
+        members = [v for v in members if rng.random() < 0.8] or members
+        part = Part(g, members)
+    fast, slow = Counters(), Counters()
+    for flavor, oracle in (("rs4", two_thirds_candidates), ("half45", half_candidates)):
+        boundary = vset(rng.sample(members, min(len(members), rng.randint(1, 4))))
+        got = triangulate._adaptive_split(flavor, fast)(g, part, boundary)
+        want = reference_adaptive_split(g, part, boundary, oracle, slow)
+        assert got == want
+        assert ((fast.separator_calls, fast.augmentations, fast.certified)
+                == (slow.separator_calls, slow.augmentations, slow.certified))
+    for _ in range(3):
+        k = rng.randint(1, 3)
+        targets = vset(rng.sample(members, min(len(members), rng.randint(2 * k + 2, 9))))
+        alpha = rng.choice((Fraction(1), Fraction(4, 3), Fraction(3, 2)))
+        got = alpha_sum_sep(FlowWorkspace(g, part, targets, fast), k, alpha)
+        want = reference_alpha_sum_sep(FlowWorkspace(g, part, targets, slow), k, alpha)
+        assert got == want
+        assert ((fast.separator_calls, fast.augmentations, fast.certified)
+                == (slow.separator_calls, slow.augmentations, slow.certified))
 
 
 def test_isolating_cuts_of_a_triple_never_exceed_the_bound(monkeypatch):

@@ -649,21 +649,21 @@ def test_fallback_splits_list_the_rest_only_for_a_child(monkeypatch):
     listed = [0]
     fallbacks = [0]
     remainder = Part.remainder
-    try_split = separators.try_split
+    first_cut = separators._first_cut
 
     def counted_remainder(part, *taken):
         out = remainder(part, *taken)
         listed[0] += len(out)
         return out
 
-    def counted_try_split(*args):
-        cut = try_split(*args)
+    def counted_first_cut(*args):
+        cut = first_cut(*args)
         fallbacks[0] += cut is not None
         return cut
 
     monkeypatch.setattr(Part, "remainder", counted_remainder)
-    # bg367 reaches try_split through its fallback only.
-    monkeypatch.setattr(separators, "try_split", counted_try_split)
+    # bg367 reaches the two-way ruling loop through its fallback only.
+    monkeypatch.setattr(separators, "_first_cut", counted_first_cut)
     for n, k, drop in ((320, 5, 0.04), (600, 4, 0.03)):
         g = partial_k_tree(n, k, drop, random.Random(n))
         listed[0] = fallbacks[0] = 0
