@@ -170,36 +170,36 @@ def _invariant(condition: bool, message: str) -> None:
 
 
 class _Certificates:
-    """The Menger certificates of one bound, kept target by target.
+    """The Menger certificates of one bound, kept by target position.
 
     A certificate is ``paths`` (bound+1) regions: pairwise disjoint,
     connected sets of vertices of the part, each a kept path of a flow that
     ended Exceeded together with free targets next to that path (see
-    ``_keep_certificate``).  ``on[t]`` holds target ``t``'s own bit, bit
-    ``i`` for the i-th of the ``width`` ascending targets, and above those
-    the bits of the regions that hold ``t``: region ``i`` of certificate
-    ``c`` is bit ``width + c * paths + i``.  Each certificate thus owns a
-    field of ``paths`` bits; ``low``, ``one`` and ``high`` hold the lower
-    bits, the lowest bit and the top bit of every field.
+    ``_keep_certificate``).  ``on[i]`` holds the i-th of the ``width``
+    ascending targets' own bit, ``1 << i``, and above those the bits of the
+    regions that hold that target: region ``j`` of certificate ``c`` is bit
+    ``width + c * paths + j``.  Each certificate thus owns a field of
+    ``paths`` bits; ``low``, ``one`` and ``high`` hold the lower bits, the
+    lowest bit and the top bit of every field.  ``add`` updates ``on`` in place.
     """
 
     __slots__ = ("width", "paths", "count", "on", "low", "one", "high")
 
-    def __init__(self, targets: tuple[int, ...], paths: int):
-        self.width = len(targets)
+    def __init__(self, width: int, paths: int):
+        self.width = width
         self.paths = paths
         self.count = 0
-        self.on = {t: 1 << i for i, t in enumerate(targets)}
+        self.on = [1 << i for i in range(width)]
         self.low = self.one = self.high = 0
 
     def add(self, regions: list[list[int]]) -> None:
-        """Keep one certificate, given as the targets of each of its regions."""
+        """Keep one certificate: the target positions of each of its regions."""
         on = self.on
         first = self.width + self.count * self.paths
-        for i, region in enumerate(regions):
-            bit = 1 << (first + i)
-            for t in region:
-                on[t] |= bit
+        for j, region in enumerate(regions):
+            bit = 1 << (first + j)
+            for i in region:
+                on[i] |= bit
         self.low |= ((1 << (self.paths - 1)) - 1) << first
         self.one |= 1 << first
         self.high |= 1 << (first + self.paths - 1)
@@ -355,13 +355,14 @@ class FlowWorkspace:
     the same, and a workspace costs what its targets' short rows cost.
 
     The flow arrays ``sat``, ``in_flow`` and ``prev``, the ``role`` marks of
-    the current sources and sinks and ``near`` are sized to ``g`` and
-    borrowed from ``counters``, shared by every workspace of a run.  Every
-    flow hands the first four back clean: it resets exactly the vertices it
-    touched and the states its breadth-first searches queued.  Flows
-    therefore run one at a time.  ``near`` stays filled between flows; a
-    flow (or ``two_hop``) that finds it filled by another workspace fills it
-    again for its own (``_claim``), so workspaces may still take turns.
+    the current sources and sinks and ``near`` are sized to ``g`` and read
+    through ``arrays``, the run's ``_FlowArrays`` borrowed from ``counters``
+    and shared by every workspace of the run.  Every flow hands the first
+    four back clean: it resets exactly the vertices it touched and the
+    states its breadth-first searches queued.  Flows therefore run one at a
+    time.  ``near`` stays filled between flows; a flow (or ``two_hop``)
+    that finds it filled by another workspace fills it again for its own
+    (``_claim``), so workspaces may still take turns.
 
     Every flow is added to ``counters`` (a private ``Counters`` when none is
     given).  ``cuts`` maps (group mask, bound) to the isolating cut of that
@@ -383,22 +384,22 @@ class FlowWorkspace:
     ``certs`` keeps, per bound, the certificate of every flow that ended
     ``Exceeded``: its bound+1 vertex-disjoint paths, each grown into a
     region, a connected set that holds the path's targets and free targets
-    next to it, and kept as the targets of that region.  By Menger's theorem
+    next to it, kept as that region's target positions.  By Menger's theorem
     a later pair of sides that puts a target of each side in every one of
     those disjoint regions has no separator of at most bound vertices
     either: each region holds a path from one side to the other, and a
     separator must cut all bound+1 of them, so the flow of that pair would
     end ``Exceeded`` too: a ruling is exactly as sound as the flow it
-    replaces.  ``ruling`` hands them to ``separators._first_cut``, the one
-    loop that rules two-way candidates: it tests all kept certificates of a
+    replaces.  ``certificates`` hands a bound's store, held by target
+    position, to ``separators._first_cut``, the one loop that rules two-way
+    candidates, which reads it in place: it tests all kept certificates of a
     bound at once, with one OR per target of the two sides and five big-int
     operations, before any flow.  Only flows that run are counted in
     ``separator_calls``, and rulings in ``certified``.
     """
 
     __slots__ = ("g", "part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
-                 "certs", "bit_of", "hub", "rows", "regions", "arrays", "marked", "near",
-                 "role", "sat", "in_flow", "prev")
+                 "certs", "bit_of", "hub", "rows", "regions", "arrays", "marked")
 
     def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
                  counters: Counters | None = None):
@@ -433,16 +434,13 @@ class FlowWorkspace:
         if arrays is None or len(arrays.sat) != n:
             arrays = counters.arrays = _FlowArrays(n)
         self.arrays = arrays
-        self.role, self.sat = arrays.role, arrays.sat
-        self.in_flow, self.prev = arrays.in_flow, arrays.prev
-        self.near = arrays.near
         self._claim()
 
     def _claim(self) -> None:
         """Fill the run's shared ``near`` with this workspace's masks, after
         clearing the entries the workspace that filled it last had set."""
         arrays = self.arrays
-        near = self.near
+        near = arrays.near
         for v in arrays.marked:
             near[v] = 0
         self.marked = arrays.marked = marked = []
@@ -461,7 +459,7 @@ class FlowWorkspace:
         """Add the hub's bit to ``near`` at each of ``vertices`` next to it."""
         hub, bit = self.hub
         row = self.part.adj[hub]
-        near = self.near
+        near = self.arrays.near
         marked = self.marked
         for v in vertices:
             i = bisect_left(row, v)
@@ -477,7 +475,7 @@ class FlowWorkspace:
             self._claim()
         row = self.rows.get(a)
         if row is None:
-            near = self.near
+            near = self.arrays.near
             nbrs = self.part.adj[a]
             if self.hub is not None:
                 self._add_hub(nbrs)
@@ -508,15 +506,12 @@ class FlowWorkspace:
             raise ValueError("terminal attachment sets must not repeat a vertex")
         return sources, sinks
 
-    def ruling(self, bound: int):
-        """The kept certificates of ``bound`` as ``separators._first_cut``
-        tests them: each target's ``on`` in target order, then ``low``,
-        ``one`` and ``high``; all zero before any is kept."""
+    def certificates(self, bound: int) -> _Certificates:
+        """The certificates kept at ``bound``, an empty store on first use."""
         certs = self.certs.get(bound)
         if certs is None:
-            return [0] * len(self.targets), 0, 0, 0
-        on = certs.on
-        return [on[t] for t in self.targets], certs.low, certs.one, certs.high
+            certs = self.certs[bound] = _Certificates(len(self.targets), bound + 1)
+        return certs
 
     def targets_of(self, mask: int) -> tuple[int, ...]:
         """The targets whose bits are in ``mask``, ascending."""
@@ -668,12 +663,13 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     part = ws.part
     adj = part.adj
     targets = ws.targets
-    near = ws.near
     rows = ws.rows
-    role = ws.role
-    sat = ws.sat
-    in_flow = ws.in_flow
-    prev = ws.prev
+    arrays = ws.arrays
+    near = arrays.near
+    role = arrays.role
+    sat = arrays.sat
+    in_flow = arrays.in_flow
+    prev = arrays.prev
     counters = ws.counters
     # Vertices other than the terminals whose ``sat`` or ``in_flow`` entry
     # this flow may set, and the states whose ``prev`` entry is set.
@@ -813,8 +809,8 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
 
 
 def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
-    """Keep the paths of a flow that ended Exceeded in ``ws.certs``, each
-    grown into a region.
+    """Keep the paths of a flow that ended Exceeded in the store of its
+    bound, each grown into a region and kept as its target positions.
 
     Each saturated sink's ``in_flow`` chain leads back to the source its path
     starts from; the walk collects the targets on the path and, from
@@ -828,9 +824,10 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
     vertex-disjoint paths, one inside each region.
     """
     bit_of = ws.bit_of
-    near = ws.near
-    sat = ws.sat
-    in_flow = ws.in_flow
+    arrays = ws.arrays
+    near = arrays.near
+    sat = arrays.sat
+    in_flow = arrays.in_flow
     regions = []
     nexts = []
     seen = 0
@@ -842,9 +839,10 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
         v = b
         while v >= 0:
             nbrs |= near[v]
-            if v in bit_of:
-                mask |= bit_of[v]
-                region.append(v)
+            bit = bit_of.get(v)
+            if bit:
+                mask |= bit
+                region.append(bit.bit_length() - 1)
             v = in_flow[v]
         # Each chain ends at its source, and the paths share no target.
         _invariant(v == _FROM_SOURCE and not mask & seen, "certificate paths are broken")
@@ -852,8 +850,7 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
         regions.append(region)
         nexts.append(nbrs)
     _invariant(len(regions) == flow, "certificate paths differ from the flow value")
-    targets = ws.targets
-    free = ((1 << len(targets)) - 1) ^ seen
+    free = ((1 << len(ws.targets)) - 1) ^ seen
     if ws.hub is not None:
         free &= ~ws.hub[1]
     while free:
@@ -864,11 +861,8 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
             if nbrs & low and (best is None or len(region) < len(best)):
                 best = region
         if best is not None:
-            best.append(targets[low.bit_length() - 1])
-    certs = ws.certs.get(bound)
-    if certs is None:
-        certs = ws.certs[bound] = _Certificates(targets, bound + 1)
-    certs.add(regions)
+            best.append(low.bit_length() - 1)
+    ws.certificates(bound).add(regions)
 
 
 def _verify_cut(side_a, side_b, cut: Cut, flow: int) -> None:

@@ -73,19 +73,17 @@ class Part:
     members, ``adj[v]`` holds member ``v``'s neighbours inside the part in
     ascending order, as a tuple or, once ``handover`` has cut it in place, a
     list (``()`` for every vertex outside the part) and ``m`` is the
-    part's edge count.  ``low`` is at most the smallest member, a cursor that
-    only moves up as a handover removes members.  Without ``members`` the
-    part is the whole graph and shares its rows.
+    part's edge count.  Without ``members`` the part is the whole graph and
+    shares its rows.
 
     No member list is kept: ``members`` builds the ascending tuple from
     ``inside`` on each use, and ``remainder`` the members outside some listed
     vertex sets.
     """
 
-    __slots__ = ("inside", "adj", "m", "size", "low")
+    __slots__ = ("inside", "adj", "m", "size")
 
     def __init__(self, g: Graph, members: Iterable[int] | None = None):
-        self.low = 0
         if members is None:
             self.inside = b"\x01" * g.n
             self.adj = g.adj
@@ -109,8 +107,6 @@ class Part:
         self.adj = adj
         self.m = twice_m // 2
         self.size = len(members)
-        if members:
-            self.low = members[0]
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -125,10 +121,9 @@ class Part:
         plus one pass over the ids that span the part.
         """
         inside = self.inside
-        low = inside.find(1, self.low)
+        low = inside.find(1)
         if low < 0:
             return ()
-        self.low = low
         high = inside.rfind(1) + 1
         keep = bytearray(inside[low:high])
         for piece in taken:
@@ -138,14 +133,11 @@ class Part:
 
     def smallest(self, count: int, skip: Iterable[int] = ()) -> tuple[int, ...]:
         """The ``count`` smallest members outside ``skip``, ascending (fewer
-        when the part runs out); ``low`` moves up to the smallest member."""
+        when the part runs out)."""
         find = self.inside.find
-        v = find(1, self.low)
-        if v < 0:
-            return ()
-        self.low = v
         skip = set(skip)
         out = []
+        v = find(1)
         while v >= 0 and len(out) < count:
             if v not in skip:
                 out.append(v)
@@ -220,8 +212,7 @@ class Part:
         sub.inside, sub.adj = inside, adj
         sub.m = self.m - (removed_ends + cut_ends) // 2
         sub.size = self.size - len(gone)
-        sub.low = self.low
-        del self.inside, self.adj, self.m, self.size, self.low
+        del self.inside, self.adj, self.m, self.size
         return sub
 
 

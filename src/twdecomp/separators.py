@@ -19,8 +19,9 @@ as sound as the flow it replaces.  Every two-way candidate, of the two-way
 searches (read by target position from one list per run,
 ``candidate_splits``), of adaptive mode, of ``alpha_sum_sep``'s collapsed
 partitions and of ``try_split``, is ruled and flowed by one loop,
-``_first_cut``.  ``separator_calls`` counts the flows that ran, and
-``certified`` the rulings.
+``_first_cut``, which reads the certificates of its bound in place, held by
+target position as its candidates are.  ``separator_calls`` counts the flows
+that ran, and ``certified`` the rulings.
 """
 
 from __future__ import annotations
@@ -51,15 +52,18 @@ def _first_cut(ws: FlowWorkspace, pairs, bound: int) -> Cut | None:
 
     ``pairs`` yields ``(first, second)`` groups of target positions; every
     two-way candidate of the library passes through here.  Each is ruled on
-    the kept certificates of ``bound`` first (see ``FlowWorkspace``):
-    ``ws.ruling(bound)`` gives each target's bits, a group's bits are ORed,
-    a first group's once for a run of candidates that share it, and five
-    big-int operations test every certificate at once.  The ruling is
-    re-read after a flow ends ``Exceeded``, which kept one more.
+    the kept certificates of ``bound`` first (see ``FlowWorkspace``): the
+    store's ``on`` gives each target position's bits, a group's bits are
+    ORed, a first group's once for a run of candidates that share it, and
+    five big-int operations test every certificate at once.  The store is
+    fetched once and read in place; after a flow ends ``Exceeded``, which
+    kept one more, only ``low``, ``one`` and ``high`` are re-read.
     """
     pick = ws.targets.__getitem__
     counters = ws.counters
-    bits, low, one, high = ws.ruling(bound)
+    certs = ws.certificates(bound)
+    bits = certs.on
+    low, one, high = certs.low, certs.one, certs.high
     last = None
     for first, second in pairs:
         if first is not last:
@@ -80,7 +84,7 @@ def _first_cut(ws: FlowWorkspace, pairs, bound: int) -> Cut | None:
         cut = min_vertex_separator(ws, (tuple(map(pick, first)), tuple(map(pick, second))),
                                    bound)
         if isinstance(cut, Exceeded):
-            bits, low, one, high = ws.ruling(bound)
+            low, one, high = certs.low, certs.one, certs.high
             last = None
         elif all(cut.sizes()):
             return cut

@@ -178,20 +178,21 @@ def reference_certified(ws, side_a, side_b, bound: int) -> bool:
     that no certificate rules out, and sides that hold a vertex that is
     not a target, are left to the flow, which checks them itself, so
     every pair of sides is checked once.  A ruling reads each vertex of
-    the sides once: one lookup and one OR give both its region bits and
-    its target bit, which the checks read.  Then five big-int operations
-    test every kept certificate of the bound at once.
+    the sides once: its target position, then one lookup and one OR give
+    both its region bits and its target bit, which the checks read.  Then
+    five big-int operations test every kept certificate of the bound at once.
     """
     certs = ws.certs.get(bound)
     if certs is None:
         return False
     on = certs.on
+    position = {t: i for i, t in enumerate(ws.targets)}
     a = b = 0
     try:
         for v in side_a:
-            a |= on[v]
+            a |= on[position[v]]
         for v in side_b:
-            b |= on[v]
+            b |= on[position[v]]
     except KeyError:
         return False
     both = a & b

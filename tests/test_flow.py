@@ -459,10 +459,10 @@ def test_three_way_rejects_overlapping_groups():
 
 def assert_clean(ws):
     n = ws.g.n
-    assert ws.sat == bytearray(n)
-    assert ws.role == bytearray(n)
-    assert ws.in_flow == [-1] * n
-    assert ws.prev == [-1] * (2 * n)
+    assert ws.arrays.sat == bytearray(n)
+    assert ws.arrays.role == bytearray(n)
+    assert ws.arrays.in_flow == [-1] * n
+    assert ws.arrays.prev == [-1] * (2 * n)
 
 
 def workspace_inputs():
@@ -563,7 +563,7 @@ def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
             for a in ws.targets:
                 near = [(v, sum(ws.bit_of.get(t, 0) for t in sub[v])) for v in sorted(sub[a])]
                 assert ws.two_hop(a) == [(v, mask) for v, mask in near if mask]
-                assert ws.near[a] == sum(ws.bit_of.get(t, 0) for t in sub[a])
+                assert ws.arrays.near[a] == sum(ws.bit_of.get(t, 0) for t in sub[a])
         count = rng.choice((1, 2, max(1, len(members) // 3)))
         removed = rng.sample(members, min(len(members), count))
         members = vset(set(members).difference(removed))
@@ -610,7 +610,7 @@ def certificate_masks(ws, bound, c):
     """The target masks of the regions of certificate ``c`` kept at ``bound``."""
     certs = ws.certs[bound]
     first = certs.width + c * certs.paths
-    return [sum(ws.bit_of[t] for t, bits in certs.on.items() if bits >> i & 1)
+    return [sum(1 << p for p, bits in enumerate(certs.on) if bits >> i & 1)
             for i in range(first, first + certs.paths)]
 
 

@@ -131,7 +131,6 @@ def assert_same_part(part, g, members):
     fresh = Part(g, members)
     assert part.members == fresh.members
     assert part.size == fresh.size == len(fresh.members)
-    assert part.low <= min(fresh.members, default=part.low)
     assert bytes(part.inside) == bytes(fresh.inside)
     # A row that handover cut in place is a list.
     for v in range(g.n):

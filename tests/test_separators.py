@@ -427,18 +427,30 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
 
 def test_two_way_searches_rule_without_a_call(monkeypatch):
     # A two-way search makes no call per candidate: the workspace has no
-    # per-candidate ``certified``, and the loop reads ``ruling`` once per
-    # search and once after each flow.  A call per candidate would be
-    # 14,140 on grid10x10 half45 and 10,277 on pkt100 rs4.  The run's
-    # candidate list holds exactly as many first groups as the longest
-    # search of each size read.
+    # per-candidate ``certified``, and no ``ruling`` rebuilt per flow.
+    # ``_first_cut`` fetches its bound's certificates once per call and
+    # reads them in place; every other fetch keeps a certificate.  A call
+    # per candidate would be 14,140 on grid10x10 half45 and 10,277 on pkt100
+    # rs4, and a rebuild at the start and after each flow that ends
+    # Exceeded 1,477 and 606.  The run's candidate list holds exactly as
+    # many first groups as the longest search of each size read.
     assert not hasattr(FlowWorkspace, "certified")
-    reads = [0]
-    original = FlowWorkspace.ruling
+    assert not hasattr(FlowWorkspace, "ruling")
+    loops, fetches, kept = [0], [0], [0]
+    fetch, keep = FlowWorkspace.certificates, flow._keep_certificate
+    first_cut = separators._first_cut
 
-    def counted(ws, bound):
-        reads[0] += 1
-        return original(ws, bound)
+    def counted_fetch(ws, bound):
+        fetches[0] += 1
+        return fetch(ws, bound)
+
+    def counted_loop(*args):
+        loops[0] += 1
+        return first_cut(*args)
+
+    def counted_keep(*args):
+        kept[0] += 1
+        return keep(*args)
 
     splits = separators.candidate_splits
     runs = {}
@@ -457,15 +469,18 @@ def test_two_way_searches_rule_without_a_call(monkeypatch):
                 reached[size] = max(reached.get(size, 0), firsts)
             yield first, second
 
-    monkeypatch.setattr(FlowWorkspace, "ruling", counted)
+    monkeypatch.setattr(FlowWorkspace, "certificates", counted_fetch)
+    monkeypatch.setattr(separators, "_first_cut", counted_loop)
+    monkeypatch.setattr(flow, "_keep_certificate", counted_keep)
     monkeypatch.setattr(separators, "candidate_splits", measured)
     graphs = search_graphs()
-    for name, algo in (("grid10x10", "half45"), ("pkt100", "rs4")):
-        reads[0] = searches[0] = 0
+    for name, algo, calls in (("grid10x10", "half45", 47), ("pkt100", "rs4", 9)):
+        loops[0] = fetches[0] = kept[0] = searches[0] = 0
         runs.clear()
         reached.clear()
         report = decompose(graphs[name], algo, search=True).report
-        assert reads[0] <= searches[0] + report.separator_calls, name
+        assert loops[0] == searches[0] == calls, name
+        assert fetches[0] == loops[0] + kept[0], name
         assert report.certified > 0
         (counters,) = runs.values()
         assert {size: len(pairs) for size, (pairs, _) in counters.splits.items()} == reached
