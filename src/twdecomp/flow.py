@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Collection, Iterable
+from typing import Iterable
 
 from .graph import Graph, Part, vset
 
@@ -23,9 +23,6 @@ _SINK = 2
 # A target whose row is longer than this many times the other targets' rows
 # together is a hub, whose row FlowWorkspace does not scan for ``near``.
 _HUB_FACTOR = 8
-# A found region with fewer members than this is searched even where it is a
-# dead end: skipping it saves the search less than the lookups cost.
-_DEAD_END_MIN = 16
 
 
 class _FlowArrays:
@@ -206,7 +203,7 @@ class _Certificates:
         self.count += 1
 
 
-def _dovetail(adj, label: dict[int, int], seeds, bits: dict[int, int]):
+def _dovetail(adj, label: dict[int, int], seeds):
     """Searches over the vertices that ``label`` does not hold, one per
     seed, that take one step each in turn until at most one is unfinished.
 
@@ -214,10 +211,9 @@ def _dovetail(adj, label: dict[int, int], seeds, bits: dict[int, int]):
     is added, mapped to a search.  ``seeds`` lists (vertex, tag) pairs: a
     free vertex starts a search with that tag, a claimed one adds the tag to
     its search's, a blocked one is passed over.  A step pops a vertex and
-    claims its free neighbours; a blocked neighbour adds its ``bits`` to the
-    search's tag, and a neighbour claimed by another search merges the two
-    (the larger takes the smaller's lists, and the tags are joined).  A
-    search that runs out of steps therefore holds a whole component of the
+    claims its free neighbours; a neighbour claimed by another search merges
+    the two (the larger takes the smaller's lists, and the tags are joined).
+    A search that runs out of steps therefore holds a whole component of the
     free vertices, with every search that started in it, and once at most
     one search is unfinished so does every component a search started in
     but that one's, which is never walked further.
@@ -258,9 +254,7 @@ def _dovetail(adj, label: dict[int, int], seeds, bits: dict[int, int]):
                     label[w] = i
                     found[i].append(w)
                     stack.append(w)
-                elif j < 0:
-                    tags[i] |= bits.get(w, 0)
-                elif (j := root(j)) != i:
+                elif j >= 0 and (j := root(j)) != i:
                     if len(found[j]) > len(found[i]):
                         i, j = j, i
                     up[j] = i
@@ -271,63 +265,6 @@ def _dovetail(adj, label: dict[int, int], seeds, bits: dict[int, int]):
                     stack = todo[i]
         live = [i for i in live if up[i] == i and todo[i]]
     return [(tags[i], found[i], todo[i]) for i in range(len(up)) if up[i] == i]
-
-
-class _Regions:
-    """The regions of a workspace's part: the components of the part minus
-    its targets, each with its attachment mask, the bits of the targets next
-    to it.
-
-    A region whose attachment lies inside a flow's sources is a dead end of
-    that flow: it carries no flow, and its states lead only back to source
-    entry states, which are roots, so leaving it out of every breadth-first
-    search changes neither the order in which the other states are found
-    nor their ``prev`` entries.
-
-    The regions are found by ``_dovetail`` from the neighbours of the
-    targets, but not from a hub's row (a star's leaves would each start a
-    search), so the largest region is never walked.  ``label`` maps each
-    target to 0 and each vertex of a found region to that region's index,
-    from 2 up; every other member (the largest region, the regions next to
-    the hub alone and the components that touch no target) belongs to the
-    one pseudo-region 1, whose mask is the largest region's with the hub's
-    bit added.  A mask may thus hold more targets than the region touches,
-    never fewer.  ``narrow`` lists (index, mask) for each region that may be
-    a dead end: its mask misses a target (a flow has sinks; the targets'
-    mask 0 holds every bit), and it is the pseudo-region or has at least
-    ``_DEAD_END_MIN`` members.
-    ``sizes`` counts each region's members, the pseudo-region's as what
-    ``label`` does not hold, and ``members`` lists each found region's
-    members (None for 0 and 1).
-    """
-
-    __slots__ = ("label", "narrow", "sizes", "members")
-
-    def __init__(self, ws: "FlowWorkspace"):
-        part = ws.part
-        adj = part.adj
-        bit_of = ws.bit_of
-        hub, hub_bit = ws.hub if ws.hub is not None else (-1, 0)
-        self.label = label = dict.fromkeys(ws.targets, -1)
-        seeds = [(v, bit) for t, bit in bit_of.items() if t != hub for v in adj[t]]
-        masks = [-1, hub_bit]
-        self.members = members = [None, None]
-        for tag, found, todo in _dovetail(adj, label, seeds, bit_of):
-            if todo:
-                masks[1] |= tag
-                for v in found:
-                    del label[v]
-            else:
-                for v in found:
-                    label[v] = len(masks)
-                masks.append(tag)
-                members.append(found)
-        for t in ws.targets:
-            label[t] = 0
-        self.sizes = [0, part.size - len(label)] + [len(found) for found in members[2:]]
-        full = (1 << len(ws.targets)) - 1
-        self.narrow = [(i, mask) for i, mask in enumerate(masks)
-                       if mask & full != full and (i == 1 or self.sizes[i] >= _DEAD_END_MIN)]
 
 
 class FlowWorkspace:
@@ -375,11 +312,13 @@ class FlowWorkspace:
     holds only vertices some isolating cut used, so a mask stays a few words
     long however large the graph is, and the union of two cuts is one OR.
 
-    ``regions`` holds the ``_Regions`` of the part minus the targets, with
-    their attachment masks, built on the first flow run with
-    ``separator_only``: such a flow leaves its sources' dead ends out of its
-    searches, so an isolating cut costs what it reaches short of them, not
-    the tail of a path beyond its sources.
+    ``attached`` holds the bits of the targets next to a non-target member,
+    the hub's always (its row is not scanned), found on the first flow run
+    with ``separator_only``.  Such a flow whose sources hold every bit of
+    ``attached`` is dead: every non-target member touches sources and
+    non-targets only, so its searches leave all of them out, and an
+    isolating cut costs what its targets reach, not the tail of a path
+    beyond its sources.
 
     ``certs`` keeps, per bound, the certificate of every flow that ended
     ``Exceeded``: its bound+1 vertex-disjoint paths, each grown into a
@@ -399,7 +338,7 @@ class FlowWorkspace:
     """
 
     __slots__ = ("g", "part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
-                 "certs", "bit_of", "hub", "rows", "regions", "arrays", "marked")
+                 "certs", "bit_of", "hub", "rows", "attached", "arrays", "marked")
 
     def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
                  counters: Counters | None = None):
@@ -429,7 +368,7 @@ class FlowWorkspace:
                 longest, hub = length, t
         self.hub = (hub, bit_of[hub]) if longest > _HUB_FACTOR * (total - longest) else None
         self.rows = {}
-        self.regions = None
+        self.attached = None
         arrays = counters.arrays
         if arrays is None or len(arrays.sat) != n:
             arrays = counters.arrays = _FlowArrays(n)
@@ -572,8 +511,7 @@ class FlowWorkspace:
         return res.separator, sep_mask
 
 
-def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead,
-                       skipped, region_of) -> int:
+def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead) -> int:
     """One breadth-first search over the residual states from the roots in
     ``queue``, which lists every state reached, each with its ``prev``:
     the exit state (2v+1; 2v is v's entry) of the first free sink it
@@ -583,6 +521,14 @@ def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead,
     on would pop first, with the same ``prev`` chain.  A source's entry is a
     root, so a pushed target entry is a sink's.  A free vertex carries no
     flow, so its entry leads only to its exit, which nothing else reaches.
+
+    ``dead`` holds the targets when the flow is dead (see
+    ``min_vertex_separator``), else it is None.  A dead flow's non-targets
+    carry no flow and touch sources and non-targets only, so their states
+    lead back to source entry states alone, which are roots: the search
+    expands only the target neighbours of a source's exit, which changes
+    neither the order in which the other states are found nor their
+    ``prev`` entries.
     """
     push = queue.append
     for s in queue:
@@ -590,15 +536,7 @@ def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead,
         if s & 1:
             row = adj[v]
             if dead and role[v]:
-                # A source: its neighbours in dead ends are left out.
-                row = []
-                for w in adj[v]:
-                    if prev[2 * w] == _UNSEEN:
-                        i = region_of(w, 1)
-                        if i in dead:
-                            skipped.add(i)
-                        else:
-                            row.append(w)
+                row = [w for w in row if w in dead]
             for w in row:
                 t = 2 * w
                 if prev[t] == _UNSEEN:
@@ -642,16 +580,15 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
 
     With ``separator_only`` (an isolating cut, whose sides no caller reads)
     the cut lists no side: only its separator and ``augmentations`` carry
-    meaning.  Its searches then leave out the sources' dead ends: the
-    regions of ``ws.regions`` that may be dead ends (``narrow``) and whose
-    attachment lies inside the sources.  A
-    region is left out only where a source's exit state would enter it, and
-    the regions so skipped in the last search lie on the reached side.  The
-    augmenting paths, the certificates, the counts and the cut stay exactly
-    those of a search that enters them (see ``_Regions``).  The flow's
-    conditions are checked on its search state by ``_verify_separator``,
-    which counts the skipped regions by their sizes and scans the smaller
-    side, not a listed one.
+    meaning.  Such a flow is dead when its sources hold every bit of
+    ``ws.attached``, the targets next to a non-target member: every
+    non-target member then touches sources and other non-targets only,
+    carries no flow and lies on the reached side, so the searches leave all
+    of them out (see ``_augmenting_search``).  The augmenting paths, the
+    certificates, the counts and the cut stay exactly those of a search
+    that enters them.  The flow's conditions are checked on its search
+    state by ``_verify_separator``, which counts a dead flow's non-targets
+    and scans the smaller side, not a listed one.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -675,18 +612,19 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     # this flow may set, and the states whose ``prev`` entry is set.
     touched: list[int] = []
     queue: list[int] = []
-    # The regions that are dead ends of this flow, and those the current
-    # search left out.
-    dead = skipped = ()
-    region_of = None
+    # The targets, by ``bit_of``, when the flow is dead, else None.
+    dead = None
     if separator_only:
-        regions = ws.regions
-        if regions is None:
-            regions = ws.regions = _Regions(ws)
-        if regions.narrow:
-            other = ((1 << len(targets)) - 1) ^ sources
-            dead = {i for i, mask in regions.narrow if not mask & other}
-        region_of = regions.label.get
+        attached = ws.attached
+        if attached is None:
+            bit_of = ws.bit_of
+            hub, attached = ws.hub if ws.hub is not None else (-1, 0)
+            for t, bit in bit_of.items():
+                if t != hub and not all(map(bit_of.__contains__, adj[t])):
+                    attached |= bit
+            ws.attached = attached
+        if not attached & ~sources:
+            dead = ws.bit_of
     flow = 0
     counters.separator_calls += 1
 
@@ -741,10 +679,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
             queue = [2 * a for a in side_a]
             for s in queue:
                 prev[s] = _ROOT
-            if dead:
-                skipped = set()
-            goal = _augmenting_search(adj, role, sat, in_flow, prev, queue, dead,
-                                      skipped, region_of)
+            goal = _augmenting_search(adj, role, sat, in_flow, prev, queue, dead)
             if goal < 0:
                 break
 
@@ -787,8 +722,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
             # its exit), so it is a terminal or a vertex the flow touched.
             separator = sorted({v for side in (side_a, side_b, touched) for v in side
                                 if prev[2 * v] != _UNSEEN and prev[2 * v + 1] == _UNSEEN})
-            _verify_separator(part, prev, queue, separator, side_a, side_b, flow,
-                              regions, skipped)
+            _verify_separator(part, prev, queue, separator, side_a, side_b, flow, dead)
         else:
             side1 = sorted([s >> 1 for s in queue if s & 1])
             separator = sorted([s >> 1 for s in queue if prev[s | 1] == _UNSEEN])
@@ -876,33 +810,32 @@ def _verify_cut(side_a, side_b, cut: Cut, flow: int) -> None:
 
 
 def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: list[int],
-                      side_a, side_b, flow: int, regions: _Regions,
-                      skipped: Collection[int]) -> None:
+                      side_a, side_b, flow: int, dead) -> None:
     """Check a flow's cut on the state of its last breadth-first search,
     before its scratch arrays are reset, without listing a side.
 
-    A member is on the reached side R when its exit state was reached or it
-    lies in a region of ``regions`` that the search ``skipped`` (a dead end
-    next to a reached source), in the separator when only its entry state
-    was reached, and in the rest otherwise.  The checks are ``_verify_cut``'s
+    A member is on the reached side R when its exit state was reached or,
+    in a dead flow (``dead`` holds the targets, else it is None), when it is
+    a non-target; it is in the separator when only its entry state was
+    reached, and in the rest otherwise.  The checks are ``_verify_cut``'s
     and the ``Cut``'s: the separator's size is the flow value (that it holds
     members only, none twice, the ``Cut`` built from it checks); every
     source is on R or cut, and no sink is on R; and no edge joins R and the
     rest, checked from the smaller of the two.  The rest is searched from
     the uncut sinks and passes only when the search visits all of it; when
     some of it holds no sink, R's rows are scanned: the walked part's, read
-    from the queue, and each skipped region's, the pseudo-region's members
-    listed by ``part.remainder``.
+    from the queue, and in a dead flow the non-targets', listed by
+    ``part.remainder``.
 
     The sizes come from counts.  Every reached exit state's entry state is
     reached too (a saturated vertex's exit leads back to its entry, and an
     unsaturated one's exit is reached from its entry only), so the queue
-    holds 2|walked| + |separator| states, and a skipped region adds its
-    size.  Before the counts are trusted, no queued state may lie in a
-    skipped region, so no vertex is counted twice.  Were a count ever
-    wrong otherwise, the rest's would come out too large, so the search
-    could only fall short of it and R would be scanned: no count can make a
-    check pass.
+    holds 2|walked| + |separator| states, and a dead flow adds its
+    non-targets.  Before the counts are trusted, no queued state may be a
+    non-target of a dead flow, so no vertex is counted twice.  Were a count
+    ever wrong otherwise, the rest's would come out too large, so the
+    search could only fall short of it and R would be scanned: no count can
+    make a check pass.
     """
     _invariant(len(separator) == flow, "cut size differs from flow value")
     cut = set(separator)
@@ -911,27 +844,20 @@ def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: 
     for b in side_b:
         _invariant(prev[2 * b + 1] == _UNSEEN, "uncut sink attachment outside the rest")
     adj = part.adj
-    region_of = regions.label.get
     reached = (len(queue) - len(separator)) // 2
-    if skipped:
-        reached += sum(regions.sizes[i] for i in skipped)
+    if dead:
+        reached += part.size - len(dead)
     rest = part.size - len(separator) - reached
     if rest < reached:
-        if 1 in skipped:
+        if dead:
             for s in queue:
-                if region_of(s >> 1, 1) in skipped:
+                if s >> 1 not in dead:
                     _invariant(False, "a skipped dead end was searched")
-        else:
-            for i in skipped:
-                for v in regions.members[i]:
-                    if prev[2 * v] != _UNSEEN or prev[2 * v + 1] != _UNSEEN:
-                        _invariant(False, "a skipped dead end was searched")
         seen = {b for b in side_b if prev[2 * b] == _UNSEEN}
         stack = list(seen)
         while stack:
             for w in adj[stack.pop()]:
-                _invariant(prev[2 * w + 1] == _UNSEEN
-                           and not (skipped and region_of(w, 1) in skipped),
+                _invariant(prev[2 * w + 1] == _UNSEEN and (not dead or w in dead),
                            "an edge joins the reached side and the rest")
                 if prev[2 * w] == _UNSEEN and w not in seen:
                     seen.add(w)
@@ -942,14 +868,12 @@ def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: 
         if s & 1:
             for w in adj[s >> 1]:
                 if (prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN
-                        and region_of(w, 1) not in skipped):
+                        and (not dead or w in dead)):
                     _invariant(False, "an edge joins the reached side and the rest")
-    for i in skipped:
-        members = regions.members[i]
-        for u in part.remainder(regions.label) if members is None else members:
+    if dead:
+        for u in part.remainder(dead):
             for w in adj[u]:
-                if (prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN
-                        and region_of(w, 1) not in skipped):
+                if prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN and w in dead:
                     _invariant(False, "an edge joins the reached side and the rest")
 
 
@@ -1015,7 +939,7 @@ def _split_three_ways(part: Part, separator, groups) -> tuple[tuple[tuple[int, .
     seeds += [(v, 0) for x in separator for v in adj[x]]
     sides: list = [[], [], []]
     last = 1
-    for tag, found, todo in _dovetail(adj, dict.fromkeys(separator, -1), seeds, {}):
+    for tag, found, todo in _dovetail(adj, dict.fromkeys(separator, -1), seeds):
         # The searches of one component have all merged by now, so a
         # component with survivors of two groups has a tag of two bits.
         if tag & (tag - 1):

@@ -789,13 +789,12 @@ def test_separator_only_flow_matches_the_listed_flow(kind, n, seed):
 @pytest.mark.parametrize("pendant", [False, True], ids=["unlabelled", "labelled"])
 def test_a_region_next_to_a_hub_sink_is_no_dead_end(pendant):
     # The hub 0 (40 leaves) is the sink, and the sources are its leaf 1 and
-    # the vertex 41, joined to the hub by the path 41, 42, ..., 60, 0.  The
-    # region {42..60} therefore holds the hub's bit although the hub's row
-    # starts no search: in the unlabelled region, by the bit added to its
-    # mask, and as a found region (with the longer pendant path 61..99 of
-    # 41 as a second search, it finishes first), by the hub's bit met while
-    # it is searched.  Skipping it would lose the hub's entry state, and the
-    # cut would be {1}, not {0}.
+    # the vertex 41, joined to the hub by the path 41, 42, ..., 60, 0, with
+    # or without the longer pendant path 61..99 of 41.  The hub's row is
+    # never scanned for ``attached``, but its bit is always in it, so the
+    # flow is not dead although the sources hold every other attached
+    # target.  Leaving out the non-targets would lose the hub's entry
+    # state, and the cut would be {1}, not {0}.
     edges = [(0, v) for v in range(1, 41)] + [(41, 42)]
     edges += [(v, v + 1) for v in range(42, 60)] + [(60, 0)]
     if pendant:
@@ -808,8 +807,42 @@ def test_a_region_next_to_a_hub_sink_is_no_dead_end(pendant):
     got = min_vertex_separator(bare, terminals, 3, separator_only=True)
     assert want.separator == got.separator == (0,)
     assert want.augmentations == got.augmentations == 1
-    assert bare.regions.sizes[2:] == ([19] if pendant else [])
+    assert bare.attached == bare.mask((0, 41))
+    assert bare.attached & ~bare.mask(terminals[0]) == bare.mask((0,))
     assert_clean(bare)
+
+
+def test_a_dead_flow_matches_a_flow_that_is_never_dead():
+    # Seeded separator-only flows through a workspace and through a twin
+    # whose ``attached`` holds every target, so that none of its flows is
+    # dead: the result, the augmentations, the counters and the kept
+    # certificates agree after every flow, and both hand back clean arrays.
+    # Enough of the flows are dead that the check cannot pass vacuously.
+    dead = 0
+    for kind in ("path-end", "caterpillar-end", "hub", "star", "tree"):
+        for seed in range(30):
+            rng = random.Random(seed)
+            g, part, targets = flow_case(kind, rng.randint(8, 60), rng)
+            if len(targets) < 2:
+                continue
+            ws, twin = FlowWorkspace(g, part, targets), FlowWorkspace(g, part, targets)
+            twin.attached = (1 << len(twin.targets)) - 1
+            for _ in range(6):
+                pick = list(ws.targets)
+                rng.shuffle(pick)
+                cut = rng.randint(1, len(pick) - 1)
+                terminals = (vset(pick[:cut]), vset(pick[cut:]))
+                bound = rng.randint(0, 5)
+                got = min_vertex_separator(ws, terminals, bound, separator_only=True)
+                want = min_vertex_separator(twin, terminals, bound, separator_only=True)
+                assert got == want
+                assert got.augmentations == want.augmentations
+                assert ws.counters == twin.counters
+                assert kept_certificates(ws) == kept_certificates(twin)
+                assert_clean(ws)
+                assert_clean(twin)
+                dead += not ws.attached & ~ws.mask(terminals[0])
+    assert dead >= 200
 
 
 def separator_state(monkeypatch, g, terminals, bound):
@@ -817,10 +850,9 @@ def separator_state(monkeypatch, g, terminals, bound):
     all of ``g``, copied before the flow reset its arrays."""
     seen = []
 
-    def record(part, prev, queue, separator, side_a, side_b, value, regions, skipped):
-        seen.append((list(prev), list(queue), list(separator), value, regions, set(skipped)))
-        return _verify_separator(part, prev, queue, separator, side_a, side_b, value,
-                                 regions, skipped)
+    def record(part, prev, queue, separator, side_a, side_b, value, dead):
+        seen.append((list(prev), list(queue), list(separator), value, dead))
+        return _verify_separator(part, prev, queue, separator, side_a, side_b, value, dead)
 
     monkeypatch.setattr(flow, "_verify_separator", record)
     res = one_shot_bare(g, terminals, bound)
@@ -837,10 +869,8 @@ def path_plus(n, *extra):
     return Graph(n, [(v, v + 1) for v in range(9)] + list(extra))
 
 
-# The pendant 10-11 hangs off vertex 2.
-PENDANT = [(2, 10), (10, 11)]
-# The path 0..9 goes on to 59.
-LONGER = [(v, v + 1) for v in range(9, 59)]
+# The pendant 10-11 hangs off vertex 1.
+PENDANT = [(1, 10), (10, 11)]
 
 
 @pytest.mark.parametrize("sources, sink, base, extra, tamper, message", [
@@ -862,44 +892,45 @@ LONGER = [(v, v + 1) for v in range(9, 59)]
     ((0, 1, 2, 3), 9, [], [], "sink", "uncut sink attachment outside the rest"),
     ((0, 1, 2, 3), 9, [], [], "repeat", "do not partition the vertices"),
     ((0, 1, 2, 3), 9, [], [], "outsider", "do not partition the vertices"),
-    # On the path 0..59, the found region {1..19} touches the sources 0 and
-    # 20 only, so the search skips it; the cut is {21}, and the reached side
-    # {0..20} is smaller than the rest {22..59}: the walked rows and the
-    # skipped region's are scanned.
-    ((0, 20, 21), 59, LONGER, [], None, None),
-    ((0, 20, 21), 59, LONGER, [(10, 40)], None, "an edge joins the reached side and the rest"),
-    # The unlabelled region {4..9} touches the source 3 only and is skipped;
-    # the cut is {2}, and the rest {0, 1} is searched from the sink 0, which
-    # finds the edge from the rest into the skipped region.
-    ((2, 3), 0, [], [], None, None),
-    ((2, 3), 0, [], [(1, 7)], None, "an edge joins the reached side and the rest"),
-    # Were a queued state in a skipped region (here the targets' region 0,
-    # whose size is 0), the counts would take a vertex twice.
-    ((2, 3), 0, [], [], "searched", "a skipped dead end was searched"),
-    # As above, with the pendant {10, 11} next to the cut source 2 only: a
-    # dead end that no search reaches, so a pocket of the rest without a
-    # sink.  The search of the rest falls short, and the walk of the
-    # unlabelled region finds the edge from it into the pocket.
-    ((2, 3), 0, PENDANT, [], None, None),
-    ((2, 3), 0, PENDANT, [(7, 11)], None, "an edge joins the reached side and the rest"),
+    # The rows below are dead flows: every target next to a non-target is a
+    # source, so the non-targets lie on the reached side, counted apart
+    # from the search.  The sinks 0..4 and the sources 5 and 6: the cut is {5}, and
+    # the reached side, 6 and the dead end {7, 8, 9}, is smaller than the
+    # rest {0..4}, so the walked rows and the non-targets' rows are scanned.
+    ((5, 6), (0, 1, 2, 3, 4), [], [], None, None),
+    ((5, 6), (0, 1, 2, 3, 4), [], [(4, 8)], None,
+     "an edge joins the reached side and the rest"),
+    # The sources 1, 2 and 3 and the sink 0: the cut is {1}, and the rest
+    # {0} is searched from the sink, which finds an edge into the dead end
+    # {4..9}.
+    ((1, 2, 3), 0, [], [], None, None),
+    ((1, 2, 3), 0, [], [(0, 7)], None, "an edge joins the reached side and the rest"),
+    # Were a dead end's state queued, the counts would take a vertex twice.
+    ((1, 2, 3), 0, [], [], "searched", "a skipped dead end was searched"),
+    # As above, with the pendant {10, 11} next to the cut source 1 only: a
+    # pocket without a sink, which lies on the reached side with the other
+    # non-targets, so the search of the rest does not fall short of it and
+    # finds an edge from the rest into the pocket.
+    ((1, 2, 3), 0, PENDANT, [], None, None),
+    ((1, 2, 3), 0, PENDANT, [(0, 11)], None, "an edge joins the reached side and the rest"),
 ], ids=["reached-smaller", "reached-smaller-crossing", "rest-smaller",
         "rest-smaller-crossing", "sink-free-pocket", "sink-free-pocket-crossing",
         "size-differs", "source-in-rest", "sink-reached", "listed-twice", "out-of-range",
-        "dead-end", "dead-end-crossing", "unlabelled-dead-end",
-        "unlabelled-dead-end-crossing", "searched-dead-end", "pocket-beside-unlabelled-dead-end",
-        "pocket-beside-unlabelled-dead-end-crossing"])
+        "reached-smaller-with-dead-end", "reached-smaller-with-dead-end-crossing",
+        "unlabelled-dead-end", "unlabelled-dead-end-crossing", "searched-dead-end",
+        "pocket-beside-unlabelled-dead-end", "pocket-beside-unlabelled-dead-end-crossing"])
 def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, sink, base,
                                                          extra, tamper, message):
     # The state of a real separator-only flow on the path 0..9 plus the
     # ``base`` edges (and the vertices above 9 that an edge uses) from
-    # ``sources`` to ``sink``, checked again against a graph with ``extra``
-    # edges or with one input changed.
+    # ``sources`` to ``sink`` (one sink, or a tuple of them), checked again
+    # against a graph with ``extra`` edges or with one input changed.
     n = max(max(edge) + 1 for edge in [(0, 9)] + base + extra)
-    terminals = (sources, (sink,))
-    prev, queue, separator, value, regions, skipped = separator_state(
+    terminals = (sources, sink if isinstance(sink, tuple) else (sink,))
+    prev, queue, separator, value, dead = separator_state(
         monkeypatch, path_plus(n, *base), terminals, 3)
-    # The cases with the sink 9 skip nothing; the others skip.
-    assert bool(skipped) == (sink != 9)
+    # The flows with the sink 9 are not dead; the others are.
+    assert (dead is not None) == (sink != 9)
     part = Part(path_plus(n, *base, *extra))
     side_a, side_b = terminals
     if tamper == "size":
@@ -909,7 +940,7 @@ def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, s
     elif tamper == "sink":
         side_b += (1,)
     elif tamper == "searched":
-        skipped.add(0)
+        queue.append(2 * 5)
     elif tamper in ("repeat", "outsider"):
         # The flow returns its separator as a Cut, which checks it is made of
         # members, none twice.
@@ -917,7 +948,7 @@ def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, s
         with pytest.raises(RuntimeError, match=re.escape(message)):
             Cut(tuple(separator) + (again,), (), value, part)
         return
-    args = (part, prev, queue, separator, side_a, side_b, value, regions, skipped)
+    args = (part, prev, queue, separator, side_a, side_b, value, dead)
     if message is None:
         _verify_separator(*args)
     else:
@@ -1029,10 +1060,11 @@ def test_mask_filter_accepts_exactly_the_triples_with_a_three_way_cut():
     assert verdicts == {True, False}
 
 
-def pop_time_search(adj, role, sat, in_flow, prev, queue, dead, skipped, region_of):
+def pop_time_search(adj, role, sat, in_flow, prev, queue, dead):
     """The augmenting search as it ran before it stopped at a free sink's
     entry: it ends when it pops a sink's exit state.  Kept verbatim apart
-    from spelling out ``_UNSEEN`` and returning the goal, as the reference
+    from spelling out ``_UNSEEN``, returning the goal and leaving out a
+    dead flow's non-targets (``dead`` holds the targets), as the reference
     for ``flow._augmenting_search``."""
     push = queue.append
     for s in queue:
@@ -1046,13 +1078,9 @@ def pop_time_search(adj, role, sat, in_flow, prev, queue, dead, skipped, region_
                     # its neighbours' entry states can be new.
                     for w in adj[v]:
                         t = 2 * w
-                        if prev[t] == -1:
-                            i = region_of(w, 1)
-                            if i in dead:
-                                skipped.add(i)
-                            else:
-                                prev[t] = s
-                                push(t)
+                        if prev[t] == -1 and w in dead:
+                            prev[t] = s
+                            push(t)
                     continue
             for w in adj[v]:
                 t = 2 * w

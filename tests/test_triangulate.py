@@ -6,6 +6,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
 from twdecomp.triangulate import TreeDecomposition, _check_three_way_contract, _finish
 from twdecomp.validate import _mcs_order
 
+from test_flow import dead_end_graph
 from test_golden import golden_graphs
 
 
@@ -558,6 +560,40 @@ def test_bg367_on_a_path_queues_and_lists_linearly(monkeypatch):
     assert res.report.separator_calls > n
     assert 0 < queued[0] <= limit
     assert 0 < entered[0] <= 4 * n
+
+
+def test_bg367_on_a_caterpillar_checks_its_isolating_cuts_linearly(monkeypatch):
+    # A count, with no timing, over bg367 at k = 2 on a caterpillar: the rows
+    # ``_verify_separator`` reads from its part.  A check that put the legs
+    # of a cut target in the rest would find the rest's search short of them
+    # and scan every member beyond the sources: 1,261,496 rows (315n) here.
+    # A dead flow counts every non-target on the reached side, and the rows
+    # read come to about 3n.
+    from twdecomp import flow
+
+    n = 4000
+    read = [0]
+
+    class CountingRows:
+        def __init__(self, adj):
+            self.adj = adj
+
+        def __getitem__(self, v):
+            read[0] += 1
+            return self.adj[v]
+
+    check = flow._verify_separator
+
+    def counted(part, *args):
+        rows = SimpleNamespace(adj=CountingRows(part.adj), size=part.size,
+                               remainder=part.remainder)
+        return check(rows, *args)
+
+    monkeypatch.setattr(flow, "_verify_separator", counted)
+    res = decompose(dead_end_graph("caterpillar-end", n, random.Random(n)), "bg367", k=2)
+    assert isinstance(res.outcome, TriangSuccess)
+    assert res.report.separator_calls > n // 2
+    assert 0 < read[0] <= 4 * n
 
 
 def test_no_stale_part_reaches_a_search(monkeypatch):
