@@ -45,7 +45,7 @@ def _ints(lineno: int, fields: list[str], what: str, line: str) -> list[int]:
     try:
         return list(map(int, fields))
     except ValueError:
-        raise ParseError(lineno, f"non-integer {what}: {line!r}")
+        raise ParseError(lineno, f"non-integer {what}: {line.strip()!r}")
 
 
 def parse_graph(text: str, max_vertices: int = MAX_VERTICES) -> ParsedGraph:
@@ -124,20 +124,20 @@ def emit_decomposition(td: TreeDecomposition, n: int) -> str:
 
 
 def parse_decomposition(text: str) -> ParsedDecomposition:
+    # Each line is split once; it is stripped only to quote it in an error.
     header = None
-    bags: dict[int, tuple[int, ...]] = {}
+    bags: dict[int, list[int]] = {}
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "s":
             if header is not None:
                 raise ParseError(lineno, "duplicate solution line")
             if len(parts) != 5 or parts[1] != "td":
-                raise ParseError(lineno, f"malformed solution line: {line!r}")
-            header = _ints(lineno, parts[2:], "solution fields", line)
+                raise ParseError(lineno, f"malformed solution line: {raw.strip()!r}")
+            header = _ints(lineno, parts[2:], "solution fields", raw)
             if min(header) < 0:
                 raise ParseError(lineno, "negative counts in solution line")
             continue
@@ -146,20 +146,23 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
         if parts[0] == "b":
             try:
                 idx = int(parts[1])
-                verts = [int(x) for x in parts[2:]]
+                verts = [int(x) - 1 for x in parts[2:]]
             except (ValueError, IndexError):
-                raise ParseError(lineno, f"malformed bag line: {line!r}")
+                raise ParseError(lineno, f"malformed bag line: {raw.strip()!r}")
             if not (1 <= idx <= header[0]):
                 raise ParseError(lineno, f"bag index out of range: {idx}")
             if idx in bags:
                 raise ParseError(lineno, f"duplicate bag {idx}")
-            bags[idx] = tuple(v - 1 for v in verts)
+            bags[idx] = verts
             continue
         if len(parts) != 2:
-            raise ParseError(lineno, f"malformed tree edge line: {line!r}")
-        a, b = _ints(lineno, parts, "tree edge line", line)
+            raise ParseError(lineno, f"malformed tree edge line: {raw.strip()!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(lineno, f"non-integer tree edge line: {raw.strip()!r}")
         if not (1 <= a <= header[0] and 1 <= b <= header[0]):
-            raise ParseError(lineno, f"tree edge index out of range: {line!r}")
+            raise ParseError(lineno, f"tree edge index out of range: {raw.strip()!r}")
         edges.append((a - 1, b - 1))
     if header is None:
         raise ParseError(0, "missing solution line")

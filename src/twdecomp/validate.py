@@ -3,8 +3,10 @@ chordal graph, decomposition checking and exact treewidth of small graphs."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Iterable
 
 from .graph import Graph
@@ -124,8 +126,14 @@ def clique_number_chordal(g: Graph, peo: Iterable[int]) -> int:
 def check_tree_decomposition(g: Graph, td) -> list[Violation]:
     """All violations of the three decomposition conditions plus tree-ness.
 
-    Runs in time near-linear in the total bag size plus the number of tree
-    edges, through an index from each vertex to the bags that hold it.
+    An index from each vertex to the bags that hold it makes the check
+    near-linear: edge coverage scans, for each edge, the shorter of its two
+    endpoints' holder lists.  When the tree edges form a tree, a vertex's
+    bags are connected exactly when as many tree edges join two of them as
+    there are bags less one (a subgraph of a tree is connected if and only
+    if it has one edge fewer than nodes), so one set intersection per tree
+    edge decides every subtree condition.  Edge sets that are not a tree get
+    a search per vertex instead.
     """
     bags = [set(b) for b in td.bags]
     nbags = len(bags)
@@ -151,6 +159,7 @@ def check_tree_decomposition(g: Graph, td) -> list[Violation]:
     for a, b in edges:
         tree_adj[a].append(b)
         tree_adj[b].append(a)
+    is_tree = True
     if nbags:
         seen = [False] * nbags
         stack = [0]
@@ -162,6 +171,7 @@ def check_tree_decomposition(g: Graph, td) -> list[Violation]:
                     seen[nxt] = True
                     stack.append(nxt)
         if not all(seen) or len(edges) != nbags - 1:
+            is_tree = False
             out.append(Violation("not-a-tree", None,
                                  f"{nbags} bags with {len(edges)} edges do not form a tree"))
 
@@ -171,20 +181,39 @@ def check_tree_decomposition(g: Graph, td) -> list[Violation]:
                                  f"vertex {v} appears in no bag"))
 
     for u, v in g.edges():
-        a, b = (u, v) if len(holders[u]) <= len(holders[v]) else (v, u)
-        if not any(b in bags[i] for i in holders[a]):
+        hu, hv = holders[u], holders[v]
+        scan, other = (hu, v) if len(hu) <= len(hv) else (hv, u)
+        for i in scan:
+            if other in bags[i]:
+                break
+        else:
             out.append(Violation("uncovered-edge", (u, v),
                                  f"edge ({u}, {v}) is inside no bag"))
 
-    # The tree edges whose two bags share v, found by scanning the smaller
-    # bag of each edge; on a tree that costs at most the total bag size.
-    links: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    if is_tree:
+        shared = Counter(chain.from_iterable(bags[a] & bags[b] for a, b in edges))
+        broken = [v for v in range(g.n) if len(holders[v]) > 1
+                  and shared[v] != len(holders[v]) - 1]
+    else:
+        broken = _broken_subtrees(g.n, bags, edges, holders)
+    for v in broken:
+        out.append(Violation("broken-subtree", v,
+                             f"bags containing vertex {v} are not connected"))
+    return out
+
+
+def _broken_subtrees(n: int, bags: list[set], edges, holders) -> list[int]:
+    # The vertices whose bags the tree edges leave unconnected, by a search
+    # per vertex over the tree edges whose two bags share it, found by
+    # scanning the smaller bag of each edge.
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a, b in edges:
         small, large = sorted((bags[a], bags[b]), key=len)
         for v in small:
-            if v in large and 0 <= v < g.n:
+            if v in large and 0 <= v < n:
                 links[v].append((a, b))
-    for v in range(g.n):
+    broken = []
+    for v in range(n):
         if len(holders[v]) <= 1:
             continue
         nbrs: dict[int, list[int]] = {}
@@ -199,9 +228,8 @@ def check_tree_decomposition(g: Graph, td) -> list[Violation]:
                     seen_h.add(nxt)
                     stack.append(nxt)
         if len(seen_h) != len(holders[v]):
-            out.append(Violation("broken-subtree", v,
-                                 f"bags containing vertex {v} are not connected"))
-    return out
+            broken.append(v)
+    return broken
 
 
 def exact_treewidth(g: Graph) -> int:

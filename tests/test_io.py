@@ -1,11 +1,13 @@
 import csv
+import random
 import time
 
 import pytest
 
 from twdecomp import check_tree_decomposition, decompose
 from twdecomp.cli import main
-from twdecomp.corpus import complete_graph, cycle_graph, grid_graph, path_graph, star_graph
+from twdecomp.corpus import (complete_graph, cycle_graph, grid_graph, k_tree, path_graph,
+                             star_graph)
 from twdecomp.io import (MAX_VERTICES, ParseError, append_report, emit_decomposition,
                          emit_graph, parse_decomposition, parse_graph)
 
@@ -108,6 +110,48 @@ def test_parse_decomposition_rejects_missing_bag():
         parse_decomposition("s td 2 1 2\nb 1 1\n1 2\n")
 
 
+@pytest.mark.parametrize("text", [
+    "   c a comment after spaces\ns td 2 2 3\n\tc and after a tab\nb 1 1 2\nb 2 2 3\n1 2\n",
+    "s\ttd\t2\t2\t3\nb\t1\t1\t2\nb 2\t2 3\n1\t2\n",
+    "\n\ns td 2 2 3\n\nb 1 1 2\n   \nb 2 2 3\n\t\n1 2\n\n",
+], ids=["indented-comments", "tabs", "blank-lines"])
+def test_parse_decomposition_skips_comments_and_reads_any_whitespace(text):
+    parsed = parse_decomposition(text)
+    assert parsed.decomposition.bags == ((0, 1), (1, 2))
+    assert parsed.decomposition.tree_edges == ((0, 1),)
+    assert (parsed.declared_vertices, parsed.declared_max_bag) == (3, 2)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("  c x\ns td 1 1 1\nb 1 1\n   c y\n1 q\n", 5,
+     "non-integer tree edge line: '1 q'"),
+    ("s\ttd\t2\t2\t3\nb\t1\t1\tx\n", 2, "malformed bag line: 'b\\t1\\t1\\tx'"),
+    ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n\t1\tx \n", 4,
+     "non-integer tree edge line: '1\\tx'"),
+    ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1\t3\n", 4,
+     "tree edge index out of range: '1\\t3'"),
+    ("\n\ns td 2 2 3\n\n b 1 1 2 3 x \n", 5, "malformed bag line: 'b 1 1 2 3 x'"),
+    ("\nb 1 1 2\ns td 1 2 2\n", 2, "content before solution line"),
+    ("s td 1 1 1\nb\n", 2, "malformed bag line: 'b'"),
+    ("s td 1 1 1\n  b   \n", 2, "malformed bag line: 'b'"),
+    ("s td 1 2 2\nb 1 1 x\n", 2, "malformed bag line: 'b 1 1 x'"),
+    ("s td 1 2 2\n\tb 1 1 2.0  \n", 2, "malformed bag line: 'b 1 1 2.0'"),
+    ("s td 1 2 2\nb 5 1 x\n", 2, "malformed bag line: 'b 5 1 x'"),
+    ("  s td 1 2  \n", 1, "malformed solution line: 's td 1 2'"),
+    (" s td 1 x 3 \n", 1, "non-integer solution fields: 's td 1 x 3'"),
+    ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n 1 2 3 \n", 4, "malformed tree edge line: '1 2 3'"),
+    ("s td 1 1 1\r\nb 1 1 z\r\n", 2, "malformed bag line: 'b 1 1 z'"),
+], ids=["indented-comments", "tab-bag", "tab-edge", "tab-edge-range", "blank-lines",
+        "bag-before-header", "b-without-index", "b-padded", "non-integer-vertex",
+        "float-vertex", "bad-vertex-before-index-range", "short-header",
+        "non-integer-header", "long-edge", "crlf"])
+def test_parse_decomposition_error_messages_and_lines(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_decomposition(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_report_rows_append_with_stable_schema(tmp_path):
     path = tmp_path / "report.csv"
     res = decompose(path_graph(6), "mindeg", graph_name="p6")
@@ -189,6 +233,32 @@ def test_cli_validate_accepts_and_rejects(tmp_path, capsys):
     rc = main(["validate", "--graph", str(gr), "--td", str(td)])
     assert rc == 1
     assert "violation" in capsys.readouterr().out
+
+
+def test_cli_validate_at_scale(tmp_path, capsys):
+    # A 3000-vertex 4-tree and its min-degree decomposition: valid, then one
+    # vertex dropped from an interior bag of its subtree splits the subtree.
+    g = k_tree(3000, 4, random.Random(3000))
+    gr = write_graph(tmp_path, "kt.gr", g)
+    td = decompose(g, "mindeg").outcome.decomposition
+    path = tmp_path / "kt.td"
+    path.write_text(emit_decomposition(td, g.n))
+    assert main(["validate", "--graph", str(gr), "--td", str(path)]) == 0
+    assert capsys.readouterr().out == "valid: width 4\n"
+
+    adj = {i: [] for i in range(len(td.bags))}
+    for a, b in td.tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    v, i = next((v, i) for i, bag in enumerate(td.bags) for v in bag
+                if sum(v in td.bags[j] for j in adj[i]) >= 2)
+    lines = path.read_text().splitlines()
+    lines[1 + i] = " ".join(["b", str(i + 1)] + [str(u + 1) for u in td.bags[i] if u != v])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--graph", str(gr), "--td", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"bags containing vertex {v} are not connected" in out
+    assert out[-1].startswith("invalid: ")
 
 
 def test_cli_exact(tmp_path, capsys):

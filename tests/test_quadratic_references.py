@@ -322,3 +322,67 @@ def test_chordless_cycle_witness_is_linear():
     cycle_is_chordless(g, res.cycle)
     assert len(res.cycle) == 5
     assert best < 0.1
+
+
+def _corruptions(g, td, rng):
+    """Copies of ``td`` with its tree edges kept and one bag changed, each
+    with the kind of violation the change must cause: a vertex dropped from
+    an interior bag of its subtree, a vertex added to a bag two or more tree
+    edges from its subtree, and an edge's endpoint dropped from the only bag
+    that covers the edge."""
+    adj = [[] for _ in td.bags]
+    for a, b in td.tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    holders = [[i for i, bag in enumerate(td.bags) if v in bag] for v in range(g.n)]
+
+    def changed(i, drop=None, add=None):
+        bags = [list(b) for b in td.bags]
+        if drop is not None:
+            bags[i].remove(drop)
+        if add is not None:
+            bags[i].append(add)
+        return TreeDecomposition(tuple(tuple(b) for b in bags), td.tree_edges, 0)
+
+    interior = [(v, i) for v in range(g.n) for i in holders[v]
+                if sum(v in td.bags[j] for j in adj[i]) >= 2]
+    for v, i in rng.sample(interior, min(3, len(interior))):
+        yield "broken-subtree", changed(i, drop=v)
+
+    for v in rng.sample(range(g.n), min(3, g.n)):
+        dist = {i: 0 for i in holders[v]}
+        queue = list(holders[v])
+        for cur in queue:
+            for nxt in adj[cur]:
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    queue.append(nxt)
+        far = [i for i, d in dist.items() if d >= 2]
+        if far:
+            yield "broken-subtree", changed(rng.choice(far), add=v)
+
+    single = [(u, v) for u, v in g.edges()
+              if sum(u in bag and v in bag for bag in td.bags) == 1]
+    for u, v in rng.sample(single, min(3, len(single))):
+        i = next(i for i, bag in enumerate(td.bags) if u in bag and v in bag)
+        yield "uncovered-edge", changed(i, drop=rng.choice((u, v)))
+
+
+def test_checker_matches_quadratic_reference_on_corrupted_deep_trees():
+    # Hypothesis stops at seven vertices.  These min-degree decompositions
+    # keep their tree shape under every corruption, so the checker decides
+    # each subtree condition by counting, on trees up to 300 bags deep.
+    rng = random.Random(2626)
+    graphs = family_graphs() + [k_tree(n, k, rng) for n, k in ((300, 2), (250, 4), (120, 1))]
+    graphs += [path_graph(300), path_graph(97)]
+    kinds = {"broken-subtree": 0, "uncovered-edge": 0}
+    for g in graphs:
+        td = min_degree_triang(g)[1]
+        assert check_tree_decomposition(g, td) == [] == quadratic_check_tree_decomposition(g, td)
+        for kind, bad in _corruptions(g, td, rng):
+            found = check_tree_decomposition(g, bad)
+            assert found == quadratic_check_tree_decomposition(g, bad)
+            assert kind in {v.kind for v in found}
+            assert not any(v.kind == "not-a-tree" for v in found)
+            kinds[kind] += 1
+    assert kinds["broken-subtree"] >= 200 and kinds["uncovered-edge"] >= 120, kinds
