@@ -30,22 +30,17 @@ class _FlowArrays:
 
     ``role`` marks the current sources and sinks, and ``sat``, ``in_flow``
     and ``prev`` hold the flow and its breadth-first searches; every flow
-    hands them back clean.  ``near`` holds the target masks of one
-    workspace, the one whose list of set entries is ``marked``; a workspace
-    that finds another's list there clears those entries and fills in its
-    own (``FlowWorkspace._claim``).  So the workspaces of a run share one
-    set of arrays, and a split node allocates nothing sized to the graph.
+    hands them back clean.  So the workspaces of a run share one set of
+    arrays, and a split node allocates nothing sized to the graph.
     """
 
-    __slots__ = ("role", "sat", "in_flow", "prev", "near", "marked")
+    __slots__ = ("role", "sat", "in_flow", "prev")
 
     def __init__(self, n: int):
         self.role = bytearray(n)
         self.sat = bytearray(n)
         self.in_flow = [_NO_FLOW] * n
         self.prev = [_UNSEEN] * (2 * n)
-        self.near = [0] * n
-        self.marked: list[int] = []
 
 
 @dataclass
@@ -58,11 +53,13 @@ class Counters:
     workspace already holds adds nothing, and neither does a candidate that a
     kept certificate rules out; ``certified`` counts those candidates.
 
-    ``arrays`` holds the root-sized scratch arrays, allocated by the first
+    ``arrays`` holds the root-sized flow arrays, allocated by the first
     workspace of the run and borrowed by every later one over a graph of the
-    same size.  ``splits`` holds, per target-set size, the candidate splits
-    the run's two-way searches have reached, by target position, with the
-    iterator that extends them (``separators.candidate_splits``).
+    same size; each flow hands them back clean, so no state crosses from one
+    workspace to another.  ``splits`` holds, per target-set size, the
+    candidate splits the run's two-way searches have reached, by target
+    position, with the iterator that extends them
+    (``separators.candidate_splits``).
     """
 
     separator_calls: int = 0
@@ -276,30 +273,29 @@ class FlowWorkspace:
     subsets of the same targets inside the same part (default: all of
     ``g``).  The workspace checks the targets against the part once, numbers
     them (target ``i`` of the ascending targets is bit ``1 << i``) and
-    records in ``near[v]`` the mask of targets next to each vertex ``v``.
-    The warm start then packs one- and two-edge paths by mask: a source's
-    direct path is ``near[a] & free``, where ``free`` holds the unsaturated
-    sinks, and its two-hop paths scan ``two_hop(a)``, the row
-    ``[(v, near[v]), ...]`` of its neighbours that touch a target, built the
-    first time the source needs it and kept for later flows.
+    records in ``near``, a dict of its own, the mask of targets next to each
+    vertex; a vertex it does not hold reads 0.  The warm start then packs
+    one- and two-edge paths by mask: a source's direct path is
+    ``near[a] & free``, where ``free`` holds the unsaturated sinks, and its
+    two-hop paths scan ``two_hop(a)``, the row ``[(v, near[v]), ...]`` of its
+    neighbours that touch a target, built the first time the source needs it
+    and kept for later flows.
 
-    ``near`` is filled by scanning the targets' rows, except the row of a
-    hub: a target whose row is more than ``_HUB_FACTOR`` times longer than
+    ``near`` is filled by scanning the targets' rows, all but a hub's: a
+    hub is a target whose row is more than ``_HUB_FACTOR`` times longer than
     the other targets' rows together (a star's centre).  Its bit is added
     only where ``near`` is read, at the targets and at the neighbours of a
     source whose two-hop row is built, each found in the hub's row by
     bisection.  ``near`` holds the same masks either way, so the packing is
     the same, and a workspace costs what its targets' short rows cost.
 
-    The flow arrays ``sat``, ``in_flow`` and ``prev``, the ``role`` marks of
-    the current sources and sinks and ``near`` are sized to ``g`` and read
-    through ``arrays``, the run's ``_FlowArrays`` borrowed from ``counters``
-    and shared by every workspace of the run.  Every flow hands the first
-    four back clean: it resets exactly the vertices it touched and the
-    states its breadth-first searches queued.  Flows therefore run one at a
-    time.  ``near`` stays filled between flows; a flow (or ``two_hop``)
-    that finds it filled by another workspace fills it again for its own
-    (``_claim``), so workspaces may still take turns.
+    The flow arrays ``sat``, ``in_flow`` and ``prev`` and the ``role`` marks
+    of the current sources and sinks are sized to ``g`` and read through
+    ``arrays``, the run's ``_FlowArrays`` borrowed from ``counters`` and
+    shared by every workspace of the run.  Every flow hands them back clean:
+    it resets exactly the vertices it touched and the states its
+    breadth-first searches queued.  Flows therefore run one at a time, and
+    the workspaces of a run may run theirs in any order.
 
     Every flow is added to ``counters`` (a private ``Counters`` when none is
     given).  ``cuts`` maps (group mask, bound) to the isolating cut of that
@@ -337,8 +333,8 @@ class FlowWorkspace:
     ``separator_calls``, and rulings in ``certified``.
     """
 
-    __slots__ = ("g", "part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
-                 "certs", "bit_of", "hub", "rows", "attached", "arrays", "marked")
+    __slots__ = ("part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
+                 "certs", "bit_of", "hub", "near", "rows", "attached", "arrays")
 
     def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
                  counters: Counters | None = None):
@@ -347,7 +343,6 @@ class FlowWorkspace:
         n = g.n
         inside = part.inside
         adj = part.adj
-        self.g = g
         self.part = part
         self.targets = w = vset(targets)
         self.counters = counters = Counters() if counters is None else counters
@@ -366,59 +361,45 @@ class FlowWorkspace:
             total += length
             if length > longest:
                 longest, hub = length, t
-        self.hub = (hub, bit_of[hub]) if longest > _HUB_FACTOR * (total - longest) else None
+        if longest > _HUB_FACTOR * (total - longest):
+            self.hub = (hub, bit_of[hub])
+        else:
+            self.hub, hub = None, -1
+        self.near = near = {}
+        get = near.get
+        for t, bit in bit_of.items():
+            if t != hub:
+                for v in adj[t]:
+                    near[v] = get(v, 0) | bit
+        if self.hub is not None:
+            self._add_hub(w)
         self.rows = {}
         self.attached = None
         arrays = counters.arrays
         if arrays is None or len(arrays.sat) != n:
             arrays = counters.arrays = _FlowArrays(n)
         self.arrays = arrays
-        self._claim()
-
-    def _claim(self) -> None:
-        """Fill the run's shared ``near`` with this workspace's masks, after
-        clearing the entries the workspace that filled it last had set."""
-        arrays = self.arrays
-        near = arrays.near
-        for v in arrays.marked:
-            near[v] = 0
-        self.marked = arrays.marked = marked = []
-        adj = self.part.adj
-        hub = self.hub[0] if self.hub is not None else -1
-        for t, bit in self.bit_of.items():
-            if t != hub:
-                row = adj[t]
-                for v in row:
-                    near[v] |= bit
-                marked += row
-        if self.hub is not None:
-            self._add_hub(self.targets)
 
     def _add_hub(self, vertices) -> None:
         """Add the hub's bit to ``near`` at each of ``vertices`` next to it."""
         hub, bit = self.hub
         row = self.part.adj[hub]
-        near = self.arrays.near
-        marked = self.marked
+        near = self.near
         for v in vertices:
             i = bisect_left(row, v)
             if i < len(row) and row[i] == v:
-                near[v] |= bit
-                marked.append(v)
+                near[v] = near.get(v, 0) | bit
 
     def two_hop(self, a: int) -> list[tuple[int, int]]:
         """The row ``[(v, near[v]), ...]`` of ``a``'s neighbours that touch a
-        target, built on the first call and kept.  The shared ``near`` holds
-        this workspace's masks afterwards."""
-        if self.arrays.marked is not self.marked:
-            self._claim()
+        target, built on the first call and kept."""
         row = self.rows.get(a)
         if row is None:
-            near = self.arrays.near
             nbrs = self.part.adj[a]
             if self.hub is not None:
                 self._add_hub(nbrs)
-            row = self.rows[a] = [(v, near[v]) for v in nbrs if near[v]]
+            get = self.near.get
+            row = self.rows[a] = [(v, mask) for v in nbrs if (mask := get(v, 0))]
         return row
 
     def mask(self, vertices: Iterable[int]) -> int:
@@ -594,15 +575,13 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
         raise ValueError("bound must be non-negative")
     side_a, side_b = terminals
     sources, free = ws.side_masks(side_a, side_b)
-    if ws.arrays.marked is not ws.marked:
-        ws._claim()
 
     part = ws.part
     adj = part.adj
     targets = ws.targets
     rows = ws.rows
+    near = ws.near.get
     arrays = ws.arrays
-    near = arrays.near
     role = arrays.role
     sat = arrays.sat
     in_flow = arrays.in_flow
@@ -644,7 +623,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
         for a in side_a:
             if flow > bound or not free:
                 break
-            hit = near[a] & free
+            hit = near(a, 0) & free
             if hit:
                 low = hit & -hit
                 w = targets[low.bit_length() - 1]
@@ -758,10 +737,9 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
     vertex-disjoint paths, one inside each region.
     """
     bit_of = ws.bit_of
-    arrays = ws.arrays
-    near = arrays.near
-    sat = arrays.sat
-    in_flow = arrays.in_flow
+    near = ws.near.get
+    sat = ws.arrays.sat
+    in_flow = ws.arrays.in_flow
     regions = []
     nexts = []
     seen = 0
@@ -772,7 +750,7 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
         mask = nbrs = 0
         v = b
         while v >= 0:
-            nbrs |= near[v]
+            nbrs |= near(v, 0)
             bit = bit_of.get(v)
             if bit:
                 mask |= bit

@@ -41,8 +41,25 @@ class ParsedDecomposition:
     declared_max_bag: int
 
 
-def _ints(lineno: int, fields: list[str], what: str, line: str) -> list[int]:
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII with no underscore.  ``int`` then reads
+    each of its fields only as the formats write an integer, ASCII digits
+    with an optional sign, so no field needs a look of its own."""
+    return text.isascii() and "_" not in text
+
+
+def _check_digits(fields: list[str]) -> None:
+    """Raise ValueError at a field that ``int`` would read although the
+    formats do not allow it: one with an underscore or a non-ASCII digit."""
+    for x in fields:
+        if not _plain(x):
+            raise ValueError(x)
+
+
+def _ints(lineno: int, fields: list[str], what: str, line: str, plain: bool) -> list[int]:
     try:
+        if not plain:
+            _check_digits(fields)
         return list(map(int, fields))
     except ValueError:
         raise ParseError(lineno, f"non-integer {what}: {line.strip()!r}")
@@ -53,6 +70,7 @@ def parse_graph(text: str, max_vertices: int = MAX_VERTICES) -> ParsedGraph:
 
     A header that declares more than ``max_vertices`` vertices is an error.
     """
+    plain = _plain(text)
     n = None
     declared_m = 0
     header_line = 0
@@ -69,7 +87,7 @@ def parse_graph(text: str, max_vertices: int = MAX_VERTICES) -> ParsedGraph:
                 raise ParseError(lineno, "duplicate header line")
             if len(parts) != 4 or parts[1] != "tw":
                 raise ParseError(lineno, f"malformed header: {line!r}")
-            n, declared_m = _ints(lineno, parts[2:], "header fields", line)
+            n, declared_m = _ints(lineno, parts[2:], "header fields", line, plain)
             if n < 0 or declared_m < 0:
                 raise ParseError(lineno, "negative counts in header")
             if n > max_vertices:
@@ -81,7 +99,7 @@ def parse_graph(text: str, max_vertices: int = MAX_VERTICES) -> ParsedGraph:
             raise ParseError(lineno, "edge line before header")
         if len(parts) != 2:
             raise ParseError(lineno, f"malformed edge line: {line!r}")
-        u, v = _ints(lineno, parts, "edge line", line)
+        u, v = _ints(lineno, parts, "edge line", line, plain)
         edge_lines += 1
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(lineno, f"vertex id out of range: {line!r}")
@@ -125,6 +143,8 @@ def emit_decomposition(td: TreeDecomposition, n: int) -> str:
 
 def parse_decomposition(text: str) -> ParsedDecomposition:
     # Each line is split once; it is stripped only to quote it in an error.
+    # A text that is plain throughout needs no look at its fields.
+    plain = _plain(text)
     header = None
     bags: dict[int, list[int]] = {}
     edges: list[tuple[int, int]] = []
@@ -137,7 +157,7 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
                 raise ParseError(lineno, "duplicate solution line")
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(lineno, f"malformed solution line: {raw.strip()!r}")
-            header = _ints(lineno, parts[2:], "solution fields", raw)
+            header = _ints(lineno, parts[2:], "solution fields", raw, plain)
             if min(header) < 0:
                 raise ParseError(lineno, "negative counts in solution line")
             continue
@@ -147,6 +167,8 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
             try:
                 idx = int(parts[1])
                 verts = [int(x) - 1 for x in parts[2:]]
+                if not plain:
+                    _check_digits(parts)
             except (ValueError, IndexError):
                 raise ParseError(lineno, f"malformed bag line: {raw.strip()!r}")
             if not (1 <= idx <= header[0]):
@@ -158,6 +180,8 @@ def parse_decomposition(text: str) -> ParsedDecomposition:
         if len(parts) != 2:
             raise ParseError(lineno, f"malformed tree edge line: {raw.strip()!r}")
         try:
+            if not plain:
+                _check_digits(parts)
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(lineno, f"non-integer tree edge line: {raw.strip()!r}")

@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import networkx as nx
@@ -458,7 +458,7 @@ def test_three_way_rejects_overlapping_groups():
 
 
 def assert_clean(ws):
-    n = ws.g.n
+    n = len(ws.part.inside)
     assert ws.arrays.sat == bytearray(n)
     assert ws.arrays.role == bytearray(n)
     assert ws.arrays.in_flow == [-1] * n
@@ -529,8 +529,8 @@ def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
     # to its largest child, the part equals a fresh build; in it every
     # successful flow lists the side networkx reaches from the sources in
     # the split-vertex residual network, and networkx's side2 is the cut's
-    # unlisted rest, the rest of the part.  Two workspaces over the part share one Counters and take
-    # turns, so each finds the shared ``near`` filled by the other.
+    # unlisted rest, the rest of the part.  Two workspaces over the part
+    # share one Counters and take turns with its flow arrays.
     rng = random.Random(seed)
     g = property_graph(kind, n, rng)
     nx_g = nx.Graph(g.edges())
@@ -563,12 +563,80 @@ def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
             for a in ws.targets:
                 near = [(v, sum(ws.bit_of.get(t, 0) for t in sub[v])) for v in sorted(sub[a])]
                 assert ws.two_hop(a) == [(v, mask) for v, mask in near if mask]
-                assert ws.arrays.near[a] == sum(ws.bit_of.get(t, 0) for t in sub[a])
+                assert ws.near.get(a, 0) == sum(ws.bit_of.get(t, 0) for t in sub[a])
         count = rng.choice((1, 2, max(1, len(members) // 3)))
         removed = rng.sample(members, min(len(members), count))
         members = vset(set(members).difference(removed))
         part = part.handover(removed)
     assert_same_part(part, g, members)
+
+
+def workspace_state(ws):
+    """What a workspace keeps between flows: its certificate stores, two-hop
+    rows, target masks, attachment mask and isolating cuts."""
+    certs = {b: (c.on, c.low, c.one, c.high, c.count) for b, c in ws.certs.items()}
+    return certs, ws.rows, ws.near, ws.attached, ws.cuts, ws.sep_ids
+
+
+def test_interleaved_workspaces_match_workspaces_run_alone():
+    # Two or three workspaces over different targets of one part share one
+    # Counters, and so the run's flow arrays, and take turns on a seeded
+    # schedule of two-way flows and three-way cuts.  Each must end as a twin
+    # that ran its own calls alone, on a Counters of its own: the same
+    # results, augmentations included, and the same kept state; the shared
+    # counts are the twins' sums.
+    rng = random.Random(2727)
+    outcomes = set()
+    hubs = 0
+    for kind in ("gnp", "grid", "tree", "star", "pkt") * 4:
+        g = property_graph(kind, rng.randint(20, 60), rng)
+        members = vset(v for v in range(g.n) if v == 0 or rng.random() < 0.85)
+        part = Part(g, members)
+        counters = Counters()
+        spaces = []
+        for i in range(rng.randint(2, 3)):
+            if i == 0:
+                # Vertex 0 and two more: on a star, the centre is a hub.
+                targets = [0, *rng.sample(members[1:], 2)]
+            else:
+                targets = rng.sample(members, rng.randint(3, min(9, len(members))))
+            spaces.append(FlowWorkspace(g, part, targets, counters))
+        hubs += sum(ws.hub is not None for ws in spaces)
+        schedule = []
+        for _ in range(30):
+            i = rng.randrange(len(spaces))
+            targets = list(spaces[i].targets)
+            rng.shuffle(targets)
+            bound = rng.randint(0, 4)
+            if rng.random() < 0.6:
+                cut = rng.randint(1, len(targets) - 1)
+                groups = (vset(targets[:cut]), vset(targets[cut:]))
+            else:
+                a, b = sorted(rng.sample(range(1, len(targets)), 2))
+                groups = (targets[:a], targets[a:b], targets[b:])
+            schedule.append((i, groups, bound))
+
+        def run(ws, groups, bound):
+            if len(groups) == 2:
+                res = min_vertex_separator(ws, groups, bound)
+            else:
+                res = approx_3way_vertex_cut(ws, *groups, bound)
+            assert_clean(ws)
+            outcomes.add((len(groups), type(res)))
+            return res, res.augmentations
+
+        together = [run(spaces[i], groups, bound) for i, groups, bound in schedule]
+        counts = ("separator_calls", "augmentations", "certified")
+        sums = Counter()
+        for i, ws in enumerate(spaces):
+            twin = FlowWorkspace(g, part, ws.targets)
+            alone = [run(twin, groups, bound) for j, groups, bound in schedule if j == i]
+            assert [got for (j, *_), got in zip(schedule, together) if j == i] == alone
+            assert workspace_state(ws) == workspace_state(twin)
+            sums.update({name: getattr(twin.counters, name) for name in counts})
+        assert all(getattr(counters, name) == sums[name] for name in counts)
+    assert outcomes == {(n, kind) for n in (2, 3) for kind in (Cut, Exceeded)}
+    assert hubs
 
 
 def test_workspace_rejects_bad_sides_and_stays_clean():

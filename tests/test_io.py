@@ -152,6 +152,42 @@ def test_parse_decomposition_error_messages_and_lines(text, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("p tw 10 1\n1_0 2\n", 2, "non-integer edge line: '1_0 2'"),
+    ("p tw 3 1\n\u0661 2\n", 2, "non-integer edge line: '\u0661 2'"),
+    ("p tw 3 1\n1 \uff12\n", 2, "non-integer edge line: '1 \uff12'"),
+    ("c \u00e9t\u00e9\np tw 1_0 0\n", 2, "non-integer header fields: 'p tw 1_0 0'"),
+], ids=["underscore", "arabic-indic-digit", "fullwidth-digit", "header-underscore"])
+def test_parse_graph_reads_ascii_digits_only(text, line, message):
+    # ``int`` reads "1_0" as 10 and "\u0661" as 1; the format does not.
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_parse_graph_keeps_signs_and_unicode_outside_integers():
+    # A sign is still read (so negative counts get their own message), and
+    # a comment or a separator outside the integers may be any text.
+    parsed = parse_graph("c \u00e9t\u00e9\np tw +3 1\n+1\u00a02\n")
+    assert parsed.graph.n == 3 and parsed.graph.edges() == ((0, 1),)
+    with pytest.raises(ParseError, match="line 1: negative counts in header"):
+        parse_graph("p tw -3 0\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("s td 1 1 40\nb 1 4_0\n", 2, "malformed bag line: 'b 1 4_0'"),
+    ("s td 1 1 3\nb \u0661 1\n", 2, "malformed bag line: 'b \u0661 1'"),
+    ("s td 2 1 3\nb 1 1\nb 2 2\n1 2_0\n", 4, "non-integer tree edge line: '1 2_0'"),
+    ("s td 1 1 \u0663\n", 1, "non-integer solution fields: 's td 1 1 \u0663'"),
+], ids=["bag-vertex", "bag-index", "tree-edge", "solution-field"])
+def test_parse_decomposition_reads_ascii_digits_only(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_decomposition(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_report_rows_append_with_stable_schema(tmp_path):
     path = tmp_path / "report.csv"
     res = decompose(path_graph(6), "mindeg", graph_name="p6")
@@ -215,6 +251,22 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("p tw 3 9\n1 2\n")
     rc = main(["decompose", "--algo", "mindeg", "--in", str(bad)])
     assert rc == 2
+
+
+def test_cli_rejects_integer_forms_outside_the_format(tmp_path, capsys):
+    # Read by ``int``, the bag vertex "4_0" would be vertex 40, unknown to
+    # the graph: a violation (exit 1) instead of a parse error (exit 2).
+    gr = write_graph(tmp_path, "p3.gr", path_graph(3))
+    td = tmp_path / "p3.td"
+    td.write_text("s td 2 2 3\nb 1 1 2\nb 2 2 4_0\n1 2\n")
+    assert main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {td}: line 3: malformed bag line: 'b 2 2 4_0'\n"
+    assert captured.out == ""
+    bad = tmp_path / "bad.gr"
+    bad.write_text("p tw 10 1\n1_0 2\n")
+    assert main(["decompose", "--algo", "mindeg", "--in", str(bad)]) == 2
+    assert "line 2: non-integer edge line: '1_0 2'" in capsys.readouterr().err
 
 
 def test_cli_validate_accepts_and_rejects(tmp_path, capsys):

@@ -359,7 +359,7 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
     def replay(ws, side_a, side_b, bound):
         twin = twins.get(ws)
         if twin is None:
-            twin = twins[ws] = FlowWorkspace(ws.g, ws.part, ws.targets)
+            twin = twins[ws] = FlowWorkspace(g, ws.part, ws.targets)
         assert isinstance(min_vertex_separator(twin, (side_a, side_b), bound), Exceeded)
         rulings[0] += 1
 

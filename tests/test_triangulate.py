@@ -636,7 +636,7 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
     per_vertex = 20
     counts = Counter()
     check = Cut.__post_init__
-    claim = FlowWorkspace._claim
+    init = FlowWorkspace.__init__
     handover = Part.handover
 
     def counted_check(cut):
@@ -646,9 +646,9 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
         counts["verified"] += listed + sum(len(cut.part.adj[u]) for u in side1)
         check(cut)
 
-    def counted_claim(ws):
-        claim(ws)
-        counts["near"] += len(ws.marked)
+    def counted_init(ws, *args):
+        init(ws, *args)
+        counts["near"] += len(ws.near)
 
     def counted_handover(part, removed):
         removed = set(removed)
@@ -664,7 +664,7 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
         return bisect_left(row, v, *bounds)
 
     monkeypatch.setattr(Cut, "__post_init__", counted_check)
-    monkeypatch.setattr(FlowWorkspace, "_claim", counted_claim)
+    monkeypatch.setattr(FlowWorkspace, "__init__", counted_init)
     monkeypatch.setattr(Part, "handover", counted_handover)
     monkeypatch.setattr(graph, "compress", counted_compress)
     monkeypatch.setattr(graph, "bisect_left", counted_bisect)
@@ -673,6 +673,32 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
         assert isinstance(decompose(g, "half45", **mode).outcome, TriangSuccess)
         assert all(counts.values()) and len(counts) == 4, counts
         assert counts.total() <= per_vertex * g.n, (g, counts)
+
+
+@pytest.mark.parametrize("graph_of, algo, mode", [
+    (star_graph, "bg367", {"search": True}),
+    (path_graph, "bg367", {"k": 2}),
+    (lambda n: random_tree(n, random.Random(n)), "rs4", {"adaptive": True}),
+], ids=["star-bg367-search", "path-bg367-k2", "tree-rs4-adaptive"])
+def test_target_masks_stay_linear(monkeypatch, graph_of, algo, mode):
+    # A count, with no timing: the entries of every workspace's ``near``,
+    # summed over the run once it ends, per vertex, grow by at most half from
+    # n to 2n (about 3, 3 and 10 per vertex here).  A workspace that scanned
+    # a hub's row, the star's centre, would write n entries on its own.
+    init = FlowWorkspace.__init__
+    masks = []
+
+    def recorded(ws, *args):
+        init(ws, *args)
+        masks.append(ws.near)
+
+    monkeypatch.setattr(FlowWorkspace, "__init__", recorded)
+    per_vertex = []
+    for n in (500, 1000):
+        masks.clear()
+        assert isinstance(decompose(graph_of(n), algo, **mode).outcome, TriangSuccess)
+        per_vertex.append(sum(map(len, masks)) / n)
+    assert 0 < per_vertex[1] <= 1.5 * per_vertex[0], per_vertex
 
 
 def test_fallback_splits_list_the_rest_only_for_a_child(monkeypatch):
