@@ -48,18 +48,19 @@ class Counters:
     """Per-run flow tallies, and the flow scratch arrays of the run.
 
     Every ``FlowWorkspace`` adds each flow it runs to its counters; a driver
-    hands one ``Counters`` to all the workspaces of a run.  The first two
-    fields count the flows that actually ran: an isolating cut that a
-    workspace already holds adds nothing, and neither does a candidate that a
-    kept certificate rules out; ``certified`` counts those candidates.
+    hands one ``Counters`` to all the workspaces of a run, which is one call
+    of a public driver or of ``decompose``.  The first two fields count the
+    flows that actually ran: an isolating cut that a workspace already holds
+    adds nothing, and neither does a candidate that a kept certificate rules
+    out; ``certified`` counts those candidates.
 
     ``arrays`` holds the root-sized flow arrays, allocated by the first
     workspace of the run and borrowed by every later one over a graph of the
     same size; each flow hands them back clean, so no state crosses from one
-    workspace to another.  ``splits`` holds, per target-set size, the
-    candidate splits the run's two-way searches have reached, by target
-    position, with the iterator that extends them
-    (``separators.candidate_splits``).
+    workspace to another.  ``splits`` holds the run's two-way candidates,
+    (first group, complement) pairs of target positions per (target count,
+    first-group size), with the iterator that grows them; every reader keeps
+    its own position (``separators._split_pairs``).
     """
 
     separator_calls: int = 0

@@ -73,8 +73,7 @@ class Part:
     members, ``adj[v]`` holds member ``v``'s neighbours inside the part in
     ascending order, as a tuple or, once ``handover`` has cut it in place, a
     list (``()`` for every vertex outside the part) and ``m`` is the
-    part's edge count.  Without ``members`` the part is the whole graph and
-    shares its rows.
+    part's edge count.  Without ``members`` every vertex of ``g`` is one.
 
     No member list is kept: ``members`` builds the ascending tuple from
     ``inside`` on each use, and ``remainder`` the members outside some listed
@@ -84,13 +83,7 @@ class Part:
     __slots__ = ("inside", "adj", "m", "size")
 
     def __init__(self, g: Graph, members: Iterable[int] | None = None):
-        if members is None:
-            self.inside = b"\x01" * g.n
-            self.adj = g.adj
-            self.m = g.m
-            self.size = g.n
-            return
-        members = vset(members)
+        members = range(g.n) if members is None else vset(members)
         self.inside = inside = bytearray(g.n)
         for v in members:
             if not (0 <= v < g.n):
@@ -158,13 +151,10 @@ class Part:
         tuple, at most ``_CUT_FACTOR`` lookups per removed vertex.
 
         This part is spent: its fields are dropped, and any later use raises
-        AttributeError.  A whole-graph part shares its graph's rows, so it
-        refuses, as does a ``removed`` with a vertex outside the part; a
-        refused part is left as it was.
+        AttributeError.  A ``removed`` with a vertex outside the part is
+        refused, and the part is left as it was.
         """
         inside = self.inside
-        if not isinstance(inside, bytearray):
-            raise ValueError("a whole-graph part shares its graph's rows")
         gone = set(removed)
         for v in gone:
             if not (0 <= v < len(inside) and inside[v]):
@@ -221,8 +211,9 @@ def connected_components(g: Graph, removed: Iterable[int] = (),
     """Components of ``part`` (default: all of ``g``) with ``removed`` deleted,
     ordered by smallest member."""
     if part is None:
-        part = Part(g)
-    adj = part.adj
+        adj, starts = g.adj, range(g.n)
+    else:
+        adj, starts = part.adj, compress(range(g.n), part.inside)
     gone = set(vset(removed))
     for v in gone:
         if not (0 <= v < g.n):
@@ -231,7 +222,7 @@ def connected_components(g: Graph, removed: Iterable[int] = (),
     for v in gone:
         seen[v] = 1
     comps = []
-    for start in compress(range(g.n), part.inside):
+    for start in starts:
         if seen[start]:
             continue
         seen[start] = 1

@@ -16,19 +16,18 @@ theorem a later candidate whose groups each hold a target of every one of
 those disjoint, connected regions has bound+1 vertex-disjoint paths between
 its groups too, so its flow would also exceed the bound: a ruling is exactly
 as sound as the flow it replaces.  Every two-way candidate, of the two-way
-searches (read by target position from one list per run,
-``candidate_splits``), of adaptive mode, of ``alpha_sum_sep``'s collapsed
-partitions and of ``try_split``, is ruled and flowed by one loop,
-``_first_cut``, which reads the certificates of its bound in place, held by
-target position as its candidates are.  ``separator_calls`` counts the flows
-that ran, and ``certified`` the rulings.
+searches, of adaptive mode, of ``alpha_sum_sep``'s collapsed partitions and
+of ``try_split``, is ruled and flowed by one loop, ``_first_cut``, which
+reads the certificates of its bound in place; all but ``try_split``'s come,
+by target position, from one list per run (``_split_pairs``).
+``separator_calls`` counts the flows that ran, and ``certified`` the rulings.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from .flow import (Counters, Cut, Exceeded, FlowWorkspace, approx_3way_vertex_cut,
                    min_vertex_separator)
@@ -108,28 +107,36 @@ def try_split(ws: FlowWorkspace, group_a: tuple[int, ...], group_b: tuple[int, .
     return _first_cut(ws, (pair,), bound)
 
 
+def _split_pairs(counters: Counters, size: int, first_size: int):
+    """Each ``first_size``-subset of ``size`` target positions, in ascending
+    combinadic order, paired with the other positions: the run's list
+    ``counters.splits[size, first_size]``, grown by one pair when a reader
+    reaches its end.  Each reader keeps its own place, so readers may interleave."""
+    grown = counters.splits.get((size, first_size))
+    if grown is None:
+        grown = counters.splits[size, first_size] = ([], combinations(range(size), first_size))
+    pairs, firsts = grown
+    done = 0
+    while True:
+        yield from islice(pairs, done, None)
+        done = len(pairs)
+        first = next(firsts, None)
+        if first is None:
+            return
+        pairs.append((first, tuple(i for i in range(size) if i not in first)))
+
+
 def candidate_splits(counters: Counters, size: int, flavor: str):
     """Each ceil(size/2)-subset ``first`` of ``size`` target positions, in
     ascending combinadic order, paired with each second group tried against
     it: each ceil(size/3)-subset of ``rest``, the other positions, for rs4,
-    and ``rest`` alone for half45.  The ``(first, rest)`` pairs are kept in
-    ``counters.splits[size]``, extended only as far as a search of the run
-    has gone; searches run one at a time, so one reads what another left."""
-    if size < 2:
-        return
-    grown = counters.splits.get(size)
-    if grown is None:
-        grown = counters.splits[size] = ([], combinations(range(size), _ceil_div(size, 2)))
-    pairs, firsts = grown
-    second = _ceil_div(size, 3) if flavor == "rs4" else size // 2
-    for first, rest in pairs:
-        for group in combinations(rest, second):
-            yield first, group
-    for first in firsts:
-        rest = tuple(i for i in range(size) if i not in first)
-        pairs.append((first, rest))
-        for group in combinations(rest, second):
-            yield first, group
+    and ``rest`` alone for half45; the ``(first, rest)`` pairs are read from
+    the run's list (``_split_pairs``)."""
+    pairs = _split_pairs(counters, size, _ceil_div(size, 2)) if size >= 2 else ()
+    if flavor != "rs4":
+        return pairs
+    second = _ceil_div(size, 3)
+    return ((first, group) for first, rest in pairs for group in combinations(rest, second))
 
 
 def _target_counts(targets: tuple[int, ...], cut: Cut) -> list[int]:
@@ -202,12 +209,12 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
     where T is ``ws.targets``.
 
     Partitions of the target set are tried largest-part-first.  A first part
-    larger than k collapses the other two: it and its complement are a
-    two-way candidate of ``_first_cut`` with bound k, whose cut lists one
-    side and leaves the other as its rest.  Otherwise the isolating cut
-    approximation runs on the three parts with bound floor(a*k), lists two
-    sides and leaves the third as its rest.  Success additionally requires
-    at least two non-empty sides.
+    larger than k collapses the other two: it and its complement, read from
+    the run's list (``_split_pairs``), are a two-way candidate of
+    ``_first_cut`` with bound k, whose cut lists one side and leaves the
+    other as its rest.  Otherwise the isolating cut approximation runs on
+    the three parts with bound floor(a*k), lists two sides and leaves the
+    third as its rest.  Success additionally requires two non-empty sides.
 
     A triple is rejected by mask first: ``ws.isolating_union`` runs the
     isolating flows the triple needs, in the order ``approx_3way_vertex_cut``
@@ -229,10 +236,9 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
                 and max(_target_counts(w, cut)) + len(cut.separator) <= per_side_limit)
 
     size = len(w)
-    positions = range(size)
-    collapsed = ((first, tuple(i for i in positions if i not in first))
-                 for s1 in range(size // 2, max(k, _ceil_div(size, 3) - 1), -1)
-                 for first in combinations(positions, s1))
+    collapsed = chain.from_iterable(
+        _split_pairs(ws.counters, size, s1)
+        for s1 in range(size // 2, max(k, _ceil_div(size, 3) - 1), -1))
     # With no first part above k there is nothing to rule: skip the call.
     while size // 2 > k and (cut := _first_cut(ws, collapsed, k)) is not None:
         if fits(cut):

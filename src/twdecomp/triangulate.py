@@ -191,9 +191,11 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
 def _fixed_k_split(find, k: int, pad_size: int, counters: Counters | None):
     """Split closure of the fixed-k drivers: edge budget, then the search.
 
-    Each split node gets one flow workspace over its padded targets, adding
-    to ``counters``; ``find(ws)`` returns a ``Cut`` or None.
+    Each split node of the call gets a flow workspace over its padded
+    targets, all on one ``Counters``; ``find(ws)`` returns a ``Cut`` or None.
     """
+    counters = Counters() if counters is None else counters
+
     def split(g: Graph, part: Part, boundary: tuple[int, ...]) -> Cut | None:
         # A graph of treewidth at most k-1 has at most n*k edges.
         if part.m > part.size * k:

@@ -167,11 +167,11 @@ def test_handover_refuses_and_spends():
         with pytest.raises(ValueError, match="not a member"):
             part.handover(stray)
     assert_same_part(part, g, (0, 1, 2, 4))
-    # A whole-graph part shares g.adj, so it is never handed over.
-    whole = Part(g)
-    with pytest.raises(ValueError, match="whole-graph"):
-        whole.handover((2,))
-    assert whole.adj is g.adj
+    # A part of the whole graph is built like any other, so handing it over
+    # cuts its own rows and leaves g.adj as it was.
+    whole = Part(g).handover((2, 4))
+    assert_same_part(whole, g, (0, 1, 3, 5, 6, 7, 8))
+    assert g.adj == grid_graph(3, 3).adj
     assert g.adj[1] == (0, 2, 4)
     sub = part.handover((0, 4, 4))
     assert_same_part(sub, g, (1, 2))

@@ -4,7 +4,7 @@ completeness certificates on graphs with known treewidth."""
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -466,7 +466,8 @@ def test_two_way_searches_rule_without_a_call(monkeypatch):
             if first is not last:
                 last = first
                 firsts += 1
-                reached[size] = max(reached.get(size, 0), firsts)
+                key = (size, len(first))
+                reached[key] = max(reached.get(key, 0), firsts)
             yield first, second
 
     monkeypatch.setattr(FlowWorkspace, "certificates", counted_fetch)
@@ -483,7 +484,7 @@ def test_two_way_searches_rule_without_a_call(monkeypatch):
         assert fetches[0] == loops[0] + kept[0], name
         assert report.certified > 0
         (counters,) = runs.values()
-        assert {size: len(pairs) for size, (pairs, _) in counters.splits.items()} == reached
+        assert {key: len(pairs) for key, (pairs, _) in counters.splits.items()} == reached
 
 
 @pytest.mark.parametrize("flavor, oracle", (("rs4", two_thirds_candidates),
@@ -495,9 +496,10 @@ def test_candidate_splits_follow_the_reference_order(flavor, oracle):
         got = [(tuple(targets[i] for i in first), tuple(targets[i] for i in second))
                for first, second in candidate_splits(counters, size, flavor)]
         assert got == list(oracle(targets)), size
-    # Both flavours share the per-size lists, which the first pass built in full.
-    assert {size: len(pairs) for size, (pairs, _) in counters.splits.items()} == {
-        size: math.comb(size, -(-size // 2)) for size in range(2, 14)}
+    # Both flavours share the lists, one per (size, first-group size), which
+    # the first pass built in full.
+    assert {key: len(pairs) for key, (pairs, _) in counters.splits.items()} == {
+        (size, -(-size // 2)): math.comb(size, -(-size // 2)) for size in range(2, 14)}
 
 
 def test_a_later_search_extends_the_list_an_early_stop_left():
@@ -505,10 +507,59 @@ def test_a_later_search_extends_the_list_an_early_stop_left():
     early = candidate_splits(counters, 9, "half45")
     head = [next(early) for _ in range(5)]
     assert [first for first, _ in head] == list(combinations(range(9), 5))[:5]
-    assert len(counters.splits[9][0]) == 5
+    assert len(counters.splits[9, 5][0]) == 5
     later = list(candidate_splits(counters, 9, "rs4"))
     assert later == list(two_thirds_candidates(tuple(range(9))))
-    assert len(counters.splits[9][0]) == math.comb(9, 5)
+    assert len(counters.splits[9, 5][0]) == math.comb(9, 5)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_readers_of_one_list_take_turns_in_any_order(seed):
+    # Two or three readers share one run's lists and take turns, each
+    # reading a few candidates at a time in a seeded order, so a reader
+    # resumes after another has grown the list it reads.  Readers are the
+    # two flavours and alpha_sum_sep's collapsed pairs of each first-part
+    # size it tries; at an even size that of size/2 is half45's list.
+    # Every reader yields its whole reference sequence all the same.
+    rng = random.Random(seed)
+    for size in range(2, 14):
+        w = tuple(range(size))
+        kinds = {"rs4": list(two_thirds_candidates(w)), "half45": list(half_candidates(w))}
+        for s1 in range(max(-(-size // 3), 1), size // 2 + 1):
+            kinds[s1] = [pair for pair in reference_three_partitions(w, s1 - 1)
+                         if len(pair) == 2 and len(pair[0]) == s1]
+        counters = Counters()
+        readers = []
+        for kind in rng.choices(list(kinds), k=rng.randint(2, 3)):
+            pairs = (separators._split_pairs(counters, size, kind) if isinstance(kind, int)
+                     else candidate_splits(counters, size, kind))
+            readers.append((kind, iter(pairs), []))
+        live = list(readers)
+        while live:
+            reader = rng.choice(live)
+            chunk = list(islice(reader[1], rng.randint(1, 12)))
+            reader[2].extend(chunk)
+            if not chunk:
+                live.remove(reader)
+        for kind, _, got in readers:
+            assert got == kinds[kind], (size, kind)
+
+
+def test_three_way_search_leaves_a_list_that_half45_extends():
+    # On the path 0-...-7 with every vertex a target, alpha_sum_sep at k=3
+    # takes its first collapsed pair, {0..3} against {4..7}: it leaves the
+    # run's (8, 4) list one pair long, and a later half45 reader extends
+    # that list in place instead of building one of its own.
+    g = path_graph(8)
+    counters = Counters()
+    cut = alpha_sum_sep(FlowWorkspace(g, Part(g), range(8), counters), 3)
+    assert len(cut.separator) == 1
+    (entry,) = counters.splits.values()
+    pairs = entry[0]
+    assert list(counters.splits) == [(8, 4)] and pairs == [((0, 1, 2, 3), (4, 5, 6, 7))]
+    assert list(candidate_splits(counters, 8, "half45")) == list(half_candidates(tuple(range(8))))
+    assert list(counters.splits) == [(8, 4)] and counters.splits[8, 4] is entry
+    assert entry[0] is pairs and len(pairs) == math.comb(8, 4)
 
 
 def try_split_loop(ws, oracle, bound):

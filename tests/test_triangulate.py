@@ -15,7 +15,7 @@ from twdecomp import (Counters, Cut, Graph, NotChordal, Part,
                       check_tree_decomposition, clique_number_chordal, decompose,
                       exact_treewidth, is_chordal, min_degree_triang, triang_2way_23,
                       triang_2way_half, triang_3way)
-from twdecomp import graph, separators, triangulate
+from twdecomp import flow, graph, separators, triangulate
 from twdecomp.flow import FlowWorkspace
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
                              grid_graph, partial_k_tree, path_graph, random_tree,
@@ -109,6 +109,27 @@ def test_alpha_and_counters_are_keyword_only():
     for fn in (triang_2way_23, triang_2way_half):
         with pytest.raises(TypeError):
             fn(g, 2, Counters())
+
+
+def test_each_public_driver_call_is_one_run(monkeypatch):
+    # Without counters a driver call makes one Counters for all its split
+    # nodes, as decompose does: the root-sized flow arrays are allocated
+    # once, and the outcome is decompose's.
+    made = [0]
+    init = flow._FlowArrays.__init__
+
+    def counted(self, n):
+        made[0] += 1
+        init(self, n)
+
+    monkeypatch.setattr(flow._FlowArrays, "__init__", counted)
+    g = path_graph(2000)
+    for algo, driver in (("rs4", triang_2way_23), ("half45", triang_2way_half),
+                         ("bg367", triang_3way)):
+        made[0] = 0
+        outcome = driver(g, 2)
+        assert made[0] == 1, algo
+        assert outcome == decompose(g, algo, k=2).outcome, algo
 
 
 def test_three_way_drivers_check_k_and_alpha_up_front():
