@@ -299,12 +299,12 @@ class FlowWorkspace:
     the workspaces of a run may run theirs in any order.
 
     Every flow is added to ``counters`` (a private ``Counters`` when none is
-    given).  ``cuts`` maps (group mask, bound) to the isolating cut of that
-    group against the other targets, or None when that cut exceeded the
-    bound; ``isolating_union`` fills it, running each cut's flow once with
-    ``separator_only``, so no side of it is ever listed.  A cut is kept as
-    ``(separator, mask)``: its vertices and their bits in the workspace's
-    own numbering of separator vertices, ``sep_ids`` (bit ``i`` is vertex
+    given).  ``cuts`` maps a group mask to the exact minimum isolating cut
+    of that group against the other targets; ``isolating_union`` fills it,
+    running each cut's flow once with ``separator_only``, so no side of it
+    is ever listed, and bounded by the group's size, which the group itself
+    meets.  A cut is kept as the bits of its vertices in the workspace's own
+    numbering of separator vertices, ``sep_ids`` (bit ``i`` is vertex
     ``sep_ids[i]``), which grows as flows find new ones.  The numbering
     holds only vertices some isolating cut used, so a mask stays a few words
     long however large the graph is, and the union of two cuts is one OR.
@@ -438,10 +438,9 @@ class FlowWorkspace:
         """The targets whose bits are in ``mask``, ascending."""
         return tuple(t for i, t in enumerate(self.targets) if mask >> i & 1)
 
-    def isolating_union(self, masks, bound: int) -> int | None:
+    def isolating_union(self, masks) -> int:
         """The union, as a mask over ``sep_ids``, of the two cheapest isolating
-        cuts of three groups of targets, given by their masks, or None when
-        two of the cuts exceed ``bound``.
+        cuts of three groups of targets, given by their masks.
 
         The cheapest cuts are the two smallest, the earlier group first among
         equal sizes.  A cut not yet in ``cuts`` is computed first, group by
@@ -450,38 +449,24 @@ class FlowWorkspace:
         """
         cuts = self.cuts
         full = (1 << len(self.targets)) - 1
-        kept = []
         for mask in masks:
-            if mask == 0 or mask == full:
-                kept.append(((), 0))
-                continue
-            key = (mask, bound)
-            try:
-                cut = cuts[key]
-            except KeyError:
-                cut = cuts[key] = self._isolating_cut(mask, bound)
-            if cut is not None:
-                kept.append(cut)
-        if len(kept) < 2:
-            return None
-        if len(kept) == 2:
-            return kept[0][1] | kept[1][1]
-        # Drop the costliest of three: the largest, the later one of equals.
-        (sep_a, a), (sep_b, b), (sep_c, c) = kept
-        if len(sep_c) >= len(sep_a) and len(sep_c) >= len(sep_b):
-            return a | b
-        if len(sep_b) >= len(sep_a):
-            return a | c
-        return b | c
+            if mask not in cuts and 0 < mask < full:
+                cuts[mask] = self._isolating_cut(mask)
+        # Drop the costliest of three, which a stable sort leaves last: the
+        # largest, the later one of equals.
+        a, b, _ = sorted([cuts.get(mask, 0) for mask in masks], key=int.bit_count)
+        return a | b
 
-    def _isolating_cut(self, mask: int, bound: int):
-        """The isolating cut of group ``mask`` as (separator, separator mask),
-        numbering the separator's new vertices; None when it exceeds the bound."""
+    def _isolating_cut(self, mask: int) -> int:
+        """The separator mask of the isolating cut of group ``mask``,
+        numbering the separator's new vertices.  The group itself separates
+        it from the other targets, so a flow bounded by the group's size
+        always ends with the exact minimum cut."""
         group = self.targets_of(mask)
         others = self.targets_of(((1 << len(self.targets)) - 1) ^ mask)
-        res = min_vertex_separator(self, (others, group), bound, separator_only=True)
-        if isinstance(res, Exceeded):
-            return None
+        res = min_vertex_separator(self, (others, group), len(group), separator_only=True)
+        _invariant(isinstance(res, Cut) and len(res.separator) <= len(group),
+                   "an isolating cut exceeds its group")
         ids, bit_of = self.sep_ids, self.sep_bit
         sep_mask = 0
         for v in res.separator:
@@ -490,7 +475,7 @@ class FlowWorkspace:
                 bit = bit_of[v] = 1 << len(ids)
                 ids.append(v)
             sep_mask |= bit
-        return res.separator, sep_mask
+        return sep_mask
 
 
 def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead) -> int:
@@ -694,18 +679,16 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
 
         # The last search reached no sink, and its queue lists every state it
         # reached: a vertex whose exit side was reached is residual-reachable,
-        # one reached at its entry side only is cut (an exit state in the
-        # queue is itself reached).  The rest of the part is the cut's rest,
-        # which the flow never lists.
+        # one reached at its entry side only is cut.  A cut vertex carries
+        # flow (an unsaturated one's entry leads to its exit), so it is a
+        # terminal or a vertex the flow touched.  The rest of the part is the
+        # cut's rest, which the flow never lists.
+        separator = sorted({v for side in (side_a, side_b, touched) for v in side
+                            if prev[2 * v] != _UNSEEN and prev[2 * v + 1] == _UNSEEN})
         if separator_only:
-            # A cut vertex carries flow (an unsaturated one's entry leads to
-            # its exit), so it is a terminal or a vertex the flow touched.
-            separator = sorted({v for side in (side_a, side_b, touched) for v in side
-                                if prev[2 * v] != _UNSEEN and prev[2 * v + 1] == _UNSEEN})
             _verify_separator(part, prev, queue, separator, side_a, side_b, flow, dead)
         else:
             side1 = sorted([s >> 1 for s in queue if s & 1])
-            separator = sorted([s >> 1 for s in queue if prev[s | 1] == _UNSEEN])
     finally:
         # Hand the scratch arrays back clean.
         for s in queue:
@@ -868,10 +851,12 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
     place in the side order.
 
     Since every split partitions the same targets, a group's isolating cut
-    depends on the group and the bound alone: ``ws.isolating_union`` keeps
-    it in ``ws.cuts`` and computes it once per workspace, by a flow that
-    lists no side.  The result's ``augmentations`` counts the flows this
-    call ran, so a call that reuses all its isolating cuts reports 0.
+    depends on the group alone: ``ws.isolating_union`` keeps it in
+    ``ws.cuts`` and computes it once per workspace, whatever the bound, by
+    a flow that lists no side.  A cut above the bound is either the one
+    dropped or makes the union exceed it.  The result's ``augmentations``
+    counts the flows this call ran, so a call that reuses all its isolating
+    cuts reports 0.
 
     The sides are found by ``_split_three_ways``, which lists every
     component of the part minus the separator but the last one its searches
@@ -889,11 +874,13 @@ def approx_3way_vertex_cut(ws: FlowWorkspace, t1, t2, t3, bound: int) -> Cut | E
     # repeat either.
     if sum(map(len, groups)) != len(ws.targets) or masks[0] | masks[1] | masks[2] != full:
         raise ValueError("terminal groups must partition the targets")
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
 
     counters = ws.counters
     before = counters.augmentations
-    union = ws.isolating_union(masks, bound)
-    if union is None or union.bit_count() > bound:
+    union = ws.isolating_union(masks)
+    if union.bit_count() > bound:
         return Exceeded(bound, counters.augmentations - before)
     separator = vset(v for i, v in enumerate(ws.sep_ids) if union >> i & 1)
     listed, rest_at = _split_three_ways(ws.part, separator, groups)

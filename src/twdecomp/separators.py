@@ -218,8 +218,9 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
 
     A triple is rejected by mask first: ``ws.isolating_union`` runs the
     isolating flows the triple needs, in the order ``approx_3way_vertex_cut``
-    would, and only a triple whose two cheapest cuts fit floor(a*k) together
-    reaches ``approx_3way_vertex_cut``, which would reject every other one.
+    would, and returns the union of its two cheapest cuts; only a triple
+    whose union fits floor(a*k) reaches ``approx_3way_vertex_cut``, which
+    would reject every other one.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -246,8 +247,7 @@ def alpha_sum_sep(ws: FlowWorkspace, k: int,
     targets_of = ws.targets_of
     isolating_union = ws.isolating_union
     for groups in _three_partitions(w, k):
-        union = isolating_union(groups, cut_bound)
-        if union is None or union.bit_count() > cut_bound:
+        if isolating_union(groups).bit_count() > cut_bound:
             continue
         cut = approx_3way_vertex_cut(ws, *map(targets_of, groups), cut_bound)
         if fits(cut):

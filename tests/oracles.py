@@ -6,11 +6,14 @@ skip the largest side, and the two candidate generators, over target tuples,
 the reference order of the two-way searches.  The certificate ruling and the
 one-candidate split, as a workspace method and a loop of its own, and the
 partitions of the three-way search with its collapsed pairs among them, are
-the references for the library's one ruling loop."""
+the references for the library's one ruling loop.  The three-way cut of
+bounded isolating flows, each kept per (group, bound) and left out when it
+exceeds the bound, is the reference for the exact cuts kept per group."""
 
 from itertools import combinations
 
-from twdecomp import Exceeded, connected_components, min_vertex_separator, vset
+from twdecomp import Cut, Exceeded, connected_components, min_vertex_separator, vset
+from twdecomp.flow import _split_three_ways
 
 
 def two_thirds_candidates(w: tuple[int, ...]):
@@ -256,3 +259,58 @@ def reference_three_partitions(w: tuple[int, ...], k: int):
                 for second in combinations([b for b in bits if b & rest], s2):
                     second_mask = sum(second)
                     yield mask, second_mask, rest ^ second_mask
+
+
+def reference_isolating_union(ws, masks, bound: int):
+    """The union, as a mask over ``ws.sep_ids``, of the two cheapest
+    isolating cuts of three groups of targets, given by their masks, or None
+    when two of the cuts exceed ``bound``.
+
+    Each cut is a flow from the other targets to the group, bounded by
+    ``bound``, kept in ``ws.cuts`` under (group mask, bound) as (separator,
+    separator mask), or None when it exceeds the bound.  The cheapest cuts
+    are the two smallest kept ones, the earlier group first among equal
+    sizes; an empty group needs no cut and costs nothing.
+    """
+    full = (1 << len(ws.targets)) - 1
+    kept = []
+    for mask in masks:
+        if mask == 0 or mask == full:
+            kept.append(((), 0))
+            continue
+        key = (mask, bound)
+        if key not in ws.cuts:
+            group = ws.targets_of(mask)
+            others = ws.targets_of(full ^ mask)
+            res = min_vertex_separator(ws, (others, group), bound, separator_only=True)
+            cut = None
+            if not isinstance(res, Exceeded):
+                sep_mask = 0
+                for v in res.separator:
+                    if v not in ws.sep_bit:
+                        ws.sep_bit[v] = 1 << len(ws.sep_ids)
+                        ws.sep_ids.append(v)
+                    sep_mask |= ws.sep_bit[v]
+                cut = res.separator, sep_mask
+            ws.cuts[key] = cut
+        if ws.cuts[key] is not None:
+            kept.append(ws.cuts[key])
+    if len(kept) < 2:
+        return None
+    # Drop the costliest of three: the largest, the later one of equals.
+    kept = sorted(enumerate(kept), key=lambda item: (len(item[1][0]), item[0]))[:2]
+    return kept[0][1][1] | kept[1][1][1]
+
+
+def reference_approx_3way_vertex_cut(ws, t1, t2, t3, bound: int):
+    """The three-way cut of ``reference_isolating_union``: Exceeded when the
+    union is None or exceeds ``bound``, else the union as separator, with
+    the sides that ``flow._split_three_ways`` lists.  ``ws`` must hold no
+    cut of the library's own kind."""
+    groups = (t1, t2, t3)
+    union = reference_isolating_union(ws, [ws.mask(grp) for grp in groups], bound)
+    if union is None or union.bit_count() > bound:
+        return Exceeded(bound, 0)
+    separator = vset(v for i, v in enumerate(ws.sep_ids) if union >> i & 1)
+    listed, rest_at = _split_three_ways(ws.part, separator, groups)
+    return Cut(separator, listed, 0, ws.part, rest_at)

@@ -18,7 +18,8 @@ from twdecomp.flow import _split_three_ways, _verify_cut, _verify_separator
 from twdecomp.separators import _three_partitions
 
 from oracles import (brute_force_min_separator, half_candidates, max_disjoint_paths,
-                     split_three_ways_by_components, two_thirds_candidates)
+                     reference_approx_3way_vertex_cut, split_three_ways_by_components,
+                     two_thirds_candidates)
 from test_certificate_counts import search_graphs
 from test_golden import fallback_graphs, golden_graphs
 from test_graph import assert_same_part
@@ -390,7 +391,7 @@ def test_three_way_reuses_cached_isolating_cuts():
     assert first == want and first.augmentations == want.augmentations
     assert counters.separator_calls == 3
     assert counters.augmentations == first.augmentations
-    assert sorted(ws.cuts) == sorted((ws.mask(grp), 6) for grp in groups)
+    assert sorted(ws.cuts) == sorted(ws.mask(grp) for grp in groups)
     # The same groups again run no flow, give an equal cut and report no
     # augmentations.
     again = approx_3way_vertex_cut(ws, *groups, 6)
@@ -405,7 +406,7 @@ def test_three_way_reuses_cached_isolating_cuts():
     assert shared == approx_3way_vertex_cut(fresh(g, *regrouped), *regrouped, 6)
     assert counters.separator_calls == 5
     assert shared.augmentations == counters.augmentations - before > 0
-    # Exceeded isolating cuts are kept too.
+    # The cuts of a call that ended Exceeded are kept too.
     ws = fresh(complete_graph(7), (0, 1, 2))
     first = approx_3way_vertex_cut(ws, (0,), (1,), (2,), 1)
     again = approx_3way_vertex_cut(ws, (0,), (1,), (2,), 1)
@@ -414,14 +415,14 @@ def test_three_way_reuses_cached_isolating_cuts():
     assert ws.counters.separator_calls == 3
 
 
-def test_isolating_cuts_are_kept_per_group_and_bound():
+def test_isolating_cuts_are_kept_per_group():
     g = grid_graph(4, 4)
     groups = ((0, 1), (14, 15), (3, 7))
     ws = fresh(g, *groups)
-    # A new bound runs each group's flow again; a repeated (group, bound)
-    # runs none and reports no augmentations.  Each result reports what its
-    # own flows added to the counters.
-    for bound, flows in ((6, 3), (2, 6), (6, 6), (2, 6)):
+    # Each group's flow runs once, whatever the bound; a later call, at any
+    # bound, runs none and reports no augmentations.  Each result reports
+    # what its own flows added to the counters.
+    for bound, flows in ((6, 3), (2, 3), (6, 3), (2, 3)):
         calls, augs = ws.counters.separator_calls, ws.counters.augmentations
         got = approx_3way_vertex_cut(ws, *groups, bound)
         want = approx_3way_vertex_cut(fresh(g, *groups), *groups, bound)
@@ -431,8 +432,76 @@ def test_isolating_cuts_are_kept_per_group_and_bound():
             want = replace(want, augmentations=0)
         assert got == want and got.augmentations == want.augmentations
     assert isinstance(approx_3way_vertex_cut(ws, *groups, 2), Exceeded)
-    assert sorted(ws.cuts) == sorted((ws.mask(grp), bound)
-                                     for grp in groups for bound in (2, 6))
+    assert sorted(ws.cuts) == sorted(ws.mask(grp) for grp in groups)
+    assert all(isinstance(sep, int) for sep in ws.cuts.values())
+
+
+def test_a_second_bound_runs_no_flow():
+    # Bound 1 rejects the triple after three exact isolating flows, and
+    # bound 6 then reuses all three: its cut equals a fresh workspace's.
+    g = grid_graph(4, 4)
+    groups = ((0, 1), (14, 15), (3, 7))
+    ws = fresh(g, *groups)
+    assert isinstance(approx_3way_vertex_cut(ws, *groups, 1), Exceeded)
+    assert ws.counters.separator_calls == 3
+    got = approx_3way_vertex_cut(ws, *groups, 6)
+    assert ws.counters.separator_calls == 3 and got.augmentations == 0
+    assert got == approx_3way_vertex_cut(fresh(g, *groups), *groups, 6)
+
+
+def test_a_negative_bound_is_refused_before_any_flow():
+    ws = fresh(grid_graph(4, 4), (0, 1), (14, 15), (3, 7))
+    with pytest.raises(ValueError, match="bound must be non-negative"):
+        approx_3way_vertex_cut(ws, (0, 1), (14, 15), (3, 7), -1)
+    assert ws.counters == Counters() and not ws.cuts
+    assert_clean(ws)
+
+
+def test_three_way_cuts_match_the_bounded_reference_on_small_graphs():
+    # Seeded 3-partitions of random targets on graphs of at most 10
+    # vertices, bounds 0..n in a shuffled order on one workspace: the exact
+    # cuts, kept per group, give the separator, listed sides and rest
+    # position (or Exceeded) of the reference, which keeps a cut per
+    # (group, bound) on a twin workspace and leaves out a cut above the
+    # bound.  Each kept cut is a minimum isolating cut.
+    rng = random.Random(2929)
+    outcomes = Counter()
+    for _ in range(60):
+        n = rng.randint(4, 10)
+        kind = rng.choice(("gnp", "tree", "grid", "pkt"))
+        if kind == "grid":
+            g = grid_graph(2, n // 2)
+        elif kind == "tree":
+            g = random_tree(n, rng)
+        elif kind == "pkt":
+            g = partial_k_tree(n, rng.randint(2, 3), 0.3, rng)
+        else:
+            g = gnp_connected(n, rng.uniform(0.25, 0.6), rng)
+        targets = rng.sample(range(g.n), rng.randint(3, g.n))
+        ws, twin = FlowWorkspace(g, None, targets), FlowWorkspace(g, None, targets)
+        for _ in range(3):
+            owner = [rng.choice((0, 0, 1, 1, 2)) if rng.random() < 0.9 else 0 for _ in targets]
+            groups = tuple(vset(t for t, o in zip(targets, owner) if o == i) for i in range(3))
+            bounds = list(range(g.n + 1))
+            rng.shuffle(bounds)
+            for bound in bounds:
+                got = approx_3way_vertex_cut(ws, *groups, bound)
+                want = reference_approx_3way_vertex_cut(twin, *groups, bound)
+                if isinstance(want, Exceeded):
+                    assert isinstance(got, Exceeded) and got.bound == bound
+                    outcomes["exceeded"] += 1
+                    continue
+                assert got == want
+                assert sides_in_order(got) == split_three_ways_by_components(
+                    g, ws.part, got.separator, groups)
+                outcomes["cut"] += 1
+            assert_clean(ws)
+        for mask, sep in ws.cuts.items():
+            group = ws.targets_of(mask)
+            others = ws.targets_of(((1 << len(targets)) - 1) ^ mask)
+            assert sep.bit_count() == brute_force_min_separator(g, (group, others))
+            assert sep.bit_count() <= len(group)
+    assert min(outcomes.values()) > 100
 
 
 def test_three_way_groups_must_partition_the_targets():
@@ -1119,8 +1188,7 @@ def test_mask_filter_accepts_exactly_the_triples_with_a_three_way_cut():
             ws = FlowWorkspace(g, None, targets)
             isolating = {}
             for masks in _three_partitions(targets, k):
-                union = ws.isolating_union(masks, bound)
-                passed = union is not None and union.bit_count() <= bound
+                passed = ws.isolating_union(masks).bit_count() <= bound
                 assert passed == reference_three_way_accepts(g, targets, masks, bound, isolating)
                 groups = [ws.targets_of(mask) for mask in masks]
                 assert isinstance(approx_3way_vertex_cut(ws, *groups, bound), Cut) == passed

@@ -634,8 +634,7 @@ def reference_alpha_sum_sep(ws, k, alpha):
             if cut is None:
                 continue
         else:
-            union = ws.isolating_union(groups, cut_bound)
-            if union is None or union.bit_count() > cut_bound:
+            if ws.isolating_union(groups).bit_count() > cut_bound:
                 continue
             cut = approx_3way_vertex_cut(ws, *map(ws.targets_of, groups), cut_bound)
         sides = (*cut.listed, cut.rest)
@@ -681,35 +680,57 @@ def test_adaptive_rounds_and_collapsed_candidates_match_a_try_split_loop(kind, n
 
 
 def test_isolating_cuts_of_a_triple_never_exceed_the_bound(monkeypatch):
-    # A triple's groups hold at most k <= floor(alpha * k) targets each, and a
-    # group is itself a separator between it and the other targets, so no
-    # isolating cut exceeds the bound: a triple is rejected only when the
-    # union of its two cheapest isolating cuts does.  Rejections happen in
-    # the mask filter, before any call of approx_3way_vertex_cut, so they are
-    # observed there; every triple that reaches approx_3way_vertex_cut gets
-    # a cut.
+    # A group is itself a separator between it and the other targets, so an
+    # isolating flow bounded by the group's size always ends with a Cut: in
+    # bg367 runs, whose triples are rejected by the mask filter before any
+    # call of approx_3way_vertex_cut, and in public calls whose bound is
+    # below a group's size.  Every triple that reaches
+    # approx_3way_vertex_cut in a run gets a cut.
+    original_flow = flow.min_vertex_separator
     original_union = FlowWorkspace.isolating_union
     original_cut = separators.approx_3way_vertex_cut
-    seen = []
+    isolating = []
+    unions = []
+    cuts = []
 
-    def union_checked(ws, masks, bound):
-        union = original_union(ws, masks, bound)
-        assert max(mask.bit_count() for mask in masks) <= bound
-        for mask in masks:
-            assert ws.cuts.get((mask, bound), ()) is not None
-        seen.append(union is None or union.bit_count() > bound)
-        return union
+    def flow_checked(ws, terminals, bound, *, separator_only=False):
+        res = original_flow(ws, terminals, bound, separator_only=separator_only)
+        if separator_only:
+            assert bound == len(terminals[1])
+            assert isinstance(res, Cut) and len(res.separator) <= bound
+            isolating.append(res)
+        return res
+
+    def union_checked(ws, masks):
+        unions.append(masks)
+        return original_union(ws, masks)
 
     def cut_checked(ws, t1, t2, t3, bound):
         before = ws.counters.augmentations
         cut = original_cut(ws, t1, t2, t3, bound)
         assert cut.augmentations == ws.counters.augmentations - before
         assert not isinstance(cut, Exceeded)
+        cuts.append(cut)
         return cut
 
+    monkeypatch.setattr(flow, "min_vertex_separator", flow_checked)
     monkeypatch.setattr(FlowWorkspace, "isolating_union", union_checked)
     monkeypatch.setattr(separators, "approx_3way_vertex_cut", cut_checked)
     for g in (grid_graph(8, 8), gnp_connected(30, 0.1, random.Random(30)), path_graph(40)):
         for alpha in (Fraction(1), DEFAULT_ALPHA):
             decompose(g, "bg367", search=True, alpha=alpha)
-    assert any(seen) and not all(seen)
+    # Each accepted triple calls isolating_union twice: in the filter and in
+    # approx_3way_vertex_cut; some triples stop in the filter.
+    assert isolating and cuts and len(unions) > 2 * len(cuts)
+    rng = random.Random(683)
+    below = exceeded = 0
+    for _ in range(20):
+        g = gnp_connected(10, rng.uniform(0.3, 0.7), rng)
+        targets = rng.sample(range(g.n), 7)
+        groups = (tuple(targets[:3]), tuple(targets[3:5]), tuple(targets[5:]))
+        for bound in range(3):
+            ws = FlowWorkspace(g, None, targets)
+            before = len(isolating)
+            exceeded += isinstance(approx_3way_vertex_cut(ws, *groups, bound), Exceeded)
+            below += len(isolating) - before
+    assert below == 180 and exceeded > 0
