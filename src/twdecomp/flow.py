@@ -20,9 +20,6 @@ _NO_FLOW = -1
 # Marks of FlowWorkspace.role.
 _SOURCE = 1
 _SINK = 2
-# A target whose row is longer than this many times the other targets' rows
-# together is a hub, whose row FlowWorkspace does not scan for ``near``.
-_HUB_FACTOR = 8
 
 
 class _FlowArrays:
@@ -201,6 +198,44 @@ class _Certificates:
         self.count += 1
 
 
+class _Near(dict):
+    """The mask of the targets next to each vertex of a part, computed on
+    the vertex's first read and kept.
+
+    ``bit_of`` maps each target to its bit.  The mask comes from the cheaper
+    side: a row no longer than the target count is scanned against
+    ``bit_of``, and into a longer one (a hub's) each target is bisected.
+    The rows are read through ``part``, so a read after ``Part.handover``
+    raises like any other use of a spent part.
+    """
+
+    __slots__ = ("part", "bit_of")
+
+    def __init__(self, part: Part, bit_of: dict[int, int]):
+        self.part = part
+        self.bit_of = bit_of
+
+    def __missing__(self, v: int) -> int:
+        row = self.part.adj[v]
+        bit_of = self.bit_of
+        mask = 0
+        if len(row) <= len(bit_of):
+            get = bit_of.get
+            for u in row:
+                bit = get(u)
+                if bit:
+                    mask |= bit
+        else:
+            # The targets ascend, so each search starts where the last ended.
+            i = 0
+            for t, bit in bit_of.items():
+                i = bisect_left(row, t, i)
+                if i < len(row) and row[i] == t:
+                    mask |= bit
+        self[v] = mask
+        return mask
+
+
 def _dovetail(adj, label: dict[int, int], seeds):
     """Searches over the vertices that ``label`` does not hold, one per
     seed, that take one step each in turn until at most one is unfinished.
@@ -272,23 +307,17 @@ class FlowWorkspace:
 
     A separator search asks for a minimum cut between many pairs of disjoint
     subsets of the same targets inside the same part (default: all of
-    ``g``).  The workspace checks the targets against the part once, numbers
-    them (target ``i`` of the ascending targets is bit ``1 << i``) and
-    records in ``near``, a dict of its own, the mask of targets next to each
-    vertex; a vertex it does not hold reads 0.  The warm start then packs
-    one- and two-edge paths by mask: a source's direct path is
-    ``near[a] & free``, where ``free`` holds the unsaturated sinks, and its
-    two-hop paths scan ``two_hop(a)``, the row ``[(v, near[v]), ...]`` of its
-    neighbours that touch a target, built the first time the source needs it
-    and kept for later flows.
-
-    ``near`` is filled by scanning the targets' rows, all but a hub's: a
-    hub is a target whose row is more than ``_HUB_FACTOR`` times longer than
-    the other targets' rows together (a star's centre).  Its bit is added
-    only where ``near`` is read, at the targets and at the neighbours of a
-    source whose two-hop row is built, each found in the hub's row by
-    bisection.  ``near`` holds the same masks either way, so the packing is
-    the same, and a workspace costs what its targets' short rows cost.
+    ``g``).  The workspace checks the targets against the part once and
+    numbers them (target ``i`` of the ascending targets is bit ``1 << i``).
+    ``near[v]``, a ``_Near`` of its own, is the mask of the targets next to
+    member ``v``, computed on its first read from the cheaper of ``v``'s row
+    and the targets, and kept.  The warm start packs one- and two-edge paths
+    by mask: a source's direct path is ``near[a] & free``, where ``free``
+    holds the unsaturated sinks, and its two-hop paths scan ``two_hop(a)``,
+    the row ``[(v, near[v]), ...]`` of its neighbours that touch a target,
+    built the first time the source needs it and kept for later flows.
+    Every read is exact, so a workspace costs what its reads cost, however
+    many long rows (hubs) its targets or their neighbours have.
 
     The flow arrays ``sat``, ``in_flow`` and ``prev`` and the ``role`` marks
     of the current sources and sinks are sized to ``g`` and read through
@@ -310,12 +339,12 @@ class FlowWorkspace:
     long however large the graph is, and the union of two cuts is one OR.
 
     ``attached`` holds the bits of the targets next to a non-target member,
-    the hub's always (its row is not scanned), found on the first flow run
-    with ``separator_only``.  Such a flow whose sources hold every bit of
-    ``attached`` is dead: every non-target member touches sources and
-    non-targets only, so its searches leave all of them out, and an
-    isolating cut costs what its targets reach, not the tail of a path
-    beyond its sources.
+    those whose row is longer than their ``near`` mask's bit count, found
+    on the first flow run with ``separator_only``.  Such a flow whose
+    sources hold every bit of ``attached`` is dead: every non-target member
+    touches sources and non-targets only, so its searches leave all of them
+    out, and an isolating cut costs what its targets reach, not the tail of
+    a path beyond its sources.
 
     ``certs`` keeps, per bound, the certificate of every flow that ended
     ``Exceeded``: its bound+1 vertex-disjoint paths, each grown into a
@@ -335,7 +364,7 @@ class FlowWorkspace:
     """
 
     __slots__ = ("part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
-                 "certs", "bit_of", "hub", "near", "rows", "attached", "arrays")
+                 "certs", "bit_of", "near", "rows", "attached", "arrays")
 
     def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
                  counters: Counters | None = None):
@@ -343,7 +372,6 @@ class FlowWorkspace:
             part = Part(g)
         n = g.n
         inside = part.inside
-        adj = part.adj
         self.part = part
         self.targets = w = vset(targets)
         self.counters = counters = Counters() if counters is None else counters
@@ -352,28 +380,11 @@ class FlowWorkspace:
         self.sep_bit = {}
         self.certs = {}
         self.bit_of = bit_of = {}
-        total = longest = 0
-        hub = -1
         for i, t in enumerate(w):
             if not (0 <= t < n and inside[t]):
                 raise ValueError(f"terminal vertex out of range: {t}")
             bit_of[t] = 1 << i
-            length = len(adj[t])
-            total += length
-            if length > longest:
-                longest, hub = length, t
-        if longest > _HUB_FACTOR * (total - longest):
-            self.hub = (hub, bit_of[hub])
-        else:
-            self.hub, hub = None, -1
-        self.near = near = {}
-        get = near.get
-        for t, bit in bit_of.items():
-            if t != hub:
-                for v in adj[t]:
-                    near[v] = get(v, 0) | bit
-        if self.hub is not None:
-            self._add_hub(w)
+        self.near = _Near(part, bit_of)
         self.rows = {}
         self.attached = None
         arrays = counters.arrays
@@ -381,26 +392,14 @@ class FlowWorkspace:
             arrays = counters.arrays = _FlowArrays(n)
         self.arrays = arrays
 
-    def _add_hub(self, vertices) -> None:
-        """Add the hub's bit to ``near`` at each of ``vertices`` next to it."""
-        hub, bit = self.hub
-        row = self.part.adj[hub]
-        near = self.near
-        for v in vertices:
-            i = bisect_left(row, v)
-            if i < len(row) and row[i] == v:
-                near[v] = near.get(v, 0) | bit
-
     def two_hop(self, a: int) -> list[tuple[int, int]]:
         """The row ``[(v, near[v]), ...]`` of ``a``'s neighbours that touch a
-        target, built on the first call and kept."""
+        target, built on the first call and kept; the masks are read from
+        ``near``, which computes each on its first read."""
         row = self.rows.get(a)
         if row is None:
-            nbrs = self.part.adj[a]
-            if self.hub is not None:
-                self._add_hub(nbrs)
-            get = self.near.get
-            row = self.rows[a] = [(v, mask) for v in nbrs if (mask := get(v, 0))]
+            near = self.near
+            row = self.rows[a] = [(v, mask) for v in self.part.adj[a] if (mask := near[v])]
         return row
 
     def mask(self, vertices: Iterable[int]) -> int:
@@ -566,7 +565,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     adj = part.adj
     targets = ws.targets
     rows = ws.rows
-    near = ws.near.get
+    near = ws.near
     arrays = ws.arrays
     role = arrays.role
     sat = arrays.sat
@@ -582,10 +581,10 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     if separator_only:
         attached = ws.attached
         if attached is None:
-            bit_of = ws.bit_of
-            hub, attached = ws.hub if ws.hub is not None else (-1, 0)
-            for t, bit in bit_of.items():
-                if t != hub and not all(map(bit_of.__contains__, adj[t])):
+            # A target is attached when its row holds more than its targets.
+            attached = 0
+            for t, bit in ws.bit_of.items():
+                if len(adj[t]) > near[t].bit_count():
                     attached |= bit
             ws.attached = attached
         if not attached & ~sources:
@@ -609,7 +608,7 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
         for a in side_a:
             if flow > bound or not free:
                 break
-            hit = near(a, 0) & free
+            hit = near[a] & free
             if hit:
                 low = hit & -hit
                 w = targets[low.bit_length() - 1]
@@ -711,17 +710,16 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
 
     Each saturated sink's ``in_flow`` chain leads back to the source its path
     starts from; the walk collects the targets on the path and, from
-    ``near``, the targets next to it, the hub's bit left out so that a
-    certificate does not depend on which two-hop rows were built.  Each free
-    target, one on no path, then joins one region next to it, in ascending
-    order: the one that holds the fewest targets so far, the earliest among
-    equals.  A region is connected (a path and targets next to it), and the
+    ``near``, the targets next to it.  Each free target, one on no path, a
+    hub included, then joins one region next to it, in ascending order: the
+    one that holds the fewest targets so far, the earliest among equals.  A
+    region is connected (a path and targets next to it), and the
     regions are disjoint (the paths are, and a free target joins one), so
     sides that hold a target of every region are joined by bound+1
     vertex-disjoint paths, one inside each region.
     """
     bit_of = ws.bit_of
-    near = ws.near.get
+    near = ws.near
     sat = ws.arrays.sat
     in_flow = ws.arrays.in_flow
     regions = []
@@ -734,7 +732,7 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
         mask = nbrs = 0
         v = b
         while v >= 0:
-            nbrs |= near(v, 0)
+            nbrs |= near[v]
             bit = bit_of.get(v)
             if bit:
                 mask |= bit
@@ -747,8 +745,6 @@ def _keep_certificate(ws: FlowWorkspace, side_b, flow: int, bound: int) -> None:
         nexts.append(nbrs)
     _invariant(len(regions) == flow, "certificate paths differ from the flow value")
     free = ((1 << len(ws.targets)) - 1) ^ seen
-    if ws.hub is not None:
-        free &= ~ws.hub[1]
     while free:
         low = free & -free
         free ^= low

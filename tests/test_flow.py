@@ -587,11 +587,15 @@ def property_graph(kind, n, rng):
         # A hub: its row is far longer than the other targets' rows.
         chords = [tuple(rng.sample(range(1, n), 2)) for _ in range(n // 10)]
         return Graph(n, [(0, v) for v in range(1, n)] + chords)
+    if kind == "two-hubs":
+        # K_{2,n-2} and a few chords: two hubs 0 and 1 with equally long rows.
+        chords = [tuple(rng.sample(range(2, n), 2)) for _ in range(n // 10)]
+        return Graph(n, [(h, v) for h in (0, 1) for v in range(2, n)] + chords)
     return partial_k_tree(n, rng.randint(2, 4), 0.15, rng)
 
 
 @settings(max_examples=30)
-@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt")),
+@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "two-hubs", "pkt")),
        n=st.integers(8, 60), seed=st.integers(0, 2**31))
 def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
     # Along a random chain of handovers, as the recursion hands a node's part
@@ -626,18 +630,35 @@ def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
             if isinstance(got, Cut):
                 assert (got.separator, got.listed) == (separator, (side1,))
                 assert got.rest == side2 == vset(set(members) - set(side1) - set(separator))
-        # The warm start reads ``near`` at the targets and in the two-hop
-        # rows; there it must hold every target next to a vertex, hub or not.
+        # ``near`` fills each member's mask on its first read, by a scan of
+        # a short row or by bisection into a long one (a hub's): either way
+        # it holds every target next to the member, and so do the two-hop
+        # rows built from it.
         for ws in spaces:
             for a in ws.targets:
                 near = [(v, sum(ws.bit_of.get(t, 0) for t in sub[v])) for v in sorted(sub[a])]
                 assert ws.two_hop(a) == [(v, mask) for v, mask in near if mask]
-                assert ws.near.get(a, 0) == sum(ws.bit_of.get(t, 0) for t in sub[a])
+            for v in members:
+                assert ws.near[v] == sum(ws.bit_of.get(t, 0) for t in sub[v])
         count = rng.choice((1, 2, max(1, len(members) // 3)))
         removed = rng.sample(members, min(len(members), count))
         members = vset(set(members).difference(removed))
         part = part.handover(removed)
     assert_same_part(part, g, members)
+
+
+def test_a_first_read_after_a_handover_raises():
+    # ``near`` reads the rows through the workspace's part, so a mask first
+    # read after the part is handed over raises like any other use of a
+    # spent part; a mask read before stays.
+    g = grid_graph(3, 3)
+    part = Part(g)
+    ws = FlowWorkspace(g, part, (0, 4, 8))
+    assert ws.near[1] == ws.mask((0, 4))
+    part.handover((2,))
+    assert ws.near[1] == ws.mask((0, 4))
+    with pytest.raises(AttributeError):
+        ws.near[3]
 
 
 def workspace_state(ws):
@@ -656,8 +677,8 @@ def test_interleaved_workspaces_match_workspaces_run_alone():
     # counts are the twins' sums.
     rng = random.Random(2727)
     outcomes = set()
-    hubs = 0
-    for kind in ("gnp", "grid", "tree", "star", "pkt") * 4:
+    bisected = 0
+    for kind in ("gnp", "grid", "tree", "star", "two-hubs", "pkt") * 4:
         g = property_graph(kind, rng.randint(20, 60), rng)
         members = vset(v for v in range(g.n) if v == 0 or rng.random() < 0.85)
         part = Part(g, members)
@@ -665,12 +686,12 @@ def test_interleaved_workspaces_match_workspaces_run_alone():
         spaces = []
         for i in range(rng.randint(2, 3)):
             if i == 0:
-                # Vertex 0 and two more: on a star, the centre is a hub.
+                # Vertex 0 and two more: on a star or K_{2,n}, 0 is a hub,
+                # whose mask is filled by bisection.
                 targets = [0, *rng.sample(members[1:], 2)]
             else:
                 targets = rng.sample(members, rng.randint(3, min(9, len(members))))
             spaces.append(FlowWorkspace(g, part, targets, counters))
-        hubs += sum(ws.hub is not None for ws in spaces)
         schedule = []
         for _ in range(30):
             i = rng.randrange(len(spaces))
@@ -703,9 +724,11 @@ def test_interleaved_workspaces_match_workspaces_run_alone():
             assert [got for (j, *_), got in zip(schedule, together) if j == i] == alone
             assert workspace_state(ws) == workspace_state(twin)
             sums.update({name: getattr(twin.counters, name) for name in counts})
+            # A mask whose row is longer than the target count was bisected.
+            bisected += any(len(part.adj[v]) > len(ws.targets) for v in ws.near)
         assert all(getattr(counters, name) == sums[name] for name in counts)
     assert outcomes == {(n, kind) for n in (2, 3) for kind in (Cut, Exceeded)}
-    assert hubs
+    assert bisected
 
 
 def test_workspace_rejects_bad_sides_and_stays_clean():
@@ -927,11 +950,11 @@ def test_separator_only_flow_matches_the_listed_flow(kind, n, seed):
 def test_a_region_next_to_a_hub_sink_is_no_dead_end(pendant):
     # The hub 0 (40 leaves) is the sink, and the sources are its leaf 1 and
     # the vertex 41, joined to the hub by the path 41, 42, ..., 60, 0, with
-    # or without the longer pendant path 61..99 of 41.  The hub's row is
-    # never scanned for ``attached``, but its bit is always in it, so the
-    # flow is not dead although the sources hold every other attached
-    # target.  Leaving out the non-targets would lose the hub's entry
-    # state, and the cut would be {1}, not {0}.
+    # or without the longer pendant path 61..99 of 41.  The hub's row holds
+    # non-targets, so its bit is in ``attached`` (its mask filled by
+    # bisection), and the flow is not dead although the sources hold every
+    # other attached target.  Leaving out the non-targets would lose the
+    # hub's entry state, and the cut would be {1}, not {0}.
     edges = [(0, v) for v in range(1, 41)] + [(41, 42)]
     edges += [(v, v + 1) for v in range(42, 60)] + [(60, 0)]
     if pendant:
@@ -939,7 +962,6 @@ def test_a_region_next_to_a_hub_sink_is_no_dead_end(pendant):
     g = Graph(100, edges)
     terminals = ((1, 41), (0,))
     listed, bare = fresh(g, *terminals), fresh(g, *terminals)
-    assert bare.hub is not None
     want = min_vertex_separator(listed, terminals, 3)
     got = min_vertex_separator(bare, terminals, 3, separator_only=True)
     assert want.separator == got.separator == (0,)

@@ -401,6 +401,14 @@ def test_every_certificate_ruling_matches_a_real_flow(monkeypatch):
     # out the most candidates.
     scale = partial_k_tree(100, 5, 0.03, random.Random(8008))
     runs += [(scale, algo, {"search": True}) for algo in ("rs4", "half45")]
+    # A wheel's centre and a grid's apex, a vertex joined to all others, are
+    # hubs: free targets that a certificate's region may hold.
+    rim = 60
+    wheel = Graph(rim + 1, [(v, (v + 1) % rim) for v in range(rim)]
+                  + [(v, rim) for v in range(rim)])
+    grid = grid_graph(5, 5)
+    apex_grid = Graph(grid.n + 1, list(grid.edges()) + [(v, grid.n) for v in range(grid.n)])
+    runs += [(g, algo, {"search": True}) for g in (wheel, apex_grid) for algo in ("rs4", "half45")]
     ruled_by_algo = dict.fromkeys(("rs4", "half45", "bg367"), 0)
     # Adaptive mode reaches the loop through triangulate's reference to it.
     monkeypatch.setattr(separators, "_first_cut", ruled)

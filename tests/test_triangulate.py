@@ -648,7 +648,8 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
     # A count, with no timing, summed over the run: the members listed by the
     # flows (side1 and the separator of every cut); the members scanned by
     # the check of every cut as it is built (those, plus the rows of side1);
-    # the entries the workspaces write into ``near``; and the surgery: every
+    # the entries the workspaces' ``near`` holds once the run ends, each
+    # filled on its first read; and the surgery: every
     # row or id range filtered (Part.__init__, a handover's short rows,
     # Part.remainder), every vertex a handover removes and every bisection
     # into a hub's row.  A node that listed, verified or rebuilt its whole
@@ -656,6 +657,7 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
     # alone is about 670n on the path, while both runs here come to about 14n.
     per_vertex = 20
     counts = Counter()
+    masks = []
     check = Cut.__post_init__
     init = FlowWorkspace.__init__
     handover = Part.handover
@@ -669,7 +671,7 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
 
     def counted_init(ws, *args):
         init(ws, *args)
-        counts["near"] += len(ws.near)
+        masks.append(ws.near)
 
     def counted_handover(part, removed):
         removed = set(removed)
@@ -691,34 +693,54 @@ def test_split_nodes_cost_what_they_remove(monkeypatch):
     monkeypatch.setattr(graph, "bisect_left", counted_bisect)
     for g, mode in ((path_graph(4000), {"k": 2}), (star_graph(2000), {"search": True})):
         counts.clear()
+        masks.clear()
         assert isinstance(decompose(g, "half45", **mode).outcome, TriangSuccess)
+        counts["near"] = sum(map(len, masks))
         assert all(counts.values()) and len(counts) == 4, counts
         assert counts.total() <= per_vertex * g.n, (g, counts)
+
+
+def two_hubs_graph(n: int) -> Graph:
+    """K_{2,n}: the hubs 0 and 1, each joined to the n leaves 2..n+1."""
+    return Graph(n + 2, [(h, v) for h in (0, 1) for v in range(2, n + 2)])
 
 
 @pytest.mark.parametrize("graph_of, algo, mode", [
     (star_graph, "bg367", {"search": True}),
     (path_graph, "bg367", {"k": 2}),
     (lambda n: random_tree(n, random.Random(n)), "rs4", {"adaptive": True}),
-], ids=["star-bg367-search", "path-bg367-k2", "tree-rs4-adaptive"])
+    (two_hubs_graph, "half45", {"search": True}),
+    (two_hubs_graph, "rs4", {"k": 3}),
+], ids=["star-bg367-search", "path-bg367-k2", "tree-rs4-adaptive", "two-hubs-half45-search",
+        "two-hubs-rs4-k3"])
 def test_target_masks_stay_linear(monkeypatch, graph_of, algo, mode):
-    # A count, with no timing: the entries of every workspace's ``near``,
-    # summed over the run once it ends, per vertex, grow by at most half from
-    # n to 2n (about 3, 3 and 10 per vertex here).  A workspace that scanned
-    # a hub's row, the star's centre, would write n entries on its own.
-    init = FlowWorkspace.__init__
-    masks = []
+    # A count, with no timing: the work of every ``near`` fill, summed over
+    # the run, per vertex, grows by at most half from n to 2n (about 5, 5,
+    # 8, 10 and 7 per vertex here).  A fill that bisects costs its
+    # bisections; one that does not costs the row it scanned.  Scanning a
+    # hub's row (a star's centre, either hub of K_{2,n}) costs n on its own,
+    # and every split node reads the hubs.
+    fill = flow._Near.__missing__
+    bisections = [0]
+    work = [0]
 
-    def recorded(ws, *args):
-        init(ws, *args)
-        masks.append(ws.near)
+    def counted_bisect(row, v, *bounds):
+        bisections[0] += 1
+        return bisect_left(row, v, *bounds)
 
-    monkeypatch.setattr(FlowWorkspace, "__init__", recorded)
+    def counted_fill(near, v):
+        before = bisections[0]
+        mask = fill(near, v)
+        work[0] += bisections[0] - before or len(near.part.adj[v])
+        return mask
+
+    monkeypatch.setattr(flow, "bisect_left", counted_bisect)
+    monkeypatch.setattr(flow._Near, "__missing__", counted_fill)
     per_vertex = []
     for n in (500, 1000):
-        masks.clear()
+        work[0] = 0
         assert isinstance(decompose(graph_of(n), algo, **mode).outcome, TriangSuccess)
-        per_vertex.append(sum(map(len, masks)) / n)
+        per_vertex.append(work[0] / n)
     assert 0 < per_vertex[1] <= 1.5 * per_vertex[0], per_vertex
 
 
