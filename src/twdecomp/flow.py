@@ -314,8 +314,8 @@ class FlowWorkspace:
     and the targets, and kept.  The warm start packs one- and two-edge paths
     by mask: a source's direct path is ``near[a] & free``, where ``free``
     holds the unsaturated sinks, and its two-hop paths scan ``two_hop(a)``,
-    the row ``[(v, near[v]), ...]`` of its neighbours that touch a target,
-    built the first time the source needs it and kept for later flows.
+    the row ``[(v, near[v]), ...]`` of all its neighbours, built the first
+    time the source needs it and kept for later flows.
     Every read is exact, so a workspace costs what its reads cost, however
     many long rows (hubs) its targets or their neighbours have.
 
@@ -393,13 +393,14 @@ class FlowWorkspace:
         self.arrays = arrays
 
     def two_hop(self, a: int) -> list[tuple[int, int]]:
-        """The row ``[(v, near[v]), ...]`` of ``a``'s neighbours that touch a
-        target, built on the first call and kept; the masks are read from
-        ``near``, which computes each on its first read."""
+        """The row ``[(v, near[v]), ...]`` of target ``a``'s neighbours,
+        built on the first call and kept; the masks are read from ``near``,
+        which computes each on its first read.  Every mask holds ``a``'s
+        bit, so none is empty."""
         row = self.rows.get(a)
         if row is None:
             near = self.near
-            row = self.rows[a] = [(v, mask) for v in self.part.adj[a] if (mask := near[v])]
+            row = self.rows[a] = [(v, near[v]) for v in self.part.adj[a]]
         return row
 
     def mask(self, vertices: Iterable[int]) -> int:
@@ -477,7 +478,7 @@ class FlowWorkspace:
         return sep_mask
 
 
-def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead) -> int:
+def _augmenting_search(rows, role, sat, in_flow, prev, queue: list[int]) -> int:
     """One breadth-first search over the residual states from the roots in
     ``queue``, which lists every state reached, each with its ``prev``:
     the exit state (2v+1; 2v is v's entry) of the first free sink it
@@ -488,24 +489,18 @@ def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead) ->
     root, so a pushed target entry is a sink's.  A free vertex carries no
     flow, so its entry leads only to its exit, which nothing else reaches.
 
-    ``dead`` holds the targets when the flow is dead (see
-    ``min_vertex_separator``), else it is None.  A dead flow's non-targets
-    carry no flow and touch sources and non-targets only, so their states
-    lead back to source entry states alone, which are roots: the search
-    expands only the target neighbours of a source's exit, which changes
-    neither the order in which the other states are found nor their
-    ``prev`` entries.
+    ``rows[v]`` is the row the search expands from v's exit: ``part.adj``'s,
+    or in a dead flow (see ``min_vertex_separator``) a ``_TargetRows`` view
+    that filters it to the targets.  The loop itself never tests whether a
+    flow is dead.
     """
     push = queue.append
     for s in queue:
         v = s >> 1
         if s & 1:
-            row = adj[v]
-            if dead and role[v]:
-                row = [w for w in row if w in dead]
-            for w in row:
-                t = 2 * w
-                if prev[t] == _UNSEEN:
+            for w in rows[v]:
+                t = w + w
+                if prev[t] == -1:
                     prev[t] = s
                     push(t)
                     if role[w] and not sat[w]:
@@ -513,8 +508,8 @@ def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead) ->
                         push(t + 1)
                         return t + 1
             if sat[v]:
-                t = 2 * v
-                if prev[t] == _UNSEEN:
+                t = s - 1
+                if prev[t] == -1:
                     prev[t] = s
                     push(t)
         elif not sat[v]:
@@ -523,11 +518,35 @@ def _augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead) ->
         else:
             u = in_flow[v]
             if u >= 0:
-                t = 2 * u + 1
-                if prev[t] == _UNSEEN:
+                t = u + u + 1
+                if prev[t] == -1:
                     prev[t] = s
                     push(t)
     return -1
+
+
+class _TargetRows(dict):
+    """The rows a dead flow's searches expand: each vertex's row filtered to
+    the targets, built on the vertex's first read in the flow and kept.
+
+    A dead flow's non-targets carry no flow and touch sources and
+    non-targets only, so their states lead back to source entry states
+    alone, which are roots.  Only targets' exits are expanded, and of those
+    only a source's row holds non-targets: leaving them out changes neither
+    the order in which the other states are found nor their ``prev``
+    entries.
+    """
+
+    __slots__ = ("adj", "targets")
+
+    def __init__(self, adj, targets):
+        self.adj = adj
+        self.targets = targets
+
+    def __missing__(self, v: int) -> list[int]:
+        targets = self.targets
+        row = self[v] = [w for w in self.adj[v] if w in targets]
+        return row
 
 
 def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
@@ -542,7 +561,9 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     reported after bound+1 successful unit augmentations, which certifies
     that every separator is larger than the bound.  The result does not
     depend on the order of a side; ascending sides make the warm start pack
-    the smallest ids first.
+    the smallest ids first.  Each augmenting path is applied while it is
+    walked back from its sink along ``prev``, one step at a time, and a
+    vertex joins ``touched`` when a step enters it from another vertex.
 
     With ``separator_only`` (an isolating cut, whose sides no caller reads)
     the cut lists no side: only its separator and ``augmentations`` carry
@@ -550,7 +571,9 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     ``ws.attached``, the targets next to a non-target member: every
     non-target member then touches sources and other non-targets only,
     carries no flow and lies on the reached side, so the searches leave all
-    of them out (see ``_augmenting_search``).  The augmenting paths, the
+    of them out: the flow hands its search a ``_TargetRows`` view that
+    filters each row to the targets, where any other flow hands it
+    ``part.adj`` itself.  The augmenting paths, the
     certificates, the counts and the cut stay exactly those of a search
     that enters them.  The flow's conditions are checked on its search
     state by ``_verify_separator``, which counts a dead flow's non-targets
@@ -637,33 +660,41 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
             free ^= low
             flow += 1
 
+        search_rows = _TargetRows(adj, dead) if dead else adj
         while flow <= bound:
             # One breadth-first search; the queue, never popped, lists every
             # state whose ``prev`` entry it set.
-            queue = [2 * a for a in side_a]
+            queue = [a + a for a in side_a]
             for s in queue:
                 prev[s] = _ROOT
-            goal = _augmenting_search(adj, role, sat, in_flow, prev, queue, dead)
-            if goal < 0:
+            t = _augmenting_search(search_rows, role, sat, in_flow, prev, queue)
+            if t < 0:
                 break
 
-            path = []
-            s = goal
-            while s != _ROOT:
-                path.append(s)
-                s = prev[s]
-            path.reverse()
-            in_flow[path[0] >> 1] = _FROM_SOURCE
-            for i in range(len(path) - 1):
-                s, t = path[i], path[i + 1]
-                v, w = s >> 1, t >> 1
-                touched.append(w)
-                if v == w:
-                    sat[v] = 0 if s & 1 else 1
-                elif (s & 1) and not (t & 1):
-                    in_flow[w] = v
-                elif not (s & 1) and (t & 1) and in_flow[v] == w:
-                    in_flow[v] = _NO_FLOW
+            # Apply the path while walking it back from the goal.  A state
+            # appears once on a path, so a vertex's entries change only in
+            # the steps next to its states, and their order does not matter:
+            # a step from v's entry back to the exit its flow came from is
+            # applied before the step into v's entry that replaces that flow.
+            # Only a forward step enters a vertex that may carry no flow yet;
+            # every other vertex a step changes is a terminal or already
+            # carries flow, so it is in ``touched`` already.
+            s = prev[t]
+            while s >= 0:
+                if s & 1:
+                    if t == s - 1:
+                        sat[t >> 1] = 0
+                    else:
+                        w = t >> 1
+                        in_flow[w] = s >> 1
+                        touched.append(w)
+                elif t == s + 1:
+                    sat[s >> 1] = 1
+                else:
+                    in_flow[s >> 1] = _NO_FLOW
+                t = s
+                s = prev[t]
+            in_flow[t >> 1] = _FROM_SOURCE
             for s in queue:
                 prev[s] = _UNSEEN
             queue = []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
+from operator import lt
 from typing import Union
 
 from .flow import Counters, Cut, FlowWorkspace
@@ -45,7 +46,13 @@ class TreeDecomposition:
 
     @classmethod
     def from_bags(cls, bags, tree_edges) -> "TreeDecomposition":
-        bags = tuple(vset(b) for b in bags)
+        # A strictly ascending bag is already its vset; only the others are
+        # sorted.
+        canonical = []
+        for bag in bags:
+            bag = tuple(bag)
+            canonical.append(bag if all(map(lt, bag, bag[1:])) else vset(bag))
+        bags = tuple(canonical)
         width = max((len(b) for b in bags), default=0) - 1
         return cls(bags, tuple(tree_edges), width)
 
@@ -95,11 +102,9 @@ class DecomposeResult:
 
 
 def _pad_targets(part: Part, boundary: tuple[int, ...], size: int) -> tuple[int, ...]:
-    # Fill up with the smallest member ids not already present.
-    need = min(part.size, size) - len(boundary)
-    if need <= 0:
-        return boundary
-    return vset(boundary + part.smallest(need, boundary))
+    # Fill up with the smallest member ids not already present; a boundary
+    # that already holds ``size`` members gets none.
+    return vset(boundary + part.smallest(min(part.size, size) - len(boundary), boundary))
 
 
 def _missing_pairs(g: Graph, bag: tuple[int, ...], sets: list) -> set[tuple[int, int]]:

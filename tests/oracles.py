@@ -8,12 +8,18 @@ one-candidate split, as a workspace method and a loop of its own, and the
 partitions of the three-way search with its collapsed pairs among them, are
 the references for the library's one ruling loop.  The three-way cut of
 bounded isolating flows, each kept per (group, bound) and left out when it
-exceeds the bound, is the reference for the exact cuts kept per group."""
+exceeds the bound, is the reference for the exact cuts kept per group.  The
+flow that builds each augmenting path forward before applying it, and whose
+search filters a dead flow's rows itself, is the reference for the flow that
+applies each path while walking it back."""
 
 from itertools import combinations
 
-from twdecomp import Cut, Exceeded, connected_components, min_vertex_separator, vset
-from twdecomp.flow import _split_three_ways
+from twdecomp import (Cut, Exceeded, FlowWorkspace, connected_components,
+                      min_vertex_separator, vset)
+from twdecomp.flow import (_FROM_SOURCE, _NO_FLOW, _ROOT, _SINK, _SOURCE, _UNSEEN,
+                           _keep_certificate, _split_three_ways, _verify_cut,
+                           _verify_separator)
 
 
 def two_thirds_candidates(w: tuple[int, ...]):
@@ -314,3 +320,240 @@ def reference_approx_3way_vertex_cut(ws, t1, t2, t3, bound: int):
     separator = vset(v for i, v in enumerate(ws.sep_ids) if union >> i & 1)
     listed, rest_at = _split_three_ways(ws.part, separator, groups)
     return Cut(separator, listed, 0, ws.part, rest_at)
+
+
+def reference_augmenting_search(adj, role, sat, in_flow, prev, queue: list[int], dead) -> int:
+    """The augmenting search as it ran while it tested every source exit for
+    a dead flow itself, kept verbatim as the reference for
+    ``flow._augmenting_search``.
+
+    One breadth-first search over the residual states from the roots in
+    ``queue``, which lists every state reached, each with its ``prev``:
+    the exit state (2v+1; 2v is v's entry) of the first free sink it
+    reaches, or -1.  No flow path continues past a sink, so a free sink's
+    exit is reached from its own entry only: the search ends when it pushes
+    that entry, and pushes the exit after it, which a FIFO search that went
+    on would pop first, with the same ``prev`` chain.  A source's entry is a
+    root, so a pushed target entry is a sink's.  A free vertex carries no
+    flow, so its entry leads only to its exit, which nothing else reaches.
+
+    ``dead`` holds the targets when the flow is dead (see
+    ``reference_min_vertex_separator``), else it is None.  A dead flow's non-targets
+    carry no flow and touch sources and non-targets only, so their states
+    lead back to source entry states alone, which are roots: the search
+    expands only the target neighbours of a source's exit, which changes
+    neither the order in which the other states are found nor their
+    ``prev`` entries.
+    """
+    push = queue.append
+    for s in queue:
+        v = s >> 1
+        if s & 1:
+            row = adj[v]
+            if dead and role[v]:
+                row = [w for w in row if w in dead]
+            for w in row:
+                t = 2 * w
+                if prev[t] == _UNSEEN:
+                    prev[t] = s
+                    push(t)
+                    if role[w] and not sat[w]:
+                        prev[t + 1] = t
+                        push(t + 1)
+                        return t + 1
+            if sat[v]:
+                t = 2 * v
+                if prev[t] == _UNSEEN:
+                    prev[t] = s
+                    push(t)
+        elif not sat[v]:
+            prev[s + 1] = s
+            push(s + 1)
+        else:
+            u = in_flow[v]
+            if u >= 0:
+                t = 2 * u + 1
+                if prev[t] == _UNSEEN:
+                    prev[t] = s
+                    push(t)
+    return -1
+
+
+def reference_min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
+                                   separator_only: bool = False) -> Cut | Exceeded:
+    """``flow.min_vertex_separator`` as it ran while each flow built its
+    augmenting path forward, reversed it and then applied it, and its
+    search filtered a dead flow's rows itself: kept verbatim but for the
+    search's name, as the reference for the flow that applies each path
+    while walking it back.
+
+    Minimum vertex cut between the two super-terminals, or Exceeded.
+
+    ``terminals`` is a pair of sides, each a non-empty sequence of distinct
+    targets of ``ws``, and the cut is taken inside ``ws.part``.  Returns a
+    minimum-cardinality separator of size <= bound if one exists, with its
+    one listed side the residual-reachable members, listed from the last
+    breadth-first search, and the remainder left as the cut's rest.  Exceeded is
+    reported after bound+1 successful unit augmentations, which certifies
+    that every separator is larger than the bound.  The result does not
+    depend on the order of a side; ascending sides make the warm start pack
+    the smallest ids first.
+
+    With ``separator_only`` (an isolating cut, whose sides no caller reads)
+    the cut lists no side: only its separator and ``augmentations`` carry
+    meaning.  Such a flow is dead when its sources hold every bit of
+    ``ws.attached``, the targets next to a non-target member: every
+    non-target member then touches sources and other non-targets only,
+    carries no flow and lies on the reached side, so the searches leave all
+    of them out (see ``reference_augmenting_search``).  The augmenting
+    paths, the certificates, the counts and the cut stay exactly those of a search
+    that enters them.  The flow's conditions are checked on its search
+    state by ``_verify_separator``, which counts a dead flow's non-targets
+    and scans the smaller side, not a listed one.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    side_a, side_b = terminals
+    sources, free = ws.side_masks(side_a, side_b)
+
+    part = ws.part
+    adj = part.adj
+    targets = ws.targets
+    rows = ws.rows
+    near = ws.near
+    arrays = ws.arrays
+    role = arrays.role
+    sat = arrays.sat
+    in_flow = arrays.in_flow
+    prev = arrays.prev
+    counters = ws.counters
+    # Vertices other than the terminals whose ``sat`` or ``in_flow`` entry
+    # this flow may set, and the states whose ``prev`` entry is set.
+    touched: list[int] = []
+    queue: list[int] = []
+    # The targets, by ``bit_of``, when the flow is dead, else None.
+    dead = None
+    if separator_only:
+        attached = ws.attached
+        if attached is None:
+            # A target is attached when its row holds more than its targets.
+            attached = 0
+            for t, bit in ws.bit_of.items():
+                if len(adj[t]) > near[t].bit_count():
+                    attached |= bit
+            ws.attached = attached
+        if not attached & ~sources:
+            dead = ws.bit_of
+    flow = 0
+    counters.separator_calls += 1
+
+    try:
+        for v in side_a:
+            role[v] = _SOURCE
+        for v in side_b:
+            role[v] = _SINK
+
+        # Warm start: greedily pack vertex-disjoint source-to-sink paths of
+        # one or two edges, each recorded exactly as a BFS augmentation would
+        # record it.  ``free`` masks the unsaturated sinks, and its lowest bit
+        # is the smallest id, as an ascending scan of the rows would find it.
+        # Any maximum flow leaves the same residual-reachable set, so the cut
+        # below does not depend on where the flow started; the BFS loop
+        # reroutes packed paths through its residual back-steps where needed.
+        for a in side_a:
+            if flow > bound or not free:
+                break
+            hit = near[a] & free
+            if hit:
+                low = hit & -hit
+                w = targets[low.bit_length() - 1]
+                in_flow[w] = a
+            else:
+                row = rows.get(a)
+                if row is None:
+                    row = ws.two_hop(a)
+                for v, mask in row:
+                    # An unsaturated sink here would have been taken above; a
+                    # source may still start its own path.
+                    hit = mask & free
+                    if hit and not sat[v] and role[v] != _SOURCE:
+                        break
+                else:
+                    continue
+                low = hit & -hit
+                w = targets[low.bit_length() - 1]
+                in_flow[v] = a
+                sat[v] = 1
+                in_flow[w] = v
+                touched.append(v)
+            in_flow[a] = _FROM_SOURCE
+            sat[a] = 1
+            sat[w] = 1
+            free ^= low
+            flow += 1
+
+        while flow <= bound:
+            # One breadth-first search; the queue, never popped, lists every
+            # state whose ``prev`` entry it set.
+            queue = [2 * a for a in side_a]
+            for s in queue:
+                prev[s] = _ROOT
+            goal = reference_augmenting_search(adj, role, sat, in_flow, prev, queue, dead)
+            if goal < 0:
+                break
+
+            path = []
+            s = goal
+            while s != _ROOT:
+                path.append(s)
+                s = prev[s]
+            path.reverse()
+            in_flow[path[0] >> 1] = _FROM_SOURCE
+            for i in range(len(path) - 1):
+                s, t = path[i], path[i + 1]
+                v, w = s >> 1, t >> 1
+                touched.append(w)
+                if v == w:
+                    sat[v] = 0 if s & 1 else 1
+                elif (s & 1) and not (t & 1):
+                    in_flow[w] = v
+                elif not (s & 1) and (t & 1) and in_flow[v] == w:
+                    in_flow[v] = _NO_FLOW
+            for s in queue:
+                prev[s] = _UNSEEN
+            queue = []
+            flow += 1
+
+        counters.augmentations += flow
+        if flow > bound + 1:
+            raise RuntimeError("augmentation count exceeded bound + 1")
+        if flow > bound:
+            _keep_certificate(ws, side_b, flow, bound)
+            return Exceeded(bound, flow)
+
+        # The last search reached no sink, and its queue lists every state it
+        # reached: a vertex whose exit side was reached is residual-reachable,
+        # one reached at its entry side only is cut.  A cut vertex carries
+        # flow (an unsaturated one's entry leads to its exit), so it is a
+        # terminal or a vertex the flow touched.  The rest of the part is the
+        # cut's rest, which the flow never lists.
+        separator = sorted({v for side in (side_a, side_b, touched) for v in side
+                            if prev[2 * v] != _UNSEEN and prev[2 * v + 1] == _UNSEEN})
+        if separator_only:
+            _verify_separator(part, prev, queue, separator, side_a, side_b, flow, dead)
+        else:
+            side1 = sorted([s >> 1 for s in queue if s & 1])
+    finally:
+        # Hand the scratch arrays back clean.
+        for s in queue:
+            prev[s] = _UNSEEN
+        for side in (side_a, side_b, touched):
+            for v in side:
+                role[v] = 0
+                sat[v] = 0
+                in_flow[v] = _NO_FLOW
+    if separator_only:
+        return Cut(tuple(separator), (), flow, part, 0)
+    result = Cut(tuple(separator), (tuple(side1),), flow, part, 1)
+    _verify_cut(side_a, side_b, result, flow)
+    return result

@@ -18,8 +18,8 @@ from twdecomp.flow import _split_three_ways, _verify_cut, _verify_separator
 from twdecomp.separators import _three_partitions
 
 from oracles import (brute_force_min_separator, half_candidates, max_disjoint_paths,
-                     reference_approx_3way_vertex_cut, split_three_ways_by_components,
-                     two_thirds_candidates)
+                     reference_approx_3way_vertex_cut, reference_min_vertex_separator,
+                     split_three_ways_by_components, two_thirds_candidates)
 from test_certificate_counts import search_graphs
 from test_golden import fallback_graphs, golden_graphs
 from test_graph import assert_same_part
@@ -633,11 +633,13 @@ def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
         # ``near`` fills each member's mask on its first read, by a scan of
         # a short row or by bisection into a long one (a hub's): either way
         # it holds every target next to the member, and so do the two-hop
-        # rows built from it.
+        # rows built from it, which list every neighbour of their target:
+        # each neighbour's mask holds that target's bit.
         for ws in spaces:
             for a in ws.targets:
                 near = [(v, sum(ws.bit_of.get(t, 0) for t in sub[v])) for v in sorted(sub[a])]
-                assert ws.two_hop(a) == [(v, mask) for v, mask in near if mask]
+                assert ws.two_hop(a) == near
+                assert all(mask & ws.bit_of[a] for _, mask in near)
             for v in members:
                 assert ws.near[v] == sum(ws.bit_of.get(t, 0) for t in sub[v])
         count = rng.choice((1, 2, max(1, len(members) // 3)))
@@ -1218,29 +1220,20 @@ def test_mask_filter_accepts_exactly_the_triples_with_a_three_way_cut():
     assert verdicts == {True, False}
 
 
-def pop_time_search(adj, role, sat, in_flow, prev, queue, dead):
+def pop_time_search(rows, role, sat, in_flow, prev, queue):
     """The augmenting search as it ran before it stopped at a free sink's
     entry: it ends when it pops a sink's exit state.  Kept verbatim apart
-    from spelling out ``_UNSEEN``, returning the goal and leaving out a
-    dead flow's non-targets (``dead`` holds the targets), as the reference
-    for ``flow._augmenting_search``."""
+    from spelling out ``_UNSEEN``, returning the goal and reading rows from
+    ``rows``, which in a dead flow filters a source's row to the targets
+    (the search once did that itself, in a branch for dead flows), as the
+    reference for ``flow._augmenting_search``."""
     push = queue.append
     for s in queue:
         v = s >> 1
         if s & 1:
-            if role[v]:
-                if role[v] == flow._SINK:
-                    return s
-                if dead:
-                    # A source: its entry state is a root, so only
-                    # its neighbours' entry states can be new.
-                    for w in adj[v]:
-                        t = 2 * w
-                        if prev[t] == -1 and w in dead:
-                            prev[t] = s
-                            push(t)
-                    continue
-            for w in adj[v]:
+            if role[v] == flow._SINK:
+                return s
+            for w in rows[v]:
                 t = 2 * w
                 if prev[t] == -1:
                     prev[t] = s
@@ -1278,15 +1271,11 @@ def kept_certificates(ws):
     return {b: (c.on, c.low, c.one, c.high) for b, c in ws.certs.items()}
 
 
-@settings(max_examples=150)
-@given(kind=st.sampled_from(("gnp", "grid", "tree", "star", "pkt", "path-end",
-                             "caterpillar-end", "hub")),
-       n=st.integers(8, 40), seed=st.integers(0, 2**31))
-def test_search_that_stops_at_a_free_sink_matches_the_pop_time_search(kind, n, seed):
-    # Twin workspaces take the same flows, two-way and separator-only with
-    # mixed bounds, one of them with the pop-time search patched in: the
-    # result, the augmentations, the counters and the kept certificates
-    # agree after every flow, and both hand back clean arrays.
+def assert_twin_flows_agree(kind, n, seed, twin_flow):
+    """Twin workspaces take the same flows, two-way and separator-only with
+    mixed bounds, the twin's through ``twin_flow``: the result, the
+    augmentations, the counters and the kept certificates agree after
+    every flow, and both hand back clean arrays."""
     rng = random.Random(seed)
     g, part, targets = flow_case(kind, n, rng)
     if len(targets) < 2:
@@ -1300,15 +1289,38 @@ def test_search_that_stops_at_a_free_sink_matches_the_pop_time_search(kind, n, s
         bound = rng.randint(0, 5)
         separator_only = rng.random() < 0.5
         got = min_vertex_separator(ws, terminals, bound, separator_only=separator_only)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(flow, "_augmenting_search", pop_time_search)
-            want = min_vertex_separator(twin, terminals, bound, separator_only=separator_only)
+        want = twin_flow(twin, terminals, bound, separator_only=separator_only)
         assert got == want
         assert got.augmentations == want.augmentations
         assert ws.counters == twin.counters
         assert kept_certificates(ws) == kept_certificates(twin)
         assert_clean(ws)
         assert_clean(twin)
+
+
+FLOW_KINDS = st.sampled_from(("gnp", "grid", "tree", "star", "pkt", "path-end",
+                              "caterpillar-end", "hub"))
+
+
+@settings(max_examples=150)
+@given(kind=FLOW_KINDS, n=st.integers(8, 40), seed=st.integers(0, 2**31))
+def test_search_that_stops_at_a_free_sink_matches_the_pop_time_search(kind, n, seed):
+    # The twin runs its flows with the pop-time search patched in.
+    def pop_time_flow(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "_augmenting_search", pop_time_search)
+            return min_vertex_separator(*args, **kwargs)
+
+    assert_twin_flows_agree(kind, n, seed, pop_time_flow)
+
+
+@settings(max_examples=150)
+@given(kind=FLOW_KINDS, n=st.integers(8, 40), seed=st.integers(0, 2**31))
+def test_a_path_applied_while_walked_back_matches_the_reference_flow(kind, n, seed):
+    # The twin runs the reference flow, which builds each augmenting path
+    # forward before applying it and whose search filters a dead flow's
+    # rows itself.  The last three kinds make some separator-only flows dead.
+    assert_twin_flows_agree(kind, n, seed, reference_min_vertex_separator)
 
 
 def test_a_search_stops_at_the_first_free_sink_it_reaches(monkeypatch):

@@ -105,6 +105,14 @@ def test_emission_is_byte_stable():
     assert a == b
 
 
+def test_parse_decomposition_canonicalises_unsorted_bags():
+    # Bag lines may list their vertices in any order and repeat one: each bag
+    # comes out as its vset, and an ascending bag line as itself.
+    parsed = parse_decomposition("s td 3 3 4\nb 1 3 1 2 1\nb 2 2 3\nb 3 4 4 3\n1 2\n2 3\n")
+    assert parsed.decomposition.bags == ((0, 1, 2), (1, 2), (2, 3))
+    assert parsed.decomposition.width == 2
+
+
 def test_parse_decomposition_rejects_missing_bag():
     with pytest.raises(ParseError):
         parse_decomposition("s td 2 1 2\nb 1 1\n1 2\n")
@@ -494,6 +502,33 @@ def test_cli_bench_reports_an_unwritable_report(tmp_path, capsys):
                  "--report", str(target)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_cli_reports_an_unreadable_input(tmp_path, capsys):
+    missing = tmp_path / "missing.gr"
+    assert main(["decompose", "--algo", "mindeg", "--in", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {missing}: ")
+    assert captured.out == ""
+
+
+def test_cli_validate_reports_a_vertex_count_mismatch(tmp_path, capsys):
+    gr = write_graph(tmp_path, "p3.gr", path_graph(3))
+    td = tmp_path / "p3.td"
+    td.write_text("s td 2 2 4\nb 1 1 2\nb 2 2 3\n1 2\n")
+    assert main(["validate", "--graph", str(gr), "--td", str(td)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["vertex count mismatch: graph has 3, decomposition declares 4",
+                   "invalid: 1 violation(s)"]
+
+
+def test_cli_bench_rejects_a_directory_without_graphs(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("p tw 2 1\n1 2\n")
+    report = tmp_path / "r.csv"
+    assert main(["bench", "--dir", str(tmp_path), "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no .gr files under {tmp_path}\n"
+    assert captured.out == "" and not report.exists()
 
 
 def test_cli_validate_names_only_the_first_missing_bags(tmp_path, capsys):
