@@ -22,17 +22,26 @@ class Graph:
     """Simple undirected graph over dense vertex ids 0..n-1.
 
     Instances are immutable after construction and safe to share between
-    concurrent tasks; every operation in this module returns a new value.
-    ``adj[v]`` lists v's neighbours as an ascending tuple, which keeps every
-    algorithm built on top of this class deterministic.
+    concurrent tasks: ``with_edges`` returns a new graph, and a ``Part``
+    copies the row list before ``Part.handover`` changes it.  ``adj[v]``
+    lists v's neighbours as an ascending tuple, which keeps every algorithm
+    built on top of this class deterministic.  ``edges()`` and
+    ``components()`` are computed on first use and kept, each as a tuple of
+    tuples.
     """
 
-    __slots__ = ("n", "adj", "m", "_edges")
+    __slots__ = ("n", "adj", "m", "_edges", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        rows: list[list[int]] = [[] for _ in range(n)]
+        self._set_rows(n, [[] for _ in range(n)], edges)
+
+    def _set_rows(self, n: int, rows: list[list[int]],
+                  edges: Iterable[tuple[int, int]]) -> None:
+        # ``rows`` gains both ends of each edge, checked; every row is then
+        # sorted and deduplicated in order by dict keys, and every empty row
+        # becomes the one shared ().
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex id out of range in edge ({u}, {v})")
@@ -41,11 +50,17 @@ class Graph:
             rows[u].append(v)
             rows[v].append(u)
         self.n = n
-        # Each row sorted, then deduplicated in order by dict keys; every
-        # empty row becomes the one shared ().
         self.adj = tuple(map(tuple, map(dict.fromkeys, map(sorted, rows))))
         self.m = sum(map(len, self.adj)) // 2
         self._edges = None
+        self._components = None
+
+    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
+        """This graph plus the edges in ``extra``, checked as the constructor
+        checks them; repeats and edges already present are dropped."""
+        out = Graph.__new__(Graph)
+        out._set_rows(self.n, list(map(list, self.adj)), extra)
+        return out
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -56,6 +71,13 @@ class Graph:
                 (u, v) for u in range(self.n) for v in self.adj[u] if u < v
             )
         return self._edges
+
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components, ordered by smallest member, each an
+        ascending tuple: ``connected_components(self)``, found once."""
+        if self._components is None:
+            self._components = tuple(connected_components(self))
+        return self._components
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -74,6 +96,9 @@ class Part:
     ascending order, as a tuple or, once ``handover`` has cut it in place, a
     list (``()`` for every vertex outside the part) and ``m`` is the
     part's edge count.  Without ``members`` every vertex of ``g`` is one.
+    A part of every vertex shares g's row tuples, unfiltered, in a list of
+    its own; ``handover`` replaces a list entry or cuts a copy of its row,
+    never g's tuple, so ``g`` is left as it was.
 
     No member list is kept: ``members`` builds the ascending tuple from
     ``inside`` on each use, and ``remainder`` the members outside some listed
@@ -83,13 +108,21 @@ class Part:
     __slots__ = ("inside", "adj", "m", "size")
 
     def __init__(self, g: Graph, members: Iterable[int] | None = None):
-        members = range(g.n) if members is None else vset(members)
-        self.inside = inside = bytearray(g.n)
+        n = g.n
+        members = range(n) if members is None else vset(members)
+        if len(members) == n and (not n or (members[0] >= 0 and members[-1] < n)):
+            # Every vertex is a member, so no row loses a neighbour.
+            self.inside = bytearray(b"\x01") * n
+            self.adj = list(g.adj)
+            self.m = g.m
+            self.size = n
+            return
+        self.inside = inside = bytearray(n)
         for v in members:
-            if not (0 <= v < g.n):
+            if not (0 <= v < n):
                 raise ValueError(f"vertex id out of range: {v}")
             inside[v] = 1
-        adj = [()] * g.n
+        adj = [()] * n
         rows = g.adj
         inside_at = inside.__getitem__
         twice_m = 0

@@ -18,7 +18,7 @@ from operator import lt
 from typing import Union
 
 from .flow import Counters, Cut, FlowWorkspace
-from .graph import Graph, Part, connected_components, vset
+from .graph import Graph, Part, vset
 from .separators import (DEFAULT_ALPHA, _first_cut, alpha_sum_sep, candidate_splits,
                          two_thirds_vtx_sep, two_way_half_vtx_sep)
 from .validate import clique_number_chordal
@@ -128,7 +128,9 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
     k.  The node's bag is the boundary plus the separator ``x``, made a
     clique, and every non-empty side of the cut plus ``x`` becomes a child.
     Bags are numbered in pre-order and the roots of separate components are
-    chained into one tree.
+    chained into one tree.  The components are ``g.components()``, found
+    once per graph, so each trial of a search reads them again for free;
+    a root that spans all of ``g`` builds a part that shares g's rows.
 
     The child on the largest side (the first of equal sides) takes over the
     node's ``Part`` by ``Part.handover`` when it is above ``base_size``,
@@ -138,7 +140,7 @@ def _triangulate(g: Graph, k: int, split, base_size: int,
     handed over, and then it is no larger than a listed side or no larger
     than ``base_size``.  Every other node builds its part from ``g``.
     """
-    stack = [(comp, (), -1, None) for comp in reversed(connected_components(g) or [()])]
+    stack = [(comp, (), -1, None) for comp in reversed(g.components() or ((),))]
     fills: set[tuple[int, int]] = set()
     row_sets: list[set[int] | None] = [None] * g.n
     bags: list[tuple[int, ...]] = []
@@ -227,6 +229,9 @@ def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,
             clique_cap: int | None) -> TriangSuccess:
     """The triangulation of ``g`` by ``fills``, checked, with ``td``.
 
+    The chordal graph is ``g.with_edges`` of the sorted fill edges: g's rows
+    with the fill appended, each row sorted again.
+
     Each vertex is listed at its first bag in pre-order, the root of its
     subtree, and the list is reversed: a later neighbour shares a bag with
     the vertex, so it lies in the vertex's first bag, a clique.  The test
@@ -234,7 +239,7 @@ def _finish(g: Graph, k: int, fills: set, td: TreeDecomposition,
     violation.
     """
     fill_edges = tuple(sorted(fills))
-    chordal = Graph(g.n, chain(g.edges(), fill_edges)) if fills else g
+    chordal = g.with_edges(fill_edges) if fills else g
     order = tuple(dict.fromkeys(chain.from_iterable(td.bags)))[::-1]
     try:
         cn = clique_number_chordal(chordal, order)
@@ -342,7 +347,7 @@ def min_degree_triang(g: Graph) -> tuple[Triangulation, TreeDecomposition]:
         bags.append(())
 
     fill_edges = tuple(sorted(fills))
-    chordal = Graph(n, chain(g.edges(), fill_edges)) if fills else g
+    chordal = g.with_edges(fill_edges) if fills else g
     cn = max((len(b) for b in bags), default=0)
     tri = Triangulation(g, fill_edges, chordal, tuple(order), cn)
     return tri, TreeDecomposition.from_bags(bags, edges)

@@ -57,20 +57,22 @@ def _peo_failure(g: Graph, order: list[int]):
     # Tarjan-Yannakakis test: for each vertex, its later neighbors minus the
     # earliest must all be adjacent to that earliest neighbor.  Returns the
     # failing triple or None, and the clique number if ``order`` passes.
+    # ``order`` is a permutation, so v's loop index is its position.
+    rows = g.adj
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
     sets: list[set[int] | None] = [None] * g.n  # rows read as sets, once each
     clique = 0
-    for v in order:
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
+    for i, v in enumerate(order):
+        later = [w for w in rows[v] if pos[w] > i]
         clique = max(clique, 1 + len(later))
         if not later:
             continue
-        u = min(later, key=lambda w: pos[w])
+        u = min(later, key=pos.__getitem__)
         nbrs = sets[u]
         if nbrs is None:
-            sets[u] = nbrs = set(g.adj[u])
+            sets[u] = nbrs = set(rows[u])
         for w in later:
             if w != u and w not in nbrs:
                 return (v, u, w), clique

@@ -11,7 +11,9 @@ bounded isolating flows, each kept per (group, bound) and left out when it
 exceeds the bound, is the reference for the exact cuts kept per group.  The
 flow that builds each augmenting path forward before applying it, and whose
 search filters a dead flow's rows itself, is the reference for the flow that
-applies each path while walking it back."""
+applies each path while walking it back.  The elimination test that reads each
+position from its table and the earliest neighbour through a lambda is the
+reference for the one that reads a vertex's position off its loop index."""
 
 from itertools import combinations
 
@@ -557,3 +559,27 @@ def reference_min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     result = Cut(tuple(separator), (tuple(side1),), flow, part, 1)
     _verify_cut(side_a, side_b, result, flow)
     return result
+
+
+def reference_peo_failure(g, order: list[int]):
+    # Tarjan-Yannakakis test: for each vertex, its later neighbors minus the
+    # earliest must all be adjacent to that earliest neighbor.  Returns the
+    # failing triple or None, and the clique number if ``order`` passes.
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    sets: list[set[int] | None] = [None] * g.n  # rows read as sets, once each
+    clique = 0
+    for v in order:
+        later = [w for w in g.adj[v] if pos[w] > pos[v]]
+        clique = max(clique, 1 + len(later))
+        if not later:
+            continue
+        u = min(later, key=lambda w: pos[w])
+        nbrs = sets[u]
+        if nbrs is None:
+            sets[u] = nbrs = set(g.adj[u])
+        for w in later:
+            if w != u and w not in nbrs:
+                return (v, u, w), clique
+    return None, clique

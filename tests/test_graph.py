@@ -1,13 +1,14 @@
 import random
 import tracemalloc
+from itertools import chain
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twdecomp import Graph, Part, connected_components, vset
-from twdecomp.corpus import (cycle_graph, gnp_connected, grid_graph, path_graph,
-                             star_graph)
+from twdecomp import Graph, Part, connected_components, decompose, vset
+from twdecomp.corpus import (cycle_graph, gnp_connected, grid_graph, partial_k_tree,
+                             path_graph, star_graph)
 
 from test_golden import disjoint_union
 
@@ -72,12 +73,26 @@ def test_induced_subgraph_triangle_edge():
 
 
 def test_induced_subgraph_identity():
+    # A part of every vertex shares g's row tuples in a list of its own.
     g = cycle_graph(6)
-    for part in (Part(g, range(6)), Part(g)):
+    for part in (Part(g, range(6)), Part(g), Part(g, (5, 3, 1, 0, 2, 4, 4))):
         assert tuple(part.members) == tuple(range(6))
-        assert tuple(part.adj) == g.adj
+        assert type(part.adj) is list and part.adj is not g.adj
+        assert all(part.adj[v] is g.adj[v] for v in range(6))
         assert list(part.inside) == [1] * 6
-        assert part.m == g.m
+        assert part.m == g.m and part.size == 6
+    empty = Part(Graph(0))
+    assert empty.adj == [] and empty.m == empty.size == 0 and not empty.inside
+
+
+def test_a_strict_subset_drops_outside_neighbours():
+    g = star_graph(6)
+    part = Part(g, range(6))
+    assert part.adj[0] == (1, 2, 3, 4, 5) and part.adj[6] == ()
+    assert part.m == 5 and part.size == 6
+    # As many members as vertices, but one of them out of range.
+    with pytest.raises(ValueError, match="out of range"):
+        Part(g, (0, 1, 2, 3, 4, 5, 7))
 
 
 def test_induced_subgraph_out_of_range():
@@ -167,8 +182,8 @@ def test_handover_refuses_and_spends():
         with pytest.raises(ValueError, match="not a member"):
             part.handover(stray)
     assert_same_part(part, g, (0, 1, 2, 4))
-    # A part of the whole graph is built like any other, so handing it over
-    # cuts its own rows and leaves g.adj as it was.
+    # A part of the whole graph shares g's rows, and handing it over replaces
+    # its own list's entries, so g.adj is left as it was.
     whole = Part(g).handover((2, 4))
     assert_same_part(whole, g, (0, 1, 3, 5, 6, 7, 8))
     assert g.adj == grid_graph(3, 3).adj
@@ -179,6 +194,101 @@ def test_handover_refuses_and_spends():
         part.members
     with pytest.raises(AttributeError):
         part.handover((1,))
+
+
+def snapshot(g):
+    return g.adj, [(id(row), row) for row in g.adj]
+
+
+def assert_untouched(g, before):
+    adj, rows = before
+    assert g.adj is adj
+    assert [(id(row), row) for row in g.adj] == rows
+
+
+def test_handing_over_a_hubs_leaves_leaves_g_untouched():
+    # While the hub's row is longer than _CUT_FACTOR times each removed set,
+    # it is a list cut in place: a copy of g's tuple, never the tuple itself.
+    g = star_graph(120)
+    before = snapshot(g)
+    part = Part(g)
+    members = set(range(g.n))
+    cut_in_place = 0
+    for start in range(1, 112, 3):
+        removed = (start, start + 1, start + 2)
+        part = part.handover(removed)
+        members.difference_update(removed)
+        cut_in_place += type(part.adj[0]) is list
+        assert_same_part(part, g, vset(members))
+    assert cut_in_place >= 20
+    assert_untouched(g, before)
+
+
+RUN_GRAPHS = {
+    "star60": lambda: star_graph(60),
+    # K_{2,40}: the hubs 0 and 1, each joined to the leaves 2..41.
+    "k2_40": lambda: Graph(42, [(h, v) for h in (0, 1) for v in range(2, 42)]),
+    "grid6x6": lambda: grid_graph(6, 6),
+    "pkt3": lambda: partial_k_tree(40, 3, 0.05, random.Random(3)),
+}
+RUN_MODES = [("rs4", {"search": True}), ("half45", {"search": True}),
+             ("bg367", {"search": True}), ("rs4", {"adaptive": True}),
+             ("half45", {"adaptive": True}), ("bg367", {"k": 3}),
+             ("mindeg", {})]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_GRAPHS))
+def test_a_run_leaves_its_graph_untouched(name):
+    # Every root part of a connected graph shares g's rows, and handover
+    # must copy a row before it cuts one.
+    g = RUN_GRAPHS[name]()
+    before = snapshot(g)
+    assert len(g.components()) == 1
+    for algo, mode in RUN_MODES:
+        res = decompose(g, algo, **mode)
+        assert res.report.width_plus_one is not None
+        assert_untouched(g, before)
+    assert g == RUN_GRAPHS[name]()
+
+
+@pytest.mark.parametrize("g", [Graph(0), Graph(4), path_graph(5), cycle_graph(7),
+                               grid_graph(3, 4),
+                               disjoint_union(star_graph(4), Graph(2), path_graph(3))])
+def test_components_are_found_once_and_kept(g):
+    comps = g.components()
+    assert type(comps) is tuple and all(type(c) is tuple for c in comps)
+    assert g.components() is comps
+    assert list(comps) == connected_components(g)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=30) if n > 1 else st.just([]),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=30) if n > 1 else st.just([]))))
+def test_with_edges_matches_the_constructor(case):
+    # Extra edges repeat, come in either direction and may already be in g.
+    n, edges, extra = case
+    g = Graph(n, edges)
+    extra = extra + [(v, u) for u, v in extra[::2]] + list(g.edges()[::3])
+    got = g.with_edges(extra)
+    expected = Graph(n, chain(g.edges(), extra))
+    assert got.adj == expected.adj and got.m == expected.m
+    assert got.edges() == expected.edges()
+    assert g == Graph(n, edges)
+
+
+@pytest.mark.parametrize("bad", [(0, 5), (5, 0), (-1, 2), (2, -1), (3, 3)])
+def test_with_edges_refuses_what_the_constructor_refuses(bad):
+    g = path_graph(5)
+    with pytest.raises(ValueError) as built:
+        Graph(g.n, chain(g.edges(), [bad]))
+    with pytest.raises(ValueError) as added:
+        g.with_edges([(1, 3), bad])
+    assert str(added.value) == str(built.value)
+    assert g == path_graph(5)
 
 
 def test_components_path_minus_middle():

@@ -204,7 +204,8 @@ def test_report_rows_append_with_stable_schema(tmp_path):
     append_report(str(path), res2.report)
     res3 = decompose(complete_graph(6), "rs4", k=1, graph_name="k6")
     append_report(str(path), res3.report)
-    rows = list(csv.reader(path.open()))
+    with path.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["graph", "n", "m", "algo", "mode", "k_used", "width_plus_one",
                        "separator_calls", "flow_augmentations", "wall_ms", "certified"]
     assert len(rows) == 4
@@ -366,7 +367,8 @@ def test_cli_bench_produces_one_row_per_cell(tmp_path, capsys):
     rc = main(["bench", "--dir", str(tmp_path), "--algos", "mindeg,half45,rs4",
                "--report", str(report)])
     assert rc == 0
-    rows = list(csv.reader(report.open()))
+    with report.open() as f:
+        rows = list(csv.reader(f))
     assert len(rows) == 1 + 15
     assert rows[0][:5] == ["graph", "n", "m", "algo", "mode"]
     cells = {(r[0], r[3]) for r in rows[1:]}

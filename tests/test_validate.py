@@ -3,6 +3,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 from networkx.algorithms.approximation import treewidth_min_degree
 
 from twdecomp import (Graph, NotChordal, TreeDecomposition, check_tree_decomposition,
@@ -10,8 +11,9 @@ from twdecomp import (Graph, NotChordal, TreeDecomposition, check_tree_decomposi
                       min_degree_triang, triang_2way_23, TriangSuccess)
 from twdecomp.corpus import (complete_graph, cycle_graph, gnp_connected,
                              grid_graph, path_graph, random_tree, star_graph)
+from twdecomp.validate import _mcs_order, _peo_failure
 
-from oracles import brute_force_min_separator, permutation_treewidth
+from oracles import brute_force_min_separator, permutation_treewidth, reference_peo_failure
 
 
 def cycle_is_chordless(g, cycle):
@@ -88,6 +90,39 @@ def test_clique_number_rejects_bad_orderings():
     c4 = cycle_graph(4)
     with pytest.raises(ValueError):
         clique_number_chordal(c4, (0, 1, 2, 3))
+
+
+def eliminated(n, edges, order):
+    # The graph plus the fill of eliminating ``order``: each vertex's later
+    # neighbours made a clique, which is chordal with ``order`` as a PEO.
+    rows = [set() for _ in range(n)]
+    for u, v in edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [w for w in rows[v] if pos[w] > pos[v]]
+        for a, b in combinations(later, 2):
+            rows[a].add(b)
+            rows[b].add(a)
+    return Graph(n, [(u, w) for u in range(n) for w in rows[u] if u < w])
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=3 * n),
+    st.permutations(range(n)), st.permutations(range(n)), st.booleans())))
+def test_peo_failure_matches_the_reference(case):
+    # Chordal graphs (the fill of one permutation) and arbitrary ones, each
+    # tested under its MCS order and under another random permutation.
+    edges, fill_order, order, chordal = case
+    n = len(order)
+    g = eliminated(n, edges, fill_order) if chordal else Graph(n, edges)
+    for peo in (_mcs_order(g), fill_order, order):
+        assert _peo_failure(g, peo) == reference_peo_failure(g, peo)
+    if chordal:
+        assert _peo_failure(g, fill_order)[0] is None
 
 
 def test_check_single_bag_triangle():
