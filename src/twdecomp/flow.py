@@ -313,9 +313,8 @@ class FlowWorkspace:
     member ``v``, computed on its first read from the cheaper of ``v``'s row
     and the targets, and kept.  The warm start packs one- and two-edge paths
     by mask: a source's direct path is ``near[a] & free``, where ``free``
-    holds the unsaturated sinks, and its two-hop paths scan ``two_hop(a)``,
-    the row ``[(v, near[v]), ...]`` of all its neighbours, built the first
-    time the source needs it and kept for later flows.
+    holds the unsaturated sinks, and its two-hop paths scan its row, each
+    neighbour ``v`` by ``near[v] & free``.
     Every read is exact, so a workspace costs what its reads cost, however
     many long rows (hubs) its targets or their neighbours have.
 
@@ -364,7 +363,7 @@ class FlowWorkspace:
     """
 
     __slots__ = ("part", "targets", "counters", "cuts", "sep_ids", "sep_bit",
-                 "certs", "bit_of", "near", "rows", "attached", "arrays")
+                 "certs", "bit_of", "near", "attached", "arrays")
 
     def __init__(self, g: Graph, part: Part | None, targets: Iterable[int],
                  counters: Counters | None = None):
@@ -385,23 +384,11 @@ class FlowWorkspace:
                 raise ValueError(f"terminal vertex out of range: {t}")
             bit_of[t] = 1 << i
         self.near = _Near(part, bit_of)
-        self.rows = {}
         self.attached = None
         arrays = counters.arrays
         if arrays is None or len(arrays.sat) != n:
             arrays = counters.arrays = _FlowArrays(n)
         self.arrays = arrays
-
-    def two_hop(self, a: int) -> list[tuple[int, int]]:
-        """The row ``[(v, near[v]), ...]`` of target ``a``'s neighbours,
-        built on the first call and kept; the masks are read from ``near``,
-        which computes each on its first read.  Every mask holds ``a``'s
-        bit, so none is empty."""
-        row = self.rows.get(a)
-        if row is None:
-            near = self.near
-            row = self.rows[a] = [(v, near[v]) for v in self.part.adj[a]]
-        return row
 
     def mask(self, vertices: Iterable[int]) -> int:
         """The bits of ``vertices``; ValueError names one that is not a target."""
@@ -576,8 +563,8 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     ``part.adj`` itself.  The augmenting paths, the
     certificates, the counts and the cut stay exactly those of a search
     that enters them.  The flow's conditions are checked on its search
-    state by ``_verify_separator``, which counts a dead flow's non-targets
-    and scans the smaller side, not a listed one.
+    state by ``_verify_separator``, which scans the rows of a dead flow's
+    rest and otherwise the smaller side, not a listed one.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -587,7 +574,6 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     part = ws.part
     adj = part.adj
     targets = ws.targets
-    rows = ws.rows
     near = ws.near
     arrays = ws.arrays
     role = arrays.role
@@ -637,13 +623,10 @@ def min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
                 w = targets[low.bit_length() - 1]
                 in_flow[w] = a
             else:
-                row = rows.get(a)
-                if row is None:
-                    row = ws.two_hop(a)
-                for v, mask in row:
+                for v in adj[a]:
                     # An unsaturated sink here would have been taken above; a
                     # source may still start its own path.
-                    hit = mask & free
+                    hit = near[v] & free
                     if hit and not sat[v] and role[v] != _SOURCE:
                         break
                 else:
@@ -810,21 +793,22 @@ def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: 
     and the ``Cut``'s: the separator's size is the flow value (that it holds
     members only, none twice, the ``Cut`` built from it checks); every
     source is on R or cut, and no sink is on R; and no edge joins R and the
-    rest, checked from the smaller of the two.  The rest is searched from
-    the uncut sinks and passes only when the search visits all of it; when
-    some of it holds no sink, R's rows are scanned: the walked part's, read
-    from the queue, and in a dead flow the non-targets', listed by
-    ``part.remainder``.
+    rest.  Every reached exit state's entry state is reached too (a
+    saturated vertex's exit leads back to its entry, and an unsaturated
+    one's exit is reached from its entry only).
 
-    The sizes come from counts.  Every reached exit state's entry state is
-    reached too (a saturated vertex's exit leads back to its entry, and an
-    unsaturated one's exit is reached from its entry only), so the queue
-    holds 2|walked| + |separator| states, and a dead flow adds its
-    non-targets.  Before the counts are trusted, no queued state may be a
-    non-target of a dead flow, so no vertex is counted twice.  Were a count
-    ever wrong otherwise, the rest's would come out too large, so the
-    search could only fall short of it and R would be scanned: no count can
-    make a check pass.
+    In a dead flow the rest is exactly the targets whose entry state was
+    not reached: a non-target is on R, and a source's entry is a root.  So
+    every edge between R and the rest has an end among those targets, and
+    their rows are scanned for a non-target or a reached exit.
+
+    In any other flow the sizes come from the queue, which holds
+    2|R| + |separator| states, and the edges are checked from the smaller
+    of the two sides.  The rest is searched from the uncut sinks and passes
+    only when the search visits all of it; when some of it holds no sink,
+    R's rows, read from the queue, are scanned.  Were a count ever wrong,
+    the rest's would come out too large, so the search could only fall
+    short of it and R would be scanned: no count can make a check pass.
     """
     _invariant(len(separator) == flow, "cut size differs from flow value")
     cut = set(separator)
@@ -833,21 +817,21 @@ def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: 
     for b in side_b:
         _invariant(prev[2 * b + 1] == _UNSEEN, "uncut sink attachment outside the rest")
     adj = part.adj
-    reached = (len(queue) - len(separator)) // 2
     if dead:
-        reached += part.size - len(dead)
+        for t in dead:
+            if prev[2 * t] == _UNSEEN:
+                for w in adj[t]:
+                    if w not in dead or prev[2 * w + 1] != _UNSEEN:
+                        _invariant(False, "an edge joins the reached side and the rest")
+        return
+    reached = (len(queue) - len(separator)) // 2
     rest = part.size - len(separator) - reached
     if rest < reached:
-        if dead:
-            for s in queue:
-                if s >> 1 not in dead:
-                    _invariant(False, "a skipped dead end was searched")
         seen = {b for b in side_b if prev[2 * b] == _UNSEEN}
         stack = list(seen)
         while stack:
             for w in adj[stack.pop()]:
-                _invariant(prev[2 * w + 1] == _UNSEEN and (not dead or w in dead),
-                           "an edge joins the reached side and the rest")
+                _invariant(prev[2 * w + 1] == _UNSEEN, "an edge joins the reached side and the rest")
                 if prev[2 * w] == _UNSEEN and w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -856,13 +840,7 @@ def _verify_separator(part: Part, prev: list[int], queue: list[int], separator: 
     for s in queue:
         if s & 1:
             for w in adj[s >> 1]:
-                if (prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN
-                        and (not dead or w in dead)):
-                    _invariant(False, "an edge joins the reached side and the rest")
-    if dead:
-        for u in part.remainder(dead):
-            for w in adj[u]:
-                if prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN and w in dead:
+                if prev[2 * w] == _UNSEEN and prev[2 * w + 1] == _UNSEEN:
                     _invariant(False, "an edge joins the reached side and the rest")
 
 

@@ -386,8 +386,9 @@ def reference_min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     """``flow.min_vertex_separator`` as it ran while each flow built its
     augmenting path forward, reversed it and then applied it, and its
     search filtered a dead flow's rows itself: kept verbatim but for the
-    search's name, as the reference for the flow that applies each path
-    while walking it back.
+    search's name and the two-hop row, built inline now that the workspace
+    keeps none, as the reference for the flow that applies each path while
+    walking it back.
 
     Minimum vertex cut between the two super-terminals, or Exceeded.
 
@@ -410,8 +411,8 @@ def reference_min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     of them out (see ``reference_augmenting_search``).  The augmenting
     paths, the certificates, the counts and the cut stay exactly those of a search
     that enters them.  The flow's conditions are checked on its search
-    state by ``_verify_separator``, which counts a dead flow's non-targets
-    and scans the smaller side, not a listed one.
+    state by ``_verify_separator``, which scans the rows of a dead flow's
+    rest and otherwise the smaller side, not a listed one.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -421,7 +422,6 @@ def reference_min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
     part = ws.part
     adj = part.adj
     targets = ws.targets
-    rows = ws.rows
     near = ws.near
     arrays = ws.arrays
     role = arrays.role
@@ -471,9 +471,7 @@ def reference_min_vertex_separator(ws: FlowWorkspace, terminals, bound: int, *,
                 w = targets[low.bit_length() - 1]
                 in_flow[w] = a
             else:
-                row = rows.get(a)
-                if row is None:
-                    row = ws.two_hop(a)
+                row = [(v, ws.near[v]) for v in ws.part.adj[a]]
                 for v, mask in row:
                     # An unsaturated sink here would have been taken above; a
                     # source may still start its own path.

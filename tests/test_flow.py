@@ -632,14 +632,12 @@ def test_listed_sides_along_a_handover_chain_match_networkx(kind, n, seed):
                 assert got.rest == side2 == vset(set(members) - set(side1) - set(separator))
         # ``near`` fills each member's mask on its first read, by a scan of
         # a short row or by bisection into a long one (a hub's): either way
-        # it holds every target next to the member, and so do the two-hop
-        # rows built from it, which list every neighbour of their target:
-        # each neighbour's mask holds that target's bit.
+        # it holds every target next to the member, so the mask of each
+        # neighbour of a target, which the warm start's two-hop scan reads,
+        # holds that target's bit.
         for ws in spaces:
             for a in ws.targets:
-                near = [(v, sum(ws.bit_of.get(t, 0) for t in sub[v])) for v in sorted(sub[a])]
-                assert ws.two_hop(a) == near
-                assert all(mask & ws.bit_of[a] for _, mask in near)
+                assert all(ws.near[v] & ws.bit_of[a] for v in sub[a])
             for v in members:
                 assert ws.near[v] == sum(ws.bit_of.get(t, 0) for t in sub[v])
         count = rng.choice((1, 2, max(1, len(members) // 3)))
@@ -664,10 +662,10 @@ def test_a_first_read_after_a_handover_raises():
 
 
 def workspace_state(ws):
-    """What a workspace keeps between flows: its certificate stores, two-hop
-    rows, target masks, attachment mask and isolating cuts."""
+    """What a workspace keeps between flows: its certificate stores, target
+    masks, attachment mask and isolating cuts."""
     certs = {b: (c.on, c.low, c.one, c.high, c.count) for b, c in ws.certs.items()}
-    return certs, ws.rows, ws.near, ws.attached, ws.cuts, ws.sep_ids
+    return certs, ws.near, ws.attached, ws.cuts, ws.sep_ids
 
 
 def test_interleaved_workspaces_match_workspaces_run_alone():
@@ -1006,6 +1004,60 @@ def test_a_dead_flow_matches_a_flow_that_is_never_dead():
     assert dead >= 200
 
 
+def test_a_dead_flow_leaves_every_non_target_unsearched(monkeypatch):
+    # Seeded separator-only flows whose sides either cover every target or
+    # leave some free, with the state ``_verify_separator`` saw in each.  In
+    # a dead flow no non-target state is queued, and the rest, the members
+    # outside the separator, the reached exits and the non-targets, is
+    # exactly the targets whose entry state no search reached: the members
+    # that a plain search of the part minus the separator reaches from
+    # neither an uncut source nor a non-target.
+    seen = []
+
+    def record(part, prev, queue, separator, side_a, side_b, value, dead):
+        seen.append((part, list(prev), list(queue), set(separator), side_a, side_b, dead))
+        return _verify_separator(part, prev, queue, separator, side_a, side_b, value, dead)
+
+    monkeypatch.setattr(flow, "_verify_separator", record)
+    dead_flows = Counter()
+    for kind in ("path-end", "caterpillar-end", "hub", "star", "tree", "gnp", "grid", "pkt"):
+        for seed in range(30):
+            rng = random.Random(seed)
+            g, part, targets = flow_case(kind, rng.randint(8, 60), rng)
+            if len(targets) < 2:
+                continue
+            ws = FlowWorkspace(g, part, targets)
+            for _ in range(6):
+                pick = list(ws.targets)
+                rng.shuffle(pick)
+                if len(pick) > 2 and rng.random() < 0.5:
+                    pick = pick[:rng.randint(2, len(pick) - 1)]
+                cut = rng.randint(1, len(pick) - 1)
+                terminals = (vset(pick[:cut]), vset(pick[cut:]))
+                min_vertex_separator(ws, terminals, rng.randint(0, 5), separator_only=True)
+                assert_clean(ws)
+    for part, prev, queue, cut, side_a, side_b, dead in seen:
+        if dead is None:
+            continue
+        dead_flows[len(side_a) + len(side_b) == len(dead)] += 1
+        assert all(s >> 1 in dead for s in queue)
+        members = set(part.members)
+        exits = {v for v in members if prev[2 * v + 1] != -1}
+        rest = {v for v in members - cut - exits if v in dead}
+        assert rest == {t for t in dead if prev[2 * t] == -1}
+        stack = [v for v in members - cut if v not in dead or v in side_a]
+        reached = set(stack)
+        while stack:
+            for w in part.adj[stack.pop()]:
+                if w not in cut and w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        assert rest == members - cut - reached
+    # Dead flows whose sides cover every target, and ones that leave some free.
+    assert dead_flows[True] >= 100 and dead_flows[False] >= 40
+    assert sum(dead_flows.values()) >= 200
+
+
 def separator_state(monkeypatch, g, terminals, bound):
     """The arguments ``_verify_separator`` saw in a separator-only flow over
     all of ``g``, copied before the flow reset its arrays."""
@@ -1054,31 +1106,29 @@ PENDANT = [(1, 10), (10, 11)]
     ((0, 1, 2, 3), 9, [], [], "repeat", "do not partition the vertices"),
     ((0, 1, 2, 3), 9, [], [], "outsider", "do not partition the vertices"),
     # The rows below are dead flows: every target next to a non-target is a
-    # source, so the non-targets lie on the reached side, counted apart
-    # from the search.  The sinks 0..4 and the sources 5 and 6: the cut is {5}, and
-    # the reached side, 6 and the dead end {7, 8, 9}, is smaller than the
-    # rest {0..4}, so the walked rows and the non-targets' rows are scanned.
+    # source, so the non-targets lie on the reached side, never searched,
+    # and the rest is the targets whose entry no search reached: their rows
+    # are scanned.  The sinks 0..4 and the sources 5 and 6: the cut is {5},
+    # the reached side is 6 and the dead end {7, 8, 9}, and the rows of the
+    # rest {0..4} are scanned, which finds an edge into the dead end.
     ((5, 6), (0, 1, 2, 3, 4), [], [], None, None),
     ((5, 6), (0, 1, 2, 3, 4), [], [(4, 8)], None,
      "an edge joins the reached side and the rest"),
-    # The sources 1, 2 and 3 and the sink 0: the cut is {1}, and the rest
-    # {0} is searched from the sink, which finds an edge into the dead end
-    # {4..9}.
+    # The sources 1, 2 and 3 and the sink 0: the cut is {1}, and the row of
+    # the rest {0} is scanned, which finds an edge into the dead end {4..9}.
     ((1, 2, 3), 0, [], [], None, None),
     ((1, 2, 3), 0, [], [(0, 7)], None, "an edge joins the reached side and the rest"),
-    # Were a dead end's state queued, the counts would take a vertex twice.
-    ((1, 2, 3), 0, [], [], "searched", "a skipped dead end was searched"),
     # As above, with the pendant {10, 11} next to the cut source 1 only: a
     # pocket without a sink, which lies on the reached side with the other
-    # non-targets, so the search of the rest does not fall short of it and
-    # finds an edge from the rest into the pocket.
+    # non-targets, so the scan of the rest's row finds an edge from the rest
+    # into the pocket.
     ((1, 2, 3), 0, PENDANT, [], None, None),
     ((1, 2, 3), 0, PENDANT, [(0, 11)], None, "an edge joins the reached side and the rest"),
 ], ids=["reached-smaller", "reached-smaller-crossing", "rest-smaller",
         "rest-smaller-crossing", "sink-free-pocket", "sink-free-pocket-crossing",
         "size-differs", "source-in-rest", "sink-reached", "listed-twice", "out-of-range",
         "reached-smaller-with-dead-end", "reached-smaller-with-dead-end-crossing",
-        "unlabelled-dead-end", "unlabelled-dead-end-crossing", "searched-dead-end",
+        "unlabelled-dead-end", "unlabelled-dead-end-crossing",
         "pocket-beside-unlabelled-dead-end", "pocket-beside-unlabelled-dead-end-crossing"])
 def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, sink, base,
                                                          extra, tamper, message):
@@ -1100,8 +1150,6 @@ def test_verify_separator_fires_on_each_broken_condition(monkeypatch, sources, s
         side_a += (7,)
     elif tamper == "sink":
         side_b += (1,)
-    elif tamper == "searched":
-        queue.append(2 * 5)
     elif tamper in ("repeat", "outsider"):
         # The flow returns its separator as a Cut, which checks it is made of
         # members, none twice.

@@ -1,18 +1,25 @@
 """No process-global mutable state: every module-level name of the package
-holds a module, a function, a class, a typing object or an immutable value."""
+holds a module, a function, a class, a typing object or an immutable value.
+And no third-party runtime dependency: the package runs without one."""
 
 import __future__
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Union
 
 import pytest
 
 import twdecomp
 from twdecomp import Counters
+from twdecomp.corpus import grid_graph
+from twdecomp.io import emit_graph
 
 IMMUTABLE = (type(None), bool, int, float, str, bytes, tuple, frozenset, range,
              Fraction)
@@ -77,3 +84,36 @@ def test_public_surface_is_pinned():
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
             with pytest.raises(ImportError):
                 exec(f"from {mod.__name__} import {name}", {})
+
+
+# Run in a fresh interpreter where each third-party package the tests use
+# fails to import.
+NO_THIRD_PARTY = """
+import importlib, pkgutil, sys
+for name in ("networkx", "hypothesis", "pytest", "numpy", "scipy"):
+    sys.modules[name] = None
+import twdecomp
+for info in pkgutil.iter_modules(twdecomp.__path__):
+    if info.name != "__main__":
+        importlib.import_module("twdecomp." + info.name)
+from twdecomp import cli
+graph, td = sys.argv[1:]
+codes = (cli.main(["decompose", "--algo", "bg367", "--search", "--in", graph, "--out", td]),
+         cli.main(["validate", "--graph", graph, "--td", td]))
+print("exit codes", *codes)
+"""
+
+
+def test_the_package_runs_without_third_party_packages(tmp_path):
+    # The README promises no third-party runtime dependencies: every module
+    # imports, and a grid round-trips through the command line, with
+    # networkx, hypothesis, pytest, numpy and scipy all unimportable.
+    graph, td = tmp_path / "grid.gr", tmp_path / "grid.td"
+    graph.write_text(emit_graph(grid_graph(5, 5)), encoding="utf-8")
+    src = str(Path(twdecomp.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", NO_THIRD_PARTY, str(graph), str(td)],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "exit codes 0 0", run.stdout
+    assert td.read_text(encoding="utf-8").startswith("s td ")

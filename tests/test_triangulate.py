@@ -588,8 +588,9 @@ def test_bg367_on_a_caterpillar_checks_its_isolating_cuts_linearly(monkeypatch):
     # ``_verify_separator`` reads from its part.  A check that put the legs
     # of a cut target in the rest would find the rest's search short of them
     # and scan every member beyond the sources: 1,261,496 rows (315n) here.
-    # A dead flow counts every non-target on the reached side, and the rows
-    # read come to about 3n.
+    # A dead flow scans only the rows of its rest, the targets no search
+    # reached, and never lists its non-targets: the rows read come to about
+    # 3n.
     from twdecomp import flow
 
     n = 4000
@@ -606,8 +607,7 @@ def test_bg367_on_a_caterpillar_checks_its_isolating_cuts_linearly(monkeypatch):
     check = flow._verify_separator
 
     def counted(part, *args):
-        rows = SimpleNamespace(adj=CountingRows(part.adj), size=part.size,
-                               remainder=part.remainder)
+        rows = SimpleNamespace(adj=CountingRows(part.adj), size=part.size)
         return check(rows, *args)
 
     monkeypatch.setattr(flow, "_verify_separator", counted)
