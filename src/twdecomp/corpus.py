@@ -67,6 +67,8 @@ def gnp_connected(n: int, p: float, rng: random.Random) -> Graph:
 
 def k_tree(n: int, k: int, rng: random.Random) -> Graph:
     """Random k-tree: each new vertex is attached to an existing k-clique."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     if n < k + 1:
         raise ValueError("a k-tree needs at least k+1 vertices")
     edges = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
@@ -75,49 +77,68 @@ def k_tree(n: int, k: int, rng: random.Random) -> Graph:
         base = cliques[rng.randrange(len(cliques))]
         for u in base:
             edges.append((u, v))
-        for out in base:
-            cliques.append(tuple(sorted(set(base) - {out})) + (v,))
+        # Every clique is ascending and v exceeds its members, so dropping
+        # one member and appending v keeps the new clique ascending.
+        for i in range(len(base)):
+            cliques.append(base[:i] + base[i + 1:] + (v,))
     return Graph(n, edges)
 
 
 def partial_k_tree(n: int, k: int, drop_fraction: float, rng: random.Random) -> Graph:
-    """Connected subgraph of a random k-tree with a fraction of edges removed."""
+    """Connected subgraph of a random k-tree with a fraction of edges removed.
+
+    Edges are tried in a shuffled order and an edge is dropped unless an end
+    has degree 1 or dropping it disconnects the graph, until
+    ``int(drop_fraction * m)`` are gone. Each try costs about twice the
+    smaller side of the cut it would make (see ``_joined``), not a search
+    of the whole graph."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if not 0 <= drop_fraction <= 1:
+        raise ValueError("drop_fraction must be between 0 and 1")
     g = k_tree(n, k, rng)
-    edges = set(g.edges())
-    candidates = list(edges)
+    candidates = list(set(g.edges()))
     rng.shuffle(candidates)
-    to_drop = int(len(edges) * drop_fraction)
-    degree = {v: g.degree(v) for v in range(n)}
+    to_drop = int(g.m * drop_fraction)
+    adj = [set(row) for row in g.adj]
     dropped = 0
     for u, v in candidates:
         if dropped >= to_drop:
             break
-        if degree[u] <= 1 or degree[v] <= 1:
+        if len(adj[u]) <= 1 or len(adj[v]) <= 1:
             continue
-        edges.discard((u, v))
-        if _connected(n, edges):
-            degree[u] -= 1
-            degree[v] -= 1
+        adj[u].discard(v)
+        adj[v].discard(u)
+        if _joined(adj, u, v):
             dropped += 1
         else:
-            edges.add((u, v))
-    return Graph(n, sorted(edges))
+            adj[u].add(v)
+            adj[v].add(u)
+    return Graph(n, ((u, w) for u in range(n) for w in adj[u] if u < w))
 
 
-def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if not seen[nxt]:
-                seen[nxt] = 1
-                count += 1
-                stack.append(nxt)
-    return count == n
+def _joined(adj, u: int, v: int) -> bool:
+    """Whether a path joins ``u`` and ``v`` in the graph of rows ``adj``.
+
+    Two searches, one from each end, take turns at reading one row each.
+    They meet exactly when a path joins the ends; otherwise the one on the
+    smaller side runs dry first, so about twice that side's rows are read at
+    most (Even and Shiloach's on-line edge deletion). The first turn of each
+    reads its end's row, and a shared neighbour, the usual case in a partial
+    k-tree, is found there by one set test."""
+    near_u, near_v = adj[u], adj[v]
+    if not near_u.isdisjoint(near_v):
+        return True
+    side = dict.fromkeys(near_u, 0) | dict.fromkeys(near_v, 1) | {u: 0, v: 1}
+    stacks = (list(near_u), list(near_v))
+    while True:
+        for s, stack in enumerate(stacks):
+            if not stack:
+                return False
+            for w in adj[stack.pop()]:
+                t = side.get(w)
+                if t is None:
+                    side[w] = s
+                    stack.append(w)
+                elif t != s:
+                    return True

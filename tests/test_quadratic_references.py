@@ -1,16 +1,24 @@
 """The heap-ordered MCS and min-degree elimination, the indexed
-decomposition checker and the one-BFS chordless-cycle witness against the
-quadratic versions they replaced.
+decomposition checker, the one-BFS chordless-cycle witness and the partial
+k-tree generator's local connectivity test against the quadratic versions
+they replaced.
 
-The four reference functions below are the earlier library code, kept
+The seven reference functions below are the earlier library code, kept
 verbatim apart from their names and from reading a row as a set where they
-subtract from it: they scan every vertex, bag or vertex pair at each step.  The library must return exactly what the first three return;
-a chordless cycle is not unique, so the witness is checked for validity.
+subtract from it: the first four scan every vertex, bag or vertex pair at
+each step, and the partial k-tree generator rebuilds and searches the whole
+graph for every edge it tries to drop, on a k-tree whose new cliques are
+built through a set and a sort.  The library must return exactly what the
+first three and the two generators return, and leave the generator's random
+state exactly where they leave it; a chordless cycle is not unique, so the
+witness is checked for validity.
 """
 
+import ast
 import random
 import time
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 from hypothesis import given, settings, strategies as st
@@ -188,6 +196,64 @@ def quadratic_check_tree_decomposition(g, td):
             out.append(Violation("broken-subtree", v,
                                  f"bags containing vertex {v} are not connected"))
     return out
+
+
+def quadratic_k_tree(n, k, rng):
+    """Random k-tree: each new vertex is attached to an existing k-clique."""
+    if n < k + 1:
+        raise ValueError("a k-tree needs at least k+1 vertices")
+    edges = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    cliques = [tuple(c for c in range(k + 1) if c != out) for out in range(k + 1)]
+    for v in range(k + 1, n):
+        base = cliques[rng.randrange(len(cliques))]
+        for u in base:
+            edges.append((u, v))
+        for out in base:
+            cliques.append(tuple(sorted(set(base) - {out})) + (v,))
+    return Graph(n, edges)
+
+
+def quadratic_partial_k_tree(n, k, drop_fraction, rng):
+    """Connected subgraph of a random k-tree with a fraction of edges removed."""
+    g = quadratic_k_tree(n, k, rng)
+    edges = set(g.edges())
+    candidates = list(edges)
+    rng.shuffle(candidates)
+    to_drop = int(len(edges) * drop_fraction)
+    degree = {v: g.degree(v) for v in range(n)}
+    dropped = 0
+    for u, v in candidates:
+        if dropped >= to_drop:
+            break
+        if degree[u] <= 1 or degree[v] <= 1:
+            continue
+        edges.discard((u, v))
+        if quadratic_connected(n, edges):
+            degree[u] -= 1
+            degree[v] -= 1
+            dropped += 1
+        else:
+            edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
+def quadratic_connected(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    count = 1
+    while stack:
+        cur = stack.pop()
+        for nxt in adj[cur]:
+            if not seen[nxt]:
+                seen[nxt] = 1
+                count += 1
+                stack.append(nxt)
+    return count == n
 
 
 def family_graphs():
@@ -386,3 +452,38 @@ def test_checker_matches_quadratic_reference_on_corrupted_deep_trees():
             assert not any(v.kind == "not-a-tree" for v in found)
             kinds[kind] += 1
     assert kinds["broken-subtree"] >= 200 and kinds["uncovered-edge"] >= 120, kinds
+
+
+def test_generators_match_quadratic_reference():
+    # k = 1 makes every edge a bridge, so each drop there is refused; a drop
+    # fraction of 1.0 tries every edge of the k-tree.
+    cases = random.Random(3434)
+    for k in range(6):
+        for drop in (0, 0.03, 0.3, 1.0):
+            for n in [k + 1, k + 2] + [cases.randint(k + 3, 80) for _ in range(6)]:
+                seed = cases.randrange(2 ** 32)
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = partial_k_tree(n, k, drop, rng)
+                assert got == quadratic_partial_k_tree(n, k, drop, ref_rng), (n, k, drop)
+                assert rng.getstate() == ref_rng.getstate()
+                assert k_tree(n, k, rng) == quadratic_k_tree(n, k, ref_rng), (n, k)
+                assert rng.getstate() == ref_rng.getstate()
+
+
+def benchmark_scale_corpus():
+    """``SCALE_CORPUS`` of perfbench/workloads.py, read without importing it."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
+    return next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "SCALE_CORPUS")
+
+
+def test_partial_k_tree_matches_quadratic_reference_on_the_scale_corpus():
+    # The benchmark draws its partial k-trees in this order from one
+    # Random(8008), so each graph also depends on the state the last left.
+    corpus = benchmark_scale_corpus()
+    assert [name for name, *_ in corpus] == ["pkt100", "pkt180", "pkt320", "pkt450", "pkt600"]
+    rng, ref_rng = random.Random(8008), random.Random(8008)
+    for name, n, k, drop in corpus:
+        assert partial_k_tree(n, k, drop, rng) == quadratic_partial_k_tree(n, k, drop, ref_rng), name
+        assert rng.getstate() == ref_rng.getstate(), name
